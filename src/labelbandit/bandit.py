@@ -9,8 +9,7 @@ asks a reward environment to score the labelling, and updates the arms.
 The round counter ``t`` counts completed post-initialization pulls; the
 exploration bonus for a pull being selected uses the index of that upcoming
 pull (t + 1), so the very first selection sees a zero bonus (log 1 = 0).
-BanditState has a single owner; selections are read-only and may run
-concurrently with each other but never with ``update``.
+BanditState has a single owner; selections are read-only.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,32 +244,24 @@ def run_inference(
     batch_size: int = 1,
     rng=None,
     pull_log: list | None = None,
-    threads: int = 1,
 ) -> InferenceResult:
     """Full inference loop: initialization sweep, then ``rounds`` scored pulls.
 
     ``environment`` is any callable ``(assignment, rng) -> {instance: reward}``.
-    Batch members are selected together, may be evaluated concurrently (their
-    per-pull seeds are drawn up front, so results do not depend on scheduling),
-    and their updates land in batch order. Reproducible given the rng seed and
-    a deterministic environment.
+    Batch members are selected together, their per-pull seeds are drawn up
+    front, and they are evaluated and updated in batch order. Reproducible
+    given the rng seed and a deterministic environment.
     """
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
     if rng is None:
         rng = np.random.default_rng()
     state = new_bandit(label_sets)
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
     def evaluate_batch(assignments):
         seeds = [int(rng.integers(0, 2**63)) for _ in assignments]
-        jobs = list(zip(assignments, seeds))
         try:
-            if executor is not None and len(jobs) > 1:
-                return list(
-                    executor.map(lambda j: environment(j[0], np.random.default_rng(j[1])), jobs)
-                )
-            return [environment(a, np.random.default_rng(s)) for a, s in jobs]
+            return [environment(a, np.random.default_rng(s)) for a, s in zip(assignments, seeds)]
         except Exception as exc:
             raise InferenceError(
                 f"reward environment failed at round {state.t}, "
@@ -293,20 +283,16 @@ def run_inference(
                 }
             )
 
-    try:
-        sweep = initialization_assignments(state, rng)
-        for assignment, rewards in zip(sweep, evaluate_batch(sweep)):
-            update(state, assignment, rewards, advance_round=False)
-            log_pull(assignment, rewards, 0)
-        pulls_done = 0
-        while pulls_done < rounds:
-            width = min(batch_size, rounds - pulls_done)
-            batch = select_super_arm_batch(state, width)
-            for assignment, rewards in zip(batch, evaluate_batch(batch)):
-                update(state, assignment, rewards, advance_round=True)
-                log_pull(assignment, rewards, state.t)
-            pulls_done += width
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    sweep = initialization_assignments(state, rng)
+    for assignment, rewards in zip(sweep, evaluate_batch(sweep)):
+        update(state, assignment, rewards, advance_round=False)
+        log_pull(assignment, rewards, 0)
+    pulls_done = 0
+    while pulls_done < rounds:
+        width = min(batch_size, rounds - pulls_done)
+        batch = select_super_arm_batch(state, width)
+        for assignment, rewards in zip(batch, evaluate_batch(batch)):
+            update(state, assignment, rewards, advance_round=True)
+            log_pull(assignment, rewards, state.t)
+        pulls_done += width
     return best_assignment(state)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -31,6 +32,8 @@ from .errors import (
 )
 from .rewards import RewardParams
 
+logger = logging.getLogger(__name__)
+
 USAGE_ERRORS = (
     ConfigError,
     ParameterError,
@@ -49,7 +52,6 @@ DEFAULT_CONFIG = {
     "bootstrap_passes": 1,
     "bootstrap_fraction": 0.25,
     "master_seed": 0,
-    "threads": 1,
     "final_weighting": "uniform",
     "rff_width": None,
     "rff_bandwidth": 1.0,
@@ -113,6 +115,12 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"{file}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"{file}: config root must be a JSON object")
+    # "threads" is no longer an option; configs that carry it, as every
+    # config.json echoed by earlier versions does, still load
+    if "threads" in user:
+        threads = user.pop("threads")
+        if threads != 1:
+            logger.warning("%s: ignoring \"threads\": %r; inference runs serially", file, threads)
     return _merge_config(DEFAULT_CONFIG, user)
 
 
@@ -141,7 +149,6 @@ def build_inference_config(cfg: dict) -> pipeline.InferenceConfig:
         rff_width=cfg["rff_width"],
         rff_bandwidth=cfg["rff_bandwidth"],
         final_weighting=cfg["final_weighting"],
-        threads=cfg["threads"],
     )
 
 
@@ -239,8 +246,6 @@ def _apply_infer_overrides(cfg: dict, args) -> None:
         cfg["rounds"] = args.rounds
     if args.folds is not None:
         cfg["folds"] = args.folds
-    if args.threads is not None:
-        cfg["threads"] = args.threads
 
 
 def cmd_infer(args) -> int:
@@ -374,8 +379,6 @@ def cmd_bench(args) -> int:
         cfg["master_seed"] = args.seed
     if args.repetitions is not None:
         cfg["bench"]["repetitions"] = args.repetitions
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     if not cfg["out"]:
         raise ConfigError("no output directory given; pass --out or set it in the config")
     cfg["regime"] = cfg["regime"] or "binary-mil"
@@ -462,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     inf.add_argument("--passes", type=int, default=None)
     inf.add_argument("--rounds", type=int, default=None)
     inf.add_argument("--folds", type=int, default=None)
-    inf.add_argument("--threads", type=int, default=None)
     inf.set_defaults(func=cmd_infer)
 
     ev = sub.add_parser("evaluate", help="score inferred labels against ground truth")
@@ -479,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", default=None)
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--repetitions", type=int, default=None)
-    bench.add_argument("--threads", type=int, default=None)
     bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -68,7 +68,6 @@ class InferenceConfig:
     rff_width: int | None = None
     rff_bandwidth: float = 1.0
     final_weighting: str = "uniform"
-    threads: int = 1
 
     def __post_init__(self):
         if self.regime not in ("binary-mil", "multiclass-mil", "llp", "custom"):
@@ -87,8 +86,6 @@ class InferenceConfig:
             )
         if self.final_weighting not in WEIGHTINGS:
             raise ConfigError(f"final_weighting must be one of {WEIGHTINGS}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
 
@@ -247,6 +244,9 @@ def train_final(
 
 
 def _single_pass(dataset: Dataset, config: InferenceConfig, fixed: dict[int, int], seed_seq):
+    """One pass over all folds. Returns the merged labels and confidences, the
+    fold diagnostics, the pull logs and this pass's seed for the final model,
+    which is fitted only after the last pass."""
     bags = dataset.bags
     if config.folds > len(bags):
         raise ParameterError(f"folds={config.folds} exceeds the number of bags {len(bags)}")
@@ -308,7 +308,6 @@ def _single_pass(dataset: Dataset, config: InferenceConfig, fixed: dict[int, int
             batch_size=config.batch_size,
             rng=np.random.default_rng(children[fold_index + 1]),
             pull_log=log,
-            threads=config.threads,
         )
         labels_out.update(result.assignment)
         confidence_out.update(result.confidence)
@@ -323,10 +322,7 @@ def _single_pass(dataset: Dataset, config: InferenceConfig, fixed: dict[int, int
         )
         pull_logs.append({"fold": fold_index, "records": log})
 
-    model = _fit_final(
-        dataset, labels_out, confidence_out, spec, config.final_weighting, children[-1]
-    )
-    return labels_out, confidence_out, model, fold_diagnostics, pull_logs
+    return labels_out, confidence_out, fold_diagnostics, pull_logs, children[-1]
 
 
 def _grow_fixed(
@@ -367,9 +363,8 @@ def _run_pipeline(dataset: Dataset, config: InferenceConfig, passes: int) -> Pip
     all_logs = []
     labels: dict[int, int] = {}
     confidence: dict[int, float] = {}
-    model = None
     for pass_index in range(passes):
-        labels, confidence, model, fold_diags, pull_logs = _single_pass(
+        labels, confidence, fold_diags, pull_logs, final_seed = _single_pass(
             clean, config, fixed, pass_children[pass_index]
         )
         pass_reports.append(
@@ -383,6 +378,14 @@ def _run_pipeline(dataset: Dataset, config: InferenceConfig, passes: int) -> Pip
             all_logs.append({"pass": pass_index, **entry})
         if pass_index < passes - 1:
             fixed = _grow_fixed(fixed, labels, confidence, config.bootstrap_fraction)
+    model = _fit_final(
+        clean,
+        labels,
+        confidence,
+        _resolve_classifier_spec(config, clean.num_classes),
+        config.final_weighting,
+        final_seed,
+    )
     diagnostics = {"passes": pass_reports, "num_instances": len(labels)}
     return PipelineResult(labels, confidence, model, diagnostics, all_logs)
 

@@ -39,9 +39,12 @@ class RewardParams:
 
     alpha is the minimum average neighbourhood recall at which the precision
     term starts to apply, gamma weighs recall against precision, tau scales
-    the distance-gap normalization (None means: calibrate to the median
-    absolute raw gap on first use), and num_negative_labels > 1 gives the
+    the distance-gap normalization, and num_negative_labels > 1 gives the
     negative class several interchangeable modes.
+
+    tau=None calibrates tau to the median absolute raw gap of the first 100
+    training instances: a RewardEnvironment does so at construction in
+    feature space and on its first evaluation in output space.
     """
 
     k: int = 5
@@ -270,6 +273,44 @@ def distance_gap(vector: np.ndarray, same_bag_points, other_bag_points, k: int) 
     return float(other - same)
 
 
+def raw_distance_gaps(
+    train_ids: list[int],
+    train_points: np.ndarray,
+    heldout_ids: list[int],
+    heldout_points: np.ndarray,
+    heldout_bags: list[Bag],
+    train_bag_index: dict[int, Bag],
+    k: int,
+) -> dict[int, float]:
+    """``distance_gap`` of every training instance against the held-out bags.
+
+    Points are rows aligned with their id lists; each bag's points follow its
+    member order, and same- and other-label bags keep ``heldout_bags`` order.
+    """
+    position_of = {iid: row for row, iid in enumerate(heldout_ids)}
+    bag_points = {
+        bag.id: heldout_points[[position_of[i] for i in bag.instance_ids]] for bag in heldout_bags
+    }
+    by_label: dict[object, list[int]] = {}
+    for bag in heldout_bags:
+        by_label.setdefault(bag.weak_label, []).append(bag.id)
+    raw = {}
+    for row, x in enumerate(train_ids):
+        own_label = train_bag_index[x].weak_label
+        same = [bag_points[b] for b in by_label.get(own_label, [])]
+        other = [
+            bag_points[b] for label, bids in by_label.items() if label != own_label for b in bids
+        ]
+        raw[x] = distance_gap(train_points[row], same, other, k)
+    return raw
+
+
+def calibrate_tau(raw_distgap: dict[int, float], train_ids: list[int]) -> float:
+    """Median absolute raw gap over the first 100 training instances (1 if 0)."""
+    median = float(np.median(np.abs([raw_distgap[x] for x in train_ids[:100]])))
+    return median if median > 0 else 1.0
+
+
 def distgap(instance_id: int, ctx: RewardContext) -> float:
     """Normalized distance gap in [0, 1] for a training instance."""
     if instance_id not in ctx.raw_distgap:
@@ -365,8 +406,7 @@ def build_reward_context(
     heldout_bags: list[Bag] | None = None,
     train_bag_index: dict[int, Bag] | None = None,
     negative_labels: frozenset[int] = frozenset({NEGATIVE_CLASS}),
-    train_points: dict[int, np.ndarray] | None = None,
-    heldout_points: dict[int, np.ndarray] | None = None,
+    raw_distgap: dict[int, float] | None = None,
     tau: float | None = None,
     prediction_arrays=None,
 ) -> RewardContext:
@@ -374,8 +414,10 @@ def build_reward_context(
 
     Neighbour pools are ordered by ascending held-out instance id, so distance
     ties resolve to the lower id. For the distance gap, ``train_bag_index``
-    must map each training instance to its bag, and raw feature vectors are
-    used instead of embeddings when ``params.distgap_space == "features"``.
+    must map each training instance to its bag. In output space the raw gaps
+    are computed here from the embeddings; when ``params.distgap_space ==
+    "features"`` they do not depend on the classifier, so the caller computes
+    them once with ``raw_distance_gaps`` and passes them as ``raw_distgap``.
 
     ``prediction_arrays`` is a performance path for callers that already hold
     row-aligned arrays: ((train_ids, labels, embeddings), (heldout_ids,
@@ -464,41 +506,20 @@ def build_reward_context(
         rec_by_bag[bag.id] = rec
         rec_row[rows] = rec
 
-    raw_distgap: dict[int, float] = {}
-    if params.distgap_enabled:
+    if not params.distgap_enabled:
+        raw_distgap = {}
+    else:
         if train_bag_index is None:
             raise ParameterError("distance gap needs train_bag_index (instance -> bag)")
         if params.distgap_space == "features":
-            if train_points is None or heldout_points is None:
-                raise ParameterError("distgap_space='features' needs raw feature vectors")
-            bag_points = {
-                bag.id: np.stack([heldout_points[i] for i in bag.instance_ids])
-                for bag in heldout_bags
-            }
-            query_of = {x: train_points[x] for x in tr_ids}
+            if raw_distgap is None:
+                raise ParameterError("distgap_space='features' needs the precomputed raw_distgap")
         else:
-            bag_points = {
-                bag.id: ho_emb[[position_of[i] for i in bag.instance_ids]]
-                for bag in heldout_bags
-            }
-            query_of = {x: tr_emb[row] for row, x in enumerate(tr_ids)}
-        by_label: dict[object, list[int]] = {}
-        for bag in heldout_bags:
-            by_label.setdefault(bag.weak_label, []).append(bag.id)
-        for x in tr_ids:
-            own_label = train_bag_index[x].weak_label
-            same = [bag_points[b] for b in by_label.get(own_label, [])]
-            other = [
-                bag_points[b]
-                for label, bids in by_label.items()
-                if label != own_label
-                for b in bids
-            ]
-            raw_distgap[x] = distance_gap(query_of[x], same, other, k)
+            raw_distgap = raw_distance_gaps(
+                tr_ids, tr_emb, ho_ids, ho_emb, heldout_bags, train_bag_index, k
+            )
         if tau is None:
-            sample = np.abs([raw_distgap[x] for x in tr_ids[:100]])
-            median = float(np.median(sample))
-            tau = median if median > 0 else 1.0
+            tau = calibrate_tau(raw_distgap, tr_ids)
         for x in tr_ids:
             bag_index.setdefault(x, train_bag_index[x])
 
@@ -537,7 +558,8 @@ class RewardEnvironment:
     predicts the fold and the held-out set, builds a RewardContext, and
     returns one reward per training instance. Instances fixed by earlier
     bootstrap passes can be appended to every fit via ``extra_features`` /
-    ``extra_labels``. Safe to call from several threads.
+    ``extra_labels``. Feature-space distance gaps depend on no classifier, so
+    they (and tau=None's calibration) are computed once, at construction.
     """
 
     def __init__(
@@ -575,12 +597,19 @@ class RewardEnvironment:
         self.heldout_ids = [int(heldout_ids[j]) for j in heldout_order]
         self.heldout_features = heldout_features[heldout_order]
         self._tau = params.tau
-        if params.distgap_space == "features":
-            self._train_points = {i: f for i, f in zip(self.train_ids, self.train_features)}
-            self._heldout_points = {i: f for i, f in zip(self.heldout_ids, self.heldout_features)}
-        else:
-            self._train_points = None
-            self._heldout_points = None
+        self._raw_distgap = None
+        if params.distgap_enabled and params.distgap_space == "features":
+            self._raw_distgap = raw_distance_gaps(
+                self.train_ids,
+                self.train_features,
+                self.heldout_ids,
+                self.heldout_features,
+                heldout_bags,
+                train_bag_index,
+                min(params.k, len(self.heldout_ids)),
+            )
+            if self._tau is None:
+                self._tau = calibrate_tau(self._raw_distgap, self.train_ids)
 
     def evaluate(self, assignment: dict[int, int], rng) -> dict[int, float]:
         seed = int(rng.integers(0, 2**63))
@@ -601,8 +630,7 @@ class RewardEnvironment:
             heldout_bags=self.heldout_bags,
             train_bag_index=self.train_bag_index,
             negative_labels=self.negative_labels,
-            train_points=self._train_points,
-            heldout_points=self._heldout_points,
+            raw_distgap=self._raw_distgap,
             tau=self._tau,
             prediction_arrays=(
                 (self.train_ids, train_labels, train_emb),
@@ -610,7 +638,7 @@ class RewardEnvironment:
             ),
         )
         if self._tau is None and ctx.tau is not None:
-            self._tau = ctx.tau  # calibrated once, on the first evaluation
+            self._tau = ctx.tau  # output space: calibrated once, on the first evaluation
         rewards = {}
         for x in self.train_ids:
             r = reward_for(x, assignment[x], ctx, self.params)

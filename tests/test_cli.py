@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, file outputs, determinism, config handling."""
 
 import json
+import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +54,27 @@ class TestConfig:
         assert build_inference_config(cfg).reward.num_negative_labels == 1
         cfg["regime"] = "multiclass-mil"
         assert build_inference_config(cfg).reward.num_negative_labels == 3
+
+    def test_readme_defaults_match_default_config(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"The defaults:\s*```json\n(.*?)```", readme, re.S)
+        assert block is not None, "README lost its defaults block"
+        assert json.loads(block.group(1)) == DEFAULT_CONFIG
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_legacy_threads_key_is_ignored(self, binary_workspace, tmp_path, caplog, threads):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"threads": threads, "rounds": 4, "folds": 2}))
+        out = tmp_path / "run"
+        with caplog.at_level(logging.WARNING, logger="labelbandit.cli"):
+            code = run(
+                ["infer", "--config", path, "--dataset", binary_workspace / "dataset.json",
+                 "--out", out]
+            )
+        assert code == 0
+        assert "threads" not in json.loads((out / "config.json").read_text())
+        warned = [r for r in caplog.records if "threads" in r.getMessage()]
+        assert len(warned) == (0 if threads == 1 else 1)
 
     def test_cli_exit_code_on_bad_config(self, tmp_path):
         path = tmp_path / "config.json"

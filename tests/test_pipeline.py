@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from labelbandit.classifiers import ClassifierSpec, predict_arrays
+from labelbandit.classifiers import ClassifierSpec, fit, predict_arrays
 from labelbandit.data import (
     Bag,
     Dataset,
@@ -114,19 +114,23 @@ class TestKfoldInfer:
         assert with_truth.to_json() == without_truth.to_json()
         assert np.array_equal(with_truth.model.weights, without_truth.model.weights)
 
-    def test_end_to_end_determinism(self):
+    @pytest.mark.parametrize(
+        "reward",
+        [
+            RewardParams(k=3),
+            RewardParams(k=3, distgap_enabled=True, tau=None, distgap_space="output"),
+            RewardParams(k=3, distgap_enabled=True, tau=None, distgap_space="features"),
+        ],
+        ids=["distgap-off", "distgap-output", "distgap-features"],
+    )
+    def test_end_to_end_determinism(self, reward):
         ds = generate_binary_mil(8, (2, 4), 0.5, 3, 6.0, seed=7)
-        config = small_binary_config(rounds=25, batch_size=3)
+        config = small_binary_config(rounds=25, batch_size=3, reward=reward)
         a = kfold_infer(ds, config)
         b = kfold_infer(ds, config)
         assert a.to_json() == b.to_json()
+        assert a.pull_logs == b.pull_logs
         assert np.array_equal(a.model.weights, b.model.weights)
-
-    def test_threaded_batches_match_serial(self):
-        ds = generate_binary_mil(8, (2, 4), 0.5, 3, 6.0, seed=7)
-        serial = kfold_infer(ds, small_binary_config(rounds=25, batch_size=4, threads=1))
-        threaded = kfold_infer(ds, small_binary_config(rounds=25, batch_size=4, threads=3))
-        assert serial.to_json() == threaded.to_json()
 
     def test_diagnostics_shape(self):
         ds = generate_binary_mil(6, (2, 4), 0.5, 2, 6.0, seed=8)
@@ -147,6 +151,19 @@ class TestKfoldInfer:
 
 
 class TestBootstrap:
+    def test_final_model_is_fitted_once(self, monkeypatch):
+        fits = []
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr("labelbandit.pipeline.fit", counting_fit)
+        ds = generate_binary_mil(8, (2, 4), 0.5, 3, 6.0, seed=10)
+        result = bootstrap_infer(ds, small_binary_config(rounds=10, bootstrap_passes=2))
+        assert len(result.diagnostics["passes"]) == 2
+        assert len(fits) == 1
+
     def test_single_pass_equals_kfold(self):
         ds = generate_binary_mil(8, (2, 4), 0.5, 3, 6.0, seed=10)
         config = small_binary_config(rounds=20, bootstrap_passes=1)

@@ -427,6 +427,30 @@ class TestRewardEnvironment:
         env(truth, np.random.default_rng(1))
         assert env._tau == tau
 
+    def test_feature_space_gaps_computed_at_construction(self):
+        dataset = generate_binary_mil(14, (3, 6), 0.5, 3, 6.0, seed=6)
+        env, truth = self.build_environment(
+            seed=6, k=3, distgap_enabled=True, distgap_space="features"
+        )
+        index = dataset.instance_map()
+        bag_of = dataset.bag_of_instance()
+
+        def bag_features(bags):
+            return [np.stack([index[i].features for i in bag.instance_ids]) for bag in bags]
+
+        assert sorted(env._raw_distgap) == sorted(truth)
+        for x in truth:
+            own = bag_of[x].weak_label
+            same = bag_features([b for b in env.heldout_bags if b.weak_label == own])
+            other = bag_features([b for b in env.heldout_bags if b.weak_label != own])
+            assert env._raw_distgap[x] == distance_gap(index[x].features, same, other, k=3)
+
+        tau = env._tau
+        assert tau is not None and tau > 0
+        env(truth, np.random.default_rng(0))
+        env(truth, np.random.default_rng(1))
+        assert env._tau == tau
+
 
 class TestDispatch:
     def test_custom_regime_rejected(self):

@@ -22,11 +22,9 @@ from .bandit import (
 )
 from .classifiers import (
     ClassifierSpec,
-    Prediction,
     TrainedModel,
     fit,
-    knn_in_output_space,
-    predict,
+    predict_arrays,
 )
 from .data import (
     Bag,
@@ -68,7 +66,6 @@ __all__ = [
     "Instance",
     "LabelBanditError",
     "PipelineResult",
-    "Prediction",
     "RewardEnvironment",
     "RewardParams",
     "TrainedModel",
@@ -84,10 +81,9 @@ __all__ = [
     "generate_multiclass_mil",
     "initialization_assignments",
     "kfold_infer",
-    "knn_in_output_space",
     "load_dataset",
     "new_bandit",
-    "predict",
+    "predict_arrays",
     "run_inference",
     "save_dataset",
     "select_super_arm",

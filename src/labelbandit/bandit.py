@@ -53,9 +53,6 @@ class BanditState:
                 (x, l): ArmState() for x, labels in self.label_sets.items() for l in labels
             }
 
-    def initialized(self) -> bool:
-        return all(arm.pulls >= 1 for arm in self.arms.values())
-
 
 @dataclass(frozen=True)
 class InferenceResult:

@@ -8,10 +8,10 @@ Three kinds are supported:
   non-competing class group by the single strongest member of that group, so
   classes inside a group never compete with each other.
 
-Every prediction carries an output-space embedding (decision values for the
-SVM, per-class scores for the softmax variants); nearest-neighbour search in
-that space lives here too so all reward code shares one implementation.
-Models are immutable after ``fit`` and safe for concurrent ``predict`` calls.
+``predict_arrays`` returns hard labels plus the output-space embeddings they
+are the argmax of (decision values for the SVM, per-class scores for the
+softmax variants); the nearest-neighbour search the rewards run in that
+space lives here too. Models are immutable after ``fit``.
 """
 
 from __future__ import annotations
@@ -83,20 +83,6 @@ class TrainedModel:
 
     weights: np.ndarray
     spec: ClassifierSpec
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Hard label plus the output-space embedding it was derived from.
-
-    The label is always the argmax of the embedding (ties to the lowest
-    class id). Softmax embeddings are probabilities summing to one;
-    cooperative-softmax components lie in (0, 1] but need not sum to one
-    across classes that share a group; SVM embeddings are decision values.
-    """
-
-    label: int
-    embedding: np.ndarray
 
 
 def _with_bias(features: np.ndarray) -> np.ndarray:
@@ -340,7 +326,13 @@ def fit(spec: ClassifierSpec, features, labels, sample_weight=None, seed=None) -
 
 
 def predict_arrays(model: TrainedModel, features) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized predict: (labels, embeddings) arrays for a feature matrix."""
+    """(labels, embeddings) arrays for a feature matrix, one row per instance.
+
+    Each label is the argmax of its embedding (ties to the lowest class id).
+    Softmax embeddings are probabilities summing to one; cooperative-softmax
+    components lie in (0, 1] but need not sum to one across classes that
+    share a group; SVM embeddings are decision values (binary: [-d, d]).
+    """
     features = _check_features(features)
     if features.shape[1] + 1 != model.weights.shape[1]:
         raise ValidationError(
@@ -364,11 +356,6 @@ def predict_arrays(model: TrainedModel, features) -> tuple[np.ndarray, np.ndarra
         embedding = _cooperative_sigma(z, spec.grouping)
     labels = np.argmax(embedding, axis=1)
     return labels, embedding
-
-
-def predict(model: TrainedModel, features) -> list[Prediction]:
-    labels, embeddings = predict_arrays(model, features)
-    return [Prediction(int(l), emb) for l, emb in zip(labels, embeddings)]
 
 
 # ---------------------------------------------------------------------------
@@ -449,34 +436,6 @@ def nearest_indices_1d(pool_values: np.ndarray, queries: np.ndarray, k: int) -> 
     delta = np.take_along_axis(delta, by_index, axis=1)
     nearest = np.argsort(delta, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(candidates, nearest, axis=1)
-
-
-def knn_in_output_space(
-    query: Prediction,
-    pool: list[Prediction],
-    k: int,
-    dimension_mode: str = "full",
-) -> list[int]:
-    """k-nearest pool members to ``query`` in embedding space.
-
-    ``full`` uses Euclidean distance on the whole embedding;
-    ``predicted-class-dim`` uses absolute difference along the coordinate of
-    the query's predicted class. ``k`` larger than the pool returns the whole
-    pool.
-    """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if not pool:
-        raise ParameterError("neighbour pool is empty")
-    pool_emb = np.stack([p.embedding for p in pool])
-    if dimension_mode == "full":
-        distances = np.linalg.norm(pool_emb - query.embedding, axis=1)
-    elif dimension_mode == "predicted-class-dim":
-        c = query.label
-        distances = np.abs(pool_emb[:, c] - query.embedding[c])
-    else:
-        raise ParameterError(f"unknown dimension_mode {dimension_mode!r}")
-    return nearest_indices(distances, k)
 
 
 # ---------------------------------------------------------------------------

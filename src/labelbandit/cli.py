@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import logging
 import sys
@@ -44,33 +45,21 @@ USAGE_ERRORS = (
     FileNotFoundError,
 )
 
+
+def _field_defaults(cls) -> dict:
+    """Defaults of a dataclass's fields; a dataclass-valued field becomes a section."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default_factory):
+            out[f.name] = _field_defaults(f.default_factory)
+        elif f.default is not dataclasses.MISSING:
+            out[f.name] = f.default
+    return out
+
+
 DEFAULT_CONFIG = {
     "regime": None,  # None: follow the dataset (infer) or default to binary-mil (generate/bench)
-    "rounds": 500,
-    "batch_size": 4,
-    "folds": 5,
-    "bootstrap_passes": 1,
-    "bootstrap_fraction": 0.25,
-    "master_seed": 0,
-    "final_weighting": "uniform",
-    "rff_width": None,
-    "rff_bandwidth": 1.0,
-    "classifier": {
-        "kind": None,
-        "learning_rate": 0.1,
-        "epochs": 30,
-        "l2": 0.001,
-        "batch_size": 32,
-    },
-    "reward": {
-        "k": 5,
-        "alpha": 1.0,
-        "gamma": 1.0 / 7.0,
-        "tau": None,
-        "distgap_enabled": False,
-        "num_negative_labels": None,
-        "distgap_space": "output",
-    },
+    **_field_defaults(pipeline.InferenceConfig),
     "generator": {
         "num_bags": 50,
         "bag_size": [3, 10],
@@ -85,6 +74,7 @@ DEFAULT_CONFIG = {
     "dataset": None,
     "out": None,
 }
+DEFAULT_CONFIG["reward"]["num_negative_labels"] = None  # None: DEFAULT_NEGATIVE_LABELS[regime]
 
 # Defaults differ by regime: one negative label for binary/llp, three for
 # multi-class (one per expected negative mode at desk scale).
@@ -125,30 +115,16 @@ def load_config(path: str | None) -> dict:
 
 
 def build_inference_config(cfg: dict) -> pipeline.InferenceConfig:
-    regime = cfg["regime"]
     reward_cfg = dict(cfg["reward"])
-    if reward_cfg.get("num_negative_labels") is None:
-        reward_cfg["num_negative_labels"] = DEFAULT_NEGATIVE_LABELS.get(regime, 1)
-    classifier_cfg = cfg["classifier"]
+    if reward_cfg["num_negative_labels"] is None:
+        reward_cfg["num_negative_labels"] = DEFAULT_NEGATIVE_LABELS.get(cfg["regime"], 1)
+    top = {f.name: cfg[f.name] for f in dataclasses.fields(pipeline.InferenceConfig)}
     return pipeline.InferenceConfig(
-        regime=regime,
-        rounds=cfg["rounds"],
-        batch_size=cfg["batch_size"],
-        folds=cfg["folds"],
-        bootstrap_passes=cfg["bootstrap_passes"],
-        bootstrap_fraction=cfg["bootstrap_fraction"],
-        master_seed=cfg["master_seed"],
-        classifier=pipeline.ClassifierConfig(
-            kind=classifier_cfg["kind"],
-            learning_rate=classifier_cfg["learning_rate"],
-            epochs=classifier_cfg["epochs"],
-            l2=classifier_cfg["l2"],
-            batch_size=classifier_cfg["batch_size"],
-        ),
-        reward=RewardParams(**reward_cfg),
-        rff_width=cfg["rff_width"],
-        rff_bandwidth=cfg["rff_bandwidth"],
-        final_weighting=cfg["final_weighting"],
+        **{
+            **top,
+            "classifier": pipeline.ClassifierConfig(**cfg["classifier"]),
+            "reward": RewardParams(**reward_cfg),
+        }
     )
 
 

@@ -204,10 +204,6 @@ class Dataset:
     def bag_of_instance(self) -> dict[int, Bag]:
         return {iid: bag for bag in self.bags for iid in bag.instance_ids}
 
-    def features_for(self, ids) -> np.ndarray:
-        index = self.instance_map()
-        return np.stack([index[i].features for i in ids])
-
     def ground_truth_map(self) -> dict[int, int]:
         """Map of instance id -> true label; raises if any instance lacks one."""
         out = {}

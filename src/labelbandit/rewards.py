@@ -8,8 +8,10 @@ the modelability gate: an instance whose assigned label the freshly trained
 classifier cannot reproduce on the training fold scores exactly 0.
 
 A ``RewardContext`` precomputes everything shared across instances for one
-evaluation (per-bag recall, per-instance precision, neighbour lists, raw
-distance gaps); the per-instance reward functions then read from it.
+evaluation (each held-out row's bag recall and precision, neighbour rows,
+raw distance gaps) from the classifier's predictions, given as arrays
+row-aligned with ascending instance ids; the per-instance reward functions
+then read from it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from .classifiers import (
     ClassifierSpec,
-    Prediction,
     fit,
     nearest_indices_1d,
     nearest_indices_rows,
@@ -45,6 +46,11 @@ class RewardParams:
     tau=None calibrates tau to the median absolute raw gap of the first 100
     training instances: a RewardEnvironment does so at construction in
     feature space and on its first evaluation in output space.
+
+    The distance gap groups held-out bags by exact weak label: multi-class
+    bags match only when their label sets are identical. Every training
+    bag's label needs a matching held-out bag and one that differs; a
+    RewardEnvironment checks this at construction, in either space.
     """
 
     k: int = 5
@@ -74,142 +80,31 @@ class RewardParams:
             )
 
 
+@dataclass(frozen=True)
 class RewardContext:
     """Per-evaluation tables read by the reward functions.
 
-    Internally array-backed (row-aligned with sorted instance ids) so the
-    per-instance reward functions stay cheap; the dict views over Prediction
-    objects are materialized lazily for callers that want them.
+    ``train_row`` maps each training instance id to its row; ``train_labels``
+    and ``neighbor_rows`` follow those rows. ``neighbor_rows[r]`` holds the
+    held-out rows nearest training row r, and the held-out tables ``rec_row``
+    (the recall of each row's bag), ``prec_row`` and ``proportion_error_row``
+    follow ascending held-out ids. ``raw_distgap`` maps training instance ids
+    to raw distance gaps (empty when the gap is off).
     """
 
-    def __init__(
-        self,
-        regime: str,
-        negative_labels: frozenset[int],
-        k: int,
-        heldout_bags: list[Bag],
-        bag_index: dict[int, Bag],
-        train_ids: list[int],
-        train_labels: np.ndarray,
-        train_embeddings: np.ndarray,
-        heldout_ids: list[int],
-        heldout_labels: np.ndarray,
-        heldout_embeddings: np.ndarray,
-        neighbor_rows: list[np.ndarray],
-        rec_by_bag: dict[int, float],
-        rec_row: np.ndarray,
-        prec_row: np.ndarray,
-        proportion_error_row: np.ndarray,
-        raw_distgap: dict[int, float],
-        tau: float | None,
-    ):
-        self.regime = regime
-        self.negative_labels = negative_labels
-        self.k = k
-        self.heldout_bags = heldout_bags
-        self.bag_index = bag_index
-        self.rec_by_bag = rec_by_bag
-        self.raw_distgap = raw_distgap
-        self.tau = tau
-        self._train_ids = train_ids
-        self._train_row = {iid: row for row, iid in enumerate(train_ids)}
-        self._train_labels = train_labels
-        self._train_embeddings = train_embeddings
-        self._heldout_ids = heldout_ids
-        self._heldout_labels = heldout_labels
-        self._heldout_embeddings = heldout_embeddings
-        self._neighbor_rows = neighbor_rows
-        self._rec_row = rec_row
-        self._prec_row = prec_row
-        self._proportion_error_row = proportion_error_row
-        self._train_prediction_view = None
-        self._heldout_prediction_view = None
-
-    @property
-    def train_predictions(self) -> dict[int, Prediction]:
-        if self._train_prediction_view is None:
-            self._train_prediction_view = {
-                iid: Prediction(int(self._train_labels[row]), self._train_embeddings[row])
-                for iid, row in self._train_row.items()
-            }
-        return self._train_prediction_view
-
-    @property
-    def heldout_predictions(self) -> dict[int, Prediction]:
-        if self._heldout_prediction_view is None:
-            self._heldout_prediction_view = {
-                iid: Prediction(int(self._heldout_labels[row]), self._heldout_embeddings[row])
-                for row, iid in enumerate(self._heldout_ids)
-            }
-        return self._heldout_prediction_view
+    regime: str
+    negative_labels: frozenset[int]
+    train_row: dict[int, int]
+    train_labels: np.ndarray
+    neighbor_rows: list[np.ndarray]
+    rec_row: np.ndarray
+    prec_row: np.ndarray
+    proportion_error_row: np.ndarray
+    raw_distgap: dict[int, float]
+    tau: float | None
 
     def predicted_label(self, instance_id: int) -> int:
-        return int(self._train_labels[self._train_row[instance_id]])
-
-    def neighbor_ids(self, instance_id: int) -> list[int]:
-        rows = self._neighbor_rows[self._train_row[instance_id]]
-        return [self._heldout_ids[r] for r in rows]
-
-    @property
-    def neighbors(self) -> dict[int, list[int]]:
-        return {iid: self.neighbor_ids(iid) for iid in self._train_ids}
-
-    @property
-    def prec_by_instance(self) -> dict[int, float]:
-        return {iid: float(self._prec_row[row]) for row, iid in enumerate(self._heldout_ids)}
-
-    @property
-    def proportion_error_by_bag(self) -> dict[int, float]:
-        position = {iid: row for row, iid in enumerate(self._heldout_ids)}
-        return {
-            bag.id: float(self._proportion_error_row[position[bag.instance_ids[0]]])
-            for bag in self.heldout_bags
-        }
-
-
-# ---------------------------------------------------------------------------
-# Recall / precision components (definitional forms)
-# ---------------------------------------------------------------------------
-
-
-def rec_binary(bag: Bag, heldout_predictions: dict[int, Prediction]) -> float:
-    """1 for a negative bag; for a positive bag, 1 iff some member is predicted positive."""
-    if bag.weak_label.value == 0:
-        return 1.0
-    return 1.0 if any(heldout_predictions[i].label == 1 for i in bag.instance_ids) else 0.0
-
-
-def prec_binary(
-    instance_id: int,
-    heldout_predictions: dict[int, Prediction],
-    bag_index: dict[int, Bag],
-) -> float:
-    """1 unless the instance is predicted positive while sitting in a negative bag."""
-    if heldout_predictions[instance_id].label != 1:
-        return 1.0
-    return 1.0 if bag_index[instance_id].weak_label.value == 1 else 0.0
-
-
-def rec_multiclass(bag: Bag, heldout_predictions: dict[int, Prediction]) -> float:
-    """Fraction of the bag's label set realized by its members' predictions."""
-    label_set = bag.weak_label.value
-    if not label_set:
-        return 1.0
-    realized = {heldout_predictions[i].label for i in bag.instance_ids}
-    return len(label_set & realized) / len(label_set)
-
-
-def prec_multiclass(
-    instance_id: int,
-    heldout_predictions: dict[int, Prediction],
-    bag_index: dict[int, Bag],
-    negative_labels: frozenset[int] = frozenset({NEGATIVE_CLASS}),
-) -> float:
-    """1 for negatively predicted instances; positives must appear in the bag's label set."""
-    predicted = heldout_predictions[instance_id].label
-    if predicted in negative_labels:
-        return 1.0
-    return 1.0 if predicted in bag_index[instance_id].weak_label.value else 0.0
+        return int(self.train_labels[self.train_row[instance_id]])
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +113,8 @@ def prec_multiclass(
 
 
 def _mean_rec_prec(instance_id: int, ctx: RewardContext) -> tuple[float, float]:
-    rows = ctx._neighbor_rows[ctx._train_row[instance_id]]
-    return float(ctx._rec_row[rows].mean()), float(ctx._prec_row[rows].mean())
+    rows = ctx.neighbor_rows[ctx.train_row[instance_id]]
+    return float(ctx.rec_row[rows].mean()), float(ctx.prec_row[rows].mean())
 
 
 def _gated_base(instance_id: int, ctx: RewardContext, params: RewardParams) -> float:
@@ -231,20 +126,13 @@ def _gated_base(instance_id: int, ctx: RewardContext, params: RewardParams) -> f
     return value
 
 
-def binary_mil_reward(
-    instance_id: int, assigned: int, ctx: RewardContext, params: RewardParams
-) -> float:
-    if assigned != ctx.predicted_label(instance_id):
-        return 0.0
-    return _gated_base(instance_id, ctx, params)
+def mil_reward(instance_id: int, assigned: int, ctx: RewardContext, params: RewardParams) -> float:
+    """Binary and multi-class MIL reward: the gated recall/precision base.
 
-
-def multiclass_mil_reward(
-    instance_id: int, assigned: int, ctx: RewardContext, params: RewardParams
-) -> float:
-    """Same structure as the binary reward with the multi-class recall/precision
-    tables and neighbours taken along the predicted-class output dimension;
-    with two classes and one negative label it coincides with the binary reward."""
+    The regime shows only in the context's tables and neighbours (full output
+    space for binary, the predicted-class dimension for multi-class); with two
+    classes and one negative label the two coincide.
+    """
     if assigned != ctx.predicted_label(instance_id):
         return 0.0
     return _gated_base(instance_id, ctx, params)
@@ -305,6 +193,34 @@ def raw_distance_gaps(
     return raw
 
 
+def _label_text(label) -> str:
+    if label.kind == "label_set":
+        return "{" + ", ".join(str(c) for c in sorted(label.value)) + "}"
+    return repr(label.value)
+
+
+def _check_distgap_groups(
+    train_ids: list[int], train_bag_index: dict[int, Bag], heldout_bags: list[Bag]
+) -> None:
+    """Fail early where ``raw_distance_gaps`` would: every training instance's
+    bag label needs a held-out bag with the same label and one with another.
+    Labels match only when equal, so multi-class label sets must be identical."""
+    heldout_labels = {bag.weak_label for bag in heldout_bags}
+    for x in train_ids:
+        bag = train_bag_index[x]
+        if bag.weak_label not in heldout_labels:
+            problem = "no held-out bag carries"
+        elif len(heldout_labels) == 1:
+            problem = "every held-out bag carries"
+        else:
+            continue
+        raise ParameterError(
+            f"distance gap: {problem} the weak label {_label_text(bag.weak_label)} of "
+            f"training bag {bag.id}; bags are grouped by exact weak label (for "
+            "multi-class MIL, the exact label set)"
+        )
+
+
 def calibrate_tau(raw_distgap: dict[int, float], train_ids: list[int]) -> float:
     """Median absolute raw gap over the first 100 training instances (1 if 0)."""
     median = float(np.median(np.abs([raw_distgap[x] for x in train_ids[:100]])))
@@ -342,8 +258,8 @@ def llp_example_reward(
         raise RegimeError("llp reward requires proportion-labelled bags")
     if assigned != ctx.predicted_label(instance_id):
         return 0.0
-    rows = ctx._neighbor_rows[ctx._train_row[instance_id]]
-    return float(1.0 - ctx._proportion_error_row[rows].mean())
+    rows = ctx.neighbor_rows[ctx.train_row[instance_id]]
+    return float(1.0 - ctx.proportion_error_row[rows].mean())
 
 
 def reward_for(
@@ -355,9 +271,7 @@ def reward_for(
     if ctx.regime in ("binary-mil", "multiclass-mil"):
         if params.distgap_enabled:
             return distgap_augmented_reward(instance_id, assigned, ctx, params)
-        if ctx.regime == "binary-mil":
-            return binary_mil_reward(instance_id, assigned, ctx, params)
-        return multiclass_mil_reward(instance_id, assigned, ctx, params)
+        return mil_reward(instance_id, assigned, ctx, params)
     raise RegimeError(f"no built-in reward for regime {ctx.regime!r}; supply a custom environment")
 
 
@@ -380,10 +294,14 @@ def _check_bag_kinds(regime: str, bags: list[Bag]):
             )
 
 
+# distance-matrix elements per block of ``_full_space_neighbors``
+_NEIGHBOR_BLOCK_ELEMENTS = 2**22
+
+
 def _full_space_neighbors(queries: np.ndarray, pool: np.ndarray, k: int) -> list[np.ndarray]:
     """Euclidean k-nearest rows of ``pool`` for each query, chunked to bound memory."""
     out = []
-    chunk = max(1, int(2**22 // max(1, pool.shape[0] * pool.shape[1])))
+    chunk = max(1, int(_NEIGHBOR_BLOCK_ELEMENTS // max(1, pool.shape[0] * pool.shape[1])))
     for start in range(0, queries.shape[0], chunk):
         block = queries[start : start + chunk]
         d = np.linalg.norm(block[:, None, :] - pool[None, :, :], axis=2)
@@ -391,60 +309,39 @@ def _full_space_neighbors(queries: np.ndarray, pool: np.ndarray, k: int) -> list
     return out
 
 
-def _unpack_predictions(predictions: dict[int, Prediction]):
-    ids = sorted(predictions)
-    labels = np.array([predictions[i].label for i in ids], dtype=np.intp)
-    embeddings = np.stack([predictions[i].embedding for i in ids])
-    return ids, labels, embeddings
-
-
 def build_reward_context(
     regime: str,
     params: RewardParams,
-    train_predictions: dict[int, Prediction] | None = None,
-    heldout_predictions: dict[int, Prediction] | None = None,
-    heldout_bags: list[Bag] | None = None,
+    predictions,
+    heldout_bags: list[Bag],
     train_bag_index: dict[int, Bag] | None = None,
     negative_labels: frozenset[int] = frozenset({NEGATIVE_CLASS}),
     raw_distgap: dict[int, float] | None = None,
     tau: float | None = None,
-    prediction_arrays=None,
 ) -> RewardContext:
     """Precompute every shared quantity for one reward evaluation.
 
-    Neighbour pools are ordered by ascending held-out instance id, so distance
-    ties resolve to the lower id. For the distance gap, ``train_bag_index``
-    must map each training instance to its bag. In output space the raw gaps
-    are computed here from the embeddings; when ``params.distgap_space ==
-    "features"`` they do not depend on the classifier, so the caller computes
-    them once with ``raw_distance_gaps`` and passes them as ``raw_distgap``.
-
-    ``prediction_arrays`` is a performance path for callers that already hold
-    row-aligned arrays: ((train_ids, labels, embeddings), (heldout_ids,
-    labels, embeddings)) with ids sorted ascending; it replaces the two
-    prediction dicts.
+    ``predictions`` is ((train_ids, labels, embeddings), (heldout_ids,
+    labels, embeddings)): ids sorted ascending, with labels and embeddings
+    row-aligned to them as ``predict_arrays`` returns them. Neighbour pools
+    are therefore ordered by ascending held-out instance id, so distance ties
+    resolve to the lower id.
+    For the distance gap, ``train_bag_index`` must map each training instance
+    to its bag. In output space the raw gaps are computed here from the
+    embeddings; when ``params.distgap_space == "features"`` they do not
+    depend on the classifier, so the caller computes them once with
+    ``raw_distance_gaps`` and passes them as ``raw_distgap``.
     """
-    if heldout_bags is None:
-        raise ParameterError("heldout_bags is required")
     _check_bag_kinds(regime, heldout_bags)
-    if prediction_arrays is not None:
-        (tr_ids, tr_labels, tr_emb), (ho_ids, ho_labels, ho_emb) = prediction_arrays
-    else:
-        if train_predictions is None or heldout_predictions is None:
-            raise ParameterError("prediction maps are required")
-        tr_ids, tr_labels, tr_emb = _unpack_predictions(train_predictions)
-        ho_ids, ho_labels, ho_emb = _unpack_predictions(heldout_predictions)
+    (tr_ids, tr_labels, tr_emb), (ho_ids, ho_labels, ho_emb) = predictions
     if not ho_ids:
         raise ParameterError("held-out set is empty")
 
-    bag_index: dict[int, Bag] = {}
-    for bag in heldout_bags:
-        for iid in bag.instance_ids:
-            bag_index[iid] = bag
-    position_of = {iid: row for row, iid in enumerate(ho_ids)}
-    missing = [i for i in ho_ids if i not in bag_index]
+    bagged = {iid for bag in heldout_bags for iid in bag.instance_ids}
+    missing = [i for i in ho_ids if i not in bagged]
     if missing:
         raise ValidationError(f"held-out instances without a bag: {sorted(missing)[:5]}")
+    position_of = {iid: row for row, iid in enumerate(ho_ids)}
 
     if params.k > len(ho_ids):
         logger.warning("k=%d exceeds the held-out pool size %d; clamping", params.k, len(ho_ids))
@@ -463,7 +360,6 @@ def build_reward_context(
         neighbor_rows = _full_space_neighbors(tr_emb, ho_emb, k)
 
     # per-bag recall and per-instance precision tables, row-aligned
-    rec_by_bag: dict[int, float] = {}
     rec_row = np.ones(len(ho_ids))
     prec_row = np.ones(len(ho_ids))
     proportion_error_row = np.zeros(len(ho_ids))
@@ -503,7 +399,6 @@ def build_reward_context(
             fraction = float((member_labels == 1).mean())
             proportion_error_row[rows] = abs(fraction - bag.weak_label.value)
             rec = 1.0
-        rec_by_bag[bag.id] = rec
         rec_row[rows] = rec
 
     if not params.distgap_enabled:
@@ -520,23 +415,13 @@ def build_reward_context(
             )
         if tau is None:
             tau = calibrate_tau(raw_distgap, tr_ids)
-        for x in tr_ids:
-            bag_index.setdefault(x, train_bag_index[x])
 
     return RewardContext(
         regime=regime,
         negative_labels=frozenset(negative_labels),
-        k=k,
-        heldout_bags=heldout_bags,
-        bag_index=bag_index,
-        train_ids=list(tr_ids),
+        train_row={iid: row for row, iid in enumerate(tr_ids)},
         train_labels=tr_labels,
-        train_embeddings=tr_emb,
-        heldout_ids=list(ho_ids),
-        heldout_labels=ho_labels,
-        heldout_embeddings=ho_emb,
         neighbor_rows=neighbor_rows,
-        rec_by_bag=rec_by_bag,
         rec_row=rec_row,
         prec_row=prec_row,
         proportion_error_row=proportion_error_row,
@@ -598,6 +483,8 @@ class RewardEnvironment:
         self.heldout_features = heldout_features[heldout_order]
         self._tau = params.tau
         self._raw_distgap = None
+        if params.distgap_enabled:
+            _check_distgap_groups(self.train_ids, train_bag_index, heldout_bags)
         if params.distgap_enabled and params.distgap_space == "features":
             self._raw_distgap = raw_distance_gaps(
                 self.train_ids,
@@ -627,15 +514,12 @@ class RewardEnvironment:
         ctx = build_reward_context(
             self.regime,
             self.params,
-            heldout_bags=self.heldout_bags,
+            ((self.train_ids, train_labels, train_emb), (self.heldout_ids, ho_labels, ho_emb)),
+            self.heldout_bags,
             train_bag_index=self.train_bag_index,
             negative_labels=self.negative_labels,
             raw_distgap=self._raw_distgap,
             tau=self._tau,
-            prediction_arrays=(
-                (self.train_ids, train_labels, train_emb),
-                (self.heldout_ids, ho_labels, ho_emb),
-            ),
         )
         if self._tau is None and ctx.tau is not None:
             self._tau = ctx.tau  # output space: calibrated once, on the first evaluation
@@ -648,9 +532,3 @@ class RewardEnvironment:
         return rewards
 
     __call__ = evaluate
-
-
-def evaluate_environment(
-    env: RewardEnvironment, assignment: dict[int, int], rng
-) -> dict[int, float]:
-    return env.evaluate(assignment, rng)

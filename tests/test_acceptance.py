@@ -9,11 +9,11 @@ import math
 import time
 
 import numpy as np
+from reward_helpers import mirrored, predictions
 
 import labelbandit as lb
 from labelbandit.bandit import new_bandit, run_inference, ucb_scores, update
 from labelbandit.classifiers import (
-    Prediction,
     cooperative_gradient,
     cooperative_objective,
     singleton_grouping,
@@ -23,11 +23,10 @@ from labelbandit.metrics import bag_accuracy, instance_accuracy
 from labelbandit.pipeline import ClassifierConfig, InferenceConfig, kfold_infer
 from labelbandit.rewards import (
     RewardParams,
-    binary_mil_reward,
     build_reward_context,
     distgap,
     eta,
-    multiclass_mil_reward,
+    mil_reward,
     reward_for,
 )
 
@@ -36,10 +35,6 @@ def _criterion(number, name, passed, detail=""):
     status = "PASS" if passed else "FAIL"
     print(f"acceptance {number:02d} [{name}]: {status} {detail}".rstrip())
     assert passed, f"criterion {number} ({name}): {detail}"
-
-
-def mirrored_prediction(d):
-    return Prediction(int(d > 0), np.array([-d, d]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +151,12 @@ def _random_fuzz_context(rng, regime, params, num_classes=4):
     extended = num_classes + params.num_negative_labels - 1
     n_train, n_held = 5, 12
     if regime == "multiclass-mil":
-        train = {
-            x: Prediction(int(np.argmax(e)), e) for x, e in enumerate(rng.random((n_train, extended)))
-        }
-        held_items = [
-            Prediction(int(np.argmax(e)), e) for e in rng.random((n_held, extended))
-        ]
+        train_emb = rng.random((n_train, extended))
+        held_emb = rng.random((n_held, extended))
     else:
-        train = {x: mirrored_prediction(float(rng.normal())) for x in range(n_train)}
-        held_items = [mirrored_prediction(float(rng.normal())) for _ in range(n_held)]
+        train_emb = mirrored([float(rng.normal()) for _ in range(n_train)])
+        held_emb = mirrored([float(rng.normal()) for _ in range(n_held)])
     held_ids = list(range(100, 100 + n_held))
-    held = dict(zip(held_ids, held_items))
     bags = []
     for b, start in enumerate(range(0, n_held, 3)):
         members = held_ids[start : start + 3]
@@ -185,14 +175,15 @@ def _random_fuzz_context(rng, regime, params, num_classes=4):
             label = WeakLabel.proportion(float(rng.random()))
         bags.append(Bag(b, members, label))
     train_bags = {
-        x: Bag(50 + x, [x], bags[int(rng.integers(len(bags)))].weak_label) for x in train
+        x: Bag(50 + x, [x], bags[int(rng.integers(len(bags)))].weak_label) for x in range(n_train)
     }
     ctx = build_reward_context(
-        regime, params, train, held, bags,
+        regime, params,
+        (predictions(range(n_train), train_emb), predictions(held_ids, held_emb)), bags,
         train_bag_index=train_bags, negative_labels=negatives,
     )
     label_pool = list(negatives) + list(range(1, num_classes))
-    assignment = {x: int(rng.choice(label_pool)) for x in train}
+    assignment = {x: int(rng.choice(label_pool)) for x in range(n_train)}
     return ctx, assignment
 
 
@@ -261,21 +252,21 @@ def test_06_multiclass_reduces_to_binary_exactly():
     for _ in range(100):
         n_train, n_held = 6, 20
         train_p, held_p = rng.random(n_train), rng.random(n_held)
-        train = {x: Prediction(int(p > 0.5), np.array([1 - p, p])) for x, p in enumerate(train_p)}
+        train = predictions(range(n_train), np.column_stack([1 - train_p, train_p]))
         held_ids = list(range(40, 40 + n_held))
-        held = {i: Prediction(int(p > 0.5), np.array([1 - p, p])) for i, p in zip(held_ids, held_p)}
+        held = predictions(held_ids, np.column_stack([1 - held_p, held_p]))
         binary_bags, multi_bags = [], []
         for b, start in enumerate(range(0, n_held, 4)):
             members = held_ids[start : start + 4]
             value = int(rng.integers(2))
             binary_bags.append(Bag(b, members, WeakLabel.binary(value)))
             multi_bags.append(Bag(b, members, WeakLabel.label_set({1} if value else set())))
-        ctx_b = build_reward_context("binary-mil", params, train, held, binary_bags)
-        ctx_m = build_reward_context("multiclass-mil", params, train, held, multi_bags)
-        for x in train:
+        ctx_b = build_reward_context("binary-mil", params, (train, held), binary_bags)
+        ctx_m = build_reward_context("multiclass-mil", params, (train, held), multi_bags)
+        for x in range(n_train):
             for assigned in (0, 1):
-                a = binary_mil_reward(x, assigned, ctx_b, params)
-                b_ = multiclass_mil_reward(x, assigned, ctx_m, params)
+                a = mil_reward(x, assigned, ctx_b, params)
+                b_ = mil_reward(x, assigned, ctx_m, params)
                 mismatches += a != b_
     _criterion(6, "multi-class reduction identity", mismatches == 0, f"{mismatches} mismatches")
 
@@ -399,25 +390,25 @@ def test_09_distance_gap_properties():
     # members in another; all probe instances sit in positive bags, but only
     # the truly positive ones resemble the positive-bag cluster
     def clustered(positive):
-        d = (3.0 if positive else -3.0) + rng.normal(scale=0.3)
-        return mirrored_prediction(float(d))
+        return float((3.0 if positive else -3.0) + rng.normal(scale=0.3))
 
     held_ids = list(range(200, 236))
-    held, bags = {}, []
+    held_d, bags = [], []
     for b in range(9):
         members = held_ids[b * 4 : (b + 1) * 4]
         positive = b < 5
-        for i in members:
-            held[i] = clustered(positive)
+        held_d += [clustered(positive) for _ in members]
         bags.append(Bag(b, members, WeakLabel.binary(int(positive))))
-    train, train_bags, truth = {}, {}, {}
+    train_d, train_bags, truth = [], {}, {}
     for x in range(20):
         positive = x < 10
-        train[x] = clustered(positive)
+        train_d.append(clustered(positive))
         train_bags[x] = Bag(90 + x, [x], WeakLabel.binary(1))
         truth[x] = positive
     ctx = build_reward_context(
-        "binary-mil", params, train, held, bags, train_bag_index=train_bags
+        "binary-mil", params,
+        (predictions(range(20), mirrored(train_d)), predictions(held_ids, mirrored(held_d))),
+        bags, train_bag_index=train_bags,
     )
     positive_mean = np.mean([distgap(x, ctx) for x, t in truth.items() if t])
     negative_mean = np.mean([distgap(x, ctx) for x, t in truth.items() if not t])

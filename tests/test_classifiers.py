@@ -1,30 +1,35 @@
 """Linear classifiers: training, prediction, gradients, and kNN search."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from reward_helpers import predictions
 
+from labelbandit import rewards
 from labelbandit.classifiers import (
     ClassifierSpec,
-    Prediction,
     TrainedModel,
     cooperative_gradient,
     cooperative_objective,
     fit,
     initial_weights,
-    knn_in_output_space,
     load_model,
     model_from_json,
     model_to_json,
     nearest_indices,
     nearest_indices_1d,
     nearest_indices_rows,
-    predict,
     predict_arrays,
     save_model,
     singleton_grouping,
     training_loss,
 )
 from labelbandit.errors import ParameterError, ValidationError
+from labelbandit.rewards import RewardParams, build_reward_context
 
 
 def separable_data(rng, n=80, dim=3, classes=2, scale=4.0):
@@ -122,9 +127,9 @@ class TestPredict:
     def test_svm_decision_embedding_convention(self):
         spec = ClassifierSpec("linear-svm", 2)
         model = TrainedModel(np.array([[1.0, 0.0]]), spec)  # w=1, bias 0
-        preds = predict(model, np.array([[5.0]]))
-        assert preds[0].label == 1
-        assert np.allclose(preds[0].embedding, [-5.0, 5.0])
+        labels, emb = predict_arrays(model, np.array([[5.0]]))
+        assert labels.tolist() == [1]
+        assert np.allclose(emb[0], [-5.0, 5.0])
 
     def test_label_is_argmax_of_embedding(self):
         rng = np.random.default_rng(6)
@@ -211,48 +216,62 @@ class TestCooperativeObjective:
         assert np.all(np.isfinite(emb))
 
 
+def full_space(pool, query, k):
+    """Membership of the k nearest pool rows to one query, as the rewards search them."""
+    pool = np.asarray(pool, dtype=np.float64)
+    (hits,) = rewards._full_space_neighbors(np.atleast_2d(query).astype(np.float64), pool, k)
+    return sorted(int(v) for v in hits)
+
+
+def along_dimension(pool_values, query_value, k):
+    """k nearest pool positions along one output coordinate, nearest first."""
+    (hits,) = nearest_indices_1d(np.asarray(pool_values, float), np.array([query_value]), k)
+    return [int(v) for v in hits]
+
+
 class TestNearestNeighbours:
     def test_k_equal_to_pool_returns_everything(self):
-        pool = [Prediction(0, np.array([float(i)])) for i in range(4)]
-        hits = knn_in_output_space(Prediction(0, np.array([0.2])), pool, k=4)
-        assert sorted(hits) == [0, 1, 2, 3]
+        pool = [[float(i)] for i in range(4)]
+        assert full_space(pool, [0.2], k=4) == [0, 1, 2, 3]
+        assert sorted(along_dimension([0.0, 1.0, 2.0, 3.0], 0.2, k=4)) == [0, 1, 2, 3]
 
     def test_single_nearest_by_absolute_difference(self):
-        pool = [Prediction(0, np.array([v])) for v in (0.0, 1.0, 5.0)]
-        hits = knn_in_output_space(Prediction(0, np.array([0.9])), pool, k=1)
-        assert hits == [1]
+        assert full_space([[0.0], [1.0], [5.0]], [0.9], k=1) == [1]
+        assert along_dimension([0.0, 1.0, 5.0], 0.9, k=1) == [1]
 
     def test_distance_tie_goes_to_lower_index(self):
-        pool = [Prediction(0, np.array([2.0])), Prediction(0, np.array([0.0]))]
-        hits = knn_in_output_space(Prediction(0, np.array([1.0])), pool, k=1)
-        assert hits == [0]
+        assert full_space([[2.0], [0.0]], [1.0], k=1) == [0]
+        assert along_dimension([2.0, 0.0], 1.0, k=1) == [0]
 
     def test_predicted_class_dimension_mode(self):
-        pool = [
-            Prediction(0, np.array([0.0, 9.0])),
-            Prediction(0, np.array([5.0, 1.1])),
-        ]
-        query = Prediction(1, np.array([0.0, 1.0]))
-        assert knn_in_output_space(query, pool, k=1, dimension_mode="predicted-class-dim") == [1]
+        # the query predicts class 1, so only coordinate 1 counts
+        pool = np.array([[0.0, 9.0], [5.0, 1.1]])
+        query = np.array([0.0, 1.0])
+        assert along_dimension(pool[:, 1], query[1], k=1) == [1]
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(ParameterError):
-            knn_in_output_space(Prediction(0, np.array([0.0])), [], k=1)
+        with pytest.raises(ParameterError, match="held-out set is empty"):
+            build_reward_context(
+                "binary-mil", RewardParams(k=1),
+                (predictions([0], [[0.0, 0.0]]), predictions([], np.empty((0, 2)))), [],
+            )
 
     def test_matches_exhaustive_sort(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
             pool_emb = rng.normal(size=(int(rng.integers(2, 40)), 3))
-            pool = [Prediction(int(rng.integers(3)), e) for e in pool_emb]
-            query = Prediction(int(rng.integers(3)), rng.normal(size=3))
-            k = int(rng.integers(1, len(pool) + 2))
-            for mode in ("full", "predicted-class-dim"):
-                if mode == "full":
-                    d = np.linalg.norm(pool_emb - query.embedding, axis=1)
-                else:
-                    d = np.abs(pool_emb[:, query.label] - query.embedding[query.label])
-                expected = sorted(range(len(pool)), key=lambda i: (d[i], i))[: min(k, len(pool))]
-                assert knn_in_output_space(query, pool, k, mode) == expected
+            query_label = int(rng.integers(3))
+            query = rng.normal(size=3)
+            k = int(rng.integers(1, len(pool_emb) + 2))
+            expected = min(k, len(pool_emb))
+            d = np.linalg.norm(pool_emb - query, axis=1)
+            order = sorted(range(len(pool_emb)), key=lambda i: (d[i], i))
+            assert full_space(pool_emb, query, k) == sorted(order[:expected])
+            d = np.abs(pool_emb[:, query_label] - query[query_label])
+            order = sorted(range(len(pool_emb)), key=lambda i: (d[i], i))
+            assert along_dimension(pool_emb[:, query_label], query[query_label], k) == order[
+                :expected
+            ]
 
     def test_row_batched_membership_matches_single(self):
         rng = np.random.default_rng(13)
@@ -290,6 +309,58 @@ class TestNearestNeighbours:
             assert sorted(abs(pool[int(v)] - q) for v in a) == pytest.approx(
                 sorted(abs(pool[int(v)] - q) for v in b)
             )
+
+
+def small_int_matrix(shape, low=0, high=4):
+    """Integer-valued float matrices: exact distances, frequent ties."""
+    return hnp.arrays(np.int64, shape, elements=st.integers(low, high)).map(
+        lambda a: a.astype(np.float64)
+    )
+
+
+class TestNeighbourProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_row_membership_is_first_k_of_single_row_rule(self, data):
+        n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+        dist = data.draw(small_int_matrix((n, m)))
+        k = data.draw(st.integers(1, m + 2))
+        rows = nearest_indices_rows(dist, k)
+        for i in range(n):
+            assert sorted(int(v) for v in rows[i]) == sorted(nearest_indices(dist[i], k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_full_space_blocks_match_brute_force(self, data):
+        dim, m, nq = (data.draw(st.integers(*r)) for r in ((1, 3), (1, 8), (2, 9)))
+        pool = data.draw(small_int_matrix((m, dim), -3, 3))
+        queries = data.draw(small_int_matrix((nq, dim), -3, 3))
+        k = data.draw(st.integers(1, m + 1))
+        block_rows = data.draw(st.integers(1, nq - 1))  # so the queries span several blocks
+        with mock.patch.object(rewards, "_NEIGHBOR_BLOCK_ELEMENTS", block_rows * m * dim):
+            found = rewards._full_space_neighbors(queries, pool, k)
+        assert len(found) == nq
+        for query, hits in zip(queries, found):
+            brute = nearest_indices(np.linalg.norm(pool - query, axis=1), k)
+            assert sorted(int(v) for v in hits) == sorted(brute)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-50, 50), min_size=1, max_size=30, unique=True),
+        st.lists(st.integers(-60, 60), min_size=1, max_size=8),
+        st.integers(1, 8),
+    )
+    def test_one_dimensional_shortcut_is_matrix_rule_without_ties(self, pool, queries, k):
+        # distinct integer pool values and queries a quarter off the integers
+        # make every query's distances distinct
+        pool = np.array(pool, dtype=np.float64)
+        queries = np.array(queries, dtype=np.float64) + 0.25
+        dist = np.abs(pool[None, :] - queries[:, None])
+        fast = nearest_indices_1d(pool, queries, k)
+        rows = nearest_indices_rows(dist, k)
+        for i in range(len(queries)):
+            assert [int(v) for v in fast[i]] == nearest_indices(dist[i], k)
+            assert sorted(int(v) for v in fast[i]) == sorted(int(v) for v in rows[i])
 
 
 class TestSerialization:

@@ -8,8 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from labelbandit import rewards
 from labelbandit.cli import DEFAULT_CONFIG, build_inference_config, load_config, main
 from labelbandit.errors import ConfigError
+from labelbandit.pipeline import ClassifierConfig, InferenceConfig
+from labelbandit.rewards import RewardParams
 
 
 def run(argv):
@@ -54,6 +57,31 @@ class TestConfig:
         assert build_inference_config(cfg).reward.num_negative_labels == 1
         cfg["regime"] = "multiclass-mil"
         assert build_inference_config(cfg).reward.num_negative_labels == 3
+
+    def test_every_inference_key_reaches_the_inference_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "regime": "multiclass-mil", "rounds": 12, "batch_size": 3, "folds": 4,
+            "bootstrap_passes": 2, "bootstrap_fraction": 0.3, "master_seed": 5,
+            "final_weighting": "confidence", "rff_width": 16, "rff_bandwidth": 1.5,
+            "classifier": {"kind": "softmax", "learning_rate": 0.05, "epochs": 7, "l2": 0.01,
+                           "batch_size": 8},
+            "reward": {"k": 4, "alpha": 0.5, "gamma": 0.25, "tau": 0.7, "distgap_enabled": True,
+                       "num_negative_labels": 2, "distgap_space": "features"},
+        }))
+        expected = InferenceConfig(
+            regime="multiclass-mil", rounds=12, batch_size=3, folds=4, bootstrap_passes=2,
+            bootstrap_fraction=0.3, master_seed=5, final_weighting="confidence",
+            rff_width=16, rff_bandwidth=1.5,
+            classifier=ClassifierConfig(
+                kind="softmax", learning_rate=0.05, epochs=7, l2=0.01, batch_size=8
+            ),
+            reward=RewardParams(
+                k=4, alpha=0.5, gamma=0.25, tau=0.7, distgap_enabled=True,
+                num_negative_labels=2, distgap_space="features",
+            ),
+        )
+        assert build_inference_config(load_config(path)) == expected
 
     def test_readme_defaults_match_default_config(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -160,6 +188,34 @@ class TestInfer:
         code = run(["infer", "--dataset", tmp_path / "ghost.json", "--out", out])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("space", ["features", "output"])
+    def test_distgap_label_set_without_held_out_match_exits_two_before_fitting(
+        self, tmp_path, capsys, monkeypatch, space
+    ):
+        gen = tmp_path / "gen"
+        assert run(
+            ["generate", "--regime", "multiclass-mil", "--bags", 40, "--seed", 4, "--out", gen]
+        ) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"folds": 3, "rounds": 5,
+             "reward": {"distgap_enabled": True, "distgap_space": space}}
+        ))
+        fits = []
+        fit = rewards.fit
+        monkeypatch.setattr(rewards, "fit", lambda *a, **kw: fits.append(a) or fit(*a, **kw))
+        capsys.readouterr()
+        code = run(
+            ["infer", "--config", config, "--dataset", gen / "dataset.json",
+             "--out", tmp_path / "run"]
+        )
+        assert code == 2
+        assert (
+            "error: distance gap: no held-out bag carries the weak label {3, 4, 5} of training "
+            "bag 1; bags are grouped by exact weak label"
+        ) in capsys.readouterr().err
+        assert fits == []
 
     def test_bootstrap_passes_preserve_fixed_instances(self, binary_workspace, infer_config, tmp_path, capsys):
         out = tmp_path / "boot"

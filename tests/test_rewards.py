@@ -2,178 +2,185 @@
 
 import numpy as np
 import pytest
+from reward_helpers import (
+    mirrored,
+    prec_binary,
+    prec_multiclass,
+    predictions,
+    rec_binary,
+    rec_multiclass,
+)
 
-from labelbandit.classifiers import ClassifierSpec, Prediction
-from labelbandit.data import Bag, WeakLabel, generate_binary_mil
-from labelbandit.errors import ParameterError, RegimeError, RewardRangeError
+from labelbandit import rewards
+from labelbandit.classifiers import ClassifierSpec
+from labelbandit.data import (
+    Bag,
+    WeakLabel,
+    generate_binary_mil,
+    generate_gaussian_blobs,
+    generate_multiclass_mil,
+)
+from labelbandit.errors import ParameterError, RegimeError, ValidationError
+from labelbandit.pipeline import InferenceConfig, kfold_infer
 from labelbandit.rewards import (
     RewardEnvironment,
     RewardParams,
-    binary_mil_reward,
     build_reward_context,
     distance_gap,
     distgap,
     distgap_augmented_reward,
     eta,
-    evaluate_environment,
     llp_example_reward,
-    multiclass_mil_reward,
-    prec_binary,
-    prec_multiclass,
-    rec_binary,
-    rec_multiclass,
+    mil_reward,
     reward_for,
 )
 
 
-def mirrored(d):
-    return np.array([-d, d])
-
-
-def binary_prediction(d):
-    return Prediction(int(d > 0), mirrored(d))
-
-
 def random_binary_context(rng, params, n_train=10, n_held=24, bags_of=4):
-    train = {x: binary_prediction(float(rng.normal())) for x in range(n_train)}
+    train_d = [float(rng.normal()) for _ in range(n_train)]
     held_ids = list(range(100, 100 + n_held))
-    held = {i: binary_prediction(float(rng.normal())) for i in held_ids}
+    held_d = [float(rng.normal()) for _ in held_ids]
     bags = []
     for b, start in enumerate(range(0, n_held, bags_of)):
         members = held_ids[start : start + bags_of]
         bags.append(Bag(b, members, WeakLabel.binary(int(rng.integers(2)))))
     train_bags = {
-        x: Bag(50 + x, [x], WeakLabel.binary(int(rng.integers(2)))) for x in train
+        x: Bag(50 + x, [x], WeakLabel.binary(int(rng.integers(2)))) for x in range(n_train)
     }
-    return build_reward_context(
-        "binary-mil", params, train, held, bags, train_bag_index=train_bags
+    held = predictions(held_ids, mirrored(held_d))
+    ctx = build_reward_context(
+        "binary-mil", params, (predictions(range(n_train), mirrored(train_d)), held), bags,
+        train_bag_index=train_bags,
     )
+    return ctx, held, bags
+
+
+def assert_tables_match_oracles(ctx, held, bags, negatives=None):
+    """Every held-out row's recall and precision equal the definitional forms."""
+    held_ids, held_labels, _ = held
+    labels = dict(zip(held_ids, held_labels.tolist()))
+    bag_index = {i: bag for bag in bags for i in bag.instance_ids}
+    for row, iid in enumerate(held_ids):
+        bag = bag_index[iid]
+        if negatives is None:
+            assert ctx.rec_row[row] == rec_binary(bag, labels)
+            assert ctx.prec_row[row] == prec_binary(iid, labels, bag_index)
+        else:
+            assert ctx.rec_row[row] == rec_multiclass(bag, labels)
+            assert ctx.prec_row[row] == prec_multiclass(iid, labels, bag_index, negatives)
 
 
 class TestRecPrecBinary:
     def setup_method(self):
-        self.preds = {
-            0: binary_prediction(-1.0),
-            1: binary_prediction(2.0),
-            2: binary_prediction(-0.5),
-        }
+        self.labels = {0: 0, 1: 1, 2: 0}
         self.pos_bag = Bag(0, [0, 1], WeakLabel.binary(1))
         self.neg_bag = Bag(1, [2], WeakLabel.binary(0))
         self.bag_index = {0: self.pos_bag, 1: self.pos_bag, 2: self.neg_bag}
 
     def test_positive_bag_without_positive_prediction(self):
-        preds = {0: binary_prediction(-1.0), 1: binary_prediction(-2.0)}
-        assert rec_binary(self.pos_bag, preds) == 0.0
+        assert rec_binary(self.pos_bag, {0: 0, 1: 0}) == 0.0
 
     def test_negative_bag_always_recalls(self):
-        assert rec_binary(self.neg_bag, self.preds) == 1.0
+        assert rec_binary(self.neg_bag, self.labels) == 1.0
 
     def test_positive_bag_with_one_positive(self):
-        assert rec_binary(self.pos_bag, self.preds) == 1.0
+        assert rec_binary(self.pos_bag, self.labels) == 1.0
 
     def test_predicted_positive_in_negative_bag(self):
-        preds = dict(self.preds)
-        preds[2] = binary_prediction(3.0)
-        assert prec_binary(2, preds, self.bag_index) == 0.0
+        labels = dict(self.labels)
+        labels[2] = 1
+        assert prec_binary(2, labels, self.bag_index) == 0.0
 
     def test_predicted_negative_is_always_precise(self):
-        assert prec_binary(0, self.preds, self.bag_index) == 1.0
+        assert prec_binary(0, self.labels, self.bag_index) == 1.0
 
     def test_predicted_positive_in_positive_bag(self):
-        assert prec_binary(1, self.preds, self.bag_index) == 1.0
+        assert prec_binary(1, self.labels, self.bag_index) == 1.0
 
 
 class TestRecPrecMulticlass:
     def setup_method(self):
-        self.preds = {
-            0: Prediction(1, np.array([0.1, 0.8, 0.05, 0.05])),
-            1: Prediction(0, np.array([0.7, 0.1, 0.1, 0.1])),
-            2: Prediction(3, np.array([0.1, 0.1, 0.2, 0.6])),
-        }
+        self.labels = {0: 1, 1: 0, 2: 3}
         self.bag = Bag(0, [0, 1, 2], WeakLabel.label_set({1, 2}))
         self.bag_index = {i: self.bag for i in (0, 1, 2)}
 
     def test_half_realized_label_set(self):
-        assert rec_multiclass(self.bag, self.preds) == 0.5
+        assert rec_multiclass(self.bag, self.labels) == 0.5
 
     def test_empty_label_set_recalls(self):
         bag = Bag(1, [0], WeakLabel.label_set(set()))
-        assert rec_multiclass(bag, self.preds) == 1.0
+        assert rec_multiclass(bag, self.labels) == 1.0
 
     def test_fully_realized_label_set(self):
-        preds = dict(self.preds)
-        preds[2] = Prediction(2, np.array([0.1, 0.1, 0.7, 0.1]))
-        assert rec_multiclass(self.bag, preds) == 1.0
+        labels = dict(self.labels)
+        labels[2] = 2
+        assert rec_multiclass(self.bag, labels) == 1.0
 
     def test_positive_prediction_in_label_set(self):
-        assert prec_multiclass(0, self.preds, self.bag_index) == 1.0
+        assert prec_multiclass(0, self.labels, self.bag_index) == 1.0
 
     def test_positive_prediction_outside_label_set(self):
-        assert prec_multiclass(2, self.preds, self.bag_index) == 0.0
+        assert prec_multiclass(2, self.labels, self.bag_index) == 0.0
 
     def test_negative_prediction_is_precise(self):
-        assert prec_multiclass(1, self.preds, self.bag_index) == 1.0
+        assert prec_multiclass(1, self.labels, self.bag_index) == 1.0
 
     def test_extra_negative_modes_collapse(self):
-        preds = {0: Prediction(5, np.array([0.1, 0.1, 0.1, 0.1, 0.1, 0.5]))}
-        assert prec_multiclass(0, preds, self.bag_index, frozenset({0, 5})) == 1.0
+        assert prec_multiclass(0, {0: 5}, self.bag_index, frozenset({0, 5})) == 1.0
 
 
 class TestBinaryReward:
     def build_context(self, heldout_d, bag_labels, params, train_d=1.0):
         """One training instance at embedding [-1, 1]; held-out singleton bags."""
-        train = {0: binary_prediction(train_d)}
         held_ids = list(range(10, 10 + len(heldout_d)))
-        held = {i: binary_prediction(d) for i, d in zip(held_ids, heldout_d)}
         bags = [
             Bag(b, [i], WeakLabel.binary(lbl))
             for b, (i, lbl) in enumerate(zip(held_ids, bag_labels))
         ]
-        return build_reward_context("binary-mil", params, train, held, bags)
+        return build_reward_context(
+            "binary-mil", params,
+            (predictions([0], mirrored([train_d])), predictions(held_ids, mirrored(heldout_d))),
+            bags,
+        )
 
     def test_gate_zeroes_mismatched_assignment(self):
         params = RewardParams(k=2)
         ctx = self.build_context([1.0, -1.0], [1, 0], params)
-        assert binary_mil_reward(0, 0, ctx, params) == 0.0
-        assert binary_mil_reward(0, 1, ctx, params) > 0.0
+        assert mil_reward(0, 0, ctx, params) == 0.0
+        assert mil_reward(0, 1, ctx, params) > 0.0
 
     def test_perfect_labelling_scores_one(self):
         # every neighbour's bag recalls and every neighbour is precise
         params = RewardParams(k=3, alpha=1.0, gamma=1.0 / 7.0)
         ctx = self.build_context([2.0, 1.5, -1.0], [1, 1, 0], params)
-        assert binary_mil_reward(0, 1, ctx, params) == pytest.approx(1.0)
+        assert mil_reward(0, 1, ctx, params) == pytest.approx(1.0)
 
     def test_partial_recall_gates_off_precision(self):
         # neighbour recalls (1, 1, 0): reward = gamma * 2/3 with alpha = 1
         params = RewardParams(k=3, alpha=1.0, gamma=1.0 / 7.0)
         ctx = self.build_context([2.0, 1.5, -1.0], [1, 1, 1], params)
         expected = (1.0 / 7.0) * (2.0 / 3.0)
-        assert binary_mil_reward(0, 1, ctx, params) == pytest.approx(expected)
+        assert mil_reward(0, 1, ctx, params) == pytest.approx(expected)
         assert expected == pytest.approx(0.0952, abs=1e-4)
 
     def test_alpha_threshold_enables_precision(self):
         params = RewardParams(k=3, alpha=0.5, gamma=1.0 / 7.0)
         ctx = self.build_context([2.0, 1.5, -1.0], [1, 1, 1], params)
         expected = (1.0 / 7.0) * (2.0 / 3.0) + (6.0 / 7.0) * 1.0
-        assert binary_mil_reward(0, 1, ctx, params) == pytest.approx(expected)
+        assert mil_reward(0, 1, ctx, params) == pytest.approx(expected)
 
     def test_k_clamped_to_pool_size(self):
         params = RewardParams(k=50)
         ctx = self.build_context([2.0, -1.0], [1, 0], params)
-        assert ctx.k == 2
+        assert [len(rows) for rows in ctx.neighbor_rows] == [2]
 
 
 class TestVectorizedTablesMatchDefinitions:
     def test_binary_tables(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            ctx = random_binary_context(rng, RewardParams(k=3))
-            for bag in ctx.heldout_bags:
-                assert ctx.rec_by_bag[bag.id] == rec_binary(bag, ctx.heldout_predictions)
-            for iid in ctx.heldout_predictions:
-                assert ctx.prec_by_instance[iid] == prec_binary(
-                    iid, ctx.heldout_predictions, ctx.bag_index
-                )
+            ctx, held, bags = random_binary_context(rng, RewardParams(k=3))
+            assert_tables_match_oracles(ctx, held, bags)
 
     def test_multiclass_tables(self):
         rng = np.random.default_rng(1)
@@ -181,15 +188,9 @@ class TestVectorizedTablesMatchDefinitions:
         negatives = frozenset([0, 4])
         for _ in range(10):
             ext = num_classes + m - 1
-            train = {
-                x: Prediction(int(np.argmax(e)), e)
-                for x, e in enumerate(rng.random((8, ext)))
-            }
+            train = predictions(range(8), rng.random((8, ext)))
             held_ids = list(range(100, 130))
-            held = {
-                i: Prediction(int(np.argmax(e)), e)
-                for i, e in zip(held_ids, rng.random((30, ext)))
-            }
+            held = predictions(held_ids, rng.random((30, ext)))
             bags = []
             for b, start in enumerate(range(0, 30, 5)):
                 label_set = {
@@ -199,14 +200,9 @@ class TestVectorizedTablesMatchDefinitions:
                 bags.append(Bag(b, held_ids[start : start + 5], WeakLabel.label_set(label_set)))
             ctx = build_reward_context(
                 "multiclass-mil", RewardParams(k=3, num_negative_labels=m),
-                train, held, bags, negative_labels=negatives,
+                (train, held), bags, negative_labels=negatives,
             )
-            for bag in bags:
-                assert ctx.rec_by_bag[bag.id] == rec_multiclass(bag, held)
-            for iid in held:
-                assert ctx.prec_by_instance[iid] == prec_multiclass(
-                    iid, held, ctx.bag_index, negatives
-                )
+            assert_tables_match_oracles(ctx, held, bags, negatives)
 
 
 class TestMulticlassBinaryReduction:
@@ -217,9 +213,9 @@ class TestMulticlassBinaryReduction:
             n_train, n_held = 6, 20
             train_p = rng.random(n_train)
             held_p = rng.random(n_held)
-            train_bin = {x: Prediction(int(p > 0.5), np.array([1 - p, p])) for x, p in enumerate(train_p)}
+            train = predictions(range(n_train), np.column_stack([1 - train_p, train_p]))
             held_ids = list(range(50, 50 + n_held))
-            held_bin = {i: Prediction(int(p > 0.5), np.array([1 - p, p])) for i, p in zip(held_ids, held_p)}
+            held = predictions(held_ids, np.column_stack([1 - held_p, held_p]))
             bag_labels = [int(rng.integers(2)) for _ in range(5)]
             bags_bin, bags_multi = [], []
             for b, start in enumerate(range(0, n_held, 4)):
@@ -227,28 +223,26 @@ class TestMulticlassBinaryReduction:
                 bags_bin.append(Bag(b, members, WeakLabel.binary(bag_labels[b])))
                 label_set = {1} if bag_labels[b] == 1 else set()
                 bags_multi.append(Bag(b, members, WeakLabel.label_set(label_set)))
-            ctx_bin = build_reward_context("binary-mil", params, train_bin, held_bin, bags_bin)
-            ctx_multi = build_reward_context(
-                "multiclass-mil", params, train_bin, held_bin, bags_multi
-            )
-            for x in train_bin:
+            ctx_bin = build_reward_context("binary-mil", params, (train, held), bags_bin)
+            ctx_multi = build_reward_context("multiclass-mil", params, (train, held), bags_multi)
+            for x in range(n_train):
                 for assigned in (0, 1):
-                    assert binary_mil_reward(x, assigned, ctx_bin, params) == multiclass_mil_reward(
+                    assert mil_reward(x, assigned, ctx_bin, params) == mil_reward(
                         x, assigned, ctx_multi, params
                     )
 
     def test_negative_mode_mismatch_gates_to_zero(self):
         # assigned one negative mode while the classifier predicts another
-        ext = 3  # classes: 0 (neg), 1 (pos), 2 (extra neg mode)
-        train = {0: Prediction(2, np.array([0.2, 0.1, 0.7]))}
-        held = {9: Prediction(1, np.array([0.1, 0.8, 0.1]))}
+        # classes: 0 (neg), 1 (pos), 2 (extra neg mode)
+        train = predictions([0], [[0.2, 0.1, 0.7]])
+        held = predictions([9], [[0.1, 0.8, 0.1]])
         bags = [Bag(0, [9], WeakLabel.label_set({1}))]
         params = RewardParams(k=1, num_negative_labels=2)
         ctx = build_reward_context(
-            "multiclass-mil", params, train, held, bags, negative_labels=frozenset({0, 2})
+            "multiclass-mil", params, (train, held), bags, negative_labels=frozenset({0, 2})
         )
-        assert multiclass_mil_reward(0, 0, ctx, params) == 0.0
-        assert multiclass_mil_reward(0, 2, ctx, params) > 0.0
+        assert mil_reward(0, 0, ctx, params) == 0.0
+        assert mil_reward(0, 2, ctx, params) > 0.0
 
 
 class TestDistanceGap:
@@ -274,27 +268,27 @@ class TestDistanceGap:
         # positive-bag members form one cluster, negative-bag members another;
         # probe instances all live in positive bags but only the truly
         # positive ones resemble the positive-bag cluster
-        def emb(positive):
+        def point(positive):
             center = 3.0 if positive else -3.0
-            d = center + rng.normal(scale=0.3)
-            return binary_prediction(d)
+            return center + rng.normal(scale=0.3)
 
         held_ids = list(range(100, 124))
-        held, bags = {}, []
+        held_d, bags = [], []
         for b in range(6):
             members = held_ids[b * 4 : (b + 1) * 4]
             positive_bag = b < 3
-            for i in members:
-                held[i] = emb(positive_bag)
+            held_d += [point(positive_bag) for _ in members]
             bags.append(Bag(b, members, WeakLabel.binary(int(positive_bag))))
-        train, train_bags, truths = {}, {}, {}
+        train_d, train_bags, truths = [], {}, {}
         for x in range(10):
             positive = x < 5
-            train[x] = emb(positive)
+            train_d.append(point(positive))
             train_bags[x] = Bag(50 + x, [x], WeakLabel.binary(1))
             truths[x] = positive
         ctx = build_reward_context(
-            "binary-mil", params, train, held, bags, train_bag_index=train_bags
+            "binary-mil", params,
+            (predictions(range(10), mirrored(train_d)), predictions(held_ids, mirrored(held_d))),
+            bags, train_bag_index=train_bags,
         )
         return ctx, truths
 
@@ -312,7 +306,7 @@ class TestDistanceGap:
         for x in (0, 7):
             assigned = ctx.predicted_label(x)
             base_params = RewardParams(k=2, alpha=0.0, gamma=0.5)
-            base = binary_mil_reward(x, assigned, ctx, base_params)
+            base = mil_reward(x, assigned, ctx, base_params)
             gap = distgap(x, ctx)
             expected = gap * base if assigned == 1 else (1 - gap) * base
             assert distgap_augmented_reward(x, assigned, ctx, params) == pytest.approx(expected)
@@ -327,15 +321,17 @@ class TestDistanceGap:
 
 class TestLlpReward:
     def build_context(self, proportions, held_d, params, train_d=1.0):
-        train = {0: binary_prediction(train_d)}
         held_ids = list(range(20, 20 + len(held_d)))
-        held = {i: binary_prediction(d) for i, d in zip(held_ids, held_d)}
         groups = np.array_split(held_ids, len(proportions))
         bags = [
             Bag(b, [int(i) for i in members], WeakLabel.proportion(p))
             for b, (members, p) in enumerate(zip(groups, proportions))
         ]
-        return build_reward_context("llp", params, train, held, bags)
+        return build_reward_context(
+            "llp", params,
+            (predictions([0], mirrored([train_d])), predictions(held_ids, mirrored(held_d))),
+            bags,
+        )
 
     def test_exact_proportions_score_one(self):
         params = RewardParams(k=2)
@@ -358,11 +354,24 @@ class TestLlpReward:
 
     def test_regime_mismatch_rejected(self):
         params = RewardParams(k=1)
-        train = {0: binary_prediction(1.0)}
-        held = {5: binary_prediction(1.0)}
         bags = [Bag(0, [5], WeakLabel.binary(1))]
         with pytest.raises(RegimeError):
-            build_reward_context("llp", params, train, held, bags)
+            build_reward_context(
+                "llp", params,
+                (predictions([0], mirrored([1.0])), predictions([5], mirrored([1.0]))),
+                bags,
+            )
+
+
+class TestContextInputs:
+    def test_heldout_instance_without_bag_rejected(self):
+        held = predictions([10, 11, 12], mirrored([1.0, -1.0, 2.0]))
+        bags = [Bag(0, [10, 12], WeakLabel.binary(1))]
+        with pytest.raises(ValidationError, match=r"without a bag: \[11\]"):
+            build_reward_context(
+                "binary-mil", RewardParams(k=1),
+                (predictions([0], mirrored([1.0])), held), bags,
+            )
 
 
 class TestRewardEnvironment:
@@ -398,11 +407,10 @@ class TestRewardEnvironment:
 
     def test_rewards_bounded_for_random_assignments(self):
         env, truth = self.build_environment(seed=2)
-        sets = {i: [0, 1] for i in truth}
         rng = np.random.default_rng(1)
         for _ in range(25):
             assignment = {i: int(rng.integers(2)) for i in truth}
-            rewards = evaluate_environment(env, assignment, rng)
+            rewards = env.evaluate(assignment, rng)
             values = np.array(list(rewards.values()))
             assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
@@ -451,17 +459,44 @@ class TestRewardEnvironment:
         env(truth, np.random.default_rng(1))
         assert env._tau == tau
 
+    @pytest.mark.parametrize("regime", ["binary-mil", "multiclass-mil"])
+    def test_context_tables_match_oracles_on_real_folds(self, monkeypatch, regime):
+        if regime == "binary-mil":
+            dataset = generate_binary_mil(12, (3, 6), 0.5, 3, 6.0, seed=8)
+        else:
+            pool = generate_gaussian_blobs(6, 30, 2, 6.0, seed=8)
+            dataset = generate_multiclass_mil(pool, 16, (3, 7), {1, 2, 3}, seed=9)
+        built = []
+        build = rewards.build_reward_context
+
+        def recording(*args, **kwargs):
+            ctx = build(*args, **kwargs)
+            built.append((ctx, args, kwargs))
+            return ctx
+
+        monkeypatch.setattr(rewards, "build_reward_context", recording)
+        config = InferenceConfig(
+            regime=regime, rounds=3, batch_size=2, folds=2, master_seed=3,
+            reward=RewardParams(k=3, num_negative_labels=2 if regime == "multiclass-mil" else 1),
+        )
+        kfold_infer(dataset, config)
+        assert built
+        for ctx, (_, _, (_, held), bags), kwargs in built:
+            negatives = kwargs["negative_labels"] if regime == "multiclass-mil" else None
+            assert_tables_match_oracles(ctx, held, bags, negatives)
+
 
 class TestDispatch:
     def test_custom_regime_rejected(self):
         params = RewardParams()
+        empty = predictions([], np.empty((0, 2)))
         with pytest.raises(RegimeError):
-            build_reward_context("custom", params, {}, {}, [])
+            build_reward_context("custom", params, (empty, empty), [])
 
     def test_reward_for_routes_by_regime(self):
         rng = np.random.default_rng(9)
         params = RewardParams(k=2)
-        ctx = random_binary_context(rng, params)
-        x = next(iter(ctx.train_predictions))
+        ctx, _, _ = random_binary_context(rng, params)
+        x = 0
         assigned = ctx.predicted_label(x)
-        assert reward_for(x, assigned, ctx, params) == binary_mil_reward(x, assigned, ctx, params)
+        assert reward_for(x, assigned, ctx, params) == mil_reward(x, assigned, ctx, params)

@@ -11,6 +11,7 @@ from .bandit import (
     FIXED,
     BanditState,
     InferenceResult,
+    PullLog,
     best_assignment,
     initialization_assignments,
     new_bandit,
@@ -66,6 +67,7 @@ __all__ = [
     "Instance",
     "LabelBanditError",
     "PipelineResult",
+    "PullLog",
     "RewardEnvironment",
     "RewardParams",
     "TrainedModel",

@@ -6,6 +6,11 @@ counts and cumulative rewards per arm, covers all arms once in an
 initialization sweep, then repeatedly selects the per-instance UCB argmax,
 asks a reward environment to score the labelling, and updates the arms.
 
+Arm statistics are (instances x labels) arrays with rows in ascending
+instance id order. The super-arm oracle is separable per instance, so a
+selection is a row-wise argmax; labellings and rewards cross the public
+functions as ``{instance: value}`` dicts.
+
 The round counter ``t`` counts completed post-initialization pulls; the
 exploration bonus for a pull being selected uses the index of that upcoming
 pull (t + 1), so the very first selection sees a zero bonus (log 1 = 0).
@@ -15,8 +20,10 @@ BanditState has a single owner; selections are read-only.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,27 +38,30 @@ ArmKey = tuple[int, int]
 
 
 @dataclass
-class ArmState:
-    pulls: int = 0
-    reward_sum: float = 0.0
-
-    @property
-    def mean(self) -> float:
-        return self.reward_sum / self.pulls
-
-
-@dataclass
 class BanditState:
+    """Arm statistics, one row per instance.
+
+    Row r belongs to instance ``ids[r]`` (ascending); ``labels[r]`` holds its
+    admissible labels ascending, so a first-index argmax breaks ties toward
+    the lowest label. Rows are padded to the widest label set; ``valid`` marks
+    the real arms, and padding cells hold one pull and a reward sum of -inf,
+    so their mean and UCB score are -inf. Pull counts are float64 (exact
+    integers) so the UCB arithmetic needs no casts. ``cells[r]`` maps each
+    label of row r to its index in the flattened arrays. ``label_sets`` keeps
+    the caller's order, which the initialization sweep's random draws and the
+    labelling dicts follow; ``order`` lists the rows in that order.
+    """
+
     label_sets: dict[int, list[int]]
-    arms: dict[ArmKey, ArmState] = field(default_factory=dict)
+    ids: np.ndarray
+    order: np.ndarray
+    labels: np.ndarray
+    valid: np.ndarray
+    cells: list[dict[int, int]]
+    pulls: np.ndarray
+    reward_sums: np.ndarray
     t: int = 0
     total_pulls: int = 0
-
-    def __post_init__(self):
-        if not self.arms:
-            self.arms = {
-                (x, l): ArmState() for x, labels in self.label_sets.items() for l in labels
-            }
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,39 @@ class InferenceResult:
     pull_history_length: int
 
 
+@dataclass(eq=False)
+class PullLog:
+    """Every pull of one ``run_inference`` call, column by column.
+
+    ``ids`` holds the instance ids once, ascending. Each entry of ``pulls`` is
+    (round, assignment hash, labels, rewards); the label and reward arrays are
+    row-aligned with ``ids`` and the rewards are stored as float64. Round 0
+    holds the initialization sweep.
+    """
+
+    ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    pulls: list[tuple[int, str, np.ndarray, np.ndarray]] = field(default_factory=list)
+
+    def round_means(self) -> list[float]:
+        """Mean reward of each round's pulls, in log order (round 0: the whole sweep)."""
+        return [
+            float(np.mean(np.concatenate([rewards for _, _, _, rewards in pulls])))
+            for _, pulls in itertools.groupby(self.pulls, key=lambda pull: pull[0])
+        ]
+
+    def lines(self, pass_index: int, fold: int) -> Iterator[str]:
+        """The log as ``pull_log.ndjson`` text, one string per pull: a line per
+        instance, each the ``json.dumps(record, sort_keys=True)`` of
+        ``{pass, fold, round, assignment_hash, instance_id, label, reward}``."""
+        ids = self.ids.tolist()
+        for round_index, digest, labels, rewards in self.pulls:
+            line = (
+                f'{{"assignment_hash": "{digest}", "fold": {fold}, "instance_id": %d, '
+                f'"label": %d, "pass": {pass_index}, "reward": %r, "round": {round_index}}}\n'
+            )
+            yield "".join(map(line.__mod__, zip(ids, labels.tolist(), rewards.tolist())))
+
+
 def new_bandit(label_sets: dict[int, list[int]]) -> BanditState:
     """Fresh state with all arms zeroed; every label list must be nonempty."""
     if not label_sets:
@@ -81,7 +124,17 @@ def new_bandit(label_sets: dict[int, list[int]]) -> BanditState:
         if len(set(labels)) != len(labels):
             raise ParameterError(f"instance {x} has duplicate labels {labels}")
         clean[int(x)] = labels
-    return BanditState(clean)
+    ids = np.array(sorted(clean), dtype=np.int64)
+    rows = [sorted(clean[x]) for x in ids.tolist()]
+    width = max(map(len, rows))
+    valid = np.arange(width) < np.array([len(row) for row in rows])[:, None]
+    labels = np.zeros(valid.shape, dtype=np.int64)
+    labels[valid] = [l for row in rows for l in row]
+    cells = [{l: r * width + c for c, l in enumerate(row)} for r, row in enumerate(rows)]
+    return BanditState(
+        clean, ids, np.searchsorted(ids, list(clean)), labels, valid, cells,
+        pulls=(~valid).astype(np.float64), reward_sums=np.where(valid, 0.0, -np.inf),
+    )
 
 
 def assignment_hash(assignment: dict[int, int]) -> str:
@@ -90,13 +143,26 @@ def assignment_hash(assignment: dict[int, int]) -> str:
     return hashlib.sha1(payload).hexdigest()[:12]
 
 
+def _labelling(state: BanditState, labels: np.ndarray) -> dict[int, int]:
+    """A row-aligned label array as an {instance: label} dict in the caller's order."""
+    return dict(zip(state.label_sets, labels[state.order].tolist()))
+
+
+def _arm_dict(state: BanditState, values: np.ndarray) -> dict[ArmKey, float]:
+    rows, cols = np.nonzero(state.valid)
+    keys = zip(state.ids[rows].tolist(), state.labels[rows, cols].tolist())
+    return dict(zip(keys, values[rows, cols].tolist()))
+
+
 def initialization_assignments(state: BanditState, rng) -> list[dict[int, int]]:
     """Minimal covering sweep: assignment j gives each instance its j-th untried
     label (in a per-instance random order), so the sweep length equals the
     largest number of untried labels of any instance."""
+    rows, cols = np.nonzero(state.valid & (state.pulls > 0))
+    tried = set(zip(state.ids[rows].tolist(), state.labels[rows, cols].tolist()))
     untried = {}
     for x, labels in state.label_sets.items():
-        pending = [l for l in labels if state.arms[(x, l)].pulls == 0]
+        pending = [l for l in labels if (x, l) not in tried]
         untried[x] = [pending[i] for i in rng.permutation(len(pending))]
     sweep_length = max((len(p) for p in untried.values()), default=0)
     assignments = []
@@ -113,25 +179,21 @@ def initialization_assignments(state: BanditState, rng) -> list[dict[int, int]]:
 
 
 def _require_initialized(state: BanditState):
-    for (x, l), arm in state.arms.items():
-        if arm.pulls == 0:
-            raise ParameterError(
-                f"initialization incomplete: arm (instance {x}, label {l}) has never been pulled"
-            )
+    if np.count_nonzero(state.pulls) < state.pulls.size:
+        row, col = np.argwhere(state.pulls == 0)[0]
+        raise ParameterError(
+            f"initialization incomplete: arm (instance {state.ids[row]}, "
+            f"label {state.labels[row, col]}) has never been pulled"
+        )
 
 
-def _ucb_map(state: BanditState, t_round: int, virtual: dict[ArmKey, int] | None = None):
-    """UCB score per arm at round index ``t_round``.
+def _ucb(means: np.ndarray, t_round: int, counts: np.ndarray) -> np.ndarray:
+    """UCB score per arm at round index ``t_round``, -inf off the label sets.
 
-    Virtual pulls inflate an arm's count (shrinking its bonus) while leaving
-    its empirical mean untouched; they model in-flight batch members.
+    The bonus uses ``counts``, which virtual pulls may inflate (shrinking the
+    bonus) while ``means`` stay those of the real pulls.
     """
-    log_t = math.log(t_round)
-    scores = {}
-    for key, arm in state.arms.items():
-        pulls = arm.pulls + (virtual.get(key, 0) if virtual else 0)
-        scores[key] = arm.mean + math.sqrt(3.0 * log_t / (2.0 * pulls))
-    return scores
+    return means + np.sqrt(3.0 * math.log(t_round) / (2.0 * counts))
 
 
 def ucb_scores(state: BanditState) -> dict[ArmKey, float]:
@@ -139,24 +201,13 @@ def ucb_scores(state: BanditState) -> dict[ArmKey, float]:
     _require_initialized(state)
     if state.t < 1:
         raise ParameterError("round counter is 0; no post-initialization pull has completed")
-    return _ucb_map(state, state.t)
-
-
-def _argmax_assignment(state: BanditState, scores: dict[ArmKey, float]) -> dict[int, int]:
-    assignment = {}
-    for x, labels in state.label_sets.items():
-        if len(labels) == 1:  # structurally forced; not part of UCB selection
-            assignment[x] = labels[0]
-            continue
-        assignment[x] = min(labels, key=lambda l: (-scores[(x, l)], l))
-    return assignment
+    return _arm_dict(state, _ucb(state.reward_sums / state.pulls, state.t, state.pulls))
 
 
 def select_super_arm(state: BanditState) -> dict[int, int]:
     """Per-instance argmax of the UCB scores for the upcoming pull (index t+1);
     exact ties go to the lowest label id."""
-    _require_initialized(state)
-    return _argmax_assignment(state, _ucb_map(state, state.t + 1))
+    return select_super_arm_batch(state, 1)[0]
 
 
 def select_super_arm_batch(state: BanditState, batch_size: int) -> list[dict[int, int]]:
@@ -170,14 +221,14 @@ def select_super_arm_batch(state: BanditState, batch_size: int) -> list[dict[int
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     _require_initialized(state)
-    virtual: dict[ArmKey, int] = {}
+    rows = np.arange(len(state.ids))
+    means, counts = state.reward_sums / state.pulls, state.pulls.copy()
     batch = []
     for j in range(batch_size):
-        scores = _ucb_map(state, state.t + 1 + j, virtual)
-        assignment = _argmax_assignment(state, scores)
-        for item in assignment.items():
-            virtual[item] = virtual.get(item, 0) + 1
-        batch.append(assignment)
+        if j:
+            counts[rows, cols] += 1  # member j - 1's virtual pulls
+        cols = _ucb(means, state.t + 1 + j, counts).argmax(axis=1)
+        batch.append(_labelling(state, state.labels[rows, cols]))
     return batch
 
 
@@ -186,12 +237,14 @@ def update(
     assignment: dict[int, int],
     rewards: dict[int, float],
     advance_round: bool,
-) -> None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Credit each pulled arm with its reward.
 
     Rewards must cover every instance and lie in [0, 1]; a value outside that
     range signals a buggy reward function and is rejected. Initialization
     pulls pass ``advance_round=False`` so they stay outside the round count.
+    Returns the credited labels and rewards (as float64), row-aligned with
+    ``state.ids``.
     """
     expected = state.label_sets.keys()
     if assignment.keys() != expected:
@@ -199,39 +252,46 @@ def update(
     missing = expected - rewards.keys()
     if missing:
         raise ParameterError(f"rewards missing for instances {sorted(missing)[:5]}")
-    for x, label in assignment.items():
-        if label not in state.label_sets[x]:
-            raise ParameterError(f"label {label} not admissible for instance {x}")
-        r = rewards[x]
-        if not 0.0 <= r <= 1.0:
-            raise RewardRangeError(
-                f"reward {r!r} for instance {x} lies outside [0, 1]; "
-                "reward functions must be bounded"
-            )
-    for x, label in assignment.items():
-        arm = state.arms[(x, label)]
-        arm.pulls += 1
-        arm.reward_sum += float(rewards[x])
+    ids = state.ids.tolist()
+    labels = list(map(assignment.__getitem__, ids))
+    try:
+        cells = np.fromiter(map(dict.__getitem__, state.cells, labels), np.intp, len(ids))
+    except KeyError:
+        row = next(r for r, label in enumerate(labels) if label not in state.cells[r])
+        raise ParameterError(
+            f"label {labels[row]} not admissible for instance {ids[row]}"
+        ) from None
+    values = np.fromiter(map(rewards.__getitem__, ids), dtype=np.float64, count=len(ids))
+    if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails too
+        x = ids[int(np.argmin((values >= 0.0) & (values <= 1.0)))]
+        raise RewardRangeError(
+            f"reward {rewards[x]!r} for instance {x} lies outside [0, 1]; "
+            "reward functions must be bounded"
+        )
+    state.pulls.flat[cells] += 1
+    state.reward_sums.flat[cells] += values
     state.total_pulls += 1
     if advance_round:
         state.t += 1
+    return np.array(labels, dtype=np.int64), values
 
 
 def best_assignment(state: BanditState) -> InferenceResult:
     """Labelling with the highest empirical mean per instance, plus confidences."""
     _require_initialized(state)
-    assignment = {}
-    confidence = {}
-    means = {key: arm.mean for key, arm in state.arms.items()}
-    for x, labels in state.label_sets.items():
-        best = min(labels, key=lambda l: (-means[(x, l)], l))
-        assignment[x] = best
-        if len(labels) == 1:
-            confidence[x] = FIXED
-        else:
-            runner_up = max(means[(x, l)] for l in labels if l != best)
-            confidence[x] = means[(x, best)] - runner_up
-    return InferenceResult(assignment, confidence, means, state.total_pulls)
+    means = state.reward_sums / state.pulls
+    rows, cols = np.arange(len(state.ids)), means.argmax(axis=1)
+    best = means[rows, cols]
+    others = means.copy()
+    others[rows, cols] = -np.inf
+    # a singleton has no runner-up: best - (-inf) is FIXED
+    confidence = best - others.max(axis=1)
+    return InferenceResult(
+        _labelling(state, state.labels[rows, cols]),
+        dict(zip(state.label_sets, confidence[state.order].tolist())),
+        _arm_dict(state, means),
+        state.total_pulls,
+    )
 
 
 def run_inference(
@@ -240,20 +300,25 @@ def run_inference(
     rounds: int,
     batch_size: int = 1,
     rng=None,
-    pull_log: list | None = None,
+    pull_log: PullLog | None = None,
 ) -> InferenceResult:
     """Full inference loop: initialization sweep, then ``rounds`` scored pulls.
 
     ``environment`` is any callable ``(assignment, rng) -> {instance: reward}``.
     Batch members are selected together, their per-pull seeds are drawn up
     front, and they are evaluated and updated in batch order. Reproducible
-    given the rng seed and a deterministic environment.
+    given the rng seed and a deterministic environment. An empty ``pull_log``
+    is filled with every pull.
     """
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
     if rng is None:
         rng = np.random.default_rng()
     state = new_bandit(label_sets)
+    if pull_log is not None:
+        if pull_log.pulls:
+            raise ParameterError("pull_log already holds the pulls of another run")
+        pull_log.ids = state.ids
 
     def evaluate_batch(assignments):
         seeds = [int(rng.integers(0, 2**63)) for _ in assignments]
@@ -265,31 +330,20 @@ def run_inference(
                 f"assignment {assignment_hash(assignments[0])}: {exc}"
             ) from exc
 
-    def log_pull(assignment, rewards, round_index):
-        if pull_log is None:
-            return
-        h = assignment_hash(assignment)
-        for x, label in sorted(assignment.items()):
-            pull_log.append(
-                {
-                    "round": round_index,
-                    "assignment_hash": h,
-                    "instance_id": x,
-                    "label": label,
-                    "reward": rewards[x],
-                }
-            )
+    def credit(assignment, rewards, advance_round):
+        labels, values = update(state, assignment, rewards, advance_round)
+        if pull_log is not None:
+            round_index = state.t if advance_round else 0
+            pull_log.pulls.append((round_index, assignment_hash(assignment), labels, values))
 
     sweep = initialization_assignments(state, rng)
     for assignment, rewards in zip(sweep, evaluate_batch(sweep)):
-        update(state, assignment, rewards, advance_round=False)
-        log_pull(assignment, rewards, 0)
+        credit(assignment, rewards, advance_round=False)
     pulls_done = 0
     while pulls_done < rounds:
         width = min(batch_size, rounds - pulls_done)
         batch = select_super_arm_batch(state, width)
         for assignment, rewards in zip(batch, evaluate_batch(batch)):
-            update(state, assignment, rewards, advance_round=True)
-            log_pull(assignment, rewards, state.t)
+            credit(assignment, rewards, advance_round=True)
         pulls_done += width
     return best_assignment(state)

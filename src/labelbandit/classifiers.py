@@ -383,29 +383,26 @@ def nearest_indices(distances: np.ndarray, k: int) -> list[int]:
     return [int(i) for i in chosen[order]]
 
 
-def nearest_indices_rows(dist_matrix: np.ndarray, k: int) -> list[np.ndarray]:
+def nearest_indices_rows(dist_matrix: np.ndarray, k: int) -> np.ndarray:
     """Row-wise k-nearest membership with the same tie rule as ``nearest_indices``.
 
-    Returns index arrays (unordered); only membership matters to callers that
-    average over the neighbourhood.
+    Returns an (n, k) index array, each row unordered; only membership
+    matters to callers that average over the neighbourhood.
     """
     n, m = dist_matrix.shape
     k = min(int(k), m)
     if k == m:
-        return [np.arange(m) for _ in range(n)]
+        return np.broadcast_to(np.arange(m), (n, m))
     part = np.argpartition(dist_matrix, k - 1, axis=1)[:, :k]
     thresholds = np.take_along_axis(dist_matrix, part, axis=1).max(axis=1)
     le_counts = (dist_matrix <= thresholds[:, None]).sum(axis=1)
-    out = []
-    for i in range(n):
-        if le_counts[i] == k:
-            out.append(part[i])
-        else:  # ties straddle the boundary; keep the lowest indices
-            row = dist_matrix[i]
-            strict = np.flatnonzero(row < thresholds[i])
-            ties = np.flatnonzero(row == thresholds[i])
-            out.append(np.concatenate([strict, ties[: k - strict.size]]))
-    return out
+    for i in np.flatnonzero(le_counts != k):
+        # ties straddle the boundary; keep the lowest indices
+        row = dist_matrix[i]
+        strict = np.flatnonzero(row < thresholds[i])
+        ties = np.flatnonzero(row == thresholds[i])
+        part[i] = np.concatenate([strict, ties[: k - strict.size]])
+    return part
 
 
 def nearest_indices_1d(pool_values: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:

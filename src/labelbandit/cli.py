@@ -253,14 +253,7 @@ def cmd_infer(args) -> int:
     save_model(result.model, out_dir / "model.json")
     with (out_dir / "pull_log.ndjson").open("w") as fh:
         for entry in result.pull_logs:
-            for record in entry["records"]:
-                fh.write(
-                    json.dumps(
-                        {"pass": entry["pass"], "fold": entry["fold"], **record},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            fh.writelines(entry["log"].lines(entry["pass"], entry["fold"]))
     _echo_config(cfg, out_dir)
     fixed = sum(1 for c in result.confidence.values() if c == float("inf"))
     print(

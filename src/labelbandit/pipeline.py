@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics
-from .bandit import run_inference
+from .bandit import PullLog, run_inference
 from .classifiers import ClassifierSpec, TrainedModel, fit
 from .data import (
     NEGATIVE_CLASS,
@@ -94,7 +93,8 @@ class InferenceConfig:
 class PipelineResult:
     """Inferred label and confidence for every instance, the final model, and
     per-fold diagnostics. Confidence math.inf marks structurally fixed labels
-    and serializes as the string "fixed"."""
+    and serializes as the string "fixed". ``pull_logs`` holds one
+    ``{"pass", "fold", "log"}`` entry per fold, ``log`` being its PullLog."""
 
     labels: dict[int, int]
     confidence: dict[int, float]
@@ -300,7 +300,7 @@ def _single_pass(dataset: Dataset, config: InferenceConfig, fixed: dict[int, int
             extra_features=extra_features,
             extra_labels=extra_labels,
         )
-        log: list[dict] = []
+        log = PullLog()
         result = run_inference(
             {x: label_sets[x] for x in train_ids},
             environment,
@@ -311,16 +311,15 @@ def _single_pass(dataset: Dataset, config: InferenceConfig, fixed: dict[int, int
         )
         labels_out.update(result.assignment)
         confidence_out.update(result.confidence)
-        trace = metrics.reward_trace_summary(log)
         fold_diagnostics.append(
             {
                 "fold": fold_index,
                 "bag_ids": sorted(int(bags[j].id) for j in fold_assignments[fold_index]),
                 "pulls": result.pull_history_length,
-                "mean_reward_per_round": trace["round_mean"],
+                "mean_reward_per_round": log.round_means(),
             }
         )
-        pull_logs.append({"fold": fold_index, "records": log})
+        pull_logs.append({"fold": fold_index, "log": log})
 
     return labels_out, confidence_out, fold_diagnostics, pull_logs, children[-1]
 

@@ -9,9 +9,9 @@ classifier cannot reproduce on the training fold scores exactly 0.
 
 A ``RewardContext`` precomputes everything shared across instances for one
 evaluation (each held-out row's bag recall and precision, neighbour rows,
-raw distance gaps) from the classifier's predictions, given as arrays
-row-aligned with ascending instance ids; the per-instance reward functions
-then read from it.
+normalized distance gaps) from the classifier's predictions, given as arrays
+row-aligned with ascending instance ids; the reward rules then score every
+training row at once from it.
 """
 
 from __future__ import annotations
@@ -47,10 +47,12 @@ class RewardParams:
     training instances: a RewardEnvironment does so at construction in
     feature space and on its first evaluation in output space.
 
-    The distance gap groups held-out bags by exact weak label: multi-class
-    bags match only when their label sets are identical. Every training
-    bag's label needs a matching held-out bag and one that differs; a
-    RewardEnvironment checks this at construction, in either space.
+    The distance gap applies to the MIL regimes only: the llp reward does not
+    read it, so a RewardEnvironment for llp rejects distgap_enabled. It
+    groups held-out bags by exact weak label: multi-class bags match only
+    when their label sets are identical. Every training bag's label needs a
+    matching held-out bag and one that differs; a RewardEnvironment checks
+    this at construction, in either space.
     """
 
     k: int = 5
@@ -84,63 +86,94 @@ class RewardParams:
 class RewardContext:
     """Per-evaluation tables read by the reward functions.
 
-    ``train_row`` maps each training instance id to its row; ``train_labels``
-    and ``neighbor_rows`` follow those rows. ``neighbor_rows[r]`` holds the
-    held-out rows nearest training row r, and the held-out tables ``rec_row``
-    (the recall of each row's bag), ``prec_row`` and ``proportion_error_row``
-    follow ascending held-out ids. ``raw_distgap`` maps training instance ids
-    to raw distance gaps (empty when the gap is off).
+    ``train_row`` maps each training instance id to its row; ``train_labels``,
+    ``neighbor_rows`` and ``distgap_row`` follow those rows. Row r of the
+    (n_train, k) array ``neighbor_rows`` holds the held-out rows nearest
+    training row r, and the held-out tables ``rec_row`` (the recall of each
+    row's bag), ``prec_row`` and ``proportion_error_row`` follow ascending
+    held-out ids. ``distgap_row`` holds each training row's normalized
+    distance gap ``eta(raw, tau)`` (empty when the gap is off).
     """
 
     regime: str
     negative_labels: frozenset[int]
     train_row: dict[int, int]
     train_labels: np.ndarray
-    neighbor_rows: list[np.ndarray]
+    neighbor_rows: np.ndarray
     rec_row: np.ndarray
     prec_row: np.ndarray
     proportion_error_row: np.ndarray
-    raw_distgap: dict[int, float]
+    distgap_row: np.ndarray
     tau: float | None
-
-    def predicted_label(self, instance_id: int) -> int:
-        return int(self.train_labels[self.train_row[instance_id]])
 
 
 # ---------------------------------------------------------------------------
 # Per-instance rewards
 # ---------------------------------------------------------------------------
+#
+# A rule scores many training rows at once: ``rows`` is an index array or a
+# slice, ``assigned`` the labels assigned to those rows.
 
 
-def _mean_rec_prec(instance_id: int, ctx: RewardContext) -> tuple[float, float]:
-    rows = ctx.neighbor_rows[ctx.train_row[instance_id]]
-    return float(ctx.rec_row[rows].mean()), float(ctx.prec_row[rows].mean())
-
-
-def _gated_base(instance_id: int, ctx: RewardContext, params: RewardParams) -> float:
-    """gamma * meanRec + (1 - gamma) * [meanRec >= alpha] * meanPrec."""
-    mean_rec, mean_prec = _mean_rec_prec(instance_id, ctx)
+def _gated_base(rows, ctx: RewardContext, params: RewardParams) -> np.ndarray:
+    """gamma * meanRec + (1 - gamma) * [meanRec >= alpha] * meanPrec, per row."""
+    neighbors = ctx.neighbor_rows[rows]
+    mean_rec = ctx.rec_row[neighbors].mean(axis=1)
+    mean_prec = ctx.prec_row[neighbors].mean(axis=1)
     value = params.gamma * mean_rec
-    if mean_rec >= params.alpha:
-        value += (1.0 - params.gamma) * mean_prec
-    return value
+    return np.where(mean_rec >= params.alpha, value + (1.0 - params.gamma) * mean_prec, value)
 
 
-def mil_reward(instance_id: int, assigned: int, ctx: RewardContext, params: RewardParams) -> float:
+def _gate(rows, assigned, ctx: RewardContext, values: np.ndarray) -> np.ndarray:
+    """The modelability gate: 0 where the fold's classifier does not predict
+    the assigned label."""
+    return np.where(assigned == ctx.train_labels[rows], values, 0.0)
+
+
+def _mil_rule(rows, assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
     """Binary and multi-class MIL reward: the gated recall/precision base.
 
     The regime shows only in the context's tables and neighbours (full output
     space for binary, the predicted-class dimension for multi-class); with two
     classes and one negative label the two coincide.
     """
-    if assigned != ctx.predicted_label(instance_id):
-        return 0.0
-    return _gated_base(instance_id, ctx, params)
+    return _gate(rows, assigned, ctx, _gated_base(rows, ctx, params))
 
 
-def eta(raw: float, tau: float) -> float:
-    """Clip raw/tau to [-1, 1] and map affinely onto [0, 1]; eta(0) = 0.5."""
-    return min(max(raw / tau, -1.0), 1.0) / 2.0 + 0.5
+def _distgap_rule(rows, assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
+    """Base reward scaled by the distance gap for positive assignments and by
+    its complement for negative-mode assignments; the gate is unchanged."""
+    gap = ctx.distgap_row[rows]
+    base = _gated_base(rows, ctx, params)
+    negative = np.isin(assigned, list(ctx.negative_labels))
+    return _gate(rows, assigned, ctx, np.where(negative, (1.0 - gap) * base, gap * base))
+
+
+def _llp_rule(rows, assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
+    """Worked example of a user-defined regime for proportion-labelled bags:
+    one minus the mean absolute error between each neighbouring bag's labelled
+    and predicted positive fraction, behind the usual gate."""
+    if ctx.regime != "llp":
+        raise RegimeError("llp reward requires proportion-labelled bags")
+    error = ctx.proportion_error_row[ctx.neighbor_rows[rows]].mean(axis=1)
+    return _gate(rows, assigned, ctx, 1.0 - error)
+
+
+def _regime_rule(rows, assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
+    """Dispatch on the context's regime (and the distance-gap flag)."""
+    if ctx.regime == "llp":
+        return _llp_rule(rows, assigned, ctx, params)
+    if ctx.regime in ("binary-mil", "multiclass-mil"):
+        if params.distgap_enabled:
+            return _distgap_rule(rows, assigned, ctx, params)
+        return _mil_rule(rows, assigned, ctx, params)
+    raise RegimeError(f"no built-in reward for regime {ctx.regime!r}; supply a custom environment")
+
+
+def eta(raw, tau: float):
+    """Clip raw/tau to [-1, 1] and map affinely onto [0, 1]; eta(0) = 0.5.
+    Elementwise on arrays."""
+    return np.clip(raw / tau, -1.0, 1.0) / 2.0 + 0.5
 
 
 def distance_gap(vector: np.ndarray, same_bag_points, other_bag_points, k: int) -> float:
@@ -227,54 +260,6 @@ def calibrate_tau(raw_distgap: dict[int, float], train_ids: list[int]) -> float:
     return median if median > 0 else 1.0
 
 
-def distgap(instance_id: int, ctx: RewardContext) -> float:
-    """Normalized distance gap in [0, 1] for a training instance."""
-    if instance_id not in ctx.raw_distgap:
-        raise ParameterError(f"no distance gap available for instance {instance_id}")
-    return eta(ctx.raw_distgap[instance_id], ctx.tau)
-
-
-def distgap_augmented_reward(
-    instance_id: int, assigned: int, ctx: RewardContext, params: RewardParams
-) -> float:
-    """Base reward scaled by the distance gap for positive assignments and by
-    its complement for negative-mode assignments; the gate is unchanged."""
-    if assigned != ctx.predicted_label(instance_id):
-        return 0.0
-    gap = distgap(instance_id, ctx)
-    base = _gated_base(instance_id, ctx, params)
-    if assigned in ctx.negative_labels:
-        return (1.0 - gap) * base
-    return gap * base
-
-
-def llp_example_reward(
-    instance_id: int, assigned: int, ctx: RewardContext, params: RewardParams
-) -> float:
-    """Worked example of a user-defined regime for proportion-labelled bags:
-    one minus the mean absolute error between each neighbouring bag's labelled
-    and predicted positive fraction, behind the usual gate."""
-    if ctx.regime != "llp":
-        raise RegimeError("llp reward requires proportion-labelled bags")
-    if assigned != ctx.predicted_label(instance_id):
-        return 0.0
-    rows = ctx.neighbor_rows[ctx.train_row[instance_id]]
-    return float(1.0 - ctx.proportion_error_row[rows].mean())
-
-
-def reward_for(
-    instance_id: int, assigned: int, ctx: RewardContext, params: RewardParams
-) -> float:
-    """Dispatch on the context's regime (and the distance-gap flag)."""
-    if ctx.regime == "llp":
-        return llp_example_reward(instance_id, assigned, ctx, params)
-    if ctx.regime in ("binary-mil", "multiclass-mil"):
-        if params.distgap_enabled:
-            return distgap_augmented_reward(instance_id, assigned, ctx, params)
-        return mil_reward(instance_id, assigned, ctx, params)
-    raise RegimeError(f"no built-in reward for regime {ctx.regime!r}; supply a custom environment")
-
-
 # ---------------------------------------------------------------------------
 # Context construction
 # ---------------------------------------------------------------------------
@@ -298,14 +283,15 @@ def _check_bag_kinds(regime: str, bags: list[Bag]):
 _NEIGHBOR_BLOCK_ELEMENTS = 2**22
 
 
-def _full_space_neighbors(queries: np.ndarray, pool: np.ndarray, k: int) -> list[np.ndarray]:
-    """Euclidean k-nearest rows of ``pool`` for each query, chunked to bound memory."""
-    out = []
+def _full_space_neighbors(queries: np.ndarray, pool: np.ndarray, k: int) -> np.ndarray:
+    """Euclidean k-nearest rows of ``pool`` for each query, (nq, k), chunked
+    to bound memory."""
+    out = np.empty((queries.shape[0], min(k, pool.shape[0])), dtype=np.intp)
     chunk = max(1, int(_NEIGHBOR_BLOCK_ELEMENTS // max(1, pool.shape[0] * pool.shape[1])))
     for start in range(0, queries.shape[0], chunk):
         block = queries[start : start + chunk]
         d = np.linalg.norm(block[:, None, :] - pool[None, :, :], axis=2)
-        out.extend(nearest_indices_rows(d, k))
+        out[start : start + chunk] = nearest_indices_rows(d, k)
     return out
 
 
@@ -348,14 +334,13 @@ def build_reward_context(
     k = min(params.k, len(ho_ids))
 
     # neighbours: full embedding space, or the predicted-class coordinate
-    neighbor_rows: list[np.ndarray]
     if regime == "multiclass-mil":
-        neighbor_rows = [None] * len(tr_ids)  # type: ignore[list-item]
+        neighbor_rows = np.empty((len(tr_ids), k), dtype=np.intp)
         for cls in np.unique(tr_labels):
             member_rows = np.flatnonzero(tr_labels == cls)
-            found = nearest_indices_1d(ho_emb[:, cls], tr_emb[member_rows, cls], k)
-            for row, hits in zip(member_rows, found):
-                neighbor_rows[row] = hits
+            neighbor_rows[member_rows] = nearest_indices_1d(
+                ho_emb[:, cls], tr_emb[member_rows, cls], k
+            )
     else:
         neighbor_rows = _full_space_neighbors(tr_emb, ho_emb, k)
 
@@ -401,9 +386,8 @@ def build_reward_context(
             rec = 1.0
         rec_row[rows] = rec
 
-    if not params.distgap_enabled:
-        raw_distgap = {}
-    else:
+    distgap_row = np.empty(0)
+    if params.distgap_enabled:
         if train_bag_index is None:
             raise ParameterError("distance gap needs train_bag_index (instance -> bag)")
         if params.distgap_space == "features":
@@ -415,6 +399,10 @@ def build_reward_context(
             )
         if tau is None:
             tau = calibrate_tau(raw_distgap, tr_ids)
+        try:
+            distgap_row = eta(np.array([raw_distgap[x] for x in tr_ids]), tau)
+        except KeyError as exc:
+            raise ParameterError(f"no distance gap available for instance {exc.args[0]}") from exc
 
     return RewardContext(
         regime=regime,
@@ -425,7 +413,7 @@ def build_reward_context(
         rec_row=rec_row,
         prec_row=prec_row,
         proportion_error_row=proportion_error_row,
-        raw_distgap=raw_distgap,
+        distgap_row=distgap_row,
         tau=tau,
     )
 
@@ -484,6 +472,11 @@ class RewardEnvironment:
         self._tau = params.tau
         self._raw_distgap = None
         if params.distgap_enabled:
+            if regime == "llp":
+                raise ParameterError(
+                    "the distance-gap prior applies to the MIL regimes only; "
+                    "the llp reward does not read it (set reward.distgap_enabled to false)"
+                )
             _check_distgap_groups(self.train_ids, train_bag_index, heldout_bags)
         if params.distgap_enabled and params.distgap_space == "features":
             self._raw_distgap = raw_distance_gaps(
@@ -501,10 +494,11 @@ class RewardEnvironment:
     def evaluate(self, assignment: dict[int, int], rng) -> dict[int, float]:
         seed = int(rng.integers(0, 2**63))
         try:
-            y = np.array([assignment[i] for i in self.train_ids], dtype=np.intp)
+            ids = self.train_ids
+            assigned = np.fromiter(map(assignment.__getitem__, ids), dtype=np.intp, count=len(ids))
         except KeyError as exc:
             raise ParameterError(f"assignment is missing instance {exc.args[0]}") from exc
-        X = self.train_features
+        X, y = self.train_features, assigned
         if self.extra_features is not None and len(self.extra_features):
             X = np.vstack([X, self.extra_features])
             y = np.concatenate([y, self.extra_labels])
@@ -523,12 +517,13 @@ class RewardEnvironment:
         )
         if self._tau is None and ctx.tau is not None:
             self._tau = ctx.tau  # output space: calibrated once, on the first evaluation
-        rewards = {}
-        for x in self.train_ids:
-            r = reward_for(x, assignment[x], ctx, self.params)
-            if not 0.0 <= r <= 1.0:
-                raise RewardRangeError(f"reward {r!r} for instance {x} escaped [0, 1]")
-            rewards[x] = r
-        return rewards
+        rewards = _regime_rule(slice(None), assigned, ctx, self.params)
+        bounded = (rewards >= 0.0) & (rewards <= 1.0)
+        if not bounded.all():
+            row = int(np.argmin(bounded))
+            raise RewardRangeError(
+                f"reward {rewards[row].item()!r} for instance {self.train_ids[row]} escaped [0, 1]"
+            )
+        return dict(zip(self.train_ids, rewards.tolist()))
 
     __call__ = evaluate

@@ -1,5 +1,7 @@
-"""Test helpers for reward contexts: row-aligned prediction arrays, and the
-definitional recall/precision forms the vectorized context tables must match.
+"""Test helpers for reward contexts: row-aligned prediction arrays, the
+definitional recall/precision forms the vectorized context tables must match,
+the reward rules and context columns read one training instance at a time,
+and the per-instance loop form of the rewards the vectorized rules must match.
 
 The ``rec_*``/``prec_*`` oracles read predicted labels from an
 ``{instance id: label}`` map and bags from an ``{instance id: bag}`` map.
@@ -7,7 +9,34 @@ The ``rec_*``/``prec_*`` oracles read predicted labels from an
 
 import numpy as np
 
+from labelbandit import rewards
 from labelbandit.data import NEGATIVE_CLASS, Bag
+
+
+def one_row(rule):
+    """A vectorized reward rule as (instance_id, assigned, ctx, params) -> float."""
+
+    def reward(instance_id, assigned, ctx, params):
+        rows = np.array([ctx.train_row[instance_id]])
+        return float(rule(rows, np.array([assigned]), ctx, params)[0])
+
+    return reward
+
+
+mil_reward = one_row(rewards._mil_rule)
+distgap_augmented_reward = one_row(rewards._distgap_rule)
+llp_example_reward = one_row(rewards._llp_rule)
+reward_for = one_row(rewards._regime_rule)
+
+
+def distgap(instance_id, ctx):
+    """The normalized distance gap of a training instance."""
+    return float(ctx.distgap_row[ctx.train_row[instance_id]])
+
+
+def predicted_label(instance_id, ctx):
+    """The label the evaluation's classifier predicts for a training instance."""
+    return int(ctx.train_labels[ctx.train_row[instance_id]])
 
 
 def predictions(ids, embeddings):
@@ -57,3 +86,23 @@ def prec_multiclass(
     if predicted in negative_labels:
         return 1.0
     return 1.0 if predicted in bag_index[instance_id].weak_label.value else 0.0
+
+
+def reward_oracle(instance_id, assigned, ctx, params):
+    """One instance's built-in reward, one neighbour row at a time: the gate,
+    then the llp error or the gated recall/precision base, scaled by the
+    distance gap when it is on."""
+    row = ctx.train_row[instance_id]
+    if assigned != int(ctx.train_labels[row]):
+        return 0.0
+    rows = ctx.neighbor_rows[row]
+    if ctx.regime == "llp":
+        return float(1.0 - ctx.proportion_error_row[rows].mean())
+    mean_rec, mean_prec = float(ctx.rec_row[rows].mean()), float(ctx.prec_row[rows].mean())
+    value = params.gamma * mean_rec
+    if mean_rec >= params.alpha:
+        value += (1.0 - params.gamma) * mean_prec
+    if not params.distgap_enabled:
+        return value
+    gap = float(ctx.distgap_row[row])
+    return (1.0 - gap) * value if assigned in ctx.negative_labels else gap * value

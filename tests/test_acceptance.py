@@ -9,10 +9,12 @@ import math
 import time
 
 import numpy as np
-from reward_helpers import mirrored, predictions
+import pytest
+from bandit_helpers import arms, cell, records
+from reward_helpers import distgap, mil_reward, mirrored, predicted_label, predictions, reward_for
 
 import labelbandit as lb
-from labelbandit.bandit import new_bandit, run_inference, ucb_scores, update
+from labelbandit.bandit import PullLog, new_bandit, run_inference, ucb_scores, update
 from labelbandit.classifiers import (
     cooperative_gradient,
     cooperative_objective,
@@ -21,14 +23,7 @@ from labelbandit.classifiers import (
 from labelbandit.data import Bag, WeakLabel
 from labelbandit.metrics import bag_accuracy, instance_accuracy
 from labelbandit.pipeline import ClassifierConfig, InferenceConfig, kfold_infer
-from labelbandit.rewards import (
-    RewardParams,
-    build_reward_context,
-    distgap,
-    eta,
-    mil_reward,
-    reward_for,
-)
+from labelbandit.rewards import RewardParams, build_reward_context, eta
 
 
 def _criterion(number, name, passed, detail=""):
@@ -103,14 +98,15 @@ def test_02_ucb_formula_matches_independent_evaluation():
         label_sets = {x: [int(l) for l in rng.choice(12, int(rng.integers(1, 5)), replace=False)]
                       for x in range(n)}
         state = new_bandit(label_sets)
-        for arm in state.arms.values():
-            arm.pulls = int(rng.integers(1, 1000))
-            arm.reward_sum = float(rng.uniform(0, arm.pulls))
+        for arm in arms(state):
+            index = cell(state, *arm)
+            state.pulls[index] = int(rng.integers(1, 1000))
+            state.reward_sums[index] = float(rng.uniform(0, state.pulls[index]))
         state.t = int(rng.integers(1, 10**6))
         scores = ucb_scores(state)
         for (x, l), value in scores.items():
-            pulls = state.arms[(x, l)].pulls
-            expected = state.arms[(x, l)].reward_sum / pulls + math.sqrt(
+            pulls = state.pulls[cell(state, x, l)]
+            expected = state.reward_sums[cell(state, x, l)] / pulls + math.sqrt(
                 3.0 * math.log(state.t) / (2.0 * pulls)
             )
             worst = max(worst, abs(value - expected) / abs(expected))
@@ -135,7 +131,7 @@ def test_03_initialization_covers_every_arm_in_minimal_sweeps():
         assert len(sweep) == max(len(labels) for labels in label_sets.values())
         for assignment in sweep:
             update(state, assignment, {x: 0.5 for x in assignment}, advance_round=False)
-        assert min(arm.pulls for arm in state.arms.values()) >= 1
+        assert min(state.pulls[cell(state, *arm)] for arm in arms(state)) >= 1
     _criterion(3, "initialization coverage", True, "200 random configurations")
 
 
@@ -202,7 +198,7 @@ def test_04_rewards_bounded_and_gated():
             for x, assigned in assignment.items():
                 reward = reward_for(x, assigned, ctx, params)
                 assert 0.0 <= reward <= 1.0, (regime, reward)
-                if assigned != ctx.predicted_label(x):
+                if assigned != predicted_label(x, ctx):
                     assert reward == 0.0, (regime, "gate violated")
                 checked += 1
     _criterion(4, "reward boundedness and gate", True, f"{checked} rewards across 4 regimes")
@@ -213,6 +209,7 @@ def test_04_rewards_bounded_and_gated():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_05_binary_mil_end_to_end():
     started = time.perf_counter()
     successes = 0
@@ -276,6 +273,7 @@ def test_06_multiclass_reduces_to_binary_exactly():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_07_negative_modes_beat_single_negative():
     started = time.perf_counter()
     wins = 0
@@ -383,7 +381,7 @@ def test_09_distance_gap_properties():
     params = RewardParams(k=3, distgap_enabled=True)
     for _ in range(200):
         ctx, _ = _random_fuzz_context(rng, "binary-mil", params)
-        for x in ctx.raw_distgap:
+        for x in ctx.train_row:
             assert 0.0 <= distgap(x, ctx) <= 1.0
 
     # planted clusters: positive-bag members gather in one region, negative-bag
@@ -430,12 +428,12 @@ def test_10_bernoulli_suboptimal_pull_fraction():
         def environment(assignment, rng):
             return {0: float(rng.random() < means[assignment[0]])}
 
-        log = []
+        log = PullLog()
         run_inference(
             {0: [0, 1]}, environment, rounds=10000, batch_size=1,
             rng=np.random.default_rng(seed), pull_log=log,
         )
-        suboptimal = sum(1 for rec in log if rec["round"] >= 1 and rec["label"] == 1)
+        suboptimal = sum(1 for rec in records(log) if rec["round"] >= 1 and rec["label"] == 1)
         fractions.append(suboptimal / 10000)
     average = float(np.mean(fractions))
     _criterion(
@@ -463,13 +461,13 @@ def test_11_determinism_and_replay():
     def environment(assignment, rng):
         return {x: float(rng.random()) for x in assignment}
 
-    log = []
+    log = PullLog()
     result = run_inference(
         {x: [0, 1] for x in range(5)}, environment, rounds=200, batch_size=4,
         rng=np.random.default_rng(4), pull_log=log,
     )
     counts, sums = {}, {}
-    for record in log:
+    for record in records(log):
         key = (record["instance_id"], record["label"])
         counts[key] = counts.get(key, 0) + 1
         sums[key] = sums.get(key, 0.0) + record["reward"]
@@ -478,7 +476,7 @@ def test_11_determinism_and_replay():
     )
     fold_logs_exact = True
     for entry in first.pull_logs:
-        for record in entry["records"]:
+        for record in records(entry["log"], entry["pass"], entry["fold"]):
             if not 0.0 <= record["reward"] <= 1.0:
                 fold_logs_exact = False
     passed = byte_identical and replay_exact and fold_logs_exact

@@ -1,12 +1,21 @@
 """Arm bookkeeping, initialization sweep, UCB selection, and the run loop."""
 
+import gc
+import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from bandit_helpers import arms, cell, oracle_batch, records
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from labelbandit import bandit
 from labelbandit.bandit import (
     FIXED,
+    PullLog,
     assignment_hash,
     best_assignment,
     initialization_assignments,
@@ -38,12 +47,18 @@ def initialize_uniformly(state, rng, reward=0.5):
 class TestNewBandit:
     def test_arm_counts(self):
         state = new_bandit({0: [0, 1]})
-        assert set(state.arms) == {(0, 0), (0, 1)}
-        assert all(a.pulls == 0 and a.reward_sum == 0.0 for a in state.arms.values())
+        assert int(state.valid.sum()) == 2
+        assert all(
+            state.pulls[cell(state, *a)] == 0 and state.reward_sums[cell(state, *a)] == 0.0
+            for a in [(0, 0), (0, 1)]
+        )
 
     def test_grid_of_arms(self):
         state = new_bandit({x: [0, 1, 2] for x in range(3)})
-        assert len(state.arms) == 9
+        assert int(state.valid.sum()) == 9
+        for x in range(3):
+            for l in (0, 1, 2):
+                cell(state, x, l)  # asserts one valid cell holds the arm
 
     def test_empty_label_set_rejected(self):
         with pytest.raises(ParameterError):
@@ -77,7 +92,7 @@ class TestInitializationSweep:
         for _ in range(20):
             state = new_bandit(random_label_sets(rng))
             initialize_uniformly(state, rng)
-            assert min(a.pulls for a in state.arms.values()) >= 1
+            assert min(state.pulls[cell(state, *a)] for a in arms(state)) >= 1
 
     def test_partial_initialization_only_covers_remaining(self):
         state = new_bandit({0: [0, 1, 2]})
@@ -98,8 +113,8 @@ class TestUcbScores:
         rng = np.random.default_rng(0)
         initialize_uniformly(state, rng)
         update(state, {0: 1}, {0: 0.5}, advance_round=True)
-        state.arms[(0, 1)].pulls = 2
-        state.arms[(0, 1)].reward_sum = 1.0
+        state.pulls[cell(state, 0, 1)] = 2
+        state.reward_sums[cell(state, 0, 1)] = 1.0
         state.t = math.e**2  # forces ln t = 2 exactly
         expected = 0.5 + math.sqrt(3.0 * 2.0 / (2.0 * 2.0))
         assert ucb_scores(state)[(0, 1)] == pytest.approx(expected, rel=1e-12)
@@ -145,16 +160,16 @@ class TestSelection:
             state = new_bandit(sets)
             for x, labels in sets.items():
                 for l in labels:
-                    arm = state.arms[(x, l)]
-                    arm.pulls = int(rng.integers(1, 30))
-                    arm.reward_sum = float(rng.uniform(0, arm.pulls))
+                    arm = cell(state, x, l)
+                    state.pulls[arm] = int(rng.integers(1, 30))
+                    state.reward_sums[arm] = float(rng.uniform(0, state.pulls[arm]))
             state.t = int(rng.integers(1, 1000))
             chosen = select_super_arm(state)
             # independent recomputation at the upcoming round index t + 1
             for x, labels in sets.items():
                 scores = {
-                    l: state.arms[(x, l)].reward_sum / state.arms[(x, l)].pulls
-                    + math.sqrt(3 * math.log(state.t + 1) / (2 * state.arms[(x, l)].pulls))
+                    l: state.reward_sums[cell(state, x, l)] / state.pulls[cell(state, x, l)]
+                    + math.sqrt(3 * math.log(state.t + 1) / (2 * state.pulls[cell(state, x, l)]))
                     for l in labels
                 }
                 best = min(labels, key=lambda l: (-scores[l], l))
@@ -171,9 +186,9 @@ class TestSelection:
         # two arms nearly tied: one virtual pull on the leader shrinks its
         # bonus below the runner-up's score
         state = new_bandit({0: [0, 1]})
-        leader, runner = state.arms[(0, 0)], state.arms[(0, 1)]
-        leader.pulls, leader.reward_sum = 10, 10 * 0.50
-        runner.pulls, runner.reward_sum = 12, 12 * 0.55
+        leader, runner = cell(state, 0, 0), cell(state, 0, 1)
+        state.pulls[leader], state.reward_sums[leader] = 10, 10 * 0.50
+        state.pulls[runner], state.reward_sums[runner] = 12, 12 * 0.55
         state.t = 100
         batch = select_super_arm_batch(state, 2)
         assert batch[0][0] == 0
@@ -194,9 +209,15 @@ class TestSelection:
         sets = random_label_sets(rng, max_instances=6)
         state = new_bandit(sets)
         initialize_uniformly(state, rng)
-        before = {k: (a.pulls, a.reward_sum) for k, a in state.arms.items()}
+        def stats():
+            return {
+                a: (state.pulls[cell(state, *a)], state.reward_sums[cell(state, *a)])
+                for a in arms(state)
+            }
+
+        before = stats()
         select_super_arm_batch(state, 7)
-        assert {k: (a.pulls, a.reward_sum) for k, a in state.arms.items()} == before
+        assert stats() == before
 
 
 class TestUpdate:
@@ -236,18 +257,19 @@ class TestUpdate:
             update(state, assignment, rewards, advance_round=True)
             for x, l in assignment.items():
                 log.append(((x, l), rewards[x]))
-        for key, arm in state.arms.items():
+        for key in arms(state):
             rewards = [r for k, r in log if k == key]
-            assert arm.pulls == len(rewards)
-            assert arm.reward_sum == sum(rewards)  # same accumulation order: exact
-            assert arm.mean == sum(rewards) / len(rewards)
+            pulls, reward_sum = state.pulls[cell(state, *key)], state.reward_sums[cell(state, *key)]
+            assert pulls == len(rewards)
+            assert reward_sum == sum(rewards)  # same accumulation order: exact
+            assert reward_sum / pulls == sum(rewards) / len(rewards)
 
 
 class TestBestAssignment:
     def test_two_arm_arithmetic(self):
         state = new_bandit({0: [0, 1]})
-        state.arms[(0, 0)].pulls, state.arms[(0, 0)].reward_sum = 5, 1.0
-        state.arms[(0, 1)].pulls, state.arms[(0, 1)].reward_sum = 5, 4.0
+        state.pulls[cell(state, 0, 0)], state.reward_sums[cell(state, 0, 0)] = 5, 1.0
+        state.pulls[cell(state, 0, 1)], state.reward_sums[cell(state, 0, 1)] = 5, 4.0
         result = best_assignment(state)
         assert result.assignment[0] == 1
         assert result.confidence[0] == pytest.approx(0.6)
@@ -255,7 +277,7 @@ class TestBestAssignment:
     def test_mean_tie_prefers_lower_label_with_zero_confidence(self):
         state = new_bandit({0: [2, 7]})
         for l in (2, 7):
-            state.arms[(0, l)].pulls, state.arms[(0, l)].reward_sum = 4, 2.0
+            state.pulls[cell(state, 0, l)], state.reward_sums[cell(state, 0, l)] = 4, 2.0
         result = best_assignment(state)
         assert result.assignment[0] == 2
         assert result.confidence[0] == 0.0
@@ -292,13 +314,13 @@ class TestRunInference:
         def env(assignment, rng):
             return {x: float(rng.random()) for x in assignment}
 
-        log = []
+        log = PullLog()
         result = run_inference(
             {0: [0, 1], 1: [0, 1]}, env, rounds=40, batch_size=2,
             rng=np.random.default_rng(5), pull_log=log,
         )
         counts, sums = {}, {}
-        for record in log:
+        for record in records(log):
             key = (record["instance_id"], record["label"])
             counts[key] = counts.get(key, 0) + 1
             sums[key] = sums.get(key, 0.0) + record["reward"]
@@ -347,3 +369,142 @@ class TestRunInference:
     def test_assignment_hash_is_stable(self):
         assert assignment_hash({0: 1, 3: 2}) == assignment_hash({3: 2, 0: 1})
         assert assignment_hash({0: 1}) != assignment_hash({0: 2})
+
+
+# unsorted label lists, singletons, uneven sizes, ids in any order
+label_set_maps = st.dictionaries(
+    st.integers(-5, 60),
+    st.lists(st.integers(-3, 12), min_size=1, max_size=6, unique=True),
+    min_size=1,
+    max_size=8,
+)
+# exact repeats make ties; arbitrary floats make everything else
+reward_values = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def played_states(draw):
+    """A bandit after its initialization sweep and a random history of pulls."""
+    label_sets = draw(label_set_maps)
+    state = new_bandit(label_sets)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for assignment in initialization_assignments(state, rng):
+        update(state, assignment, {x: draw(reward_values) for x in assignment}, False)
+    for _ in range(draw(st.integers(0, 12))):
+        assignment = {x: draw(st.sampled_from(labels)) for x, labels in label_sets.items()}
+        update(state, assignment, {x: draw(reward_values) for x in assignment}, True)
+    return state
+
+
+class TestArrayBanditProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(played_states(), st.integers(1, 5))
+    def test_batch_selection_equals_dict_walk_oracle(self, state, batch_size):
+        batch = select_super_arm_batch(state, batch_size)
+        expected = oracle_batch(state, batch_size)
+        # same labels, and the caller's instance order
+        assert [list(a.items()) for a in batch] == [list(a.items()) for a in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(played_states(), st.integers(1, 6))
+    def test_virtual_pulls_never_mutate_state(self, state, batch_size):
+        before = (state.pulls.copy(), state.reward_sums.copy(), state.t, state.total_pulls)
+        select_super_arm_batch(state, batch_size)
+        assert np.array_equal(state.pulls, before[0])
+        assert np.array_equal(state.reward_sums, before[1])
+        assert (state.t, state.total_pulls) == before[2:]
+
+    @settings(max_examples=60, deadline=None)
+    @given(label_set_maps, st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_pull_log_replay_rebuilds_every_arm(self, label_sets, rounds, batch_size, seed):
+        scored = []
+
+        def env(assignment, rng):
+            rewards = {x: float(rng.choice([0.0, 0.5, 1.0, rng.random()])) for x in assignment}
+            scored.append((dict(assignment), rewards))
+            return rewards
+
+        final = []
+
+        def capture(state):
+            final.append(state)
+            return best_assignment(state)
+
+        log = PullLog()
+        with mock.patch.object(bandit, "best_assignment", capture):
+            run_inference(
+                label_sets, env, rounds, batch_size, np.random.default_rng(seed), pull_log=log
+            )
+        (state,) = final
+        logged = records(log)
+        # the log holds exactly the pulls the environment scored, in order
+        assert [(r["instance_id"], r["label"], r["reward"]) for r in logged] == [
+            (x, assignment[x], rewards[x])
+            for assignment, rewards in scored
+            for x in sorted(assignment)
+        ]
+        pulls, sums = {}, {}
+        for record in logged:
+            key = (record["instance_id"], record["label"])
+            pulls[key] = pulls.get(key, 0) + 1
+            sums[key] = sums.get(key, 0.0) + record["reward"]
+        assert sorted(pulls) == sorted(arms(state))
+        for key in arms(state):
+            assert pulls[key] == state.pulls[cell(state, *key)]
+            assert sums[key] == state.reward_sums[cell(state, *key)]  # same order: exact
+
+
+class TestPullLog:
+    def test_lines_are_sorted_key_json(self):
+        values = [0.0, 1.0, 1.0 / 3.0, 1e-7, 0.1, 5e-324, 0.7499999999999999]
+
+        def env(assignment, rng):
+            return {x: values[int(rng.integers(len(values)))] for x in assignment}
+
+        log = PullLog()
+        run_inference(
+            {7: [0, 1], 2: [4, 1, 3], 11: [0]}, env, rounds=9, batch_size=2,
+            rng=np.random.default_rng(3), pull_log=log,
+        )
+        expected = "".join(
+            json.dumps(
+                {"pass": 2, "fold": 13, "round": round_index, "assignment_hash": digest,
+                 "instance_id": x, "label": label, "reward": reward},
+                sort_keys=True,
+            ) + "\n"
+            for round_index, digest, labels, rewards in log.pulls
+            for x, label, reward in zip(log.ids.tolist(), labels.tolist(), rewards.tolist())
+        )
+        assert "".join(log.lines(2, 13)) == expected
+        assert len(list(log.lines(2, 13))) == len(log.pulls) == 3 + 9
+
+    def test_filled_log_rejected(self):
+        def env(assignment, rng):
+            return dict.fromkeys(assignment, 0.5)
+
+        log = PullLog()
+        run_inference({0: [0, 1]}, env, rounds=2, rng=np.random.default_rng(0), pull_log=log)
+        with pytest.raises(ParameterError, match="pull_log"):
+            run_inference({5: [0, 1]}, env, rounds=2, rng=np.random.default_rng(0), pull_log=log)
+        assert log.ids.tolist() == [0] and len(log.pulls) == 2 + 2
+
+    def test_retained_memory_per_record_is_bounded(self):
+        instances, pulls = 2000, 50
+        label_sets = {x: [0, 1] for x in range(instances)}
+
+        def env(assignment, rng):
+            return dict.fromkeys(assignment, 0.5)
+
+        rng = np.random.default_rng(0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = PullLog()
+            run_inference(label_sets, env, rounds=pulls - 2, rng=rng, pull_log=log)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log.pulls) == pulls
+        assert retained / (instances * pulls) < 32

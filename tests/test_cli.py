@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelbandit import rewards
+from labelbandit import metrics, rewards
 from labelbandit.cli import DEFAULT_CONFIG, build_inference_config, load_config, main
 from labelbandit.errors import ConfigError
 from labelbandit.pipeline import ClassifierConfig, InferenceConfig
@@ -216,6 +216,60 @@ class TestInfer:
             "bag 1; bags are grouped by exact weak label"
         ) in capsys.readouterr().err
         assert fits == []
+
+    def test_llp_with_distgap_exits_two_before_fitting(self, tmp_path, capsys, monkeypatch):
+        gen = tmp_path / "gen"
+        assert run(["generate", "--regime", "llp", "--bags", 16, "--seed", 2, "--out", gen]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"folds": 3, "rounds": 5,
+             "reward": {"distgap_enabled": True, "distgap_space": "output"}}
+        ))
+        fits = []
+        fit = rewards.fit
+        monkeypatch.setattr(rewards, "fit", lambda *a, **kw: fits.append(a) or fit(*a, **kw))
+        capsys.readouterr()
+        code = run(
+            ["infer", "--config", config, "--dataset", gen / "dataset.json",
+             "--out", tmp_path / "run"]
+        )
+        assert code == 2
+        assert "the distance-gap prior applies to the MIL regimes only" in capsys.readouterr().err
+        assert fits == []
+
+    @pytest.mark.parametrize(
+        "regime, bags, reward",
+        [("binary-mil", 12, {"k": 3}), ("multiclass-mil", 20, {"k": 3}), ("llp", 12, {"k": 3})],
+    )
+    def test_mean_reward_per_round_equals_replayed_pull_log(
+        self, tmp_path, capsys, regime, bags, reward
+    ):
+        gen = tmp_path / "gen"
+        assert run(
+            ["generate", "--regime", regime, "--bags", bags, "--seed", 3, "--out", gen]
+        ) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"folds": 3, "rounds": 9, "batch_size": 2, "bootstrap_passes": 2,
+             "classifier": {"epochs": 5}, "reward": reward}
+        ))
+        out = tmp_path / "run"
+        assert run(
+            ["infer", "--config", config, "--dataset", gen / "dataset.json", "--out", out]
+        ) == 0
+        logs = {}
+        for line in (out / "pull_log.ndjson").read_text().splitlines():
+            record = json.loads(line)
+            logs.setdefault((record["pass"], record["fold"]), []).append(record)
+        result = json.loads((out / "result.json").read_text())
+        folds = {
+            (report["pass"], fold["fold"]): fold["mean_reward_per_round"]
+            for report in result["diagnostics"]["passes"]
+            for fold in report["folds"]
+        }
+        assert sorted(folds) == sorted(logs) and len(folds) == 6
+        for key, records in logs.items():
+            assert folds[key] == metrics.reward_trace_summary(records)["round_mean"]
 
     def test_bootstrap_passes_preserve_fixed_instances(self, binary_workspace, infer_config, tmp_path, capsys):
         out = tmp_path / "boot"

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 from reward_helpers import (
+    distgap,
+    distgap_augmented_reward,
+    llp_example_reward,
+    mil_reward,
     mirrored,
     prec_binary,
     prec_multiclass,
+    predicted_label,
     predictions,
     rec_binary,
     rec_multiclass,
+    reward_for,
+    reward_oracle,
 )
 
 from labelbandit import rewards
@@ -19,6 +26,7 @@ from labelbandit.data import (
     generate_binary_mil,
     generate_gaussian_blobs,
     generate_multiclass_mil,
+    with_proportion_labels,
 )
 from labelbandit.errors import ParameterError, RegimeError, ValidationError
 from labelbandit.pipeline import InferenceConfig, kfold_infer
@@ -27,12 +35,7 @@ from labelbandit.rewards import (
     RewardParams,
     build_reward_context,
     distance_gap,
-    distgap,
-    distgap_augmented_reward,
     eta,
-    llp_example_reward,
-    mil_reward,
-    reward_for,
 )
 
 
@@ -263,7 +266,7 @@ class TestDistanceGap:
         with pytest.raises(ParameterError):
             distance_gap(np.zeros(1), [], [np.zeros((1, 1))], k=1)
 
-    def build_planted_context(self, params):
+    def planted(self):
         rng = np.random.default_rng(3)
         # positive-bag members form one cluster, negative-bag members another;
         # probe instances all live in positive bags but only the truly
@@ -285,11 +288,12 @@ class TestDistanceGap:
             train_d.append(point(positive))
             train_bags[x] = Bag(50 + x, [x], WeakLabel.binary(1))
             truths[x] = positive
-        ctx = build_reward_context(
-            "binary-mil", params,
-            (predictions(range(10), mirrored(train_d)), predictions(held_ids, mirrored(held_d))),
-            bags, train_bag_index=train_bags,
-        )
+        folds = (predictions(range(10), mirrored(train_d)), predictions(held_ids, mirrored(held_d)))
+        return folds, bags, train_bags, truths
+
+    def build_planted_context(self, params):
+        folds, bags, train_bags, truths = self.planted()
+        ctx = build_reward_context("binary-mil", params, folds, bags, train_bag_index=train_bags)
         return ctx, truths
 
     def test_planted_positives_have_larger_gap(self):
@@ -304,7 +308,7 @@ class TestDistanceGap:
         params = RewardParams(k=2, distgap_enabled=True, alpha=0.0, gamma=0.5)
         ctx, _ = self.build_planted_context(params)
         for x in (0, 7):
-            assigned = ctx.predicted_label(x)
+            assigned = predicted_label(x, ctx)
             base_params = RewardParams(k=2, alpha=0.0, gamma=0.5)
             base = mil_reward(x, assigned, ctx, base_params)
             gap = distgap(x, ctx)
@@ -315,7 +319,11 @@ class TestDistanceGap:
     def test_tau_calibration_median(self):
         params = RewardParams(k=2, distgap_enabled=True)
         ctx, _ = self.build_planted_context(params)
-        raws = [abs(ctx.raw_distgap[x]) for x in sorted(ctx.raw_distgap)[:100]]
+        ((train_ids, _, train_emb), (held_ids, _, held_emb)), bags, train_bags, _ = self.planted()
+        raw = rewards.raw_distance_gaps(
+            train_ids, train_emb, held_ids, held_emb, bags, train_bags, k=2
+        )
+        raws = [abs(raw[x]) for x in sorted(raw)[:100]]
         assert ctx.tau == pytest.approx(float(np.median(raws)))
 
 
@@ -485,6 +493,53 @@ class TestRewardEnvironment:
             negatives = kwargs["negative_labels"] if regime == "multiclass-mil" else None
             assert_tables_match_oracles(ctx, held, bags, negatives)
 
+    @pytest.mark.parametrize(
+        "regime, params",
+        [
+            ("binary-mil", RewardParams(k=5)),
+            ("binary-mil", RewardParams(k=9, alpha=0.5)),
+            ("binary-mil", RewardParams(k=4, distgap_enabled=True, distgap_space="features")),
+            ("binary-mil", RewardParams(k=17, alpha=0.2, distgap_enabled=True)),
+            ("multiclass-mil", RewardParams(k=8, alpha=0.3, num_negative_labels=2)),
+            ("multiclass-mil", RewardParams(k=17, alpha=0.5, num_negative_labels=2)),
+            ("llp", RewardParams(k=3)),
+            ("llp", RewardParams(k=16)),
+        ],
+        ids=["bin-k5", "bin-k9", "bin-gap-features", "bin-gap-output-k17", "mc-k8", "mc-k17",
+             "llp-k3", "llp-k16"],
+    )
+    def test_rewards_equal_per_instance_oracle_on_real_folds(self, monkeypatch, regime, params):
+        if regime == "multiclass-mil":
+            pool = generate_gaussian_blobs(6, 40, 2, 6.0, seed=8)
+            dataset = generate_multiclass_mil(pool, 24, (3, 7), {1, 2, 3}, seed=9)
+        else:
+            dataset = generate_binary_mil(24, (3, 6), 0.5, 3, 6.0, seed=8)
+            if regime == "llp":
+                dataset = with_proportion_labels(dataset)
+        contexts, scored = [], []
+        build, call = rewards.build_reward_context, RewardEnvironment.__call__
+
+        def building(*args, **kwargs):
+            contexts.append(build(*args, **kwargs))
+            return contexts[-1]
+
+        def calling(env, assignment, rng):
+            scored.append((assignment, call(env, assignment, rng)))
+            return scored[-1][1]
+
+        monkeypatch.setattr(rewards, "build_reward_context", building)
+        monkeypatch.setattr(RewardEnvironment, "__call__", calling)
+        kfold_infer(dataset, InferenceConfig(
+            regime=regime, rounds=4, batch_size=2, folds=2, master_seed=5, reward=params
+        ))
+        assert len(contexts) == len(scored) > 0
+        checked = 0
+        for ctx, (assignment, values) in zip(contexts, scored):
+            for x, assigned in assignment.items():
+                assert values[x] == reward_oracle(x, assigned, ctx, params)  # bit for bit
+                checked += values[x] > 0.0
+        assert checked > 0
+
 
 class TestDispatch:
     def test_custom_regime_rejected(self):
@@ -498,5 +553,5 @@ class TestDispatch:
         params = RewardParams(k=2)
         ctx, _, _ = random_binary_context(rng, params)
         x = 0
-        assigned = ctx.predicted_label(x)
+        assigned = predicted_label(x, ctx)
         assert reward_for(x, assigned, ctx, params) == mil_reward(x, assigned, ctx, params)

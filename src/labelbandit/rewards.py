@@ -11,7 +11,10 @@ A ``RewardContext`` precomputes everything shared across instances for one
 evaluation (each held-out row's bag recall and precision, neighbour rows,
 normalized distance gaps) from the classifier's predictions, given as arrays
 row-aligned with ascending instance ids; the reward rules then score every
-training row at once from it.
+training row at once from it. Its fixed half, the ``HeldoutLayout`` (each
+held-out row's bag and each bag's weak label as arrays), is built once per
+fold; ``build_reward_context`` adds the per-pull half from the predictions
+with bag counts over the layout, without a loop over bags.
 """
 
 from __future__ import annotations
@@ -86,9 +89,11 @@ class RewardParams:
 class RewardContext:
     """Per-evaluation tables read by the reward functions.
 
-    ``train_row`` maps each training instance id to its row; ``train_labels``,
-    ``neighbor_rows`` and ``distgap_row`` follow those rows. Row r of the
-    (n_train, k) array ``neighbor_rows`` holds the held-out rows nearest
+    ``regime``, ``negative_labels`` and ``train_row`` (each training instance
+    id's row) come from the fold's ``HeldoutLayout``, built once per fold;
+    the rest is built per pull from the predictions. ``train_labels``,
+    ``neighbor_rows`` and ``distgap_row`` follow the training rows. Row r of
+    the (n_train, k) array ``neighbor_rows`` holds the held-out rows nearest
     training row r, and the held-out tables ``rec_row`` (the recall of each
     row's bag), ``prec_row`` and ``proportion_error_row`` follow ascending
     held-out ids. ``distgap_row`` holds each training row's normalized
@@ -279,8 +284,153 @@ def _check_bag_kinds(regime: str, bags: list[Bag]):
             )
 
 
-# distance-matrix elements per block of ``_full_space_neighbors``
+@dataclass(frozen=True)
+class HeldoutLayout:
+    """The part of a reward context fixed for a fold, built by ``heldout_layout``.
+
+    Ids are ascending and ``train_row`` maps each training id to its row.
+    ``row_bag`` gives each held-out row the position of its bag in ``bags``;
+    the bag columns follow ``bags``: ``bag_sizes``, and the weak labels of the
+    regime's kind (the others stay zero): ``positive`` (binary label 1),
+    ``label_sets`` with ``set_sizes`` (0 marks an empty set) and
+    ``proportion``. ``label_sets`` and ``negative_table`` have one column per
+    label id below the label space plus a last column, in no set and not
+    negative, that stands for every label outside it.
+    """
+
+    regime: str
+    train_ids: list[int]
+    heldout_ids: list[int]
+    bags: tuple[Bag, ...]
+    train_row: dict[int, int]
+    negative_labels: frozenset[int]
+    negative_table: np.ndarray
+    row_bag: np.ndarray
+    bag_sizes: np.ndarray
+    positive: np.ndarray
+    label_sets: np.ndarray
+    set_sizes: np.ndarray
+    proportion: np.ndarray
+
+
+def heldout_layout(
+    regime: str,
+    train_ids: list[int],
+    heldout_ids: list[int],
+    heldout_bags: list[Bag],
+    negative_labels: frozenset[int],
+    num_labels: int,
+) -> HeldoutLayout:
+    """Check a fold's held-out bags and lay them out as arrays.
+
+    Ids must be sorted ascending. Every held-out instance must sit in exactly
+    one bag, and every bag member must be held out. The label space covers
+    the ``num_labels`` labels a classifier can predict, the negative labels
+    and every class a bag names.
+    """
+    _check_bag_kinds(regime, heldout_bags)
+    if not heldout_ids:
+        raise ParameterError("held-out set is empty")
+    label_space = 1 + max(
+        num_labels - 1,
+        max(negative_labels, default=0),
+        max((bag.weak_label.max_class_id() for bag in heldout_bags), default=0),
+    )
+    num_bags = len(heldout_bags)
+    positive = np.zeros(num_bags, dtype=bool)
+    label_sets = np.zeros((num_bags, label_space + 1), dtype=bool)
+    set_sizes = np.zeros(num_bags, dtype=np.intp)
+    proportion = np.zeros(num_bags)
+    position_of = {iid: row for row, iid in enumerate(heldout_ids)}
+    bag_of_row: list[int | None] = [None] * len(heldout_ids)
+    for b, bag in enumerate(heldout_bags):
+        for iid in bag.instance_ids:
+            row = position_of.get(iid)
+            if row is None:
+                raise ValidationError(
+                    f"held-out bag {bag.id} names instance {iid}, which is not held out"
+                )
+            if bag_of_row[row] is not None:
+                raise ValidationError(
+                    f"held-out instance {iid} sits in bag {heldout_bags[bag_of_row[row]].id} "
+                    f"and in bag {bag.id}"
+                )
+            bag_of_row[row] = b
+        label = bag.weak_label
+        if label.kind == "binary":
+            positive[b] = label.value == 1
+        elif label.kind == "label_set":
+            label_sets[b, list(label.value)] = True
+            set_sizes[b] = len(label.value)
+        else:
+            proportion[b] = label.value
+    missing = [iid for iid, b in zip(heldout_ids, bag_of_row) if b is None]
+    if missing:
+        raise ValidationError(f"held-out instances without a bag: {missing[:5]}")
+    row_bag = np.array(bag_of_row, dtype=np.intp)
+    negative_table = np.zeros(label_space + 1, dtype=bool)
+    negative_table[list(negative_labels)] = True
+    return HeldoutLayout(
+        regime=regime,
+        train_ids=train_ids,
+        heldout_ids=heldout_ids,
+        bags=tuple(heldout_bags),
+        train_row={iid: row for row, iid in enumerate(train_ids)},
+        negative_labels=frozenset(negative_labels),
+        negative_table=negative_table,
+        row_bag=row_bag,
+        bag_sizes=np.bincount(row_bag, minlength=num_bags),
+        positive=positive,
+        label_sets=label_sets,
+        set_sizes=set_sizes,
+        proportion=proportion,
+    )
+
+
+def _bag_tables(layout: HeldoutLayout, labels: np.ndarray):
+    """Each held-out row's bag recall, precision and proportion error, from
+    the rows' predicted labels: per-bag counts by ``np.bincount`` over
+    ``row_bag``, spread back to the rows by indexing with it."""
+    row_bag = layout.row_bag
+    num_bags = layout.bag_sizes.shape[0]
+    rec_row = np.ones(labels.shape[0])
+    prec_row = np.ones(labels.shape[0])
+    proportion_error_row = np.zeros(labels.shape[0])
+    if layout.regime == "binary-mil":
+        predicted_positive = labels == 1
+        realized = np.bincount(row_bag[predicted_positive], minlength=num_bags) > 0
+        rec_row = (realized | ~layout.positive)[row_bag].astype(np.float64)
+        prec_row[predicted_positive & ~layout.positive[row_bag]] = 0.0
+    elif layout.regime == "multiclass-mil":
+        width = layout.label_sets.shape[1]
+        columns = np.minimum(labels, width - 1)
+        counts = np.bincount(row_bag * width + columns, minlength=num_bags * width)
+        realized = counts.reshape(num_bags, width) > 0
+        hits = np.count_nonzero(realized & layout.label_sets, axis=1)
+        sizes = layout.set_sizes
+        rec_row = np.divide(hits, sizes, out=np.ones(num_bags), where=sizes > 0)[row_bag]
+        allowed = layout.negative_table[columns] | layout.label_sets[row_bag, columns]
+        prec_row[~allowed] = 0.0
+    else:  # llp
+        positives = np.bincount(row_bag[labels == 1], minlength=num_bags)
+        proportion_error_row = np.abs(positives / layout.bag_sizes - layout.proportion)[row_bag]
+    return rec_row, prec_row, proportion_error_row
+
+
+# bounds block rows x pool rows x width in ``_full_space_neighbors``
 _NEIGHBOR_BLOCK_ELEMENTS = 2**22
+
+
+def _pairwise_distances(queries: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Euclidean distances, (nq, n_pool): the squared differences are added
+    into one array a column at a time, in column order, then square-rooted."""
+    squared = np.zeros((queries.shape[0], pool.shape[0]))
+    diff = np.empty_like(squared)
+    for j in range(pool.shape[1]):
+        np.subtract(queries[:, j, None], pool[None, :, j], out=diff)
+        diff *= diff
+        squared += diff
+    return np.sqrt(squared, out=squared)
 
 
 def _full_space_neighbors(queries: np.ndarray, pool: np.ndarray, k: int) -> np.ndarray:
@@ -289,8 +439,7 @@ def _full_space_neighbors(queries: np.ndarray, pool: np.ndarray, k: int) -> np.n
     out = np.empty((queries.shape[0], min(k, pool.shape[0])), dtype=np.intp)
     chunk = max(1, int(_NEIGHBOR_BLOCK_ELEMENTS // max(1, pool.shape[0] * pool.shape[1])))
     for start in range(0, queries.shape[0], chunk):
-        block = queries[start : start + chunk]
-        d = np.linalg.norm(block[:, None, :] - pool[None, :, :], axis=2)
+        d = _pairwise_distances(queries[start : start + chunk], pool)
         out[start : start + chunk] = nearest_indices_rows(d, k)
     return out
 
@@ -299,35 +448,34 @@ def build_reward_context(
     regime: str,
     params: RewardParams,
     predictions,
-    heldout_bags: list[Bag],
+    heldout: HeldoutLayout | list[Bag],
     train_bag_index: dict[int, Bag] | None = None,
     negative_labels: frozenset[int] = frozenset({NEGATIVE_CLASS}),
     raw_distgap: dict[int, float] | None = None,
     tau: float | None = None,
 ) -> RewardContext:
-    """Precompute every shared quantity for one reward evaluation.
+    """Build the per-evaluation tables of one reward evaluation.
 
     ``predictions`` is ((train_ids, labels, embeddings), (heldout_ids,
     labels, embeddings)): ids sorted ascending, with labels and embeddings
     row-aligned to them as ``predict_arrays`` returns them. Neighbour pools
     are therefore ordered by ascending held-out instance id, so distance ties
     resolve to the lower id.
+    ``heldout`` is the fold's ``HeldoutLayout`` for those ids (a
+    RewardEnvironment builds it once), or the held-out bags, laid out here by
+    ``heldout_layout`` with ``negative_labels`` and the embedding width as
+    the class count.
     For the distance gap, ``train_bag_index`` must map each training instance
     to its bag. In output space the raw gaps are computed here from the
     embeddings; when ``params.distgap_space == "features"`` they do not
     depend on the classifier, so the caller computes them once with
     ``raw_distance_gaps`` and passes them as ``raw_distgap``.
     """
-    _check_bag_kinds(regime, heldout_bags)
     (tr_ids, tr_labels, tr_emb), (ho_ids, ho_labels, ho_emb) = predictions
-    if not ho_ids:
-        raise ParameterError("held-out set is empty")
-
-    bagged = {iid for bag in heldout_bags for iid in bag.instance_ids}
-    missing = [i for i in ho_ids if i not in bagged]
-    if missing:
-        raise ValidationError(f"held-out instances without a bag: {sorted(missing)[:5]}")
-    position_of = {iid: row for row, iid in enumerate(ho_ids)}
+    if not isinstance(heldout, HeldoutLayout):
+        heldout = heldout_layout(regime, tr_ids, ho_ids, heldout, negative_labels, ho_emb.shape[1])
+    elif heldout.regime != regime or heldout.train_ids != tr_ids or heldout.heldout_ids != ho_ids:
+        raise ValidationError("the held-out layout belongs to another regime or other instance ids")
 
     if params.k > len(ho_ids):
         logger.warning("k=%d exceeds the held-out pool size %d; clamping", params.k, len(ho_ids))
@@ -344,47 +492,7 @@ def build_reward_context(
     else:
         neighbor_rows = _full_space_neighbors(tr_emb, ho_emb, k)
 
-    # per-bag recall and per-instance precision tables, row-aligned
-    rec_row = np.ones(len(ho_ids))
-    prec_row = np.ones(len(ho_ids))
-    proportion_error_row = np.zeros(len(ho_ids))
-    # label ids are small ints, so membership checks run through lookup tables
-    label_space = 1 + max(
-        ho_emb.shape[1] - 1,
-        int(ho_labels.max(initial=0)),
-        max(negative_labels, default=0),
-        max((bag.weak_label.max_class_id() for bag in heldout_bags), default=0),
-    )
-    negative_table = np.zeros(label_space, dtype=bool)
-    negative_table[list(negative_labels)] = True
-    negative_row = negative_table[ho_labels]
-    for bag in heldout_bags:
-        rows = np.fromiter(
-            (position_of[i] for i in bag.instance_ids), dtype=np.intp, count=len(bag.instance_ids)
-        )
-        member_labels = ho_labels[rows]
-        if regime == "binary-mil":
-            rec = 1.0 if bag.weak_label.value == 0 else float((member_labels == 1).any())
-            if bag.weak_label.value == 0:
-                prec_row[rows[member_labels == 1]] = 0.0
-        elif regime == "multiclass-mil":
-            label_set = bag.weak_label.value
-            if label_set:
-                wanted = np.fromiter(label_set, dtype=np.intp, count=len(label_set))
-                realized = np.bincount(member_labels, minlength=label_space) > 0
-                rec = float(realized[wanted].mean())
-                allowed = np.zeros(label_space, dtype=bool)
-                allowed[wanted] = True
-                bad = ~(negative_row[rows] | allowed[member_labels])
-            else:
-                rec = 1.0
-                bad = ~negative_row[rows]
-            prec_row[rows[bad]] = 0.0
-        else:  # llp
-            fraction = float((member_labels == 1).mean())
-            proportion_error_row[rows] = abs(fraction - bag.weak_label.value)
-            rec = 1.0
-        rec_row[rows] = rec
+    rec_row, prec_row, proportion_error_row = _bag_tables(heldout, ho_labels)
 
     distgap_row = np.empty(0)
     if params.distgap_enabled:
@@ -395,7 +503,7 @@ def build_reward_context(
                 raise ParameterError("distgap_space='features' needs the precomputed raw_distgap")
         else:
             raw_distgap = raw_distance_gaps(
-                tr_ids, tr_emb, ho_ids, ho_emb, heldout_bags, train_bag_index, k
+                tr_ids, tr_emb, ho_ids, ho_emb, heldout.bags, train_bag_index, k
             )
         if tau is None:
             tau = calibrate_tau(raw_distgap, tr_ids)
@@ -406,8 +514,8 @@ def build_reward_context(
 
     return RewardContext(
         regime=regime,
-        negative_labels=frozenset(negative_labels),
-        train_row={iid: row for row, iid in enumerate(tr_ids)},
+        negative_labels=heldout.negative_labels,
+        train_row=heldout.train_row,
         train_labels=tr_labels,
         neighbor_rows=neighbor_rows,
         rec_row=rec_row,
@@ -431,8 +539,10 @@ class RewardEnvironment:
     predicts the fold and the held-out set, builds a RewardContext, and
     returns one reward per training instance. Instances fixed by earlier
     bootstrap passes can be appended to every fit via ``extra_features`` /
-    ``extra_labels``. Feature-space distance gaps depend on no classifier, so
-    they (and tau=None's calibration) are computed once, at construction.
+    ``extra_labels``. What depends on no classifier is built once, at
+    construction: the ``HeldoutLayout``, the fit matrix with the extras
+    stacked under the fold, and the feature-space distance gaps (with
+    tau=None's calibration).
     """
 
     def __init__(
@@ -458,9 +568,6 @@ class RewardEnvironment:
         self.params = params
         self.classifier_spec = classifier_spec
         self.heldout_bags = heldout_bags
-        self.negative_labels = frozenset(negative_labels)
-        self.extra_features = extra_features
-        self.extra_labels = extra_labels
         # keep everything row-aligned with ascending instance ids
         train_order = np.argsort(np.asarray(train_ids))
         self.train_ids = [int(train_ids[j]) for j in train_order]
@@ -469,6 +576,11 @@ class RewardEnvironment:
         heldout_order = np.argsort(np.asarray(heldout_ids))
         self.heldout_ids = [int(heldout_ids[j]) for j in heldout_order]
         self.heldout_features = heldout_features[heldout_order]
+        # fixed for the fold: bootstrap extras are stacked under the fold once
+        self._fit_features, self._extra_labels = self.train_features, None
+        if extra_features is not None and len(extra_features):
+            self._fit_features = np.vstack([self.train_features, extra_features])
+            self._extra_labels = extra_labels
         self._tau = params.tau
         self._raw_distgap = None
         if params.distgap_enabled:
@@ -478,6 +590,14 @@ class RewardEnvironment:
                     "the llp reward does not read it (set reward.distgap_enabled to false)"
                 )
             _check_distgap_groups(self.train_ids, train_bag_index, heldout_bags)
+        self.layout = heldout_layout(
+            regime,
+            self.train_ids,
+            self.heldout_ids,
+            heldout_bags,
+            negative_labels,
+            classifier_spec.num_classes,
+        )
         if params.distgap_enabled and params.distgap_space == "features":
             self._raw_distgap = raw_distance_gaps(
                 self.train_ids,
@@ -498,20 +618,18 @@ class RewardEnvironment:
             assigned = np.fromiter(map(assignment.__getitem__, ids), dtype=np.intp, count=len(ids))
         except KeyError as exc:
             raise ParameterError(f"assignment is missing instance {exc.args[0]}") from exc
-        X, y = self.train_features, assigned
-        if self.extra_features is not None and len(self.extra_features):
-            X = np.vstack([X, self.extra_features])
-            y = np.concatenate([y, self.extra_labels])
-        model = fit(self.classifier_spec, X, y, seed=seed)
+        y = assigned
+        if self._extra_labels is not None:
+            y = np.concatenate([assigned, self._extra_labels])
+        model = fit(self.classifier_spec, self._fit_features, y, seed=seed)
         train_labels, train_emb = predict_arrays(model, self.train_features)
         ho_labels, ho_emb = predict_arrays(model, self.heldout_features)
         ctx = build_reward_context(
             self.regime,
             self.params,
             ((self.train_ids, train_labels, train_emb), (self.heldout_ids, ho_labels, ho_emb)),
-            self.heldout_bags,
+            self.layout,
             train_bag_index=self.train_bag_index,
-            negative_labels=self.negative_labels,
             raw_distgap=self._raw_distgap,
             tau=self._tau,
         )

@@ -3,7 +3,7 @@ definitional recall/precision forms the vectorized context tables must match,
 the reward rules and context columns read one training instance at a time,
 and the per-instance loop form of the rewards the vectorized rules must match.
 
-The ``rec_*``/``prec_*`` oracles read predicted labels from an
+The ``rec_*``/``prec_*``/``proportion_error`` oracles read predicted labels from an
 ``{instance id: label}`` map and bags from an ``{instance id: bag}`` map.
 """
 
@@ -86,6 +86,12 @@ def prec_multiclass(
     if predicted in negative_labels:
         return 1.0
     return 1.0 if predicted in bag_index[instance_id].weak_label.value else 0.0
+
+
+def proportion_error(bag: Bag, labels: dict[int, int]) -> float:
+    """Absolute gap between the bag's labelled and predicted positive fraction."""
+    positives = sum(labels[i] == 1 for i in bag.instance_ids)
+    return abs(positives / len(bag.instance_ids) - bag.weak_label.value)
 
 
 def reward_oracle(instance_id, assigned, ctx, params):

@@ -1,0 +1,90 @@
+"""Golden outputs: ``generate`` + ``infer`` on four tiny configs, pinned by hash.
+
+A refactor or a speed-up must leave ``result.json`` and ``pull_log.ndjson``
+byte-identical. This test makes that rule executable: it compares their
+sha256 with the values recorded before the last such change (numpy 2.4.6,
+CPython 3.11, x86-64). A change that moves results on purpose re-baselines
+here, by updating the hashes in the same change and saying so in a
+CHANGES.md line; any other mismatch is a regression.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from labelbandit.cli import main
+
+GENERATOR = {"num_bags": 14, "bag_size": [3, 6], "feature_dim": 3, "separation": 6.0}
+
+CASES = {
+    "binary": {
+        "regime": "binary-mil",
+        "generator": GENERATOR,
+        "reward": {"k": 3},
+    },
+    "binary-gap-features": {
+        "regime": "binary-mil",
+        "generator": GENERATOR,
+        "reward": {"k": 3, "distgap_enabled": True, "distgap_space": "features"},
+    },
+    "multiclass-2-negative-modes": {
+        "regime": "multiclass-mil",
+        "generator": {
+            "num_bags": 16,
+            "bag_size": [3, 6],
+            "feature_dim": 2,
+            "positive_classes": 3,
+            "negative_modes": 2,
+            "per_class": 12,
+        },
+        "classifier": {"epochs": 5},
+        "reward": {"k": 4, "alpha": 0.5, "num_negative_labels": 2},
+    },
+    "llp": {
+        "regime": "llp",
+        "generator": GENERATOR,
+        "reward": {"k": 4},
+    },
+}
+
+COMMON = {"rounds": 25, "folds": 3, "master_seed": 11}
+
+GOLDEN = {
+    "binary": {
+        "result.json": "2526e1b43996c0b17ce2786601041daecda75593eae15dd34fab9d851c31563f",
+        "pull_log.ndjson": "4784eac4a680db5dc7fa0e5392e02cef1aae5a6cf283b038c0ec64acd9476402",
+    },
+    "binary-gap-features": {
+        "result.json": "f87d7b2ef28f6d5021cfcb8a00c11240cacb7db6c8913e423e981a57cdc62f74",
+        "pull_log.ndjson": "2818759283dcdfeb67948b1ac68b94f44442f993ade2b3d969837a46ded2d69d",
+    },
+    "multiclass-2-negative-modes": {
+        "result.json": "d8e96e4e0cb8471dacc7ea80d6223097a099e119ba7510a19fbbbcfae3fb47c9",
+        "pull_log.ndjson": "8c7e93c602106142b85fe4cc5377e8b51078f838ca46ac0a8ec0db73187288cf",
+    },
+    "llp": {
+        "result.json": "768465c5d328ca786aa203321abf45c951f746f609395c850b0d5e4f0bada287",
+        "pull_log.ndjson": "da046ea1bb72eccbd3a088e46c89322f850706d50535a4d9f20816899a70755b",
+    },
+}
+
+
+def output_hashes(tmp_path, case: dict) -> dict[str, str]:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**COMMON, **case}))
+    gen, out = tmp_path / "gen", tmp_path / "out"
+    assert main(["generate", "--config", str(config), "--out", str(gen)]) == 0
+    dataset = gen / "dataset.json"
+    assert main(["infer", "--config", str(config), "--dataset", str(dataset), "--out", str(out)]) == 0
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("result.json", "pull_log.ndjson")
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_recorded_hashes(tmp_path, capsys, name):
+    hashes = output_hashes(tmp_path, CASES[name])
+    capsys.readouterr()
+    assert hashes == GOLDEN[name]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reward_helpers import (
     distgap,
     distgap_augmented_reward,
@@ -12,6 +14,7 @@ from reward_helpers import (
     prec_multiclass,
     predicted_label,
     predictions,
+    proportion_error,
     rec_binary,
     rec_multiclass,
     reward_for,
@@ -19,7 +22,7 @@ from reward_helpers import (
 )
 
 from labelbandit import rewards
-from labelbandit.classifiers import ClassifierSpec
+from labelbandit.classifiers import ClassifierSpec, nearest_indices_rows
 from labelbandit.data import (
     Bag,
     WeakLabel,
@@ -207,6 +210,80 @@ class TestVectorizedTablesMatchDefinitions:
             )
             assert_tables_match_oracles(ctx, held, bags, negatives)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tables_equal_oracles_on_random_partitions(self, data):
+        """Random bag partitions of the held-out ids in every regime, with
+        predicted labels up to above the embedding width, empty label sets and
+        several negative modes: each row's table entries equal the oracles."""
+        regime = data.draw(st.sampled_from(["binary-mil", "multiclass-mil", "llp"]))
+        width = data.draw(st.integers(2, 5))
+        held_ids = sorted(data.draw(st.sets(st.integers(0, 500), min_size=1, max_size=40)))
+        bag_of = data.draw(
+            st.lists(st.integers(0, 7), min_size=len(held_ids), max_size=len(held_ids))
+        )
+        label_ids = st.integers(0, width + 2)
+        labels = data.draw(st.lists(label_ids, min_size=len(held_ids), max_size=len(held_ids)))
+        negatives = frozenset({0} | data.draw(st.sets(st.integers(1, width + 2), max_size=3)))
+        members: dict[int, list[int]] = {}
+        for iid, b in zip(held_ids, bag_of):
+            members.setdefault(b, []).append(iid)
+        bags = []
+        for b in data.draw(st.permutations(sorted(members))):
+            if regime == "binary-mil":
+                weak = WeakLabel.binary(data.draw(st.integers(0, 1)))
+            elif regime == "multiclass-mil":
+                weak = WeakLabel.label_set(data.draw(st.sets(st.integers(1, width + 2))))
+            else:
+                weak = WeakLabel.proportion(data.draw(st.floats(0.0, 1.0)))
+            bags.append(Bag(10 + b, members[b], weak))
+        held_labels = np.array(labels, dtype=np.intp)
+        held = (held_ids, held_labels, np.zeros((len(held_ids), width)))
+        ctx = build_reward_context(
+            regime, RewardParams(k=3), (predictions([1000], [[0.0] * width]), held), bags,
+            negative_labels=negatives,
+        )
+        label_of = dict(zip(held_ids, labels))
+        bag_index = {i: bag for bag in bags for i in bag.instance_ids}
+        for row, iid in enumerate(held_ids):
+            bag = bag_index[iid]
+            rec, prec, error = 1.0, 1.0, 0.0
+            if regime == "binary-mil":
+                rec, prec = rec_binary(bag, label_of), prec_binary(iid, label_of, bag_index)
+            elif regime == "multiclass-mil":
+                rec = rec_multiclass(bag, label_of)
+                prec = prec_multiclass(iid, label_of, bag_index, negatives)
+            else:
+                error = proportion_error(bag, label_of)
+            assert ctx.rec_row[row] == rec
+            assert ctx.prec_row[row] == prec
+            assert ctx.proportion_error_row[row] == error
+
+
+class TestFullSpaceDistances:
+    @pytest.mark.parametrize("width", range(2, 8))
+    def test_column_accumulated_distances_equal_norm(self, monkeypatch, width):
+        """Bit for bit: below 8 columns ``np.linalg.norm`` sums the squares in
+        column order too (from 8 on numpy switches to pairwise summation)."""
+        rng = np.random.default_rng(width)
+        queries = rng.normal(size=(23, width)) * 10.0 ** rng.uniform(-3, 3, size=(23, width))
+        pool = rng.normal(size=(37, width)) * 10.0 ** rng.uniform(-3, 3, size=(37, width))
+        # five queries per block: blocks of 5, 5, 5, 5 and 3 rows
+        monkeypatch.setattr(rewards, "_NEIGHBOR_BLOCK_ELEMENTS", 5 * 37 * width)
+        blocks = []
+        distances = rewards._pairwise_distances
+
+        def recording(block, pool):
+            blocks.append(distances(block, pool))
+            return blocks[-1]
+
+        monkeypatch.setattr(rewards, "_pairwise_distances", recording)
+        neighbors = rewards._full_space_neighbors(queries, pool, k=4)
+        expected = np.linalg.norm(queries[:, None, :] - pool[None, :, :], axis=2)
+        assert [len(block) for block in blocks] == [5, 5, 5, 5, 3]
+        assert np.vstack(blocks).tobytes() == expected.tobytes()
+        assert np.array_equal(neighbors, nearest_indices_rows(expected, 4))
+
 
 class TestMulticlassBinaryReduction:
     def test_rewards_agree_exactly_on_shared_contexts(self):
@@ -382,6 +459,41 @@ class TestContextInputs:
             )
 
 
+    def test_bag_member_not_held_out_rejected(self):
+        held = predictions([10, 11, 12], mirrored([1.0, -1.0, 2.0]))
+        bags = [Bag(0, [10, 11], WeakLabel.binary(1)), Bag(1, [12, 99], WeakLabel.binary(0))]
+        with pytest.raises(ValidationError, match=r"bag 1 names instance 99, which is not held"):
+            build_reward_context(
+                "binary-mil", RewardParams(k=2),
+                (predictions([0], mirrored([1.0])), held), bags,
+            )
+
+    def test_overlapping_heldout_bags_rejected(self):
+        held = predictions([10, 11, 12], mirrored([1.0, -1.0, 2.0]))
+        bags = [Bag(0, [10, 11], WeakLabel.binary(1)), Bag(1, [11, 12], WeakLabel.binary(0))]
+        with pytest.raises(ValidationError, match=r"instance 11 sits in bag 0 and in bag 1"):
+            build_reward_context(
+                "binary-mil", RewardParams(k=2),
+                (predictions([0], mirrored([1.0])), held), bags,
+            )
+
+
+    def test_layout_for_other_ids_rejected(self):
+        bags = [Bag(0, [10, 11], WeakLabel.binary(1)), Bag(1, [12], WeakLabel.binary(0))]
+        layout = rewards.heldout_layout("binary-mil", [0], [10, 11, 12], bags, frozenset({0}), 2)
+        train = predictions([0], mirrored([1.0]))
+        ctx = build_reward_context(
+            "binary-mil", RewardParams(k=2),
+            (train, predictions([10, 11, 12], mirrored([1.0, -1.0, 2.0]))), layout,
+        )
+        assert ctx.rec_row.tolist() == [1.0, 1.0, 1.0]
+        with pytest.raises(ValidationError, match="layout belongs to another regime"):
+            build_reward_context(
+                "binary-mil", RewardParams(k=2),
+                (train, predictions([10, 11, 13], mirrored([1.0, -1.0, 2.0]))), layout,
+            )
+
+
 class TestRewardEnvironment:
     def build_environment(self, seed=0, **params_kw):
         dataset = generate_binary_mil(14, (3, 6), 0.5, 3, 6.0, seed=seed)
@@ -489,9 +601,9 @@ class TestRewardEnvironment:
         )
         kfold_infer(dataset, config)
         assert built
-        for ctx, (_, _, (_, held), bags), kwargs in built:
-            negatives = kwargs["negative_labels"] if regime == "multiclass-mil" else None
-            assert_tables_match_oracles(ctx, held, bags, negatives)
+        for ctx, (_, _, (_, held), layout), kwargs in built:
+            negatives = layout.negative_labels if regime == "multiclass-mil" else None
+            assert_tables_match_oracles(ctx, held, layout.bags, negatives)
 
     @pytest.mark.parametrize(
         "regime, params",

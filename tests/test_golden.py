@@ -1,4 +1,4 @@
-"""Golden outputs: ``generate`` + ``infer`` on four tiny configs, pinned by hash.
+"""Golden outputs: ``generate`` + ``infer`` on six tiny configs, pinned by hash.
 
 A refactor or a speed-up must leave ``result.json`` and ``pull_log.ndjson``
 byte-identical. This test makes that rule executable: it compares their
@@ -27,6 +27,19 @@ CASES = {
         "regime": "binary-mil",
         "generator": GENERATOR,
         "reward": {"k": 3, "distgap_enabled": True, "distgap_space": "features"},
+    },
+    # output space with tau unset: tau is calibrated on the first evaluation
+    "binary-gap-output": {
+        "regime": "binary-mil",
+        "generator": GENERATOR,
+        "reward": {"k": 3, "distgap_enabled": True, "distgap_space": "output"},
+    },
+    # the second pass appends the first pass's fixed instances to every fit
+    "binary-bootstrap": {
+        "regime": "binary-mil",
+        "generator": GENERATOR,
+        "bootstrap_passes": 2,
+        "reward": {"k": 3},
     },
     "multiclass-2-negative-modes": {
         "regime": "multiclass-mil",
@@ -58,6 +71,14 @@ GOLDEN = {
     "binary-gap-features": {
         "result.json": "f87d7b2ef28f6d5021cfcb8a00c11240cacb7db6c8913e423e981a57cdc62f74",
         "pull_log.ndjson": "2818759283dcdfeb67948b1ac68b94f44442f993ade2b3d969837a46ded2d69d",
+    },
+    "binary-gap-output": {
+        "result.json": "9f1b7681966ed1ea9e05b7754248d37800d1a968be435336be289804e557cd22",
+        "pull_log.ndjson": "76456928898bcb45c23f352d674c05e7817577300444771b6bfd08dbc9f2e26d",
+    },
+    "binary-bootstrap": {
+        "result.json": "212274eeb7bda844cdbadf6617428b3956acc276b636200698e8966cfd1c5d5f",
+        "pull_log.ndjson": "349c217990b9452ac267c83f0df59de42c3f7ffeb9d9d9708187df0b2009fe7c",
     },
     "multiclass-2-negative-modes": {
         "result.json": "d8e96e4e0cb8471dacc7ea80d6223097a099e119ba7510a19fbbbcfae3fb47c9",

@@ -8,8 +8,10 @@ asks a reward environment to score the labelling, and updates the arms.
 
 Arm statistics are (instances x labels) arrays with rows in ascending
 instance id order. The super-arm oracle is separable per instance, so a
-selection is a row-wise argmax; labellings and rewards cross the public
-functions as ``{instance: value}`` dicts.
+selection is a row-wise argmax. A labelling is an int64 label array and its
+rewards a float64 array, row-aligned with those ids from selection through
+the environment to the update; ``run_inference`` turns them into dicts only
+for a plain ``(assignment, rng) -> {instance: reward}`` environment.
 
 The round counter ``t`` counts completed post-initialization pulls; the
 exploration bonus for a pull being selected uses the index of that upcoming
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -46,9 +47,8 @@ class BanditState:
     the lowest label. Rows are padded to the widest label set; ``valid`` marks
     the real arms, and padding cells hold one pull and a reward sum of -inf,
     so their mean and UCB score are -inf. Pull counts are float64 (exact
-    integers) so the UCB arithmetic needs no casts. ``cells[r]`` maps each
-    label of row r to its index in the flattened arrays. ``label_sets`` keeps
-    the caller's order, which the initialization sweep's random draws and the
+    integers) so the UCB arithmetic needs no casts. ``label_sets`` keeps the
+    caller's order, which the initialization sweep's random draws and the
     labelling dicts follow; ``order`` lists the rows in that order.
     """
 
@@ -57,7 +57,6 @@ class BanditState:
     order: np.ndarray
     labels: np.ndarray
     valid: np.ndarray
-    cells: list[dict[int, int]]
     pulls: np.ndarray
     reward_sums: np.ndarray
     t: int = 0
@@ -130,17 +129,23 @@ def new_bandit(label_sets: dict[int, list[int]]) -> BanditState:
     valid = np.arange(width) < np.array([len(row) for row in rows])[:, None]
     labels = np.zeros(valid.shape, dtype=np.int64)
     labels[valid] = [l for row in rows for l in row]
-    cells = [{l: r * width + c for c, l in enumerate(row)} for r, row in enumerate(rows)]
     return BanditState(
-        clean, ids, np.searchsorted(ids, list(clean)), labels, valid, cells,
+        clean, ids, np.searchsorted(ids, list(clean)), labels, valid,
         pulls=(~valid).astype(np.float64), reward_sums=np.where(valid, 0.0, -np.inf),
     )
 
 
-def assignment_hash(assignment: dict[int, int]) -> str:
-    """Stable short hash of a labelling, for logs and error context."""
-    payload = json.dumps(sorted(assignment.items())).encode()
-    return hashlib.sha1(payload).hexdigest()[:12]
+def assignment_hash(ids: np.ndarray, labels: np.ndarray) -> str:
+    """Stable short hash of a labelling, for logs and error context.
+
+    ``ids`` ascending, ``labels`` row-aligned with them. The digest is that of
+    the ``json.dumps`` of the sorted ``[[id, label], ...]`` pairs, whose text
+    one ``%``-template over the interleaved ids and labels writes directly.
+    """
+    pairs = [0] * (2 * len(ids))
+    pairs[::2], pairs[1::2] = ids.tolist(), labels.tolist()
+    template = "[" + ", ".join(["[%d, %d]"] * len(ids)) + "]"
+    return hashlib.sha1((template % tuple(pairs)).encode()).hexdigest()[:12]
 
 
 def _labelling(state: BanditState, labels: np.ndarray) -> dict[int, int]:
@@ -154,28 +159,22 @@ def _arm_dict(state: BanditState, values: np.ndarray) -> dict[ArmKey, float]:
     return dict(zip(keys, values[rows, cols].tolist()))
 
 
-def initialization_assignments(state: BanditState, rng) -> list[dict[int, int]]:
-    """Minimal covering sweep: assignment j gives each instance its j-th untried
+def initialization_assignments(state: BanditState, rng) -> list[np.ndarray]:
+    """Minimal covering sweep: labelling j gives each instance its j-th untried
     label (in a per-instance random order), so the sweep length equals the
-    largest number of untried labels of any instance."""
+    largest number of untried labels of any instance. Draws follow the caller's
+    order; each labelling is a label array row-aligned with ``state.ids``."""
     rows, cols = np.nonzero(state.valid & (state.pulls > 0))
     tried = set(zip(state.ids[rows].tolist(), state.labels[rows, cols].tolist()))
-    untried = {}
+    untried, label_lists = [], list(state.label_sets.values())
     for x, labels in state.label_sets.items():
         pending = [l for l in labels if (x, l) not in tried]
-        untried[x] = [pending[i] for i in rng.permutation(len(pending))]
-    sweep_length = max((len(p) for p in untried.values()), default=0)
-    assignments = []
-    for j in range(sweep_length):
-        assignment = {}
-        for x, pending in untried.items():
-            if j < len(pending):
-                assignment[x] = pending[j]
-            else:
-                labels = state.label_sets[x]
-                assignment[x] = labels[int(rng.integers(len(labels)))]
-        assignments.append(assignment)
-    return assignments
+        untried.append([pending[i] for i in rng.permutation(len(pending))])
+    sweep = np.array([
+        [p[j] if j < len(p) else l[int(rng.integers(len(l)))] for p, l in zip(untried, label_lists)]
+        for j in range(max(map(len, untried)))
+    ], dtype=np.int64).reshape(-1, len(untried))
+    return list(sweep[:, np.argsort(state.order)])
 
 
 def _require_initialized(state: BanditState):
@@ -204,14 +203,14 @@ def ucb_scores(state: BanditState) -> dict[ArmKey, float]:
     return _arm_dict(state, _ucb(state.reward_sums / state.pulls, state.t, state.pulls))
 
 
-def select_super_arm(state: BanditState) -> dict[int, int]:
-    """Per-instance argmax of the UCB scores for the upcoming pull (index t+1);
-    exact ties go to the lowest label id."""
+def select_super_arm(state: BanditState) -> np.ndarray:
+    """Per-instance argmax of the UCB scores for the upcoming pull (index t+1),
+    as labels row-aligned with ``state.ids``; ties go to the lowest label."""
     return select_super_arm_batch(state, 1)[0]
 
 
-def select_super_arm_batch(state: BanditState, batch_size: int) -> list[dict[int, int]]:
-    """A sequence of labellings to evaluate in parallel.
+def select_super_arm_batch(state: BanditState, batch_size: int) -> list[np.ndarray]:
+    """A sequence of label arrays (rows: ``state.ids``) to evaluate in parallel.
 
     Member j is selected as if members 1..j-1 had already been pulled and had
     returned their current empirical means: their arms' counts (and the round
@@ -228,52 +227,35 @@ def select_super_arm_batch(state: BanditState, batch_size: int) -> list[dict[int
         if j:
             counts[rows, cols] += 1  # member j - 1's virtual pulls
         cols = _ucb(means, state.t + 1 + j, counts).argmax(axis=1)
-        batch.append(_labelling(state, state.labels[rows, cols]))
+        batch.append(state.labels[rows, cols])
     return batch
 
 
-def update(
-    state: BanditState,
-    assignment: dict[int, int],
-    rewards: dict[int, float],
-    advance_round: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Credit each pulled arm with its reward.
-
-    Rewards must cover every instance and lie in [0, 1]; a value outside that
-    range signals a buggy reward function and is rejected. Initialization
+def update(state: BanditState, labels: np.ndarray, rewards: np.ndarray, advance_round: bool):
+    """Credit each pulled arm with its reward; both arrays are row-aligned with
+    ``state.ids``. Labels must be admissible and rewards lie in [0, 1]: a value
+    outside signals a buggy reward function and is rejected. Initialization
     pulls pass ``advance_round=False`` so they stay outside the round count.
-    Returns the credited labels and rewards (as float64), row-aligned with
-    ``state.ids``.
     """
-    expected = state.label_sets.keys()
-    if assignment.keys() != expected:
-        raise ParameterError("assignment does not cover exactly the tracked instances")
-    missing = expected - rewards.keys()
-    if missing:
-        raise ParameterError(f"rewards missing for instances {sorted(missing)[:5]}")
-    ids = state.ids.tolist()
-    labels = list(map(assignment.__getitem__, ids))
-    try:
-        cells = np.fromiter(map(dict.__getitem__, state.cells, labels), np.intp, len(ids))
-    except KeyError:
-        row = next(r for r, label in enumerate(labels) if label not in state.cells[r])
-        raise ParameterError(
-            f"label {labels[row]} not admissible for instance {ids[row]}"
-        ) from None
-    values = np.fromiter(map(rewards.__getitem__, ids), dtype=np.float64, count=len(ids))
-    if not (values.min() >= 0.0 and values.max() <= 1.0):  # NaN fails too
-        x = ids[int(np.argmin((values >= 0.0) & (values <= 1.0)))]
+    n = len(state.ids)
+    if np.shape(labels) != (n,) or np.shape(rewards) != (n,):
+        raise ParameterError(f"labelling and rewards need one entry per instance ({n})")
+    # labels are unique per row, so each row has at most one hit
+    hit = state.valid & (state.labels == labels[:, None])
+    if np.count_nonzero(hit) < n:
+        row = int(np.argmin(hit.any(axis=1)))
+        raise ParameterError(f"label {labels[row]} not admissible for instance {state.ids[row]}")
+    if not (rewards.min() >= 0.0 and rewards.max() <= 1.0):  # NaN fails too
+        row = int(np.argmin((rewards >= 0.0) & (rewards <= 1.0)))
         raise RewardRangeError(
-            f"reward {rewards[x]!r} for instance {x} lies outside [0, 1]; "
-            "reward functions must be bounded"
+            f"reward {rewards[row].item()!r} for instance {state.ids[row]} lies outside "
+            "[0, 1]; reward functions must be bounded"
         )
-    state.pulls.flat[cells] += 1
-    state.reward_sums.flat[cells] += values
+    state.pulls += hit
+    state.reward_sums[hit] += rewards
     state.total_pulls += 1
     if advance_round:
         state.t += 1
-    return np.array(labels, dtype=np.int64), values
 
 
 def best_assignment(state: BanditState) -> InferenceResult:
@@ -304,11 +286,12 @@ def run_inference(
 ) -> InferenceResult:
     """Full inference loop: initialization sweep, then ``rounds`` scored pulls.
 
-    ``environment`` is any callable ``(assignment, rng) -> {instance: reward}``.
-    Batch members are selected together, their per-pull seeds are drawn up
-    front, and they are evaluated and updated in batch order. Reproducible
-    given the rng seed and a deterministic environment. An empty ``pull_log``
-    is filled with every pull.
+    ``environment`` is a callable ``(assignment, rng) -> {instance: reward}``
+    fed dicts in ``label_sets`` order, or a ``RewardEnvironment`` (``train_ids``
+    equal to the sorted ids) fed label arrays on those rows. Batch members are
+    selected together, their per-pull seeds drawn up front, and they are
+    evaluated and updated in batch order. Reproducible given the rng seed and a
+    deterministic environment. An empty ``pull_log`` is filled with every pull.
     """
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
@@ -320,30 +303,58 @@ def run_inference(
             raise ParameterError("pull_log already holds the pulls of another run")
         pull_log.ids = state.ids
 
-    def evaluate_batch(assignments):
-        seeds = [int(rng.integers(0, 2**63)) for _ in assignments]
+    environment_ids = getattr(environment, "train_ids", None)
+    if environment_ids is None:
+        call, read = _dict_adapter(state, environment)
+    elif np.array_equal(environment_ids, state.ids):
+        call, read = environment, np.asarray
+    else:
+        raise ParameterError("the environment's train_ids are not the labelled instances")
+
+    def evaluate_batch(batch):
+        seeds = [int(rng.integers(0, 2**63)) for _ in batch]
         try:
-            return [environment(a, np.random.default_rng(s)) for a, s in zip(assignments, seeds)]
+            scored = [call(labels, np.random.default_rng(s)) for labels, s in zip(batch, seeds)]
         except Exception as exc:
             raise InferenceError(
                 f"reward environment failed at round {state.t}, "
-                f"assignment {assignment_hash(assignments[0])}: {exc}"
+                f"assignment {assignment_hash(state.ids, batch[0])}: {exc}"
             ) from exc
+        return map(read, scored)
 
-    def credit(assignment, rewards, advance_round):
-        labels, values = update(state, assignment, rewards, advance_round)
+    def credit(labels, rewards, advance_round):
+        update(state, labels, rewards, advance_round)
         if pull_log is not None:
-            round_index = state.t if advance_round else 0
-            pull_log.pulls.append((round_index, assignment_hash(assignment), labels, values))
+            digest = assignment_hash(state.ids, labels)
+            pull_log.pulls.append((state.t if advance_round else 0, digest, labels, rewards))
 
     sweep = initialization_assignments(state, rng)
-    for assignment, rewards in zip(sweep, evaluate_batch(sweep)):
-        credit(assignment, rewards, advance_round=False)
+    for labels, rewards in zip(sweep, evaluate_batch(sweep)):
+        credit(labels, rewards, advance_round=False)
     pulls_done = 0
     while pulls_done < rounds:
         width = min(batch_size, rounds - pulls_done)
         batch = select_super_arm_batch(state, width)
-        for assignment, rewards in zip(batch, evaluate_batch(batch)):
-            credit(assignment, rewards, advance_round=True)
+        for labels, rewards in zip(batch, evaluate_batch(batch)):
+            credit(labels, rewards, advance_round=True)
         pulls_done += width
     return best_assignment(state)
+
+
+def _dict_adapter(state: BanditState, environment):
+    """``call`` hands a dict environment each label array as a dict; ``read``
+    takes its rewards back by id, outside the failure wrapper (a missing
+    reward is a ParameterError, not an environment failure)."""
+    ids = state.ids.tolist()
+
+    def call(labels, rng):
+        return environment(_labelling(state, labels), rng)
+
+    def read(rewards):
+        try:
+            return np.fromiter(map(rewards.__getitem__, ids), dtype=np.float64, count=len(ids))
+        except KeyError:
+            missing = sorted(set(ids) - rewards.keys())
+            raise ParameterError(f"rewards missing for instances {missing[:5]}") from None
+
+    return call, read

@@ -497,14 +497,6 @@ def generate_gaussian_blobs(
     return pool
 
 
-def class_means(pool: list[Instance]) -> dict[int, np.ndarray]:
-    """Empirical mean of each class in a labeled pool (generator diagnostics)."""
-    by_class: dict[int, list[np.ndarray]] = {}
-    for inst in pool:
-        by_class.setdefault(inst.ground_truth, []).append(inst.features)
-    return {cls: np.mean(rows, axis=0) for cls, rows in by_class.items()}
-
-
 def generate_multiclass_mil(
     base: list[Instance],
     num_bags: int,

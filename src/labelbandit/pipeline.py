@@ -278,12 +278,8 @@ def _single_pass(dataset: Dataset, config: InferenceConfig, fixed: dict[int, int
         held_ids = [iid for bag in held_bags for iid in bag.instance_ids]
         train_set = set(train_ids)
         extra_ids = [x for x in sorted(fixed) if x not in train_set]
-        extra_features = (
-            np.stack([index[x].features for x in extra_ids]) if extra_ids else None
-        )
-        extra_labels = (
-            np.array([fixed[x] for x in extra_ids], dtype=np.intp) if extra_ids else None
-        )
+        extra_features = np.array([index[x].features for x in extra_ids])
+        extra_labels = np.array([fixed[x] for x in extra_ids], dtype=np.intp)
         environment = RewardEnvironment(
             regime=config.regime,
             train_ids=train_ids,

@@ -537,12 +537,13 @@ class RewardEnvironment:
     Each call fits the classifier on (fold features, labelling) with a fresh
     seed drawn from the supplied rng (the only source of reward noise),
     predicts the fold and the held-out set, builds a RewardContext, and
-    returns one reward per training instance. Instances fixed by earlier
-    bootstrap passes can be appended to every fit via ``extra_features`` /
-    ``extra_labels``. What depends on no classifier is built once, at
-    construction: the ``HeldoutLayout``, the fit matrix with the extras
-    stacked under the fold, and the feature-space distance gaps (with
-    tau=None's calibration).
+    scores every training instance. Labels in and float64 rewards out are
+    arrays row-aligned with the ascending ``train_ids``. Instances fixed by
+    earlier bootstrap passes can be appended to every fit via
+    ``extra_features`` / ``extra_labels``. What depends on no classifier is
+    built once, at construction: the ``HeldoutLayout``, the fit matrix with
+    the extras stacked under the fold, and the feature-space distance gaps
+    (with tau=None's calibration).
     """
 
     def __init__(
@@ -564,6 +565,9 @@ class RewardEnvironment:
             raise ValidationError("train_ids and train_features disagree on length")
         if len(heldout_ids) != heldout_features.shape[0]:
             raise ValidationError("heldout_ids and heldout_features disagree on length")
+        extra_rows, num_extra = (0 if e is None else len(e) for e in (extra_features, extra_labels))
+        if extra_rows != num_extra:
+            raise ValidationError(f"{extra_rows} extra_features rows but {num_extra} extra_labels")
         self.regime = regime
         self.params = params
         self.classifier_spec = classifier_spec
@@ -578,7 +582,7 @@ class RewardEnvironment:
         self.heldout_features = heldout_features[heldout_order]
         # fixed for the fold: bootstrap extras are stacked under the fold once
         self._fit_features, self._extra_labels = self.train_features, None
-        if extra_features is not None and len(extra_features):
+        if num_extra:
             self._fit_features = np.vstack([self.train_features, extra_features])
             self._extra_labels = extra_labels
         self._tau = params.tau
@@ -611,16 +615,11 @@ class RewardEnvironment:
             if self._tau is None:
                 self._tau = calibrate_tau(self._raw_distgap, self.train_ids)
 
-    def evaluate(self, assignment: dict[int, int], rng) -> dict[int, float]:
+    def evaluate(self, labels: np.ndarray, rng) -> np.ndarray:
+        if np.shape(labels) != (len(self.train_ids),):
+            raise ParameterError(f"need one label per training instance, got {np.shape(labels)}")
         seed = int(rng.integers(0, 2**63))
-        try:
-            ids = self.train_ids
-            assigned = np.fromiter(map(assignment.__getitem__, ids), dtype=np.intp, count=len(ids))
-        except KeyError as exc:
-            raise ParameterError(f"assignment is missing instance {exc.args[0]}") from exc
-        y = assigned
-        if self._extra_labels is not None:
-            y = np.concatenate([assigned, self._extra_labels])
+        y = labels if self._extra_labels is None else np.concatenate([labels, self._extra_labels])
         model = fit(self.classifier_spec, self._fit_features, y, seed=seed)
         train_labels, train_emb = predict_arrays(model, self.train_features)
         ho_labels, ho_emb = predict_arrays(model, self.heldout_features)
@@ -635,13 +634,13 @@ class RewardEnvironment:
         )
         if self._tau is None and ctx.tau is not None:
             self._tau = ctx.tau  # output space: calibrated once, on the first evaluation
-        rewards = _regime_rule(slice(None), assigned, ctx, self.params)
+        rewards = _regime_rule(slice(None), labels, ctx, self.params)
         bounded = (rewards >= 0.0) & (rewards <= 1.0)
         if not bounded.all():
             row = int(np.argmin(bounded))
             raise RewardRangeError(
                 f"reward {rewards[row].item()!r} for instance {self.train_ids[row]} escaped [0, 1]"
             )
-        return dict(zip(self.train_ids, rewards.tolist()))
+        return rewards
 
     __call__ = evaluate

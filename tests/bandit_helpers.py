@@ -1,11 +1,15 @@
 """Test helpers for the array-backed bandit state and its pull log.
 
 ``cell`` maps an arm (instance, label) to its index in the state's arrays,
-``arms`` lists the arms in the caller's instance and label order, ``records``
-parses a pull log through its ndjson renderer, and ``oracle_batch`` is the
-dict-walk UCB selection that ``select_super_arm_batch`` must reproduce.
+``arms`` lists the arms in the caller's instance and label order,
+``labelling`` reads a row-aligned label array as an ``{instance: label}``
+dict, ``records`` parses a pull log through its ndjson renderer,
+``oracle_batch`` is the dict-walk UCB selection that
+``select_super_arm_batch`` must reproduce, and ``dict_assignment_hash`` is
+the dict form of ``assignment_hash`` that the array form must match.
 """
 
+import hashlib
 import json
 import math
 
@@ -23,6 +27,16 @@ def cell(state, x, label):
 def arms(state):
     """Every arm (x, label), in ``state.label_sets`` order."""
     return [(x, l) for x, labels in state.label_sets.items() for l in labels]
+
+
+def labelling(state, labels):
+    """A label array row-aligned with ``state.ids`` as an {instance: label} dict."""
+    return dict(zip(state.ids.tolist(), labels.tolist()))
+
+
+def dict_assignment_hash(assignment):
+    """sha1 of the ``json.dumps`` of the sorted (instance, label) pairs, 12 hex digits."""
+    return hashlib.sha1(json.dumps(sorted(assignment.items())).encode()).hexdigest()[:12]
 
 
 def records(log, pass_index=0, fold=0):

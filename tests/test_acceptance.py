@@ -129,8 +129,8 @@ def test_03_initialization_covers_every_arm_in_minimal_sweeps():
         state = new_bandit(label_sets)
         sweep = lb.initialization_assignments(state, rng)
         assert len(sweep) == max(len(labels) for labels in label_sets.values())
-        for assignment in sweep:
-            update(state, assignment, {x: 0.5 for x in assignment}, advance_round=False)
+        for labels in sweep:
+            update(state, labels, np.full(len(labels), 0.5), advance_round=False)
         assert min(state.pulls[cell(state, *arm)] for arm in arms(state)) >= 1
     _criterion(3, "initialization coverage", True, "200 random configurations")
 

@@ -8,8 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from bandit_helpers import arms, cell, oracle_batch, records
-from hypothesis import given, settings
+from bandit_helpers import arms, cell, dict_assignment_hash, labelling, oracle_batch, records
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelbandit import bandit
@@ -39,9 +39,14 @@ def random_label_sets(rng, max_instances=50, max_labels=6):
     return sets
 
 
+def credit(state, labels, rewards, advance_round):
+    """``update`` with plain lists, turned into the arrays it takes."""
+    update(state, np.array(labels), np.array(rewards, dtype=np.float64), advance_round)
+
+
 def initialize_uniformly(state, rng, reward=0.5):
-    for assignment in initialization_assignments(state, rng):
-        update(state, assignment, {x: reward for x in assignment}, advance_round=False)
+    for labels in initialization_assignments(state, rng):
+        update(state, labels, np.full(len(labels), reward), advance_round=False)
 
 
 class TestNewBandit:
@@ -69,7 +74,7 @@ class TestNewBandit:
         rng = np.random.default_rng(0)
         initialize_uniformly(state, rng)
         for _ in range(5):
-            assert select_super_arm(state)[0] == 4
+            assert labelling(state, select_super_arm(state))[0] == 4
 
 
 class TestInitializationSweep:
@@ -77,7 +82,7 @@ class TestInitializationSweep:
         state = new_bandit({0: [0, 1]})
         sweep = initialization_assignments(state, np.random.default_rng(0))
         assert len(sweep) == 2
-        assert {a[0] for a in sweep} == {0, 1}
+        assert {labelling(state, labels)[0] for labels in sweep} == {0, 1}
 
     def test_sweep_length_is_max_label_set_size(self):
         rng = np.random.default_rng(7)
@@ -96,23 +101,40 @@ class TestInitializationSweep:
 
     def test_partial_initialization_only_covers_remaining(self):
         state = new_bandit({0: [0, 1, 2]})
-        update(state, {0: 1}, {0: 0.5}, advance_round=False)
+        credit(state, [1], [0.5], advance_round=False)
         sweep = initialization_assignments(state, np.random.default_rng(0))
         assert len(sweep) == 2
-        assert {a[0] for a in sweep} == {0, 2}
+        assert {labelling(state, labels)[0] for labels in sweep} == {0, 2}
+
+    def test_sweep_is_row_aligned_and_keeps_the_callers_draw_order(self):
+        # the random draws follow the caller's instance order, the arrays the ids
+        label_sets = {9: [3, 1], 2: [0, 5, 4], 5: [7]}
+        state = new_bandit(label_sets)
+        sweep = initialization_assignments(state, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        untried = {x: [l[i] for i in rng.permutation(len(l))] for x, l in label_sets.items()}
+        expected = [
+            {
+                x: pending[j] if j < len(pending) else labels[int(rng.integers(len(labels)))]
+                for (x, pending), labels in zip(untried.items(), label_sets.values())
+            }
+            for j in range(3)
+        ]
+        assert [labelling(state, labels) for labels in sweep] == expected
+        assert all(labels.dtype == np.int64 for labels in sweep)
 
 
 class TestUcbScores:
     def test_log_one_gives_zero_bonus(self):
         state = new_bandit({0: [0]})
-        update(state, {0: 0}, {0: 0.5}, advance_round=True)
+        credit(state, [0], [0.5], advance_round=True)
         assert ucb_scores(state)[(0, 0)] == pytest.approx(0.5, abs=1e-15)
 
     def test_closed_form_value(self):
         state = new_bandit({0: [0, 1]})
         rng = np.random.default_rng(0)
         initialize_uniformly(state, rng)
-        update(state, {0: 1}, {0: 0.5}, advance_round=True)
+        credit(state, [1], [0.5], advance_round=True)
         state.pulls[cell(state, 0, 1)] = 2
         state.reward_sums[cell(state, 0, 1)] = 1.0
         state.t = math.e**2  # forces ln t = 2 exactly
@@ -122,7 +144,7 @@ class TestUcbScores:
 
     def test_requires_initialization(self):
         state = new_bandit({0: [0, 1]})
-        update(state, {0: 0}, {0: 0.5}, advance_round=True)
+        credit(state, [0], [0.5], advance_round=True)
         with pytest.raises(ParameterError, match="initialization"):
             ucb_scores(state)
 
@@ -144,14 +166,14 @@ class TestSelection:
     def test_dominant_arm_selected(self):
         state = new_bandit({0: [0, 1]})
         for _ in range(50):
-            update(state, {0: 0}, {0: 0.9}, advance_round=True)
-            update(state, {0: 1}, {0: 0.1}, advance_round=True)
-        assert select_super_arm(state)[0] == 0
+            credit(state, [0], [0.9], advance_round=True)
+            credit(state, [1], [0.1], advance_round=True)
+        assert labelling(state, select_super_arm(state))[0] == 0
 
     def test_exact_tie_prefers_lower_label(self):
         state = new_bandit({0: [3, 5]})
         initialize_uniformly(state, np.random.default_rng(0), reward=0.5)
-        assert select_super_arm(state)[0] == 3
+        assert labelling(state, select_super_arm(state))[0] == 3
 
     def test_matches_per_instance_brute_force(self):
         rng = np.random.default_rng(11)
@@ -164,7 +186,7 @@ class TestSelection:
                     state.pulls[arm] = int(rng.integers(1, 30))
                     state.reward_sums[arm] = float(rng.uniform(0, state.pulls[arm]))
             state.t = int(rng.integers(1, 1000))
-            chosen = select_super_arm(state)
+            chosen = labelling(state, select_super_arm(state))
             # independent recomputation at the upcoming round index t + 1
             for x, labels in sets.items():
                 scores = {
@@ -179,8 +201,9 @@ class TestSelection:
         rng = np.random.default_rng(3)
         state = new_bandit(random_label_sets(rng, max_instances=8))
         initialize_uniformly(state, rng)
-        update(state, select_super_arm(state), {x: 0.3 for x in state.label_sets}, True)
-        assert select_super_arm_batch(state, 1) == [select_super_arm(state)]
+        update(state, select_super_arm(state), np.full(len(state.ids), 0.3), True)
+        (member,) = select_super_arm_batch(state, 1)
+        assert np.array_equal(member, select_super_arm(state))
 
     def test_batch_flips_to_runner_up_after_virtual_pull(self):
         # two arms nearly tied: one virtual pull on the leader shrinks its
@@ -191,15 +214,16 @@ class TestSelection:
         state.pulls[runner], state.reward_sums[runner] = 12, 12 * 0.55
         state.t = 100
         batch = select_super_arm_batch(state, 2)
-        assert batch[0][0] == 0
-        assert batch[1][0] == 1
+        assert labelling(state, batch[0])[0] == 0
+        assert labelling(state, batch[1])[0] == 1
 
     def test_batch_members_are_valid_super_arms(self):
         rng = np.random.default_rng(5)
         sets = random_label_sets(rng, max_instances=12)
         state = new_bandit(sets)
         initialize_uniformly(state, rng)
-        for assignment in select_super_arm_batch(state, 5):
+        for labels in select_super_arm_batch(state, 5):
+            assignment = labelling(state, labels)
             assert assignment.keys() == sets.keys()
             for x, l in assignment.items():
                 assert l in sets[x]
@@ -224,39 +248,56 @@ class TestUpdate:
     def test_reward_out_of_range_rejected(self):
         state = new_bandit({0: [0, 1]})
         with pytest.raises(RewardRangeError):
-            update(state, {0: 0}, {0: 1.2}, advance_round=False)
+            credit(state, [0], [1.2], advance_round=False)
+
+    def test_nan_reward_rejected(self):
+        state = new_bandit({0: [0, 1], 1: [2]})
+        with pytest.raises(RewardRangeError, match="instance 1"):
+            credit(state, [0, 2], [0.5, float("nan")], advance_round=False)
 
     def test_missing_reward_rejected(self):
         state = new_bandit({0: [0, 1], 1: [0]})
-        with pytest.raises(ParameterError, match="missing"):
-            update(state, {0: 0, 1: 0}, {0: 0.5}, advance_round=False)
+        with pytest.raises(ParameterError, match="one entry per instance"):
+            credit(state, [0, 0], [0.5], advance_round=False)
+
+    def test_wrong_length_labelling_rejected(self):
+        state = new_bandit({0: [0, 1], 1: [0]})
+        with pytest.raises(ParameterError, match="one entry per instance"):
+            credit(state, [0], [0.5, 0.5], advance_round=False)
 
     def test_inadmissible_label_rejected(self):
         state = new_bandit({0: [0, 1]})
         with pytest.raises(ParameterError, match="admissible"):
-            update(state, {0: 7}, {0: 0.5}, advance_round=False)
+            credit(state, [7], [0.5], advance_round=False)
+
+    def test_padding_cell_is_not_admissible(self):
+        # row 0 is padded to row 1's width; its padding cell stores label 0
+        state = new_bandit({0: [5], 1: [0, 1]})
+        with pytest.raises(ParameterError, match="label 0 not admissible for instance 0"):
+            credit(state, [0, 1], [0.5, 0.5], advance_round=False)
+        assert state.pulls[state.valid].sum() == 0 and state.total_pulls == 0
 
     def test_round_advance_semantics(self):
         state = new_bandit({0: [0]})
-        update(state, {0: 0}, {0: 0.1}, advance_round=False)
+        credit(state, [0], [0.1], advance_round=False)
         assert state.t == 0
-        update(state, {0: 0}, {0: 0.1}, advance_round=True)
+        credit(state, [0], [0.1], advance_round=True)
         assert state.t == 1
 
     def test_means_match_replayed_reward_log(self):
         rng = np.random.default_rng(13)
         state = new_bandit({0: [0, 1], 1: [2, 3, 4]})
         log = []
-        for assignment in initialization_assignments(state, rng):
-            update(state, assignment, {x: 0.5 for x in assignment}, advance_round=False)
-            for x, l in assignment.items():
+        for labels in initialization_assignments(state, rng):
+            update(state, labels, np.full(len(labels), 0.5), advance_round=False)
+            for x, l in labelling(state, labels).items():
                 log.append(((x, l), 0.5))
         for _ in range(200):
-            assignment = {x: int(rng.choice(state.label_sets[x])) for x in state.label_sets}
-            rewards = {x: float(rng.random()) for x in state.label_sets}
-            update(state, assignment, rewards, advance_round=True)
-            for x, l in assignment.items():
-                log.append(((x, l), rewards[x]))
+            labels = [int(rng.choice(state.label_sets[x])) for x in state.ids.tolist()]
+            rewards = [float(rng.random()) for _ in labels]
+            credit(state, labels, rewards, advance_round=True)
+            for x, l, r in zip(state.ids.tolist(), labels, rewards):
+                log.append(((x, l), r))
         for key in arms(state):
             rewards = [r for k, r in log if k == key]
             pulls, reward_sum = state.pulls[cell(state, *key)], state.reward_sums[cell(state, *key)]
@@ -284,7 +325,7 @@ class TestBestAssignment:
 
     def test_singleton_is_marked_fixed(self):
         state = new_bandit({0: [3]})
-        update(state, {0: 3}, {0: 0.2}, advance_round=False)
+        credit(state, [3], [0.2], advance_round=False)
         result = best_assignment(state)
         assert result.assignment[0] == 3
         assert result.confidence[0] == FIXED and math.isinf(result.confidence[0])
@@ -367,8 +408,70 @@ class TestRunInference:
             run_inference({0: [0, 1]}, env, rounds=50, rng=np.random.default_rng(0))
 
     def test_assignment_hash_is_stable(self):
-        assert assignment_hash({0: 1, 3: 2}) == assignment_hash({3: 2, 0: 1})
-        assert assignment_hash({0: 1}) != assignment_hash({0: 2})
+        ids = np.array([0, 3])
+        assert assignment_hash(ids, np.array([1, 2])) == dict_assignment_hash({3: 2, 0: 1})
+        assert assignment_hash(ids[:1], np.array([1])) != assignment_hash(ids[:1], np.array([2]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(-(2**40), 2**40), st.integers(-50, 50), min_size=1))
+    @example({-7: 3})
+    @example({-3: -1, 0: 0, 12: 4})
+    def test_assignment_hash_equals_dict_form(self, assignment):
+        ids = np.array(sorted(assignment), dtype=np.int64)
+        labels = np.array([assignment[x] for x in ids.tolist()], dtype=np.int64)
+        assert assignment_hash(ids, labels) == dict_assignment_hash(assignment)
+
+    def test_assignment_hash_equals_dict_form_at_2000_instances(self):
+        rng = np.random.default_rng(0)
+        ids = np.sort(rng.choice(np.arange(-5000, 5000), size=2000, replace=False))
+        labels = rng.integers(0, 8, size=2000)
+        assignment = dict(zip(ids.tolist(), labels.tolist()))
+        assert assignment_hash(ids, labels) == dict_assignment_hash(assignment)
+
+    def test_custom_environment_gets_dicts_in_caller_order(self):
+        seen = []
+
+        def env(assignment, rng):
+            seen.append(list(assignment))
+            return {x: 0.5 for x in assignment}
+
+        run_inference({9: [0, 1], 2: [0], 5: [1, 2]}, env, rounds=3, rng=np.random.default_rng(0))
+        assert seen and all(order == [9, 2, 5] for order in seen)
+
+    def test_missing_custom_reward_rejected(self):
+        with pytest.raises(ParameterError, match=r"rewards missing for instances \[2\]"):
+            run_inference(
+                {0: [0, 1], 2: [0]}, lambda a, rng: {0: 0.5}, rounds=1,
+                rng=np.random.default_rng(0),
+            )
+
+    def test_array_environment_is_called_with_arrays(self):
+        class ArrayEnvironment:
+            train_ids = [2, 5, 9]
+
+            def __init__(self):
+                self.calls = []
+
+            def __call__(self, labels, rng):
+                self.calls.append(labels)
+                return np.where(labels == 1, 0.75, 0.25)
+
+        env = ArrayEnvironment()
+        result = run_inference(
+            {9: [0, 1], 2: [0, 1], 5: [1]}, env, rounds=4, rng=np.random.default_rng(0)
+        )
+        assert all(labels.dtype == np.int64 and labels.shape == (3,) for labels in env.calls)
+        assert result.assignment == {9: 1, 2: 1, 5: 1}
+
+    def test_array_environment_with_other_ids_rejected(self):
+        class ArrayEnvironment:
+            train_ids = [2, 5]
+
+            def __call__(self, labels, rng):
+                return np.full(len(labels), 0.5)
+
+        with pytest.raises(ParameterError, match="train_ids"):
+            run_inference({2: [0, 1], 6: [0]}, ArrayEnvironment(), rounds=1)
 
 
 # unsorted label lists, singletons, uneven sizes, ids in any order
@@ -388,11 +491,11 @@ def played_states(draw):
     label_sets = draw(label_set_maps)
     state = new_bandit(label_sets)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    for assignment in initialization_assignments(state, rng):
-        update(state, assignment, {x: draw(reward_values) for x in assignment}, False)
+    for labels in initialization_assignments(state, rng):
+        credit(state, labels, [draw(reward_values) for _ in labels], False)
     for _ in range(draw(st.integers(0, 12))):
-        assignment = {x: draw(st.sampled_from(labels)) for x, labels in label_sets.items()}
-        update(state, assignment, {x: draw(reward_values) for x in assignment}, True)
+        labels = [draw(st.sampled_from(label_sets[x])) for x in state.ids.tolist()]
+        credit(state, labels, [draw(reward_values) for _ in labels], True)
     return state
 
 
@@ -402,8 +505,10 @@ class TestArrayBanditProperties:
     def test_batch_selection_equals_dict_walk_oracle(self, state, batch_size):
         batch = select_super_arm_batch(state, batch_size)
         expected = oracle_batch(state, batch_size)
-        # same labels, and the caller's instance order
-        assert [list(a.items()) for a in batch] == [list(a.items()) for a in expected]
+        # same labels, row-aligned with the ascending ids
+        assert [labels.tolist() for labels in batch] == [
+            [a[x] for x in state.ids.tolist()] for a in expected
+        ]
 
     @settings(max_examples=100, deadline=None)
     @given(played_states(), st.integers(1, 6))

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelbandit.classifiers import ClassifierSpec, fit, predict_arrays
 from labelbandit.data import (
@@ -11,7 +13,6 @@ from labelbandit.data import (
     Dataset,
     Instance,
     WeakLabel,
-    class_means,
     generate_binary_mil,
     generate_gaussian_blobs,
     generate_multiclass_mil,
@@ -22,6 +23,14 @@ from labelbandit.data import (
     with_proportion_labels,
 )
 from labelbandit.errors import ParameterError, ParseError, ValidationError
+
+
+def class_means(pool: list[Instance]) -> dict[int, np.ndarray]:
+    """Empirical mean of each class in a labeled pool."""
+    by_class: dict[int, list[np.ndarray]] = {}
+    for inst in pool:
+        by_class.setdefault(inst.ground_truth, []).append(inst.features)
+    return {cls: np.mean(rows, axis=0) for cls, rows in by_class.items()}
 
 
 def make_dataset():
@@ -177,6 +186,20 @@ class TestFileRoundTrip:
         assert all(i.ground_truth is None for i in again.instances)
         assert again == ds
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from(["json", "csv"]))
+    def test_round_trip_property(self, tmp_path_factory, data, format):
+        dataset = data.draw(datasets())
+        path = tmp_path_factory.getbasetemp() / f"round-trip.{format}"
+        save_dataset(dataset, path, format)
+        again = load_dataset(path, format)
+        assert again == dataset
+        # == compares floats by value; the bytes also keep -0.0's sign
+        assert [i.features.tobytes() for i in again.instances] == [
+            i.features.tobytes() for i in dataset.instances
+        ]
+        assert [b.weak_label.kind for b in again.bags] == [b.weak_label.kind for b in dataset.bags]
+
     def test_generator_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_dataset(generate_binary_mil(8, (2, 4), 0.5, 3, 5.0, 7), a)
@@ -292,3 +315,43 @@ class TestGroundTruthHandling:
         assert llp.regime == "llp"
         assert llp.bags[0].weak_label.value == 0.5
         assert llp.bags[1].weak_label.value == 0.0
+
+
+# awkward finite floats: signed zero, subnormals, the extremes of the range
+awkward_floats = st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e308, 1e-300]
+) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    """A valid dataset of one built-in regime, instances listed in bag order
+    (the order both file formats write and read them in)."""
+    regime = draw(st.sampled_from(["binary-mil", "multiclass-mil", "llp"]))
+    num_classes = draw(st.integers(2, 6)) if regime == "multiclass-mil" else 2
+    dim = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    total, count = sum(sizes), len(sizes)
+    ids = draw(st.lists(st.integers(0, 10**12), min_size=total, max_size=total, unique=True))
+    bag_ids = draw(st.lists(st.integers(0, 10**6), min_size=count, max_size=count, unique=True))
+    if regime == "binary-mil":
+        weak = st.integers(0, 1).map(WeakLabel.binary)
+    elif regime == "multiclass-mil":
+        weak = st.frozensets(st.integers(1, num_classes - 1)).map(WeakLabel.label_set)
+    else:
+        weak = (st.sampled_from([0.0, -0.0, 1.0, 5e-324]) | st.floats(0.0, 1.0)).map(
+            WeakLabel.proportion
+        )
+    instances = [
+        Instance(
+            iid,
+            draw(st.lists(awkward_floats, min_size=dim, max_size=dim)),
+            draw(st.none() | st.integers(0, num_classes - 1)),
+        )
+        for iid in ids
+    ]
+    bags, start = [], 0
+    for bag_id, size in zip(bag_ids, sizes):
+        bags.append(Bag(bag_id, ids[start : start + size], draw(weak)))
+        start += size
+    return Dataset(instances, bags, num_classes, regime)

@@ -495,7 +495,7 @@ class TestContextInputs:
 
 
 class TestRewardEnvironment:
-    def build_environment(self, seed=0, **params_kw):
+    def build_environment(self, seed=0, extra_features=None, extra_labels=None, **params_kw):
         dataset = generate_binary_mil(14, (3, 6), 0.5, 3, 6.0, seed=seed)
         bags = dataset.bags
         index = dataset.instance_map()
@@ -513,38 +513,49 @@ class TestRewardEnvironment:
             heldout_bags=held_bags,
             classifier_spec=ClassifierSpec("linear-svm", 2),
             params=RewardParams(**params_kw),
-            )
+            extra_features=extra_features,
+            extra_labels=extra_labels,
+        )
         truth = dataset.ground_truth_map()
-        return env, {i: truth[i] for i in train_ids}
+        # the true labels as a label array row-aligned with the ascending train_ids
+        return env, np.array([truth[i] for i in env.train_ids], dtype=np.int64)
 
     def test_ground_truth_beats_flipped_labels(self):
         env, truth = self.build_environment(seed=1)
         rng = np.random.default_rng(0)
-        good = np.mean(list(env(truth, rng).values()))
-        flipped = {i: 1 - l for i, l in truth.items()}
-        bad = np.mean(list(env(flipped, np.random.default_rng(0)).values()))
+        good = np.mean(env(truth, rng))
+        bad = np.mean(env(1 - truth, np.random.default_rng(0)))
         assert good > bad
 
     def test_rewards_bounded_for_random_assignments(self):
         env, truth = self.build_environment(seed=2)
         rng = np.random.default_rng(1)
         for _ in range(25):
-            assignment = {i: int(rng.integers(2)) for i in truth}
-            rewards = env.evaluate(assignment, rng)
-            values = np.array(list(rewards.values()))
+            values = env.evaluate(rng.integers(2, size=len(truth)), rng)
+            assert values.dtype == np.float64 and values.shape == truth.shape
             assert np.all(values >= 0.0) and np.all(values <= 1.0)
 
     def test_identical_seed_identical_rewards(self):
         env, truth = self.build_environment(seed=3)
         a = env(truth, np.random.default_rng(42))
         b = env(truth, np.random.default_rng(42))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_missing_assignment_entry_rejected(self):
+        # a labelling one instance short is a wrong-length array
         env, truth = self.build_environment(seed=4)
-        partial = dict(list(truth.items())[:-1])
-        with pytest.raises(ParameterError, match="missing"):
-            env(partial, np.random.default_rng(0))
+        with pytest.raises(ParameterError, match="one label per training instance"):
+            env(truth[:-1], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("features, labels", [(None, 2), (3, None), (3, 2)])
+    def test_mismatched_bootstrap_extras_rejected(self, features, labels):
+        extras = {
+            "extra_features": None if features is None else np.zeros((features, 3)),
+            "extra_labels": None if labels is None else np.zeros(labels, dtype=np.intp),
+        }
+        lengths = f"{features or 0} extra_features rows but {labels or 0} extra_labels"
+        with pytest.raises(ValidationError, match=lengths):
+            self.build_environment(seed=4, **extras)
 
     def test_distgap_tau_calibrates_once(self):
         env, truth = self.build_environment(seed=5, k=3, distgap_enabled=True)
@@ -566,8 +577,8 @@ class TestRewardEnvironment:
         def bag_features(bags):
             return [np.stack([index[i].features for i in bag.instance_ids]) for bag in bags]
 
-        assert sorted(env._raw_distgap) == sorted(truth)
-        for x in truth:
+        assert sorted(env._raw_distgap) == env.train_ids
+        for x in env.train_ids:
             own = bag_of[x].weak_label
             same = bag_features([b for b in env.heldout_bags if b.weak_label == own])
             other = bag_features([b for b in env.heldout_bags if b.weak_label != own])
@@ -635,8 +646,8 @@ class TestRewardEnvironment:
             contexts.append(build(*args, **kwargs))
             return contexts[-1]
 
-        def calling(env, assignment, rng):
-            scored.append((assignment, call(env, assignment, rng)))
+        def calling(env, labels, rng):
+            scored.append((dict(zip(env.train_ids, labels.tolist())), call(env, labels, rng)))
             return scored[-1][1]
 
         monkeypatch.setattr(rewards, "build_reward_context", building)
@@ -647,9 +658,9 @@ class TestRewardEnvironment:
         assert len(contexts) == len(scored) > 0
         checked = 0
         for ctx, (assignment, values) in zip(contexts, scored):
-            for x, assigned in assignment.items():
-                assert values[x] == reward_oracle(x, assigned, ctx, params)  # bit for bit
-                checked += values[x] > 0.0
+            for (x, assigned), value in zip(assignment.items(), values.tolist()):
+                assert value == reward_oracle(x, assigned, ctx, params)  # bit for bit
+                checked += value > 0.0
         assert checked > 0
 
 

@@ -1,4 +1,4 @@
-"""Golden outputs: ``generate`` + ``infer`` on six tiny configs, pinned by hash.
+"""Golden outputs: ``generate`` + ``infer`` on eight tiny configs, pinned by hash.
 
 A refactor or a speed-up must leave ``result.json`` and ``pull_log.ndjson``
 byte-identical. This test makes that rule executable: it compares their
@@ -16,6 +16,13 @@ import pytest
 from labelbandit.cli import main
 
 GENERATOR = {"num_bags": 14, "bag_size": [3, 6], "feature_dim": 3, "separation": 6.0}
+MULTICLASS_GENERATOR = {
+    "num_bags": 16,
+    "bag_size": [3, 6],
+    "feature_dim": 2,
+    "positive_classes": 3,
+    "per_class": 12,
+}
 
 CASES = {
     "binary": {
@@ -54,6 +61,20 @@ CASES = {
         "classifier": {"epochs": 5},
         "reward": {"k": 4, "alpha": 0.5, "num_negative_labels": 2},
     },
+    # the environment's plain-softmax branch
+    "multiclass-softmax": {
+        "regime": "multiclass-mil",
+        "generator": MULTICLASS_GENERATOR,
+        "classifier": {"kind": "softmax", "epochs": 5},
+        "reward": {"k": 4, "alpha": 0.5},
+    },
+    # a linear SVM with one output per class
+    "multiclass-svm": {
+        "regime": "multiclass-mil",
+        "generator": MULTICLASS_GENERATOR,
+        "classifier": {"kind": "linear-svm", "epochs": 5},
+        "reward": {"k": 4, "alpha": 0.5},
+    },
     "llp": {
         "regime": "llp",
         "generator": GENERATOR,
@@ -83,6 +104,14 @@ GOLDEN = {
     "multiclass-2-negative-modes": {
         "result.json": "d8e96e4e0cb8471dacc7ea80d6223097a099e119ba7510a19fbbbcfae3fb47c9",
         "pull_log.ndjson": "8c7e93c602106142b85fe4cc5377e8b51078f838ca46ac0a8ec0db73187288cf",
+    },
+    "multiclass-softmax": {
+        "result.json": "1d1f09bf8cc0ebf96f2ead7938111d4540677cabaaff46e8852d6b57f05e24c1",
+        "pull_log.ndjson": "b76e8f844e7c4453cc88f47b14bb842d901a2f692eb749475cb85d605cc02007",
+    },
+    "multiclass-svm": {
+        "result.json": "e050e7ae477b172012ac53efe242502308d358d76e306a74e7d67cbbb47de0f9",
+        "pull_log.ndjson": "4138ea3299a7c07f6abba5a03ba8ce1b5f66556540bce98523902740cf7c6a07",
     },
     "llp": {
         "result.json": "768465c5d328ca786aa203321abf45c951f746f609395c850b0d5e4f0bada287",

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InferenceError, ParameterError, RewardRangeError
+from .rewards import RewardEnvironment
 
 # Confidence sentinel for instances whose label set is a singleton: the label
 # is structurally forced, not inferred. Serialized as the string "fixed".
@@ -287,10 +288,12 @@ def run_inference(
     """Full inference loop: initialization sweep, then ``rounds`` scored pulls.
 
     ``environment`` is a callable ``(assignment, rng) -> {instance: reward}``
-    fed dicts in ``label_sets`` order, or a ``RewardEnvironment`` (``train_ids``
-    equal to the sorted ids) fed label arrays on those rows. Batch members are
-    selected together, their per-pull seeds drawn up front, and they are
-    evaluated and updated in batch order. Reproducible given the rng seed and a
+    fed dicts in ``label_sets`` order, or one with ``train_ids`` equal to the
+    sorted ids, fed label arrays on those rows. Batch members (and the
+    initialization sweep) are selected together and their per-pull rngs drawn
+    up front; a ``RewardEnvironment`` then scores the whole batch in one call,
+    any other environment is called once per member in batch order. Members
+    are updated in batch order. Reproducible given the rng seed and a
     deterministic environment. An empty ``pull_log`` is filled with every pull.
     """
     if rounds < 1:
@@ -305,16 +308,18 @@ def run_inference(
 
     environment_ids = getattr(environment, "train_ids", None)
     if environment_ids is None:
-        call, read = _dict_adapter(state, environment)
-    elif np.array_equal(environment_ids, state.ids):
-        call, read = environment, np.asarray
-    else:
+        score, read = _dict_adapter(state, environment)
+    elif not np.array_equal(environment_ids, state.ids):
         raise ParameterError("the environment's train_ids are not the labelled instances")
+    elif isinstance(environment, RewardEnvironment):
+        score, read = environment, np.asarray
+    else:
+        score, read = _per_member(environment), np.asarray
 
     def evaluate_batch(batch):
-        seeds = [int(rng.integers(0, 2**63)) for _ in batch]
+        rngs = [np.random.default_rng(int(rng.integers(0, 2**63))) for _ in batch]
         try:
-            scored = [call(labels, np.random.default_rng(s)) for labels, s in zip(batch, seeds)]
+            scored = score(batch, rngs)
         except Exception as exc:
             raise InferenceError(
                 f"reward environment failed at round {state.t}, "
@@ -341,10 +346,15 @@ def run_inference(
     return best_assignment(state)
 
 
+def _per_member(call):
+    """A batch scorer calling ``call(labels, rng)`` once per member, in order."""
+    return lambda batch, rngs: [call(labels, member_rng) for labels, member_rng in zip(batch, rngs)]
+
+
 def _dict_adapter(state: BanditState, environment):
-    """``call`` hands a dict environment each label array as a dict; ``read``
-    takes its rewards back by id, outside the failure wrapper (a missing
-    reward is a ParameterError, not an environment failure)."""
+    """``score`` hands a dict environment each label array of a batch as a
+    dict; ``read`` takes its rewards back by id, outside the failure wrapper
+    (a missing reward is a ParameterError, not an environment failure)."""
     ids = state.ids.tolist()
 
     def call(labels, rng):
@@ -357,4 +367,4 @@ def _dict_adapter(state: BanditState, environment):
             missing = sorted(set(ids) - rewards.keys())
             raise ParameterError(f"rewards missing for instances {missing[:5]}") from None
 
-    return call, read
+    return _per_member(call), read

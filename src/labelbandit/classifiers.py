@@ -99,10 +99,10 @@ def _check_features(features: np.ndarray) -> np.ndarray:
 
 
 def _svm_signs(labels: np.ndarray, spec: ClassifierSpec) -> np.ndarray:
-    """Per-task +-1 targets, shape (n, num_outputs)."""
+    """Per-task +-1 targets, shape labels.shape + (num_outputs,)."""
     if spec.num_outputs == 1:
-        return np.where(labels == 1, 1.0, -1.0)[:, None]
-    return np.where(labels[:, None] == np.arange(spec.num_classes)[None, :], 1.0, -1.0)
+        return np.where(labels == 1, 1.0, -1.0)[..., None]
+    return np.where(labels[..., None] == np.arange(spec.num_classes), 1.0, -1.0)
 
 
 _GROUPING_CACHE: dict = {}
@@ -176,10 +176,11 @@ def _cooperative_nll_dz(z: np.ndarray, labels: np.ndarray, grouping) -> np.ndarr
     dz = np.zeros_like(z)
     dz[rows, labels] -= 1.0 - ratios[rows, target_group]
     # scatter each non-target group's weight onto its attaining class; the
-    # target's own group contributes zero (its weight was handled above)
-    scatter = ratios.copy()
-    scatter[rows, target_group] = 0.0
-    np.add.at(dz, (np.repeat(rows, ratios.shape[1]), argmax_col.ravel()), scatter.ravel())
+    # target's own group contributes zero (its weight was handled above).
+    # Groups are disjoint, so no (row, column) pair repeats and a plain
+    # indexed add is exact.
+    ratios[rows, target_group] = 0.0
+    dz[rows[:, None], argmax_col] += ratios
     return dz
 
 
@@ -223,24 +224,33 @@ def cooperative_gradient(weights, features, labels, grouping) -> np.ndarray:
     return -(dz.T @ xb) / z.shape[0]
 
 
-def _batch_gradient(spec, weights, xb, labels, weight_col):
-    """Mean minibatch gradient of the (weighted) training loss, without the L2 term."""
-    n = xb.shape[0]
+def _batch_gradient(spec, weights, xb, targets, weight_col):
+    """Each member's mean minibatch gradient of its (weighted) training loss,
+    without the L2 term, shape (B, outputs, d+1).
+
+    ``weights`` is (B, outputs, d+1) and ``xb`` (B, m, d+1); ``targets`` is
+    (B, m, outputs) of +-1 signs for the SVM and (B, m) labels otherwise;
+    ``weight_col`` is (B, m, 1), or None for unit weights. Every operation
+    acts on each member's rows alone (the matmuls per (m, d+1) slice), so a
+    member's gradient does not depend on B or on the other members.
+    """
+    z = xb @ weights.transpose(0, 2, 1)
     if spec.kind == "linear-svm":
-        signs = _svm_signs(labels, spec)
-        scores = xb @ weights.T
-        viol = (signs * scores < 1.0).astype(np.float64)
-        coef = -(weight_col * signs * viol) / n
-        return coef.T @ xb
-    z = xb @ weights.T
-    if spec.kind == "softmax":
-        zs = z - z.max(axis=1, keepdims=True)
-        e = np.exp(zs)
-        probs = e / e.sum(axis=1, keepdims=True)
-        probs[np.arange(n), labels] -= 1.0
-        return ((weight_col * probs) / n).T @ xb
-    dz = _cooperative_nll_dz(z, labels, spec.grouping)
-    return ((weight_col * dz) / n).T @ xb
+        violated = targets * z < 1.0
+        dz = -(targets * violated)
+    else:
+        # rows are independent, so the members' rows are stacked into one matrix
+        flat, labels = z.reshape(-1, z.shape[2]), targets.ravel()
+        if spec.kind == "softmax":
+            e = np.exp(flat - flat.max(axis=1, keepdims=True))
+            dz = e / e.sum(axis=1, keepdims=True)
+            dz[np.arange(labels.size), labels] -= 1.0
+        else:
+            dz = _cooperative_nll_dz(flat, labels, spec.grouping)
+        dz = dz.reshape(z.shape)
+    if weight_col is not None:
+        dz = weight_col * dz
+    return (dz / xb.shape[1]).transpose(0, 2, 1) @ xb
 
 
 def training_loss(spec, weights, features, labels, sample_weight=None) -> float:
@@ -278,51 +288,69 @@ def initial_weights(spec: ClassifierSpec, feature_dim: int, rng=None) -> np.ndar
     return np.zeros(shape)
 
 
-def fit(spec: ClassifierSpec, features, labels, sample_weight=None, seed=None) -> TrainedModel:
+def fit(
+    spec: ClassifierSpec, features, labels, sample_weight=None, seed=None
+) -> TrainedModel | list[TrainedModel]:
     """Train by seeded minibatch (sub)gradient descent; deterministic per seed.
 
     ``seed`` overrides ``spec.seed`` so one spec can serve many independently
     seeded fits. Degenerate inputs (a single class present) still return a
     model. Sample weights scale each instance's loss term.
+
+    A (B, n) ``labels`` matrix fits B members on the same features at once
+    and returns a list of B models; ``seed`` is then a sequence of B seeds
+    and ``sample_weight``, if given, is (B, n) too. Member b draws from its
+    own ``default_rng(seed[b])`` exactly as a lone fit would (initial weights,
+    then one permutation per epoch), and its minibatches are gathered and
+    stepped together with the others', so its weights are bit-equal to
+    ``fit(spec, features, labels[b], sample_weight[b], seed[b])``.
     """
     features = _check_features(features)
     labels = np.asarray(labels, dtype=np.intp)
-    if labels.shape != (features.shape[0],):
-        raise ValidationError(
-            f"labels shape {labels.shape} does not match {features.shape[0]} instances"
-        )
+    n = features.shape[0]
+    if labels.ndim not in (1, 2) or labels.shape[-1] != n:
+        raise ValidationError(f"labels shape {labels.shape} does not match {n} instances")
     if labels.size and (labels.min() < 0 or labels.max() >= spec.num_classes):
         raise ValidationError(
             f"label ids must lie in [0, {spec.num_classes}); got range "
             f"[{labels.min()}, {labels.max()}]"
         )
+    members = labels if labels.ndim == 2 else labels[None]
+    weight_col = None
     if sample_weight is not None:
         sample_weight = np.asarray(sample_weight, dtype=np.float64)
         if sample_weight.shape != labels.shape:
             raise ValidationError("sample_weight length does not match labels")
         if np.any(sample_weight < 0):
             raise ValidationError("sample weights must be non-negative")
+        weight_col = sample_weight.reshape(members.shape + (1,))
     if seed is None:
-        seed = spec.seed
-    rng = np.random.default_rng(seed)
+        seed = spec.seed if labels.ndim == 1 else [spec.seed] * len(members)
+    seeds = [seed] if labels.ndim == 1 else list(seed)
+    if len(seeds) != members.shape[0]:
+        raise ValidationError(f"{len(seeds)} seeds for {members.shape[0]} label rows")
+    rngs = [np.random.default_rng(s) for s in seeds]
     xb = _with_bias(features)
-    weights = initial_weights(spec, features.shape[1], rng)
-    n = xb.shape[0]
-    l2_mask = np.ones_like(weights)
-    l2_mask[:, -1] = 0.0  # bias is not regularized
+    weights = np.stack([initial_weights(spec, features.shape[1], rng) for rng in rngs])
+    # per-fit constants, gathered once per epoch in each member's order
+    targets = _svm_signs(members, spec) if spec.kind == "linear-svm" else members
+    decay = np.full(weights.shape[1:], spec.l2)
+    decay[:, -1] = 0.0  # bias is not regularized
+    member = np.arange(members.shape[0])[:, None]
     for _ in range(spec.epochs):
-        perm = rng.permutation(n)
+        perms = np.array([rng.permutation(n) for rng in rngs])
+        epoch_xb, epoch_targets = xb[perms], targets[member, perms]
+        epoch_weights = None if weight_col is None else weight_col[member, perms]
         for start in range(0, n, spec.batch_size):
-            idx = perm[start : start + spec.batch_size]
-            w_col = (
-                np.ones((idx.size, 1))
-                if sample_weight is None
-                else sample_weight[idx][:, None]
+            part = slice(start, start + spec.batch_size)
+            part_weights = None if epoch_weights is None else epoch_weights[:, part]
+            grad = _batch_gradient(
+                spec, weights, epoch_xb[:, part], epoch_targets[:, part], part_weights
             )
-            grad = _batch_gradient(spec, weights, xb[idx], labels[idx], w_col)
-            grad += spec.l2 * weights * l2_mask
+            grad += weights * decay
             weights -= spec.learning_rate * grad
-    return TrainedModel(weights, spec)
+    models = [TrainedModel(w, spec) for w in weights]
+    return models[0] if labels.ndim == 1 else models
 
 
 def predict_arrays(model: TrainedModel, features) -> tuple[np.ndarray, np.ndarray]:

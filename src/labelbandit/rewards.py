@@ -532,18 +532,22 @@ def build_reward_context(
 
 
 class RewardEnvironment:
-    """Callable scoring one candidate labelling of the training fold.
+    """Callable scoring candidate labellings of the training fold.
 
-    Each call fits the classifier on (fold features, labelling) with a fresh
-    seed drawn from the supplied rng (the only source of reward noise),
-    predicts the fold and the held-out set, builds a RewardContext, and
-    scores every training instance. Labels in and float64 rewards out are
-    arrays row-aligned with the ascending ``train_ids``. Instances fixed by
-    earlier bootstrap passes can be appended to every fit via
-    ``extra_features`` / ``extra_labels``. What depends on no classifier is
-    built once, at construction: the ``HeldoutLayout``, the fit matrix with
-    the extras stacked under the fold, and the feature-space distance gaps
-    (with tau=None's calibration).
+    A labelling is scored by fitting the classifier on (fold features,
+    labelling) with a fresh seed drawn from its rng (the only source of
+    reward noise), predicting the fold and the held-out set, building a
+    RewardContext, and scoring every training instance. Labels in and
+    float64 rewards out are arrays row-aligned with the ascending
+    ``train_ids``. A call takes one labelling with one rng, or a batch of
+    labellings with one rng each: the batch's members are fitted together
+    by one stacked ``fit``, then scored one by one in batch order, each
+    exactly as a call of its own would score it. Instances fixed by earlier
+    bootstrap passes can be appended to every fit via ``extra_features`` /
+    ``extra_labels``. What depends on no classifier is built once, at
+    construction: the ``HeldoutLayout``, the fit matrix with the extras
+    stacked under the fold, and the feature-space distance gaps (with
+    tau=None's calibration).
     """
 
     def __init__(
@@ -615,12 +619,30 @@ class RewardEnvironment:
             if self._tau is None:
                 self._tau = calibrate_tau(self._raw_distgap, self.train_ids)
 
-    def evaluate(self, labels: np.ndarray, rng) -> np.ndarray:
-        if np.shape(labels) != (len(self.train_ids),):
+    def evaluate(self, labels, rng) -> np.ndarray:
+        """Rewards of one labelling (n,) scored with one generator, or of a
+        batch (B, n) scored with a sequence of B generators, as (B, n)."""
+        members = np.asarray(labels)
+        batch = members.ndim == 2
+        if not batch:
+            members, rng = members[None], [rng]
+        rngs = list(rng)
+        if members.shape[1:] != (len(self.train_ids),) or len(rngs) != len(members):
             raise ParameterError(f"need one label per training instance, got {np.shape(labels)}")
-        seed = int(rng.integers(0, 2**63))
-        y = labels if self._extra_labels is None else np.concatenate([labels, self._extra_labels])
-        model = fit(self.classifier_spec, self._fit_features, y, seed=seed)
+        seeds = [int(member_rng.integers(0, 2**63)) for member_rng in rngs]
+        y = members
+        if self._extra_labels is not None:
+            extras = np.broadcast_to(self._extra_labels, (len(members), len(self._extra_labels)))
+            y = np.concatenate([members, extras], axis=1)
+        models = fit(self.classifier_spec, self._fit_features, y, seed=seeds)
+        rewards = np.empty(members.shape)
+        for row, model in enumerate(models):
+            rewards[row] = self._score(model, members[row])
+        return rewards if batch else rewards[0]
+
+    def _score(self, model, labels: np.ndarray) -> np.ndarray:
+        """One member's rewards from its fitted model; its predictions and
+        context are freed on return, before the next member's are built."""
         train_labels, train_emb = predict_arrays(model, self.train_features)
         ho_labels, ho_emb = predict_arrays(model, self.heldout_features)
         ctx = build_reward_context(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from classifier_helpers import cooperative_nll_dz_add_at, loop_fit
 from hypothesis.extra import numpy as hnp
 from reward_helpers import predictions
 
@@ -13,6 +14,7 @@ from labelbandit import rewards
 from labelbandit.classifiers import (
     ClassifierSpec,
     TrainedModel,
+    _cooperative_nll_dz,
     cooperative_gradient,
     cooperative_objective,
     fit,
@@ -114,6 +116,81 @@ class TestFit:
         # minibatch partitioning can differ; the fit must stay finite and close
         assert np.all(np.isfinite(weights_zeroed))
         assert np.linalg.norm(weights_zeroed - weights_without) < 1.0
+
+    def test_stacked_fit_needs_one_seed_and_weight_row_per_member(self):
+        X, labels = np.ones((4, 2)), np.zeros((3, 4), dtype=int)
+        spec = ClassifierSpec("softmax", 2)
+        assert len(fit(spec, X, labels)) == 3
+        with pytest.raises(ValidationError, match="2 seeds for 3 label rows"):
+            fit(spec, X, labels, seed=[1, 2])
+        with pytest.raises(ValidationError, match="sample_weight"):
+            fit(spec, X, labels, sample_weight=np.ones(4), seed=[1, 2, 3])
+        with pytest.raises(ValidationError, match="does not match 4 instances"):
+            fit(spec, X, np.zeros((3, 5), dtype=int), seed=[1, 2, 3])
+
+
+def random_grouping(draw, num_classes):
+    """A partition of the class ids; all singletons about a third of the time."""
+    if draw(st.integers(0, 2)) == 0:
+        return singleton_grouping(num_classes)
+    group_of = draw(st.lists(st.integers(0, num_classes - 1), min_size=num_classes,
+                             max_size=num_classes))
+    groups = {}
+    for c, g in enumerate(group_of):
+        groups.setdefault(g, []).append(c)
+    return tuple(tuple(group) for group in groups.values())
+
+
+class TestStackedFit:
+    """A (B, n) fit steps the members' minibatches together; each member's
+    weights must equal its own lone fit and the one-minibatch-at-a-time loop
+    bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_members_equal_sequential_fits(self, data):
+        kind, num_classes = data.draw(st.sampled_from(
+            [("linear-svm", 2), ("linear-svm", 4), ("softmax", 3), ("cooperative-softmax", 5)]
+        ))
+        cooperative = kind == "cooperative-softmax"
+        grouping = random_grouping(data.draw, num_classes) if cooperative else None
+        batch_size = data.draw(st.integers(1, 9))
+        # n below, equal to, a multiple of, or not a multiple of the batch size
+        n = data.draw(st.sampled_from(
+            [max(1, batch_size - 1), batch_size, 3 * batch_size, 2 * batch_size + 1]
+        ))
+        members = data.draw(st.integers(1, 5))
+        spec = ClassifierSpec(
+            kind, num_classes, grouping=grouping, epochs=3, batch_size=batch_size,
+            l2=data.draw(st.sampled_from([0.0, 1e-3, 0.1])),
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        X = rng.normal(size=(n, 3)) * 3.0
+        labels = rng.integers(0, num_classes, size=(members, n))
+        seeds = [int(s) for s in rng.integers(0, 2**63, size=members)]
+        weighted = data.draw(st.booleans())
+        sample_weight = rng.uniform(0.0, 2.0, size=(members, n)) if weighted else None
+        stacked = fit(spec, X, labels, sample_weight=sample_weight, seed=seeds)
+        assert len(stacked) == members
+        for b, model in enumerate(stacked):
+            weight = None if sample_weight is None else sample_weight[b]
+            alone = fit(spec, X, labels[b], sample_weight=weight, seed=seeds[b])
+            reference = loop_fit(spec, X, labels[b], sample_weight=weight, seed=seeds[b])
+            assert model.weights.shape == (spec.num_outputs, 4)
+            assert model.weights.tobytes() == alone.weights.tobytes() == reference.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_indexed_scatter_matches_add_at(self, data):
+        num_classes = data.draw(st.integers(2, 7))
+        grouping = random_grouping(data.draw, num_classes)
+        rows = data.draw(st.integers(1, 20))
+        # a few distinct values make score ties within groups common
+        values = st.sampled_from([-2.0, 0.0, 0.5, 3.0]) | st.floats(-30.0, 30.0)
+        z = data.draw(hnp.arrays(np.float64, (rows, num_classes), elements=values))
+        labels = data.draw(hnp.arrays(np.intp, rows, elements=st.integers(0, num_classes - 1)))
+        expected = cooperative_nll_dz_add_at(z, labels, grouping)
+        assert _cooperative_nll_dz(z, labels, grouping).tobytes() == expected.tobytes()
 
 
 class TestPredict:

@@ -1,5 +1,7 @@
 """Reward regimes: recall/precision tables, gating, distance gap, environments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -646,9 +648,12 @@ class TestRewardEnvironment:
             contexts.append(build(*args, **kwargs))
             return contexts[-1]
 
-        def calling(env, labels, rng):
-            scored.append((dict(zip(env.train_ids, labels.tolist())), call(env, labels, rng)))
-            return scored[-1][1]
+        def calling(env, labels, rngs):
+            # one call scores a whole batch, one context per member in batch order
+            values = call(env, labels, rngs)
+            for member, member_values in zip(np.asarray(labels), values):
+                scored.append((dict(zip(env.train_ids, member.tolist())), member_values))
+            return values
 
         monkeypatch.setattr(rewards, "build_reward_context", building)
         monkeypatch.setattr(RewardEnvironment, "__call__", calling)
@@ -662,6 +667,106 @@ class TestRewardEnvironment:
                 assert value == reward_oracle(x, assigned, ctx, params)  # bit for bit
                 checked += value > 0.0
         assert checked > 0
+
+
+def fold_environment(regime, params, bootstrap_extras=False, num_bags=24):
+    """A RewardEnvironment fitting on the first half of a generated dataset's
+    bags and holding out the second half, and its classifier's class count.
+    With ``bootstrap_extras`` the first held-out bags' instances join every
+    fit with their true labels."""
+    if regime == "multiclass-mil":
+        pool = generate_gaussian_blobs(6, 8 * num_bags, 2, 6.0, seed=8)
+        dataset = generate_multiclass_mil(pool, num_bags, (3, 7), {1, 2, 3}, seed=9)
+        spec = ClassifierSpec("cooperative-softmax", dataset.num_classes)
+    else:
+        dataset = generate_binary_mil(num_bags, (3, 6), 0.5, 3, 6.0, seed=8)
+        if regime == "llp":
+            dataset = with_proportion_labels(dataset)
+        spec = ClassifierSpec("linear-svm", 2)
+    index, bag_of = dataset.instance_map(), dataset.bag_of_instance()
+    half = len(dataset.bags) // 2
+    train_bags, held_bags = dataset.bags[:half], dataset.bags[half:]
+    train_ids = [i for b in train_bags for i in b.instance_ids]
+    held_ids = [i for b in held_bags for i in b.instance_ids]
+    extra_ids = [i for b in held_bags[:3] for i in b.instance_ids] if bootstrap_extras else []
+    env = RewardEnvironment(
+        regime=regime,
+        train_ids=train_ids,
+        train_features=np.stack([index[i].features for i in train_ids]),
+        train_bag_index={i: bag_of[i] for i in train_ids},
+        heldout_ids=held_ids,
+        heldout_features=np.stack([index[i].features for i in held_ids]),
+        heldout_bags=held_bags,
+        classifier_spec=spec,
+        params=params,
+        extra_features=np.stack([index[i].features for i in extra_ids]) if extra_ids else None,
+        extra_labels=np.array([index[i].ground_truth for i in extra_ids]) if extra_ids else None,
+    )
+    return env, spec.num_classes
+
+
+class TestBatchedEnvironment:
+    """One call scoring a batch fits its members together; each member's
+    rewards must equal those of a call of its own, in batch order."""
+
+    @pytest.mark.parametrize(
+        "regime, params, extras",
+        [
+            ("binary-mil", RewardParams(k=5), False),
+            ("binary-mil", RewardParams(k=5), True),
+            ("binary-mil", RewardParams(k=4, distgap_enabled=True, distgap_space="features"),
+             False),
+            # tau unset: the first member of the first batch calibrates it
+            ("binary-mil", RewardParams(k=4, distgap_enabled=True), False),
+            ("binary-mil", RewardParams(k=4, distgap_enabled=True, tau=0.5), True),
+            ("multiclass-mil", RewardParams(k=6, alpha=0.5), False),
+            ("multiclass-mil", RewardParams(k=6, alpha=0.5), True),
+            ("llp", RewardParams(k=4), False),
+        ],
+        ids=["bin", "bin-extras", "bin-gap-features", "bin-gap-output-tau-unset",
+             "bin-gap-output-extras", "mc", "mc-extras", "llp"],
+    )
+    def test_batch_call_equals_member_calls(self, regime, params, extras):
+        (batched, num_classes), (alone, _) = (
+            fold_environment(regime, params, extras) for _ in range(2)
+        )
+        rng = np.random.default_rng(3)
+        for width in (3, 2):
+            labels = rng.integers(0, num_classes, size=(width, len(batched.train_ids)))
+            seeds = rng.integers(0, 2**63, size=width)
+            expected = [alone(row, np.random.default_rng(s)) for row, s in zip(labels, seeds)]
+            got = batched(list(labels), [np.random.default_rng(s) for s in seeds])
+            assert got.shape == labels.shape and got.dtype == np.float64
+            assert got.tobytes() == np.array(expected).tobytes()
+            assert np.count_nonzero(got) > 0
+        assert batched._tau == alone._tau
+
+    def test_batch_needs_one_rng_per_member(self):
+        env, _ = fold_environment("binary-mil", RewardParams(k=3))
+        labels = np.zeros((2, len(env.train_ids)), dtype=np.int64)
+        with pytest.raises(ParameterError, match="one label per training instance"):
+            env(labels, [np.random.default_rng(0)])
+
+    def test_batch_peak_memory_stays_near_one_member(self):
+        # members are fitted together but predicted and scored one at a time,
+        # so a batch's peak stays near a single labelling's
+        env, num_classes = fold_environment(
+            "multiclass-mil", RewardParams(k=5, alpha=0.5), num_bags=120
+        )
+        labels = np.random.default_rng(4).integers(0, num_classes, (4, len(env.train_ids)))
+        env(labels[0], np.random.default_rng(0))  # warm caches outside the measurement
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: env(labels[0], np.random.default_rng(1)))
+        four = peak(lambda: env(labels, [np.random.default_rng(s) for s in range(4)]))
+        assert four <= 1.25 * one, (one, four)
 
 
 class TestDispatch:

@@ -1,4 +1,4 @@
-"""Golden outputs: ``generate`` + ``infer`` on eight tiny configs, pinned by hash.
+"""Golden outputs: ``generate`` + ``infer`` on ten tiny configs, pinned by hash.
 
 A refactor or a speed-up must leave ``result.json`` and ``pull_log.ndjson``
 byte-identical. This test makes that rule executable: it compares their
@@ -75,6 +75,19 @@ CASES = {
         "classifier": {"kind": "linear-svm", "epochs": 5},
         "reward": {"k": 4, "alpha": 0.5},
     },
+    # three or more label sets: the gap's other-label bags span several groups
+    "multiclass-gap-features": {
+        "regime": "multiclass-mil",
+        "generator": {**MULTICLASS_GENERATOR, "num_bags": 24},
+        "classifier": {"epochs": 5},
+        "reward": {"k": 4, "alpha": 0.5, "distgap_enabled": True, "distgap_space": "features"},
+    },
+    "multiclass-gap-output": {
+        "regime": "multiclass-mil",
+        "generator": {**MULTICLASS_GENERATOR, "num_bags": 24},
+        "classifier": {"epochs": 5},
+        "reward": {"k": 4, "alpha": 0.5, "distgap_enabled": True, "distgap_space": "output"},
+    },
     "llp": {
         "regime": "llp",
         "generator": GENERATOR,
@@ -112,6 +125,14 @@ GOLDEN = {
     "multiclass-svm": {
         "result.json": "e050e7ae477b172012ac53efe242502308d358d76e306a74e7d67cbbb47de0f9",
         "pull_log.ndjson": "4138ea3299a7c07f6abba5a03ba8ce1b5f66556540bce98523902740cf7c6a07",
+    },
+    "multiclass-gap-features": {
+        "result.json": "500b5197e3f68c24cf1e76fe471986a4ee147e321bdf8023419dd4556cfbc154",
+        "pull_log.ndjson": "3a0373334eed341c7e59c5998f85375f08ff20f9e662487653cff345edc88d45",
+    },
+    "multiclass-gap-output": {
+        "result.json": "196deafb441c38a50ac9b22604494e49eaf2070d624b8ff4d375c761527aee32",
+        "pull_log.ndjson": "fb71aac768b1965aab7daf6f806942a052ecb48a9f434fcf02638ed863a85810",
     },
     "llp": {
         "result.json": "768465c5d328ca786aa203321abf45c951f746f609395c850b0d5e4f0bada287",

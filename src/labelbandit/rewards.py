@@ -55,7 +55,9 @@ class RewardParams:
     groups held-out bags by exact weak label: multi-class bags match only
     when their label sets are identical. Every training bag's label needs a
     matching held-out bag and one that differs; a RewardEnvironment checks
-    this at construction, in either space.
+    this at construction, in either space. Its raw gaps cost one
+    ``raw_distance_gaps`` call per fold in feature space, and one per scored
+    labelling, on the classifier's embeddings, in output space.
     """
 
     k: int = 5
@@ -97,7 +99,8 @@ class RewardContext:
     training row r, and the held-out tables ``rec_row`` (the recall of each
     row's bag), ``prec_row`` and ``proportion_error_row`` follow ascending
     held-out ids. ``distgap_row`` holds each training row's normalized
-    distance gap ``eta(raw, tau)`` (empty when the gap is off).
+    distance gap ``eta(raw, tau)`` (empty when the gap is off), and ``tau``
+    the scale it used, calibrated from the raw gaps when unset.
     """
 
     regime: str
@@ -182,10 +185,11 @@ def eta(raw, tau: float):
 
 
 def distance_gap(vector: np.ndarray, same_bag_points, other_bag_points, k: int) -> float:
-    """Raw gap: mean distance to the k nearest members of each other-label bag
-    minus the same quantity over same-label bags. Positive when the point sits
-    close to bags sharing its bag's label and far from the rest. Bags smaller
-    than k contribute the mean over all their members."""
+    """Raw gap of one point (``raw_distance_gaps`` is the all-rows form): mean
+    distance to the k nearest members of each other-label bag minus the same
+    quantity over same-label bags. Positive when the point sits close to bags
+    sharing its bag's label and far from the rest. Bags smaller than k
+    contribute the mean over all their members."""
     if not same_bag_points or not other_bag_points:
         raise ParameterError("distance gap needs at least one same-label and one other-label bag")
 
@@ -200,34 +204,36 @@ def distance_gap(vector: np.ndarray, same_bag_points, other_bag_points, k: int) 
 
 
 def raw_distance_gaps(
-    train_ids: list[int],
-    train_points: np.ndarray,
-    heldout_ids: list[int],
-    heldout_points: np.ndarray,
-    heldout_bags: list[Bag],
-    train_bag_index: dict[int, Bag],
-    k: int,
-) -> dict[int, float]:
-    """``distance_gap`` of every training instance against the held-out bags.
+    train_points: np.ndarray, heldout_points: np.ndarray, table: DistgapTable, k: int
+) -> np.ndarray:
+    """``distance_gap`` of every training row, bit for bit, row-aligned.
 
-    Points are rows aligned with their id lists; each bag's points follow its
-    member order, and same- and other-label bags keep ``heldout_bags`` order.
+    One (train, held-out) distance matrix; per bag size, each bag's mean of
+    its min(k, size) nearest members; per label group, the other-label minus
+    the same-label mean. Every mean reduces a C-contiguous last axis, as the
+    scalar form's 1-d means do. Below 8 dimensions ``_pairwise_distances``
+    adds the squares in ``np.linalg.norm``'s order; from 8 on the norm sums
+    them pairwise and is taken itself.
     """
-    position_of = {iid: row for row, iid in enumerate(heldout_ids)}
-    bag_points = {
-        bag.id: heldout_points[[position_of[i] for i in bag.instance_ids]] for bag in heldout_bags
-    }
-    by_label: dict[object, list[int]] = {}
-    for bag in heldout_bags:
-        by_label.setdefault(bag.weak_label, []).append(bag.id)
-    raw = {}
-    for row, x in enumerate(train_ids):
-        own_label = train_bag_index[x].weak_label
-        same = [bag_points[b] for b in by_label.get(own_label, [])]
-        other = [
-            bag_points[b] for label, bids in by_label.items() if label != own_label for b in bids
-        ]
-        raw[x] = distance_gap(train_points[row], same, other, k)
+    if heldout_points.shape[1] < 8:
+        dist = _pairwise_distances(train_points, heldout_points)
+    else:  # the norm itself, a block of training rows at a time
+        dist = np.empty((train_points.shape[0], heldout_points.shape[0]))
+        step = max(1, 2**15 // heldout_points.size)
+        for start in range(0, dist.shape[0], step):
+            block = train_points[start : start + step, None]
+            dist[start : start + step] = np.linalg.norm(heldout_points[None] - block, axis=2)
+    bag_mean = np.empty((dist.shape[0], sum(cols.size for cols, _ in table.size_groups)))
+    for cols, members in table.size_groups:
+        kk = min(k, members.shape[1])
+        near = np.take(dist, members, axis=1)
+        near.partition(kk - 1, axis=2)
+        bag_mean[:, cols] = near[..., :kk].mean(axis=2)
+    raw = np.empty(dist.shape[0])
+    for group, (same, other) in enumerate(table.label_groups):
+        rows = np.flatnonzero(table.train_group == group)
+        other_mean = np.take(bag_mean[rows], other, axis=1).mean(axis=1)
+        raw[rows] = other_mean - np.take(bag_mean[rows], same, axis=1).mean(axis=1)
     return raw
 
 
@@ -237,21 +243,15 @@ def _label_text(label) -> str:
     return repr(label.value)
 
 
-def _check_distgap_groups(
-    train_ids: list[int], train_bag_index: dict[int, Bag], heldout_bags: list[Bag]
-) -> None:
-    """Fail early where ``raw_distance_gaps`` would: every training instance's
-    bag label needs a held-out bag with the same label and one with another.
-    Labels match only when equal, so multi-class label sets must be identical."""
-    heldout_labels = {bag.weak_label for bag in heldout_bags}
-    for x in train_ids:
-        bag = train_bag_index[x]
-        if bag.weak_label not in heldout_labels:
-            problem = "no held-out bag carries"
-        elif len(heldout_labels) == 1:
-            problem = "every held-out bag carries"
-        else:
-            continue
+def _check_distgap_groups(table: DistgapTable, train_ids: list[int], train_bag_index) -> None:
+    """Fail before any fit where the gap has nothing to compare: every
+    training instance's bag label needs a held-out bag with the same label and
+    one with another. Labels match only when equal, so multi-class label sets
+    must be identical."""
+    failing = np.flatnonzero((table.train_group < 0) | (len(table.label_groups) < 2))
+    if failing.size:
+        bag, unmatched = train_bag_index[train_ids[failing[0]]], table.train_group[failing[0]] < 0
+        problem = "no held-out bag carries" if unmatched else "every held-out bag carries"
         raise ParameterError(
             f"distance gap: {problem} the weak label {_label_text(bag.weak_label)} of "
             f"training bag {bag.id}; bags are grouped by exact weak label (for "
@@ -259,9 +259,10 @@ def _check_distgap_groups(
         )
 
 
-def calibrate_tau(raw_distgap: dict[int, float], train_ids: list[int]) -> float:
-    """Median absolute raw gap over the first 100 training instances (1 if 0)."""
-    median = float(np.median(np.abs([raw_distgap[x] for x in train_ids[:100]])))
+def calibrate_tau(raw_distgap: np.ndarray) -> float:
+    """Median absolute raw gap over the first 100 training rows (1 if 0), from
+    the gaps row-aligned with the ascending training ids."""
+    median = float(np.median(np.abs(raw_distgap[:100])))
     return median if median > 0 else 1.0
 
 
@@ -295,7 +296,9 @@ class HeldoutLayout:
     ``label_sets`` with ``set_sizes`` (0 marks an empty set) and
     ``proportion``. ``label_sets`` and ``negative_table`` have one column per
     label id below the label space plus a last column, in no set and not
-    negative, that stands for every label outside it.
+    negative, that stands for every label outside it. ``distgap`` is the
+    distance gap's ``DistgapTable``, or None when the layout was built
+    without the training bags.
     """
 
     regime: str
@@ -311,6 +314,46 @@ class HeldoutLayout:
     label_sets: np.ndarray
     set_sizes: np.ndarray
     proportion: np.ndarray
+    distgap: DistgapTable | None
+
+
+@dataclass(frozen=True)
+class DistgapTable:
+    """The fold's held-out bags as ``raw_distance_gaps`` reads them.
+
+    ``size_groups``: per bag size, the bags' columns (positions in the
+    layout's ``bags``) and their held-out rows, (bags, size), in member order.
+    ``label_groups``: per weak label, in order of first appearance, the
+    columns of the bags carrying it and of all others, grouped in that order.
+    ``train_group``: each training row's label group, -1 where none matches.
+    """
+
+    size_groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    label_groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    train_group: np.ndarray
+
+
+def _distgap_table(
+    bags: list[Bag], position_of: dict[int, int], train_ids: list[int], train_bag_index: dict
+) -> DistgapTable:
+    by_size: dict[int, list[int]] = {}
+    by_label: dict[object, list[int]] = {}
+    for b, bag in enumerate(bags):
+        by_size.setdefault(len(bag.instance_ids), []).append(b)
+        by_label.setdefault(bag.weak_label, []).append(b)
+    size_groups = tuple(
+        (np.array(cols), np.array([[position_of[i] for i in bags[b].instance_ids] for b in cols]))
+        for cols in by_size.values()
+    )
+    label_groups = tuple(
+        (np.array(same), np.array([b for o in by_label.values() if o is not same for b in o], int))
+        for same in by_label.values()
+    )
+    group_of = {label: g for g, label in enumerate(by_label)}
+    train_group = [group_of.get(train_bag_index[x].weak_label, -1) for x in train_ids]
+    table = DistgapTable(size_groups, label_groups, np.array(train_group, dtype=np.intp))
+    _check_distgap_groups(table, train_ids, train_bag_index)
+    return table
 
 
 def heldout_layout(
@@ -320,13 +363,15 @@ def heldout_layout(
     heldout_bags: list[Bag],
     negative_labels: frozenset[int],
     num_labels: int,
+    train_bag_index: dict[int, Bag] | None = None,
 ) -> HeldoutLayout:
     """Check a fold's held-out bags and lay them out as arrays.
 
     Ids must be sorted ascending. Every held-out instance must sit in exactly
     one bag, and every bag member must be held out. The label space covers
     the ``num_labels`` labels a classifier can predict, the negative labels
-    and every class a bag names.
+    and every class a bag names. Given each training instance's bag, it also
+    builds and checks the distance gap's ``DistgapTable``.
     """
     _check_bag_kinds(regime, heldout_bags)
     if not heldout_ids:
@@ -370,6 +415,9 @@ def heldout_layout(
     row_bag = np.array(bag_of_row, dtype=np.intp)
     negative_table = np.zeros(label_space + 1, dtype=bool)
     negative_table[list(negative_labels)] = True
+    distgap = None
+    if train_bag_index is not None:
+        distgap = _distgap_table(heldout_bags, position_of, train_ids, train_bag_index)
     return HeldoutLayout(
         regime=regime,
         train_ids=train_ids,
@@ -384,6 +432,7 @@ def heldout_layout(
         label_sets=label_sets,
         set_sizes=set_sizes,
         proportion=proportion,
+        distgap=distgap,
     )
 
 
@@ -451,7 +500,7 @@ def build_reward_context(
     heldout: HeldoutLayout | list[Bag],
     train_bag_index: dict[int, Bag] | None = None,
     negative_labels: frozenset[int] = frozenset({NEGATIVE_CLASS}),
-    raw_distgap: dict[int, float] | None = None,
+    raw_distgap: np.ndarray | None = None,
     tau: float | None = None,
 ) -> RewardContext:
     """Build the per-evaluation tables of one reward evaluation.
@@ -464,16 +513,20 @@ def build_reward_context(
     ``heldout`` is the fold's ``HeldoutLayout`` for those ids (a
     RewardEnvironment builds it once), or the held-out bags, laid out here by
     ``heldout_layout`` with ``negative_labels`` and the embedding width as
-    the class count.
-    For the distance gap, ``train_bag_index`` must map each training instance
-    to its bag. In output space the raw gaps are computed here from the
-    embeddings; when ``params.distgap_space == "features"`` they do not
-    depend on the classifier, so the caller computes them once with
-    ``raw_distance_gaps`` and passes them as ``raw_distgap``.
+    the class count, and with ``train_bag_index`` (each training instance's
+    bag) when the distance gap is on.
+    In output space the raw gaps are computed here from the embeddings by
+    ``raw_distance_gaps`` over the layout's ``DistgapTable``. In feature
+    space they do not depend on the classifier, so the caller computes them
+    once and passes them as ``raw_distgap``, row-aligned with the training
+    ids. With ``tau`` None it is calibrated from these raw gaps.
     """
     (tr_ids, tr_labels, tr_emb), (ho_ids, ho_labels, ho_emb) = predictions
     if not isinstance(heldout, HeldoutLayout):
-        heldout = heldout_layout(regime, tr_ids, ho_ids, heldout, negative_labels, ho_emb.shape[1])
+        gap_index = train_bag_index if params.distgap_enabled else None
+        heldout = heldout_layout(
+            regime, tr_ids, ho_ids, heldout, negative_labels, ho_emb.shape[1], gap_index
+        )
     elif heldout.regime != regime or heldout.train_ids != tr_ids or heldout.heldout_ids != ho_ids:
         raise ValidationError("the held-out layout belongs to another regime or other instance ids")
 
@@ -496,21 +549,15 @@ def build_reward_context(
 
     distgap_row = np.empty(0)
     if params.distgap_enabled:
-        if train_bag_index is None:
-            raise ParameterError("distance gap needs train_bag_index (instance -> bag)")
-        if params.distgap_space == "features":
-            if raw_distgap is None:
-                raise ParameterError("distgap_space='features' needs the precomputed raw_distgap")
-        else:
-            raw_distgap = raw_distance_gaps(
-                tr_ids, tr_emb, ho_ids, ho_emb, heldout.bags, train_bag_index, k
-            )
+        if params.distgap_space == "output":
+            if heldout.distgap is None:
+                raise ParameterError("distance gap needs train_bag_index (instance -> bag)")
+            raw_distgap = raw_distance_gaps(tr_emb, ho_emb, heldout.distgap, k)
+        elif raw_distgap is None or np.shape(raw_distgap) != (len(tr_ids),):
+            raise ParameterError("distgap_space='features' needs raw_distgap, one per training row")
         if tau is None:
-            tau = calibrate_tau(raw_distgap, tr_ids)
-        try:
-            distgap_row = eta(np.array([raw_distgap[x] for x in tr_ids]), tau)
-        except KeyError as exc:
-            raise ParameterError(f"no distance gap available for instance {exc.args[0]}") from exc
+            tau = calibrate_tau(raw_distgap)
+        distgap_row = eta(raw_distgap, tau)
 
     return RewardContext(
         regime=regime,
@@ -580,7 +627,6 @@ class RewardEnvironment:
         train_order = np.argsort(np.asarray(train_ids))
         self.train_ids = [int(train_ids[j]) for j in train_order]
         self.train_features = train_features[train_order]
-        self.train_bag_index = train_bag_index
         heldout_order = np.argsort(np.asarray(heldout_ids))
         self.heldout_ids = [int(heldout_ids[j]) for j in heldout_order]
         self.heldout_features = heldout_features[heldout_order]
@@ -591,13 +637,11 @@ class RewardEnvironment:
             self._extra_labels = extra_labels
         self._tau = params.tau
         self._raw_distgap = None
-        if params.distgap_enabled:
-            if regime == "llp":
-                raise ParameterError(
-                    "the distance-gap prior applies to the MIL regimes only; "
-                    "the llp reward does not read it (set reward.distgap_enabled to false)"
-                )
-            _check_distgap_groups(self.train_ids, train_bag_index, heldout_bags)
+        if params.distgap_enabled and regime == "llp":
+            raise ParameterError(
+                "the distance-gap prior applies to the MIL regimes only; "
+                "the llp reward does not read it (set reward.distgap_enabled to false)"
+            )
         self.layout = heldout_layout(
             regime,
             self.train_ids,
@@ -605,19 +649,15 @@ class RewardEnvironment:
             heldout_bags,
             negative_labels,
             classifier_spec.num_classes,
+            train_bag_index if params.distgap_enabled else None,
         )
         if params.distgap_enabled and params.distgap_space == "features":
+            k = min(params.k, len(self.heldout_ids))
             self._raw_distgap = raw_distance_gaps(
-                self.train_ids,
-                self.train_features,
-                self.heldout_ids,
-                self.heldout_features,
-                heldout_bags,
-                train_bag_index,
-                min(params.k, len(self.heldout_ids)),
+                self.train_features, self.heldout_features, self.layout.distgap, k
             )
             if self._tau is None:
-                self._tau = calibrate_tau(self._raw_distgap, self.train_ids)
+                self._tau = calibrate_tau(self._raw_distgap)
 
     def evaluate(self, labels, rng) -> np.ndarray:
         """Rewards of one labelling (n,) scored with one generator, or of a
@@ -650,7 +690,6 @@ class RewardEnvironment:
             self.params,
             ((self.train_ids, train_labels, train_emb), (self.heldout_ids, ho_labels, ho_emb)),
             self.layout,
-            train_bag_index=self.train_bag_index,
             raw_distgap=self._raw_distgap,
             tau=self._tau,
         )

@@ -1,7 +1,9 @@
 """Test helpers for reward contexts: row-aligned prediction arrays, the
 definitional recall/precision forms the vectorized context tables must match,
 the reward rules and context columns read one training instance at a time,
-and the per-instance loop form of the rewards the vectorized rules must match.
+the per-instance loop form of the rewards the vectorized rules must match,
+and the per-instance loop form of the raw distance gaps the vectorized
+``rewards.raw_distance_gaps`` must match bit for bit.
 
 The ``rec_*``/``prec_*``/``proportion_error`` oracles read predicted labels from an
 ``{instance id: label}`` map and bags from an ``{instance id: bag}`` map.
@@ -92,6 +94,40 @@ def proportion_error(bag: Bag, labels: dict[int, int]) -> float:
     """Absolute gap between the bag's labelled and predicted positive fraction."""
     positives = sum(labels[i] == 1 for i in bag.instance_ids)
     return abs(positives / len(bag.instance_ids) - bag.weak_label.value)
+
+
+def loop_distance_gaps(
+    train_ids: list[int],
+    train_points: np.ndarray,
+    heldout_ids: list[int],
+    heldout_points: np.ndarray,
+    heldout_bags: list[Bag],
+    train_bag_index: dict[int, Bag],
+    k: int,
+) -> np.ndarray:
+    """``rewards.distance_gap`` of every training instance against the
+    held-out bags, one scalar call per instance, row-aligned with
+    ``train_ids``.
+
+    Points are rows aligned with their id lists; each bag's points follow its
+    member order, and same- and other-label bags keep ``heldout_bags`` order.
+    """
+    position_of = {iid: row for row, iid in enumerate(heldout_ids)}
+    bag_points = {
+        bag.id: heldout_points[[position_of[i] for i in bag.instance_ids]] for bag in heldout_bags
+    }
+    by_label: dict[object, list[int]] = {}
+    for bag in heldout_bags:
+        by_label.setdefault(bag.weak_label, []).append(bag.id)
+    raw = np.empty(len(train_ids))
+    for row, x in enumerate(train_ids):
+        own_label = train_bag_index[x].weak_label
+        same = [bag_points[b] for b in by_label.get(own_label, [])]
+        other = [
+            bag_points[b] for label, bids in by_label.items() if label != own_label for b in bids
+        ]
+        raw[row] = rewards.distance_gap(train_points[row], same, other, k)
+    return raw
 
 
 def reward_oracle(instance_id, assigned, ctx, params):

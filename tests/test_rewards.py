@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from reward_helpers import (
     distgap,
     distgap_augmented_reward,
     llp_example_reward,
+    loop_distance_gaps,
     mil_reward,
     mirrored,
     prec_binary,
@@ -399,11 +401,133 @@ class TestDistanceGap:
         params = RewardParams(k=2, distgap_enabled=True)
         ctx, _ = self.build_planted_context(params)
         ((train_ids, _, train_emb), (held_ids, _, held_emb)), bags, train_bags, _ = self.planted()
-        raw = rewards.raw_distance_gaps(
-            train_ids, train_emb, held_ids, held_emb, bags, train_bags, k=2
+        raw = loop_distance_gaps(train_ids, train_emb, held_ids, held_emb, bags, train_bags, k=2)
+        assert ctx.tau == pytest.approx(float(np.median(np.abs(raw[:100]))))
+
+
+LABEL_SETS = [{1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}]
+
+
+@st.composite
+def gap_folds(draw):
+    """A fold for the distance gap: held-out bags of 1 to 12 members listed
+    out of id order, binary labels or up to 7 label sets, training bags whose
+    label may match no held-out bag, points on an integer grid (many ties) or
+    anywhere, in 1 to 10 dimensions (numpy sums 8 or more squares pairwise),
+    and k above and below the bag sizes."""
+    multiclass = draw(st.booleans())
+    if multiclass:
+        sets = draw(st.lists(st.sampled_from(LABEL_SETS), min_size=1, max_size=7, unique_by=str))
+        pool = [WeakLabel.label_set(s) for s in sets]
+    else:
+        pool = [WeakLabel.binary(0), WeakLabel.binary(1)]
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=24))
+    order = draw(st.permutations(range(100, 100 + sum(sizes))))
+    bags, start = [], 0
+    for b, size in enumerate(sizes):
+        bags.append(Bag(b, order[start : start + size], draw(st.sampled_from(pool))))
+        start += size
+    num_train = draw(st.integers(1, 12))
+    train_bags = {x: Bag(50 + x, [x], draw(st.sampled_from(pool))) for x in range(num_train)}
+    dim = draw(st.integers(1, 10))
+    elements = draw(st.sampled_from([
+        st.integers(-2, 2).map(float), st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+    ]))
+    train_points = draw(hnp.arrays(np.float64, (num_train, dim), elements=elements))
+    held_points = draw(hnp.arrays(np.float64, (len(order), dim), elements=elements))
+    regime = "multiclass-mil" if multiclass else "binary-mil"
+    return regime, bags, train_bags, train_points, held_points, draw(st.integers(1, 14))
+
+
+def large_group_fold():
+    """40 bags over three label sets: every label group holds 13 or more bags,
+    so numpy's mean of a group sums pairwise rather than in sequence."""
+    rng = np.random.default_rng(5)
+    sets = [WeakLabel.label_set(s) for s in LABEL_SETS[:3]]
+    members = rng.permutation(np.arange(100, 220)).tolist()
+    bags = [Bag(b, members[3 * b : 3 * b + 3], sets[b % 3]) for b in range(40)]
+    train_bags = {x: Bag(50 + x, [x], sets[x % 3]) for x in range(9)}
+    return "multiclass-mil", bags, train_bags, rng.normal(size=(9, 3)), rng.normal(size=(120, 3)), 2
+
+
+class TestDistanceGapKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(gap_folds())
+    @example(large_group_fold())
+    def test_kernel_equals_per_instance_loop_bit_for_bit(self, fold):
+        regime, bags, train_bags, train_points, held_points, k = fold
+        train_ids, held_ids = sorted(train_bags), list(range(100, 100 + len(held_points)))
+        try:
+            expected = loop_distance_gaps(
+                train_ids, train_points, held_ids, held_points, bags, train_bags, k
+            )
+        except ParameterError:
+            # a training bag's label without a same-label or an other-label group
+            with pytest.raises(ParameterError, match="distance gap: "):
+                rewards.heldout_layout(
+                    regime, train_ids, held_ids, bags, frozenset({0}), 4, train_bags
+                )
+            return
+        layout = rewards.heldout_layout(
+            regime, train_ids, held_ids, bags, frozenset({0}), 4, train_bags
         )
-        raws = [abs(raw[x]) for x in sorted(raw)[:100]]
-        assert ctx.tau == pytest.approx(float(np.median(raws)))
+        raw = rewards.raw_distance_gaps(train_points, held_points, layout.distgap, k)
+        assert raw.dtype == np.float64 and raw.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [5, 8])
+    def test_peak_memory_stays_near_the_distance_matrix(self, dim):
+        # below 8 dimensions the distances are summed a column at a time; from
+        # 8 on, np.linalg.norm takes a block of training rows at a time, where
+        # the whole (train, held-out, d) difference array would be 8x the matrix
+        rng = np.random.default_rng(0)
+        num_train, num_held = 300, 3000
+        bounds = np.cumsum(rng.integers(3, 11, size=num_held // 3))
+        held_ids = np.arange(num_train, num_train + num_held)
+        bags = [
+            Bag(b, members.tolist(), WeakLabel.binary(b % 2))
+            for b, members in enumerate(np.split(held_ids, bounds[bounds < num_held]))
+        ]
+        train_bags = {x: Bag(num_held + x, [x], WeakLabel.binary(x % 2)) for x in range(num_train)}
+        layout = rewards.heldout_layout(
+            "binary-mil", list(range(num_train)), held_ids.tolist(), bags, frozenset({0}), 2,
+            train_bags,
+        )
+        train_points = rng.normal(size=(num_train, dim))
+        held_points = rng.normal(size=(num_held, dim))
+        tracemalloc.start()
+        try:
+            rewards.raw_distance_gaps(train_points, held_points, layout.distgap, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * num_train * num_held * 8, peak
+
+    @pytest.mark.parametrize("space", ["features", "output"])
+    def test_kfold_infer_runs_kernel_once_per_fold_or_scored_member(self, monkeypatch, space):
+        dataset = generate_binary_mil(24, (3, 6), 0.5, 3, 6.0, seed=8)
+        kernel, score = rewards.raw_distance_gaps, RewardEnvironment._score
+        calls = {"kernel": 0, "scored": 0}
+
+        def counting_kernel(*args, **kwargs):
+            calls["kernel"] += 1
+            return kernel(*args, **kwargs)
+
+        def counting_score(*args, **kwargs):
+            calls["scored"] += 1
+            return score(*args, **kwargs)
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("the scalar distance_gap ran")
+
+        monkeypatch.setattr(rewards, "raw_distance_gaps", counting_kernel)
+        monkeypatch.setattr(RewardEnvironment, "_score", counting_score)
+        monkeypatch.setattr(rewards, "distance_gap", scalar)
+        kfold_infer(dataset, InferenceConfig(
+            regime="binary-mil", rounds=4, batch_size=2, folds=3, master_seed=5,
+            reward=RewardParams(k=3, distgap_enabled=True, distgap_space=space),
+        ))
+        assert calls["scored"] > 3
+        assert calls["kernel"] == (3 if space == "features" else calls["scored"])
 
 
 class TestLlpReward:
@@ -579,12 +703,12 @@ class TestRewardEnvironment:
         def bag_features(bags):
             return [np.stack([index[i].features for i in bag.instance_ids]) for bag in bags]
 
-        assert sorted(env._raw_distgap) == env.train_ids
-        for x in env.train_ids:
+        assert env._raw_distgap.shape == (len(env.train_ids),)
+        for row, x in enumerate(env.train_ids):
             own = bag_of[x].weak_label
             same = bag_features([b for b in env.heldout_bags if b.weak_label == own])
             other = bag_features([b for b in env.heldout_bags if b.weak_label != own])
-            assert env._raw_distgap[x] == distance_gap(index[x].features, same, other, k=3)
+            assert env._raw_distgap[row] == distance_gap(index[x].features, same, other, k=3)
 
         tau = env._tau
         assert tau is not None and tau > 0

@@ -203,37 +203,38 @@ def distance_gap(vector: np.ndarray, same_bag_points, other_bag_points, k: int) 
     return float(other - same)
 
 
+# bounds block rows x held-out rows x width in ``raw_distance_gaps``
+_GAP_BLOCK_ELEMENTS = 2**15
+
+
 def raw_distance_gaps(
     train_points: np.ndarray, heldout_points: np.ndarray, table: DistgapTable, k: int
 ) -> np.ndarray:
     """``distance_gap`` of every training row, bit for bit, row-aligned.
 
-    One (train, held-out) distance matrix; per bag size, each bag's mean of
-    its min(k, size) nearest members; per label group, the other-label minus
-    the same-label mean. Every mean reduces a C-contiguous last axis, as the
-    scalar form's 1-d means do. Below 8 dimensions ``_pairwise_distances``
-    adds the squares in ``np.linalg.norm``'s order; from 8 on the norm sums
-    them pairwise and is taken itself.
+    Per block of training rows: the block's distances to the held-out rows by
+    ``np.linalg.norm``; per bag size, each bag's mean of its min(k, size)
+    nearest members; per label group, the other-label minus the same-label
+    mean. Every mean reduces a C-contiguous last axis, as the scalar form's
+    1-d means do. Memory stays bounded by the block, whatever the row count.
     """
-    if heldout_points.shape[1] < 8:
-        dist = _pairwise_distances(train_points, heldout_points)
-    else:  # the norm itself, a block of training rows at a time
-        dist = np.empty((train_points.shape[0], heldout_points.shape[0]))
-        step = max(1, 2**15 // heldout_points.size)
-        for start in range(0, dist.shape[0], step):
-            block = train_points[start : start + step, None]
-            dist[start : start + step] = np.linalg.norm(heldout_points[None] - block, axis=2)
-    bag_mean = np.empty((dist.shape[0], sum(cols.size for cols, _ in table.size_groups)))
-    for cols, members in table.size_groups:
-        kk = min(k, members.shape[1])
-        near = np.take(dist, members, axis=1)
-        near.partition(kk - 1, axis=2)
-        bag_mean[:, cols] = near[..., :kk].mean(axis=2)
-    raw = np.empty(dist.shape[0])
-    for group, (same, other) in enumerate(table.label_groups):
-        rows = np.flatnonzero(table.train_group == group)
-        other_mean = np.take(bag_mean[rows], other, axis=1).mean(axis=1)
-        raw[rows] = other_mean - np.take(bag_mean[rows], same, axis=1).mean(axis=1)
+    raw = np.empty(train_points.shape[0])
+    num_bags = sum(cols.size for cols, _ in table.size_groups)
+    step = max(1, _GAP_BLOCK_ELEMENTS // heldout_points.size)
+    for start in range(0, raw.shape[0], step):
+        block = train_points[start : start + step, None]
+        dist = np.linalg.norm(heldout_points[None] - block, axis=2)
+        bag_mean = np.empty((dist.shape[0], num_bags))
+        for cols, members in table.size_groups:
+            kk = min(k, members.shape[1])
+            near = np.take(dist, members, axis=1)
+            near.partition(kk - 1, axis=2)
+            bag_mean[:, cols] = near[..., :kk].mean(axis=2)
+        train_group = table.train_group[start : start + step]
+        for group, (same, other) in enumerate(table.label_groups):
+            rows = np.flatnonzero(train_group == group)
+            other_mean = np.take(bag_mean[rows], other, axis=1).mean(axis=1)
+            raw[start + rows] = other_mean - np.take(bag_mean[rows], same, axis=1).mean(axis=1)
     return raw
 
 

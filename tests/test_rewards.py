@@ -1,6 +1,7 @@
 """Reward regimes: recall/precision tables, gating, distance gap, environments."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -452,9 +453,10 @@ def large_group_fold():
 
 class TestDistanceGapKernel:
     @settings(max_examples=400, deadline=None)
-    @given(gap_folds())
-    @example(large_group_fold())
-    def test_kernel_equals_per_instance_loop_bit_for_bit(self, fold):
+    @given(gap_folds(), st.sampled_from([1, 64, 512, rewards._GAP_BLOCK_ELEMENTS]))
+    @example(large_group_fold(), 64)
+    def test_kernel_equals_per_instance_loop_bit_for_bit(self, fold, block_elements):
+        # small block budgets split the training rows into blocks of 1 row up
         regime, bags, train_bags, train_points, held_points, k = fold
         train_ids, held_ids = sorted(train_bags), list(range(100, 100 + len(held_points)))
         try:
@@ -471,36 +473,39 @@ class TestDistanceGapKernel:
         layout = rewards.heldout_layout(
             regime, train_ids, held_ids, bags, frozenset({0}), 4, train_bags
         )
-        raw = rewards.raw_distance_gaps(train_points, held_points, layout.distgap, k)
+        with mock.patch.object(rewards, "_GAP_BLOCK_ELEMENTS", block_elements):
+            raw = rewards.raw_distance_gaps(train_points, held_points, layout.distgap, k)
         assert raw.dtype == np.float64 and raw.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("dim", [5, 8])
-    def test_peak_memory_stays_near_the_distance_matrix(self, dim):
-        # below 8 dimensions the distances are summed a column at a time; from
-        # 8 on, np.linalg.norm takes a block of training rows at a time, where
-        # the whole (train, held-out, d) difference array would be 8x the matrix
+    def test_peak_memory_stays_flat_as_training_rows_grow(self):
+        # the kernel takes a block of training rows at a time: whole, the
+        # (train, held-out, d) difference array alone would be 8x the matrix
         rng = np.random.default_rng(0)
-        num_train, num_held = 300, 3000
+        num_held, dim = 3000, 8
         bounds = np.cumsum(rng.integers(3, 11, size=num_held // 3))
-        held_ids = np.arange(num_train, num_train + num_held)
+        held_ids = np.arange(num_held)
         bags = [
             Bag(b, members.tolist(), WeakLabel.binary(b % 2))
             for b, members in enumerate(np.split(held_ids, bounds[bounds < num_held]))
         ]
-        train_bags = {x: Bag(num_held + x, [x], WeakLabel.binary(x % 2)) for x in range(num_train)}
-        layout = rewards.heldout_layout(
-            "binary-mil", list(range(num_train)), held_ids.tolist(), bags, frozenset({0}), 2,
-            train_bags,
-        )
-        train_points = rng.normal(size=(num_train, dim))
         held_points = rng.normal(size=(num_held, dim))
-        tracemalloc.start()
-        try:
-            rewards.raw_distance_gaps(train_points, held_points, layout.distgap, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * num_train * num_held * 8, peak
+        peaks = {}
+        for num_train in (300, 1200):
+            train_ids = list(range(num_held, num_held + num_train))
+            train_bags = {x: Bag(x, [x], WeakLabel.binary(x % 2)) for x in train_ids}
+            layout = rewards.heldout_layout(
+                "binary-mil", train_ids, held_ids.tolist(), bags, frozenset({0}), 2, train_bags
+            )
+            train_points = rng.normal(size=(num_train, dim))
+            tracemalloc.start()
+            try:
+                rewards.raw_distance_gaps(train_points, held_points, layout.distgap, 5)
+                peaks[num_train] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[300] < 4 * 300 * num_held * 8, peaks
+        # 4x the rows adds only the 900 rows' gaps (8 bytes each) to the output
+        assert peaks[1200] < peaks[300] + 900 * 8 + 4096, peaks
 
     @pytest.mark.parametrize("space", ["features", "output"])
     def test_kfold_infer_runs_kernel_once_per_fold_or_scored_member(self, monkeypatch, space):

@@ -1,4 +1,4 @@
-"""Golden outputs: ``generate`` + ``infer`` on ten tiny configs, pinned by hash.
+"""Golden outputs: ``generate`` + ``infer`` on eleven tiny configs, pinned by hash.
 
 A refactor or a speed-up must leave ``result.json`` and ``pull_log.ndjson``
 byte-identical. This test makes that rule executable: it compares their
@@ -93,6 +93,12 @@ CASES = {
         "generator": GENERATOR,
         "reward": {"k": 4},
     },
+    # k above every fold's held-out pool (37, 43 and 46 rows): k is clamped
+    "binary-k-above-pool": {
+        "regime": "binary-mil",
+        "generator": GENERATOR,
+        "reward": {"k": 60},
+    },
 }
 
 COMMON = {"rounds": 25, "folds": 3, "master_seed": 11}
@@ -137,6 +143,10 @@ GOLDEN = {
     "llp": {
         "result.json": "768465c5d328ca786aa203321abf45c951f746f609395c850b0d5e4f0bada287",
         "pull_log.ndjson": "da046ea1bb72eccbd3a088e46c89322f850706d50535a4d9f20816899a70755b",
+    },
+    "binary-k-above-pool": {
+        "result.json": "8d9b81e0170bcf53c080ff3e116734e0d530f278d4eea3522dc038761215d21b",
+        "pull_log.ndjson": "eea6fb4bf29516812d4a8a1342c4dbc92dfbb4fb97becbdc3a8f53ea19f72549",
     },
 }
 

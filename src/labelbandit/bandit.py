@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InferenceError, ParameterError, RewardRangeError
-from .rewards import RewardEnvironment
 
 # Confidence sentinel for instances whose label set is a singleton: the label
 # is structurally forced, not inferred. Serialized as the string "fixed".
@@ -287,13 +286,14 @@ def run_inference(
 ) -> InferenceResult:
     """Full inference loop: initialization sweep, then ``rounds`` scored pulls.
 
-    ``environment`` is a callable ``(assignment, rng) -> {instance: reward}``
-    fed dicts in ``label_sets`` order, or one with ``train_ids`` equal to the
-    sorted ids, fed label arrays on those rows. Batch members (and the
-    initialization sweep) are selected together and their per-pull rngs drawn
-    up front; a ``RewardEnvironment`` then scores the whole batch in one call,
-    any other environment is called once per member in batch order. Members
-    are updated in batch order. Reproducible given the rng seed and a
+    Batch members (and the initialization sweep) are selected together and
+    their per-pull rngs drawn up front. ``environment`` is one of two kinds:
+    - a callable ``(assignment, rng) -> {instance: reward}``, called once per
+      member in batch order with a dict in ``label_sets`` order;
+    - a callable with ``train_ids`` equal to the sorted ids, called once per
+      batch as ``(labels, rngs)``: the members' int64 label arrays on those
+      rows and one rng per member. It returns one reward array per member.
+    Members are updated in batch order. Reproducible given the rng seed and a
     deterministic environment. An empty ``pull_log`` is filled with every pull.
     """
     if rounds < 1:
@@ -311,10 +311,8 @@ def run_inference(
         score, read = _dict_adapter(state, environment)
     elif not np.array_equal(environment_ids, state.ids):
         raise ParameterError("the environment's train_ids are not the labelled instances")
-    elif isinstance(environment, RewardEnvironment):
-        score, read = environment, np.asarray
     else:
-        score, read = _per_member(environment), np.asarray
+        score, read = environment, np.asarray
 
     def evaluate_batch(batch):
         rngs = [np.random.default_rng(int(rng.integers(0, 2**63))) for _ in batch]
@@ -325,6 +323,8 @@ def run_inference(
                 f"reward environment failed at round {state.t}, "
                 f"assignment {assignment_hash(state.ids, batch[0])}: {exc}"
             ) from exc
+        if len(scored) != len(batch):
+            raise ParameterError(f"{len(scored)} reward arrays for a batch of {len(batch)}")
         return map(read, scored)
 
     def credit(labels, rewards, advance_round):
@@ -346,19 +346,14 @@ def run_inference(
     return best_assignment(state)
 
 
-def _per_member(call):
-    """A batch scorer calling ``call(labels, rng)`` once per member, in order."""
-    return lambda batch, rngs: [call(labels, member_rng) for labels, member_rng in zip(batch, rngs)]
-
-
 def _dict_adapter(state: BanditState, environment):
-    """``score`` hands a dict environment each label array of a batch as a
+    """``score`` calls a dict environment on each label array of a batch, as a
     dict; ``read`` takes its rewards back by id, outside the failure wrapper
     (a missing reward is a ParameterError, not an environment failure)."""
     ids = state.ids.tolist()
 
-    def call(labels, rng):
-        return environment(_labelling(state, labels), rng)
+    def score(batch, rngs):
+        return [environment(_labelling(state, labels), rng) for labels, rng in zip(batch, rngs)]
 
     def read(rewards):
         try:
@@ -367,4 +362,4 @@ def _dict_adapter(state: BanditState, environment):
             missing = sorted(set(ids) - rewards.keys())
             raise ParameterError(f"rewards missing for instances {missing[:5]}") from None
 
-    return _per_member(call), read
+    return score, read

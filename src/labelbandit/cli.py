@@ -80,13 +80,36 @@ DEFAULT_CONFIG["reward"]["num_negative_labels"] = None  # None: DEFAULT_NEGATIVE
 # multi-class (one per expected negative mode at desk scale).
 DEFAULT_NEGATIVE_LABELS = {"binary-mil": 1, "multiclass-mil": 3, "llp": 1}
 
+# The type of each key whose default is null; every other key takes its default's.
+_NULL_DEFAULT_TYPES = {
+    "regime": str, "dataset": str, "out": str, "rff_width": int, "classifier.kind": str,
+    "reward.tau": float, "reward.num_negative_labels": int,
+}
+_JSON_TYPE_NAMES = {
+    dict: "an object", list: "an array", str: "a string", bool: "true or false",
+    int: "an integer", float: "a number",
+}
+
+
+def _check_type(key: str, default, value) -> None:
+    """A config value must have its default's type: an int passes for a float,
+    a bool never for a number, and null only where the default is null."""
+    if default is None and value is None:
+        return
+    expected = _NULL_DEFAULT_TYPES[key] if default is None else type(default)
+    accepted = (int, float) if expected is float else expected
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        name = _JSON_TYPE_NAMES[expected] + (" or null" if default is None else "")
+        raise ConfigError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
+
 
 def _merge_config(base: dict, override: dict, path: str = "") -> dict:
     merged = copy.deepcopy(base)
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key {path + key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        _check_type(path + key, base[key], value)
+        if isinstance(base[key], dict):
             merged[key] = _merge_config(base[key], value, path + key + ".")
         else:
             merged[key] = value

@@ -11,10 +11,10 @@ A ``RewardContext`` precomputes everything shared across instances for one
 evaluation (each held-out row's bag recall and precision, neighbour rows,
 normalized distance gaps) from the classifier's predictions, given as arrays
 row-aligned with ascending instance ids; the reward rules then score every
-training row at once from it. Its fixed half, the ``HeldoutLayout`` (each
-held-out row's bag and each bag's weak label as arrays), is built once per
-fold; ``build_reward_context`` adds the per-pull half from the predictions
-with bag counts over the layout, without a loop over bags.
+training row at once from it. Its fixed half, the fold's ``HeldoutLayout``
+(the regime, the ids, and each held-out row's bag and each bag's weak label
+as arrays), is built once per fold; ``build_reward_context`` adds the
+per-pull half from the predictions, without a loop over bags.
 """
 
 from __future__ import annotations
@@ -91,21 +91,18 @@ class RewardParams:
 class RewardContext:
     """Per-evaluation tables read by the reward functions.
 
-    ``regime``, ``negative_labels`` and ``train_row`` (each training instance
-    id's row) come from the fold's ``HeldoutLayout``, built once per fold;
-    the rest is built per pull from the predictions. ``train_labels``,
-    ``neighbor_rows`` and ``distgap_row`` follow the training rows. Row r of
-    the (n_train, k) array ``neighbor_rows`` holds the held-out rows nearest
-    training row r, and the held-out tables ``rec_row`` (the recall of each
-    row's bag), ``prec_row`` and ``proportion_error_row`` follow ascending
-    held-out ids. ``distgap_row`` holds each training row's normalized
-    distance gap ``eta(raw, tau)`` (empty when the gap is off), and ``tau``
-    the scale it used, calibrated from the raw gaps when unset.
+    ``layout`` is the fold's ``HeldoutLayout``, with the regime and negative
+    labels; the rest is built per pull from the predictions. ``train_labels``,
+    ``neighbor_rows`` and ``distgap_row`` follow ``layout.train_ids``. Row r
+    of the (n_train, k) array ``neighbor_rows`` holds the held-out rows
+    nearest training row r, and the held-out tables ``rec_row`` (the recall
+    of each row's bag), ``prec_row`` and ``proportion_error_row`` follow
+    ``layout.heldout_ids``. ``distgap_row`` holds each training row's
+    normalized distance gap ``eta(raw, tau)`` (empty when the gap is off),
+    and ``tau`` the scale it used, calibrated from the raw gaps when unset.
     """
 
-    regime: str
-    negative_labels: frozenset[int]
-    train_row: dict[int, int]
+    layout: HeldoutLayout
     train_labels: np.ndarray
     neighbor_rows: np.ndarray
     rec_row: np.ndarray
@@ -119,63 +116,63 @@ class RewardContext:
 # Per-instance rewards
 # ---------------------------------------------------------------------------
 #
-# A rule scores many training rows at once: ``rows`` is an index array or a
-# slice, ``assigned`` the labels assigned to those rows.
+# A rule scores every training row at once: ``assigned`` holds the labels
+# assigned to the rows.
 
 
-def _gated_base(rows, ctx: RewardContext, params: RewardParams) -> np.ndarray:
+def _gated_base(ctx: RewardContext, params: RewardParams) -> np.ndarray:
     """gamma * meanRec + (1 - gamma) * [meanRec >= alpha] * meanPrec, per row."""
-    neighbors = ctx.neighbor_rows[rows]
+    neighbors = ctx.neighbor_rows
     mean_rec = ctx.rec_row[neighbors].mean(axis=1)
     mean_prec = ctx.prec_row[neighbors].mean(axis=1)
     value = params.gamma * mean_rec
     return np.where(mean_rec >= params.alpha, value + (1.0 - params.gamma) * mean_prec, value)
 
 
-def _gate(rows, assigned, ctx: RewardContext, values: np.ndarray) -> np.ndarray:
+def _gate(assigned, ctx: RewardContext, values: np.ndarray) -> np.ndarray:
     """The modelability gate: 0 where the fold's classifier does not predict
     the assigned label."""
-    return np.where(assigned == ctx.train_labels[rows], values, 0.0)
+    return np.where(assigned == ctx.train_labels, values, 0.0)
 
 
-def _mil_rule(rows, assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
+def _mil_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
     """Binary and multi-class MIL reward: the gated recall/precision base.
 
     The regime shows only in the context's tables and neighbours (full output
     space for binary, the predicted-class dimension for multi-class); with two
     classes and one negative label the two coincide.
     """
-    return _gate(rows, assigned, ctx, _gated_base(rows, ctx, params))
+    return _gate(assigned, ctx, _gated_base(ctx, params))
 
 
-def _distgap_rule(rows, assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
+def _distgap_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
     """Base reward scaled by the distance gap for positive assignments and by
     its complement for negative-mode assignments; the gate is unchanged."""
-    gap = ctx.distgap_row[rows]
-    base = _gated_base(rows, ctx, params)
-    negative = np.isin(assigned, list(ctx.negative_labels))
-    return _gate(rows, assigned, ctx, np.where(negative, (1.0 - gap) * base, gap * base))
+    gap, base = ctx.distgap_row, _gated_base(ctx, params)
+    negative = np.isin(assigned, list(ctx.layout.negative_labels))
+    return _gate(assigned, ctx, np.where(negative, (1.0 - gap) * base, gap * base))
 
 
-def _llp_rule(rows, assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
+def _llp_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
     """Worked example of a user-defined regime for proportion-labelled bags:
     one minus the mean absolute error between each neighbouring bag's labelled
     and predicted positive fraction, behind the usual gate."""
-    if ctx.regime != "llp":
+    if ctx.layout.regime != "llp":
         raise RegimeError("llp reward requires proportion-labelled bags")
-    error = ctx.proportion_error_row[ctx.neighbor_rows[rows]].mean(axis=1)
-    return _gate(rows, assigned, ctx, 1.0 - error)
+    error = ctx.proportion_error_row[ctx.neighbor_rows].mean(axis=1)
+    return _gate(assigned, ctx, 1.0 - error)
 
 
-def _regime_rule(rows, assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
-    """Dispatch on the context's regime (and the distance-gap flag)."""
-    if ctx.regime == "llp":
-        return _llp_rule(rows, assigned, ctx, params)
-    if ctx.regime in ("binary-mil", "multiclass-mil"):
+def _regime_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
+    """Dispatch on the layout's regime (and the distance-gap flag)."""
+    regime = ctx.layout.regime
+    if regime == "llp":
+        return _llp_rule(assigned, ctx, params)
+    if regime in ("binary-mil", "multiclass-mil"):
         if params.distgap_enabled:
-            return _distgap_rule(rows, assigned, ctx, params)
-        return _mil_rule(rows, assigned, ctx, params)
-    raise RegimeError(f"no built-in reward for regime {ctx.regime!r}; supply a custom environment")
+            return _distgap_rule(assigned, ctx, params)
+        return _mil_rule(assigned, ctx, params)
+    raise RegimeError(f"no built-in reward for regime {regime!r}; supply a custom environment")
 
 
 def eta(raw, tau: float):
@@ -290,12 +287,11 @@ def _check_bag_kinds(regime: str, bags: list[Bag]):
 class HeldoutLayout:
     """The part of a reward context fixed for a fold, built by ``heldout_layout``.
 
-    Ids are ascending and ``train_row`` maps each training id to its row.
-    ``row_bag`` gives each held-out row the position of its bag in ``bags``;
-    the bag columns follow ``bags``: ``bag_sizes``, and the weak labels of the
-    regime's kind (the others stay zero): ``positive`` (binary label 1),
-    ``label_sets`` with ``set_sizes`` (0 marks an empty set) and
-    ``proportion``. ``label_sets`` and ``negative_table`` have one column per
+    Ids are ascending; a context's rows follow them. ``row_bag`` gives each
+    held-out row the position of its bag in ``bags``; the bag columns follow
+    ``bags``: ``bag_sizes``, and the weak labels of the regime's kind (the
+    others stay zero): ``positive`` (binary label 1), ``label_sets`` with
+    ``set_sizes`` (0 marks an empty set) and ``proportion``. ``label_sets`` and ``negative_table`` have one column per
     label id below the label space plus a last column, in no set and not
     negative, that stands for every label outside it. ``distgap`` is the
     distance gap's ``DistgapTable``, or None when the layout was built
@@ -306,7 +302,6 @@ class HeldoutLayout:
     train_ids: list[int]
     heldout_ids: list[int]
     bags: tuple[Bag, ...]
-    train_row: dict[int, int]
     negative_labels: frozenset[int]
     negative_table: np.ndarray
     row_bag: np.ndarray
@@ -424,7 +419,6 @@ def heldout_layout(
         train_ids=train_ids,
         heldout_ids=heldout_ids,
         bags=tuple(heldout_bags),
-        train_row={iid: row for row, iid in enumerate(train_ids)},
         negative_labels=frozenset(negative_labels),
         negative_table=negative_table,
         row_bag=row_bag,
@@ -495,12 +489,9 @@ def _full_space_neighbors(queries: np.ndarray, pool: np.ndarray, k: int) -> np.n
 
 
 def build_reward_context(
-    regime: str,
     params: RewardParams,
     predictions,
-    heldout: HeldoutLayout | list[Bag],
-    train_bag_index: dict[int, Bag] | None = None,
-    negative_labels: frozenset[int] = frozenset({NEGATIVE_CLASS}),
+    layout: HeldoutLayout,
     raw_distgap: np.ndarray | None = None,
     tau: float | None = None,
 ) -> RewardContext:
@@ -510,12 +501,9 @@ def build_reward_context(
     labels, embeddings)): ids sorted ascending, with labels and embeddings
     row-aligned to them as ``predict_arrays`` returns them. Neighbour pools
     are therefore ordered by ascending held-out instance id, so distance ties
-    resolve to the lower id.
-    ``heldout`` is the fold's ``HeldoutLayout`` for those ids (a
-    RewardEnvironment builds it once), or the held-out bags, laid out here by
-    ``heldout_layout`` with ``negative_labels`` and the embedding width as
-    the class count, and with ``train_bag_index`` (each training instance's
-    bag) when the distance gap is on.
+    resolve to the lower id. ``layout`` is the fold's ``HeldoutLayout`` for
+    those ids, which also names the regime; k is clamped to the held-out
+    pool without a word (a RewardEnvironment warns once, at construction).
     In output space the raw gaps are computed here from the embeddings by
     ``raw_distance_gaps`` over the layout's ``DistgapTable``. In feature
     space they do not depend on the classifier, so the caller computes them
@@ -523,20 +511,12 @@ def build_reward_context(
     ids. With ``tau`` None it is calibrated from these raw gaps.
     """
     (tr_ids, tr_labels, tr_emb), (ho_ids, ho_labels, ho_emb) = predictions
-    if not isinstance(heldout, HeldoutLayout):
-        gap_index = train_bag_index if params.distgap_enabled else None
-        heldout = heldout_layout(
-            regime, tr_ids, ho_ids, heldout, negative_labels, ho_emb.shape[1], gap_index
-        )
-    elif heldout.regime != regime or heldout.train_ids != tr_ids or heldout.heldout_ids != ho_ids:
+    if layout.train_ids != tr_ids or layout.heldout_ids != ho_ids:
         raise ValidationError("the held-out layout belongs to another regime or other instance ids")
-
-    if params.k > len(ho_ids):
-        logger.warning("k=%d exceeds the held-out pool size %d; clamping", params.k, len(ho_ids))
     k = min(params.k, len(ho_ids))
 
     # neighbours: full embedding space, or the predicted-class coordinate
-    if regime == "multiclass-mil":
+    if layout.regime == "multiclass-mil":
         neighbor_rows = np.empty((len(tr_ids), k), dtype=np.intp)
         for cls in np.unique(tr_labels):
             member_rows = np.flatnonzero(tr_labels == cls)
@@ -546,14 +526,14 @@ def build_reward_context(
     else:
         neighbor_rows = _full_space_neighbors(tr_emb, ho_emb, k)
 
-    rec_row, prec_row, proportion_error_row = _bag_tables(heldout, ho_labels)
+    rec_row, prec_row, proportion_error_row = _bag_tables(layout, ho_labels)
 
     distgap_row = np.empty(0)
     if params.distgap_enabled:
         if params.distgap_space == "output":
-            if heldout.distgap is None:
+            if layout.distgap is None:
                 raise ParameterError("distance gap needs train_bag_index (instance -> bag)")
-            raw_distgap = raw_distance_gaps(tr_emb, ho_emb, heldout.distgap, k)
+            raw_distgap = raw_distance_gaps(tr_emb, ho_emb, layout.distgap, k)
         elif raw_distgap is None or np.shape(raw_distgap) != (len(tr_ids),):
             raise ParameterError("distgap_space='features' needs raw_distgap, one per training row")
         if tau is None:
@@ -561,9 +541,7 @@ def build_reward_context(
         distgap_row = eta(raw_distgap, tau)
 
     return RewardContext(
-        regime=regime,
-        negative_labels=heldout.negative_labels,
-        train_row=heldout.train_row,
+        layout=layout,
         train_labels=tr_labels,
         neighbor_rows=neighbor_rows,
         rec_row=rec_row,
@@ -595,7 +573,8 @@ class RewardEnvironment:
     ``extra_labels``. What depends on no classifier is built once, at
     construction: the ``HeldoutLayout``, the fit matrix with the extras
     stacked under the fold, and the feature-space distance gaps (with
-    tau=None's calibration).
+    tau=None's calibration). A k above the held-out pool is clamped, with
+    one warning per environment.
     """
 
     def __init__(
@@ -620,10 +599,8 @@ class RewardEnvironment:
         extra_rows, num_extra = (0 if e is None else len(e) for e in (extra_features, extra_labels))
         if extra_rows != num_extra:
             raise ValidationError(f"{extra_rows} extra_features rows but {num_extra} extra_labels")
-        self.regime = regime
         self.params = params
         self.classifier_spec = classifier_spec
-        self.heldout_bags = heldout_bags
         # keep everything row-aligned with ascending instance ids
         train_order = np.argsort(np.asarray(train_ids))
         self.train_ids = [int(train_ids[j]) for j in train_order]
@@ -652,8 +629,10 @@ class RewardEnvironment:
             classifier_spec.num_classes,
             train_bag_index if params.distgap_enabled else None,
         )
+        k = min(params.k, len(self.heldout_ids))
+        if k < params.k:
+            logger.warning("k=%d exceeds the held-out pool size %d; clamping", params.k, k)
         if params.distgap_enabled and params.distgap_space == "features":
-            k = min(params.k, len(self.heldout_ids))
             self._raw_distgap = raw_distance_gaps(
                 self.train_features, self.heldout_features, self.layout.distgap, k
             )
@@ -687,7 +666,6 @@ class RewardEnvironment:
         train_labels, train_emb = predict_arrays(model, self.train_features)
         ho_labels, ho_emb = predict_arrays(model, self.heldout_features)
         ctx = build_reward_context(
-            self.regime,
             self.params,
             ((self.train_ids, train_labels, train_emb), (self.heldout_ids, ho_labels, ho_emb)),
             self.layout,
@@ -696,7 +674,7 @@ class RewardEnvironment:
         )
         if self._tau is None and ctx.tau is not None:
             self._tau = ctx.tau  # output space: calibrated once, on the first evaluation
-        rewards = _regime_rule(slice(None), labels, ctx, self.params)
+        rewards = _regime_rule(labels, ctx, self.params)
         bounded = (rewards >= 0.0) & (rewards <= 1.0)
         if not bounded.all():
             row = int(np.argmin(bounded))

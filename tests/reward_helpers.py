@@ -1,12 +1,14 @@
-"""Test helpers for reward contexts: row-aligned prediction arrays, the
-definitional recall/precision forms the vectorized context tables must match,
-the reward rules and context columns read one training instance at a time,
-the per-instance loop form of the rewards the vectorized rules must match,
-and the per-instance loop form of the raw distance gaps the vectorized
-``rewards.raw_distance_gaps`` must match bit for bit.
+"""Test helpers for reward contexts: a context built straight from held-out
+bags, row-aligned prediction arrays, the definitional recall/precision forms
+the vectorized context tables must match, the reward rules and context
+columns read one training instance at a time, the per-instance loop form of
+the rewards the vectorized rules must match, and the per-instance loop form
+of the raw distance gaps the vectorized ``rewards.raw_distance_gaps`` must
+match bit for bit.
 
 The ``rec_*``/``prec_*``/``proportion_error`` oracles read predicted labels from an
-``{instance id: label}`` map and bags from an ``{instance id: bag}`` map.
+``{instance id: label}`` map and bags from an ``{instance id: bag}`` map. A
+training instance's row in a context is its position in ``ctx.layout.train_ids``.
 """
 
 import numpy as np
@@ -15,12 +17,34 @@ from labelbandit import rewards
 from labelbandit.data import NEGATIVE_CLASS, Bag
 
 
+def context(
+    regime, params, predictions, bags, train_bag_index=None,
+    negative_labels=frozenset({NEGATIVE_CLASS}),
+):
+    """``rewards.build_reward_context`` over held-out bags, laid out first by
+    ``rewards.heldout_layout`` with the embedding width as the class count,
+    and with ``train_bag_index`` (each training instance's bag) when the
+    distance gap is on."""
+    (train_ids, _, _), (heldout_ids, _, embeddings) = predictions
+    layout = rewards.heldout_layout(
+        regime, train_ids, heldout_ids, bags, negative_labels, embeddings.shape[1],
+        train_bag_index if params.distgap_enabled else None,
+    )
+    return rewards.build_reward_context(params, predictions, layout)
+
+
+def row_of(instance_id, ctx):
+    """A training instance's row in the context's arrays."""
+    return ctx.layout.train_ids.index(instance_id)
+
+
 def one_row(rule):
-    """A vectorized reward rule as (instance_id, assigned, ctx, params) -> float."""
+    """A vectorized reward rule as (instance_id, assigned, ctx, params) -> float:
+    every training row is assigned ``assigned``, and the instance's row is read."""
 
     def reward(instance_id, assigned, ctx, params):
-        rows = np.array([ctx.train_row[instance_id]])
-        return float(rule(rows, np.array([assigned]), ctx, params)[0])
+        assigned_rows = np.full(len(ctx.layout.train_ids), assigned)
+        return float(rule(assigned_rows, ctx, params)[row_of(instance_id, ctx)])
 
     return reward
 
@@ -33,12 +57,12 @@ reward_for = one_row(rewards._regime_rule)
 
 def distgap(instance_id, ctx):
     """The normalized distance gap of a training instance."""
-    return float(ctx.distgap_row[ctx.train_row[instance_id]])
+    return float(ctx.distgap_row[row_of(instance_id, ctx)])
 
 
 def predicted_label(instance_id, ctx):
     """The label the evaluation's classifier predicts for a training instance."""
-    return int(ctx.train_labels[ctx.train_row[instance_id]])
+    return int(ctx.train_labels[row_of(instance_id, ctx)])
 
 
 def predictions(ids, embeddings):
@@ -134,11 +158,11 @@ def reward_oracle(instance_id, assigned, ctx, params):
     """One instance's built-in reward, one neighbour row at a time: the gate,
     then the llp error or the gated recall/precision base, scaled by the
     distance gap when it is on."""
-    row = ctx.train_row[instance_id]
+    row = row_of(instance_id, ctx)
     if assigned != int(ctx.train_labels[row]):
         return 0.0
     rows = ctx.neighbor_rows[row]
-    if ctx.regime == "llp":
+    if ctx.layout.regime == "llp":
         return float(1.0 - ctx.proportion_error_row[rows].mean())
     mean_rec, mean_prec = float(ctx.rec_row[rows].mean()), float(ctx.prec_row[rows].mean())
     value = params.gamma * mean_rec
@@ -147,4 +171,4 @@ def reward_oracle(instance_id, assigned, ctx, params):
     if not params.distgap_enabled:
         return value
     gap = float(ctx.distgap_row[row])
-    return (1.0 - gap) * value if assigned in ctx.negative_labels else gap * value
+    return (1.0 - gap) * value if assigned in ctx.layout.negative_labels else gap * value

@@ -11,7 +11,15 @@ import time
 import numpy as np
 import pytest
 from bandit_helpers import arms, cell, records
-from reward_helpers import distgap, mil_reward, mirrored, predicted_label, predictions, reward_for
+from reward_helpers import (
+    context,
+    distgap,
+    mil_reward,
+    mirrored,
+    predicted_label,
+    predictions,
+    reward_for,
+)
 
 import labelbandit as lb
 from labelbandit.bandit import PullLog, new_bandit, run_inference, ucb_scores, update
@@ -23,7 +31,7 @@ from labelbandit.classifiers import (
 from labelbandit.data import Bag, WeakLabel
 from labelbandit.metrics import bag_accuracy, instance_accuracy
 from labelbandit.pipeline import ClassifierConfig, InferenceConfig, kfold_infer
-from labelbandit.rewards import RewardParams, build_reward_context, eta
+from labelbandit.rewards import RewardParams, eta
 
 
 def _criterion(number, name, passed, detail=""):
@@ -173,7 +181,7 @@ def _random_fuzz_context(rng, regime, params, num_classes=4):
     train_bags = {
         x: Bag(50 + x, [x], bags[int(rng.integers(len(bags)))].weak_label) for x in range(n_train)
     }
-    ctx = build_reward_context(
+    ctx = context(
         regime, params,
         (predictions(range(n_train), train_emb), predictions(held_ids, held_emb)), bags,
         train_bag_index=train_bags, negative_labels=negatives,
@@ -258,8 +266,8 @@ def test_06_multiclass_reduces_to_binary_exactly():
             value = int(rng.integers(2))
             binary_bags.append(Bag(b, members, WeakLabel.binary(value)))
             multi_bags.append(Bag(b, members, WeakLabel.label_set({1} if value else set())))
-        ctx_b = build_reward_context("binary-mil", params, (train, held), binary_bags)
-        ctx_m = build_reward_context("multiclass-mil", params, (train, held), multi_bags)
+        ctx_b = context("binary-mil", params, (train, held), binary_bags)
+        ctx_m = context("multiclass-mil", params, (train, held), multi_bags)
         for x in range(n_train):
             for assigned in (0, 1):
                 a = mil_reward(x, assigned, ctx_b, params)
@@ -381,7 +389,7 @@ def test_09_distance_gap_properties():
     params = RewardParams(k=3, distgap_enabled=True)
     for _ in range(200):
         ctx, _ = _random_fuzz_context(rng, "binary-mil", params)
-        for x in ctx.train_row:
+        for x in ctx.layout.train_ids:
             assert 0.0 <= distgap(x, ctx) <= 1.0
 
     # planted clusters: positive-bag members gather in one region, negative-bag
@@ -403,7 +411,7 @@ def test_09_distance_gap_properties():
         train_d.append(clustered(positive))
         train_bags[x] = Bag(90 + x, [x], WeakLabel.binary(1))
         truth[x] = positive
-    ctx = build_reward_context(
+    ctx = context(
         "binary-mil", params,
         (predictions(range(20), mirrored(train_d)), predictions(held_ids, mirrored(held_d))),
         bags, train_bag_index=train_bags,

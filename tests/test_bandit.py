@@ -445,23 +445,61 @@ class TestRunInference:
                 rng=np.random.default_rng(0),
             )
 
-    def test_array_environment_is_called_with_arrays(self):
-        class ArrayEnvironment:
+    def test_array_environment_scores_each_batch_in_one_call(self):
+        class BatchEnvironment:
             train_ids = [2, 5, 9]
 
             def __init__(self):
                 self.calls = []
 
-            def __call__(self, labels, rng):
-                self.calls.append(labels)
-                return np.where(labels == 1, 0.75, 0.25)
+            def __call__(self, labels, rngs):
+                self.calls.append((labels, rngs))
+                # member j's rewards carry j, so the crediting order shows
+                return [np.where(member == 1, 0.75, 0.25) - 0.01 * j
+                        for j, member in enumerate(labels)]
 
-        env = ArrayEnvironment()
+        env, log = BatchEnvironment(), PullLog()
+        label_sets = {9: [0, 1, 2], 2: [0, 1], 5: [1]}
         result = run_inference(
-            {9: [0, 1], 2: [0, 1], 5: [1]}, env, rounds=4, rng=np.random.default_rng(0)
+            label_sets, env, rounds=7, batch_size=3, rng=np.random.default_rng(0), pull_log=log
         )
-        assert all(labels.dtype == np.int64 and labels.shape == (3,) for labels in env.calls)
+        # the sweep (three labels at most) in one call, then batches of 3, 3 and 1
+        assert [len(labels) for labels, _ in env.calls] == [3, 3, 3, 1]
+        for labels, rngs in env.calls:
+            assert len(rngs) == len(labels)
+            assert all(isinstance(member_rng, np.random.Generator) for member_rng in rngs)
+            assert all(member.dtype == np.int64 and member.shape == (3,) for member in labels)
+            for member in labels:
+                assert all(member[row] in label_sets[x] for row, x in enumerate(env.train_ids))
+        assert len({id(member_rng) for _, rngs in env.calls for member_rng in rngs}) == 10
+        # every member is credited in batch order, the sweep in round 0
+        members = [(labels, j) for labels, _ in env.calls for j in range(len(labels))]
+        assert [pull[0] for pull in log.pulls] == [0, 0, 0, 1, 2, 3, 4, 5, 6, 7]
+        for (labels, j), (_, _, logged_labels, logged_rewards) in zip(members, log.pulls):
+            assert np.array_equal(logged_labels, labels[j])
+            assert np.array_equal(logged_rewards, np.where(labels[j] == 1, 0.75, 0.25) - 0.01 * j)
         assert result.assignment == {9: 1, 2: 1, 5: 1}
+
+    @pytest.mark.parametrize(
+        "returned, message",
+        [
+            (lambda labels: [np.full(2, 0.5) for _ in labels], "one entry per instance"),
+            (lambda labels: [np.full(3, 0.5) for _ in labels[1:]], "reward arrays for a batch"),
+        ],
+        ids=["short-member", "missing-member"],
+    )
+    def test_array_environment_wrong_length_rewards_rejected(self, returned, message):
+        class BatchEnvironment:
+            train_ids = [2, 5, 9]
+
+            def __call__(self, labels, rngs):
+                return returned(labels)
+
+        with pytest.raises(ParameterError, match=message):
+            run_inference(
+                {2: [0, 1], 5: [0, 1], 9: [0, 1]}, BatchEnvironment(), rounds=2, batch_size=2,
+                rng=np.random.default_rng(0),
+            )
 
     def test_array_environment_with_other_ids_rejected(self):
         class ArrayEnvironment:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from classifier_helpers import cooperative_nll_dz_add_at, loop_fit
 from hypothesis.extra import numpy as hnp
-from reward_helpers import predictions
+from reward_helpers import context, predictions
 
 from labelbandit import rewards
 from labelbandit.classifiers import (
@@ -31,7 +31,7 @@ from labelbandit.classifiers import (
     training_loss,
 )
 from labelbandit.errors import ParameterError, ValidationError
-from labelbandit.rewards import RewardParams, build_reward_context
+from labelbandit.rewards import RewardParams
 
 
 def separable_data(rng, n=80, dim=3, classes=2, scale=4.0):
@@ -328,7 +328,7 @@ class TestNearestNeighbours:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ParameterError, match="held-out set is empty"):
-            build_reward_context(
+            context(
                 "binary-mil", RewardParams(k=1),
                 (predictions([0], [[0.0, 0.0]]), predictions([], np.empty((0, 2)))), [],
             )

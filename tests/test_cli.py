@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelbandit import metrics, rewards
+from labelbandit import cli, metrics, rewards
 from labelbandit.cli import DEFAULT_CONFIG, build_inference_config, load_config, main
 from labelbandit.errors import ConfigError
 from labelbandit.pipeline import ClassifierConfig, InferenceConfig
@@ -103,6 +103,46 @@ class TestConfig:
         assert "threads" not in json.loads((out / "config.json").read_text())
         warned = [r for r in caplog.records if "threads" in r.getMessage()]
         assert len(warned) == (0 if threads == 1 else 1)
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"reward": 5}, "reward"),
+            ({"reward": {"k": "5"}}, "reward.k"),
+            ({"reward": {"tau": "x"}}, "reward.tau"),
+            ({"rff_width": "3"}, "rff_width"),
+            ({"rounds": "abc"}, "rounds"),
+            ({"folds": 2.0}, "folds"),
+            ({"reward": {"num_negative_labels": 1.0}}, "reward.num_negative_labels"),
+            ({"classifier": {"epochs": 2.5}}, "classifier.epochs"),
+            ({"rounds": True}, "rounds"),
+            ({"reward": {"distgap_enabled": 1}}, "reward.distgap_enabled"),
+        ],
+    )
+    def test_wrongly_typed_value_exits_two_before_fitting(
+        self, binary_workspace, tmp_path, capsys, monkeypatch, config, key
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        fits = []
+        monkeypatch.setattr(rewards, "fit", lambda *a, **kw: fits.append(a))
+        code = run(
+            ["infer", "--config", path, "--dataset", binary_workspace / "dataset.json",
+             "--out", tmp_path / "run"]
+        )
+        assert code == 2
+        assert f"error: config key {key!r} must be " in capsys.readouterr().err
+        assert fits == []
+
+    def test_every_null_default_declares_its_type(self):
+        def null_keys(section, path=""):
+            for key, value in section.items():
+                if isinstance(value, dict):
+                    yield from null_keys(value, path + key + ".")
+                elif value is None:
+                    yield path + key
+
+        assert sorted(null_keys(DEFAULT_CONFIG)) == sorted(cli._NULL_DEFAULT_TYPES)
 
     def test_cli_exit_code_on_bad_config(self, tmp_path):
         path = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 """Reward regimes: recall/precision tables, gating, distance gap, environments."""
 
+import logging
 import tracemalloc
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from reward_helpers import (
+    context,
     distgap,
     distgap_augmented_reward,
     llp_example_reward,
@@ -59,7 +61,7 @@ def random_binary_context(rng, params, n_train=10, n_held=24, bags_of=4):
         x: Bag(50 + x, [x], WeakLabel.binary(int(rng.integers(2)))) for x in range(n_train)
     }
     held = predictions(held_ids, mirrored(held_d))
-    ctx = build_reward_context(
+    ctx = context(
         "binary-mil", params, (predictions(range(n_train), mirrored(train_d)), held), bags,
         train_bag_index=train_bags,
     )
@@ -148,7 +150,7 @@ class TestBinaryReward:
             Bag(b, [i], WeakLabel.binary(lbl))
             for b, (i, lbl) in enumerate(zip(held_ids, bag_labels))
         ]
-        return build_reward_context(
+        return context(
             "binary-mil", params,
             (predictions([0], mirrored([train_d])), predictions(held_ids, mirrored(heldout_d))),
             bags,
@@ -209,7 +211,7 @@ class TestVectorizedTablesMatchDefinitions:
                     if rng.random() < 0.7
                 }
                 bags.append(Bag(b, held_ids[start : start + 5], WeakLabel.label_set(label_set)))
-            ctx = build_reward_context(
+            ctx = context(
                 "multiclass-mil", RewardParams(k=3, num_negative_labels=m),
                 (train, held), bags, negative_labels=negatives,
             )
@@ -244,7 +246,7 @@ class TestVectorizedTablesMatchDefinitions:
             bags.append(Bag(10 + b, members[b], weak))
         held_labels = np.array(labels, dtype=np.intp)
         held = (held_ids, held_labels, np.zeros((len(held_ids), width)))
-        ctx = build_reward_context(
+        ctx = context(
             regime, RewardParams(k=3), (predictions([1000], [[0.0] * width]), held), bags,
             negative_labels=negatives,
         )
@@ -308,8 +310,8 @@ class TestMulticlassBinaryReduction:
                 bags_bin.append(Bag(b, members, WeakLabel.binary(bag_labels[b])))
                 label_set = {1} if bag_labels[b] == 1 else set()
                 bags_multi.append(Bag(b, members, WeakLabel.label_set(label_set)))
-            ctx_bin = build_reward_context("binary-mil", params, (train, held), bags_bin)
-            ctx_multi = build_reward_context("multiclass-mil", params, (train, held), bags_multi)
+            ctx_bin = context("binary-mil", params, (train, held), bags_bin)
+            ctx_multi = context("multiclass-mil", params, (train, held), bags_multi)
             for x in range(n_train):
                 for assigned in (0, 1):
                     assert mil_reward(x, assigned, ctx_bin, params) == mil_reward(
@@ -323,7 +325,7 @@ class TestMulticlassBinaryReduction:
         held = predictions([9], [[0.1, 0.8, 0.1]])
         bags = [Bag(0, [9], WeakLabel.label_set({1}))]
         params = RewardParams(k=1, num_negative_labels=2)
-        ctx = build_reward_context(
+        ctx = context(
             "multiclass-mil", params, (train, held), bags, negative_labels=frozenset({0, 2})
         )
         assert mil_reward(0, 0, ctx, params) == 0.0
@@ -375,7 +377,7 @@ class TestDistanceGap:
 
     def build_planted_context(self, params):
         folds, bags, train_bags, truths = self.planted()
-        ctx = build_reward_context("binary-mil", params, folds, bags, train_bag_index=train_bags)
+        ctx = context("binary-mil", params, folds, bags, train_bag_index=train_bags)
         return ctx, truths
 
     def test_planted_positives_have_larger_gap(self):
@@ -535,6 +537,18 @@ class TestDistanceGapKernel:
         assert calls["kernel"] == (3 if space == "features" else calls["scored"])
 
 
+def test_k_above_pool_warns_once_per_fold(caplog):
+    dataset = generate_binary_mil(14, (3, 6), 0.5, 3, 6.0, seed=8)
+    with caplog.at_level(logging.WARNING, logger="labelbandit.rewards"):
+        kfold_infer(dataset, InferenceConfig(
+            regime="binary-mil", rounds=5, batch_size=2, folds=3, master_seed=5,
+            reward=RewardParams(k=60),
+        ))
+    warned = [r.getMessage() for r in caplog.records if "exceeds the held-out pool" in r.getMessage()]
+    assert len(warned) == 3, warned
+    assert all(message.startswith("k=60 exceeds") for message in warned)
+
+
 class TestLlpReward:
     def build_context(self, proportions, held_d, params, train_d=1.0):
         held_ids = list(range(20, 20 + len(held_d)))
@@ -543,7 +557,7 @@ class TestLlpReward:
             Bag(b, [int(i) for i in members], WeakLabel.proportion(p))
             for b, (members, p) in enumerate(zip(groups, proportions))
         ]
-        return build_reward_context(
+        return context(
             "llp", params,
             (predictions([0], mirrored([train_d])), predictions(held_ids, mirrored(held_d))),
             bags,
@@ -572,7 +586,7 @@ class TestLlpReward:
         params = RewardParams(k=1)
         bags = [Bag(0, [5], WeakLabel.binary(1))]
         with pytest.raises(RegimeError):
-            build_reward_context(
+            context(
                 "llp", params,
                 (predictions([0], mirrored([1.0])), predictions([5], mirrored([1.0]))),
                 bags,
@@ -584,7 +598,7 @@ class TestContextInputs:
         held = predictions([10, 11, 12], mirrored([1.0, -1.0, 2.0]))
         bags = [Bag(0, [10, 12], WeakLabel.binary(1))]
         with pytest.raises(ValidationError, match=r"without a bag: \[11\]"):
-            build_reward_context(
+            context(
                 "binary-mil", RewardParams(k=1),
                 (predictions([0], mirrored([1.0])), held), bags,
             )
@@ -594,7 +608,7 @@ class TestContextInputs:
         held = predictions([10, 11, 12], mirrored([1.0, -1.0, 2.0]))
         bags = [Bag(0, [10, 11], WeakLabel.binary(1)), Bag(1, [12, 99], WeakLabel.binary(0))]
         with pytest.raises(ValidationError, match=r"bag 1 names instance 99, which is not held"):
-            build_reward_context(
+            context(
                 "binary-mil", RewardParams(k=2),
                 (predictions([0], mirrored([1.0])), held), bags,
             )
@@ -603,7 +617,7 @@ class TestContextInputs:
         held = predictions([10, 11, 12], mirrored([1.0, -1.0, 2.0]))
         bags = [Bag(0, [10, 11], WeakLabel.binary(1)), Bag(1, [11, 12], WeakLabel.binary(0))]
         with pytest.raises(ValidationError, match=r"instance 11 sits in bag 0 and in bag 1"):
-            build_reward_context(
+            context(
                 "binary-mil", RewardParams(k=2),
                 (predictions([0], mirrored([1.0])), held), bags,
             )
@@ -614,13 +628,13 @@ class TestContextInputs:
         layout = rewards.heldout_layout("binary-mil", [0], [10, 11, 12], bags, frozenset({0}), 2)
         train = predictions([0], mirrored([1.0]))
         ctx = build_reward_context(
-            "binary-mil", RewardParams(k=2),
+            RewardParams(k=2),
             (train, predictions([10, 11, 12], mirrored([1.0, -1.0, 2.0]))), layout,
         )
         assert ctx.rec_row.tolist() == [1.0, 1.0, 1.0]
         with pytest.raises(ValidationError, match="layout belongs to another regime"):
             build_reward_context(
-                "binary-mil", RewardParams(k=2),
+                RewardParams(k=2),
                 (train, predictions([10, 11, 13], mirrored([1.0, -1.0, 2.0]))), layout,
             )
 
@@ -711,8 +725,8 @@ class TestRewardEnvironment:
         assert env._raw_distgap.shape == (len(env.train_ids),)
         for row, x in enumerate(env.train_ids):
             own = bag_of[x].weak_label
-            same = bag_features([b for b in env.heldout_bags if b.weak_label == own])
-            other = bag_features([b for b in env.heldout_bags if b.weak_label != own])
+            same = bag_features([b for b in env.layout.bags if b.weak_label == own])
+            other = bag_features([b for b in env.layout.bags if b.weak_label != own])
             assert env._raw_distgap[row] == distance_gap(index[x].features, same, other, k=3)
 
         tau = env._tau
@@ -743,7 +757,7 @@ class TestRewardEnvironment:
         )
         kfold_infer(dataset, config)
         assert built
-        for ctx, (_, _, (_, held), layout), kwargs in built:
+        for ctx, (_, (_, held), layout), kwargs in built:
             negatives = layout.negative_labels if regime == "multiclass-mil" else None
             assert_tables_match_oracles(ctx, held, layout.bags, negatives)
 
@@ -903,7 +917,7 @@ class TestDispatch:
         params = RewardParams()
         empty = predictions([], np.empty((0, 2)))
         with pytest.raises(RegimeError):
-            build_reward_context("custom", params, (empty, empty), [])
+            context("custom", params, (empty, empty), [])
 
     def test_reward_for_routes_by_regime(self):
         rng = np.random.default_rng(9)

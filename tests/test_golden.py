@@ -1,4 +1,4 @@
-"""Golden outputs: ``generate`` + ``infer`` on eleven tiny configs, pinned by hash.
+"""Golden outputs: ``generate`` + ``infer`` on twelve tiny configs, pinned by hash.
 
 A refactor or a speed-up must leave ``result.json`` and ``pull_log.ndjson``
 byte-identical. This test makes that rule executable: it compares their
@@ -99,6 +99,15 @@ CASES = {
         "generator": GENERATOR,
         "reward": {"k": 60},
     },
+    # multi-class bootstrap: the second pass's fixed instances join every fit,
+    # some labelled with the negative mode above the dataset's classes
+    "multiclass-bootstrap": {
+        "regime": "multiclass-mil",
+        "generator": MULTICLASS_GENERATOR,
+        "classifier": {"epochs": 5},
+        "bootstrap_passes": 2,
+        "reward": {"k": 4, "alpha": 0.5, "num_negative_labels": 2},
+    },
 }
 
 COMMON = {"rounds": 25, "folds": 3, "master_seed": 11}
@@ -147,6 +156,10 @@ GOLDEN = {
     "binary-k-above-pool": {
         "result.json": "8d9b81e0170bcf53c080ff3e116734e0d530f278d4eea3522dc038761215d21b",
         "pull_log.ndjson": "eea6fb4bf29516812d4a8a1342c4dbc92dfbb4fb97becbdc3a8f53ea19f72549",
+    },
+    "multiclass-bootstrap": {
+        "result.json": "fc5e6d6f08dda9534cc2d164a8e9a865f8d87f27cd48c1a6017210d344f2f02a",
+        "pull_log.ndjson": "e89ae55139c2acb6b5008de4fe3d28f8fe143e4c58213d62a59ae734c487ad30",
     },
 }
 

@@ -74,11 +74,6 @@ DEFAULT_CONFIG = {
     "dataset": None,
     "out": None,
 }
-DEFAULT_CONFIG["reward"]["num_negative_labels"] = None  # None: DEFAULT_NEGATIVE_LABELS[regime]
-
-# Defaults differ by regime: one negative label for binary/llp, three for
-# multi-class (one per expected negative mode at desk scale).
-DEFAULT_NEGATIVE_LABELS = {"binary-mil": 1, "multiclass-mil": 3, "llp": 1}
 
 # The type of each key whose default is null; every other key takes its default's.
 _NULL_DEFAULT_TYPES = {
@@ -138,15 +133,12 @@ def load_config(path: str | None) -> dict:
 
 
 def build_inference_config(cfg: dict) -> pipeline.InferenceConfig:
-    reward_cfg = dict(cfg["reward"])
-    if reward_cfg["num_negative_labels"] is None:
-        reward_cfg["num_negative_labels"] = DEFAULT_NEGATIVE_LABELS.get(cfg["regime"], 1)
     top = {f.name: cfg[f.name] for f in dataclasses.fields(pipeline.InferenceConfig)}
     return pipeline.InferenceConfig(
         **{
             **top,
             "classifier": pipeline.ClassifierConfig(**cfg["classifier"]),
-            "reward": RewardParams(**reward_cfg),
+            "reward": RewardParams(**cfg["reward"]),
         }
     )
 

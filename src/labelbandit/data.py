@@ -23,6 +23,18 @@ from .errors import ParameterError, ParseError, ValidationError
 
 NEGATIVE_CLASS = 0
 
+# Negative modes of a regime whose reward.num_negative_labels is unset: one for
+# binary MIL and LLP, three for multi-class (one per expected negative mode at
+# desk scale); any other regime gets one.
+DEFAULT_NEGATIVE_LABELS = {"binary-mil": 1, "multiclass-mil": 3, "llp": 1}
+
+
+def negative_label_ids(num_classes: int, num_negative_labels: int) -> list[int]:
+    """Label ids acting as negative modes: 0 plus fresh ids above the dataset's
+    class range, so positive ids keep their meaning."""
+    return [NEGATIVE_CLASS] + list(range(num_classes, num_classes + num_negative_labels - 1))
+
+
 REGIMES = ("binary-mil", "multiclass-mil", "llp", "custom")
 
 FORMATS = ("json", "csv")
@@ -200,9 +212,6 @@ class Dataset:
 
     def instance_map(self) -> dict[int, Instance]:
         return {inst.id: inst for inst in self.instances}
-
-    def bag_of_instance(self) -> dict[int, Bag]:
-        return {iid: bag for bag in self.bags for iid in bag.instance_ids}
 
     def ground_truth_map(self) -> dict[int, int]:
         """Map of instance id -> true label; raises if any instance lacks one."""

@@ -23,11 +23,11 @@ import numpy as np
 from .bandit import PullLog, run_inference
 from .classifiers import ClassifierSpec, TrainedModel, fit
 from .data import (
-    NEGATIVE_CLASS,
     Bag,
     Dataset,
     Instance,
     WeakLabel,
+    negative_label_ids,
     strip_ground_truth,
 )
 from .errors import ConfigError, ParameterError, RegimeError
@@ -87,6 +87,8 @@ class InferenceConfig:
             raise ConfigError(f"final_weighting must be one of {WEIGHTINGS}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
+        # reward.num_negative_labels=None: the regime's default
+        object.__setattr__(self, "reward", self.reward.for_regime(self.regime))
 
 
 @dataclass
@@ -114,12 +116,6 @@ class PipelineResult:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def negative_label_ids(num_classes: int, num_negative_labels: int) -> list[int]:
-    """Label ids acting as negative modes: 0 plus fresh ids above the dataset's
-    class range, so positive ids keep their meaning."""
-    return [NEGATIVE_CLASS] + list(range(num_classes, num_classes + num_negative_labels - 1))
 
 
 def extended_num_classes(num_classes: int, num_negative_labels: int) -> int:
@@ -259,8 +255,6 @@ def _single_pass(dataset: Dataset, config: InferenceConfig, fixed: dict[int, int
     for x, lbl in fixed.items():
         label_sets[x] = [lbl]
     spec = _resolve_classifier_spec(config, dataset.num_classes)
-    index = dataset.instance_map()
-    bag_of = dataset.bag_of_instance()
 
     labels_out: dict[int, int] = {}
     confidence_out: dict[int, float] = {}
@@ -274,31 +268,10 @@ def _single_pass(dataset: Dataset, config: InferenceConfig, fixed: dict[int, int
             if other != fold_index
             for j in fold_assignments[other]
         ]
-        train_ids = [iid for bag in train_bags for iid in bag.instance_ids]
-        held_ids = [iid for bag in held_bags for iid in bag.instance_ids]
-        train_set = set(train_ids)
-        extra_ids = [x for x in sorted(fixed) if x not in train_set]
-        extra_features = np.array([index[x].features for x in extra_ids])
-        extra_labels = np.array([fixed[x] for x in extra_ids], dtype=np.intp)
-        environment = RewardEnvironment(
-            regime=config.regime,
-            train_ids=train_ids,
-            train_features=np.stack([index[i].features for i in train_ids]),
-            train_bag_index={i: bag_of[i] for i in train_ids},
-            heldout_ids=held_ids,
-            heldout_features=np.stack([index[i].features for i in held_ids]),
-            heldout_bags=held_bags,
-            classifier_spec=spec,
-            params=config.reward,
-            negative_labels=frozenset(
-                negative_label_ids(dataset.num_classes, config.reward.num_negative_labels)
-            ),
-            extra_features=extra_features,
-            extra_labels=extra_labels,
-        )
+        environment = RewardEnvironment(dataset, train_bags, held_bags, spec, config.reward, fixed)
         log = PullLog()
         result = run_inference(
-            {x: label_sets[x] for x in train_ids},
+            {x: label_sets[x] for bag in train_bags for x in bag.instance_ids},
             environment,
             rounds=config.rounds,
             batch_size=config.batch_size,

@@ -20,7 +20,8 @@ per-pull half from the predictions, without a loop over bags.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections.abc import Collection
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .classifiers import (
     nearest_indices_rows,
     predict_arrays,
 )
-from .data import NEGATIVE_CLASS, Bag
+from .data import DEFAULT_NEGATIVE_LABELS, Bag, Dataset, negative_label_ids
 from .errors import ParameterError, RegimeError, RewardRangeError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -44,7 +45,8 @@ class RewardParams:
     alpha is the minimum average neighbourhood recall at which the precision
     term starts to apply, gamma weighs recall against precision, tau scales
     the distance-gap normalization, and num_negative_labels > 1 gives the
-    negative class several interchangeable modes.
+    negative class several interchangeable modes; None means the regime's
+    default (``DEFAULT_NEGATIVE_LABELS``), which ``for_regime`` fills in.
 
     tau=None calibrates tau to the median absolute raw gap of the first 100
     training instances: a RewardEnvironment does so at construction in
@@ -65,7 +67,7 @@ class RewardParams:
     gamma: float = 1.0 / 7.0
     tau: float | None = None
     distgap_enabled: bool = False
-    num_negative_labels: int = 1
+    num_negative_labels: int | None = None
     distgap_space: str = "output"
 
     def __post_init__(self):
@@ -77,7 +79,7 @@ class RewardParams:
             raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.tau is not None and self.tau <= 0:
             raise ParameterError(f"tau must be positive, got {self.tau}")
-        if self.num_negative_labels < 1:
+        if self.num_negative_labels is not None and self.num_negative_labels < 1:
             raise ParameterError(
                 f"num_negative_labels must be >= 1, got {self.num_negative_labels}"
             )
@@ -85,6 +87,12 @@ class RewardParams:
             raise ParameterError(
                 f"distgap_space must be 'output' or 'features', got {self.distgap_space!r}"
             )
+
+    def for_regime(self, regime: str) -> RewardParams:
+        """These params, with an unset num_negative_labels set to the regime's default."""
+        if self.num_negative_labels is not None:
+            return self
+        return replace(self, num_negative_labels=DEFAULT_NEGATIVE_LABELS.get(regime, 1))
 
 
 @dataclass(frozen=True)
@@ -149,7 +157,8 @@ def _distgap_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndar
     """Base reward scaled by the distance gap for positive assignments and by
     its complement for negative-mode assignments; the gate is unchanged."""
     gap, base = ctx.distgap_row, _gated_base(ctx, params)
-    negative = np.isin(assigned, list(ctx.layout.negative_labels))
+    table = ctx.layout.negative_table
+    negative = table[np.minimum(assigned, table.shape[0] - 1)]
     return _gate(assigned, ctx, np.where(negative, (1.0 - gap) * base, gap * base))
 
 
@@ -157,8 +166,6 @@ def _llp_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
     """Worked example of a user-defined regime for proportion-labelled bags:
     one minus the mean absolute error between each neighbouring bag's labelled
     and predicted positive fraction, behind the usual gate."""
-    if ctx.layout.regime != "llp":
-        raise RegimeError("llp reward requires proportion-labelled bags")
     error = ctx.proportion_error_row[ctx.neighbor_rows].mean(axis=1)
     return _gate(assigned, ctx, 1.0 - error)
 
@@ -291,7 +298,8 @@ class HeldoutLayout:
     held-out row the position of its bag in ``bags``; the bag columns follow
     ``bags``: ``bag_sizes``, and the weak labels of the regime's kind (the
     others stay zero): ``positive`` (binary label 1), ``label_sets`` with
-    ``set_sizes`` (0 marks an empty set) and ``proportion``. ``label_sets`` and ``negative_table`` have one column per
+    ``set_sizes`` (0 marks an empty set) and ``proportion``. ``label_sets``
+    and ``negative_table`` (true at the negative modes) have one column per
     label id below the label space plus a last column, in no set and not
     negative, that stands for every label outside it. ``distgap`` is the
     distance gap's ``DistgapTable``, or None when the layout was built
@@ -302,7 +310,6 @@ class HeldoutLayout:
     train_ids: list[int]
     heldout_ids: list[int]
     bags: tuple[Bag, ...]
-    negative_labels: frozenset[int]
     negative_table: np.ndarray
     row_bag: np.ndarray
     bag_sizes: np.ndarray
@@ -355,48 +362,42 @@ def _distgap_table(
 def heldout_layout(
     regime: str,
     train_ids: list[int],
-    heldout_ids: list[int],
     heldout_bags: list[Bag],
-    negative_labels: frozenset[int],
+    negative_labels: Collection[int],
     num_labels: int,
     train_bag_index: dict[int, Bag] | None = None,
 ) -> HeldoutLayout:
     """Check a fold's held-out bags and lay them out as arrays.
 
-    Ids must be sorted ascending. Every held-out instance must sit in exactly
-    one bag, and every bag member must be held out. The label space covers
-    the ``num_labels`` labels a classifier can predict, the negative labels
-    and every class a bag names. Given each training instance's bag, it also
-    builds and checks the distance gap's ``DistgapTable``.
+    The held-out ids are the bags' members, ascending; the bags keep their
+    order. No instance may sit in two bags. ``train_ids`` must be sorted
+    ascending. The label space covers the ``num_labels`` labels a classifier
+    can predict, the ``negative_labels`` and every class a bag names. Given
+    each training instance's bag, it also builds and checks the distance
+    gap's ``DistgapTable``.
     """
     _check_bag_kinds(regime, heldout_bags)
-    if not heldout_ids:
+    if not heldout_bags:
         raise ParameterError("held-out set is empty")
     label_space = 1 + max(
         num_labels - 1,
         max(negative_labels, default=0),
-        max((bag.weak_label.max_class_id() for bag in heldout_bags), default=0),
+        max(bag.weak_label.max_class_id() for bag in heldout_bags),
     )
     num_bags = len(heldout_bags)
     positive = np.zeros(num_bags, dtype=bool)
     label_sets = np.zeros((num_bags, label_space + 1), dtype=bool)
     set_sizes = np.zeros(num_bags, dtype=np.intp)
     proportion = np.zeros(num_bags)
-    position_of = {iid: row for row, iid in enumerate(heldout_ids)}
-    bag_of_row: list[int | None] = [None] * len(heldout_ids)
+    bag_of: dict[int, int] = {}
     for b, bag in enumerate(heldout_bags):
         for iid in bag.instance_ids:
-            row = position_of.get(iid)
-            if row is None:
+            if iid in bag_of:
                 raise ValidationError(
-                    f"held-out bag {bag.id} names instance {iid}, which is not held out"
-                )
-            if bag_of_row[row] is not None:
-                raise ValidationError(
-                    f"held-out instance {iid} sits in bag {heldout_bags[bag_of_row[row]].id} "
+                    f"held-out instance {iid} sits in bag {heldout_bags[bag_of[iid]].id} "
                     f"and in bag {bag.id}"
                 )
-            bag_of_row[row] = b
+            bag_of[iid] = b
         label = bag.weak_label
         if label.kind == "binary":
             positive[b] = label.value == 1
@@ -405,21 +406,19 @@ def heldout_layout(
             set_sizes[b] = len(label.value)
         else:
             proportion[b] = label.value
-    missing = [iid for iid, b in zip(heldout_ids, bag_of_row) if b is None]
-    if missing:
-        raise ValidationError(f"held-out instances without a bag: {missing[:5]}")
-    row_bag = np.array(bag_of_row, dtype=np.intp)
+    heldout_ids = sorted(bag_of)
+    row_bag = np.array([bag_of[iid] for iid in heldout_ids], dtype=np.intp)
     negative_table = np.zeros(label_space + 1, dtype=bool)
     negative_table[list(negative_labels)] = True
     distgap = None
     if train_bag_index is not None:
+        position_of = {iid: row for row, iid in enumerate(heldout_ids)}
         distgap = _distgap_table(heldout_bags, position_of, train_ids, train_bag_index)
     return HeldoutLayout(
         regime=regime,
         train_ids=train_ids,
         heldout_ids=heldout_ids,
         bags=tuple(heldout_bags),
-        negative_labels=frozenset(negative_labels),
         negative_table=negative_table,
         row_bag=row_bag,
         bag_sizes=np.bincount(row_bag, minlength=num_bags),
@@ -500,10 +499,14 @@ def build_reward_context(
     ``predictions`` is ((train_ids, labels, embeddings), (heldout_ids,
     labels, embeddings)): ids sorted ascending, with labels and embeddings
     row-aligned to them as ``predict_arrays`` returns them. Neighbour pools
-    are therefore ordered by ascending held-out instance id, so distance ties
-    resolve to the lower id. ``layout`` is the fold's ``HeldoutLayout`` for
-    those ids, which also names the regime; k is clamped to the held-out
-    pool without a word (a RewardEnvironment warns once, at construction).
+    are therefore ordered by ascending held-out instance id. In the full
+    output space (binary MIL, LLP) distance ties resolve to the lower id; in
+    multi-class MIL's one-coordinate search (``nearest_indices_1d``) they
+    resolve to the lower id among a window of 2k candidates around the
+    query, which need not hold the lowest tied id. ``layout`` is the fold's
+    ``HeldoutLayout`` for those ids, which also names the regime; k is
+    clamped to the held-out pool without a word (a RewardEnvironment warns
+    once, at construction).
     In output space the raw gaps are computed here from the embeddings by
     ``raw_distance_gaps`` over the layout's ``DistgapTable``. In feature
     space they do not depend on the classifier, so the caller computes them
@@ -558,77 +561,74 @@ def build_reward_context(
 
 
 class RewardEnvironment:
-    """Callable scoring candidate labellings of the training fold.
+    """Callable scoring candidate labellings of one fold's training bags.
 
-    A labelling is scored by fitting the classifier on (fold features,
-    labelling) with a fresh seed drawn from its rng (the only source of
-    reward noise), predicting the fold and the held-out set, building a
-    RewardContext, and scoring every training instance. Labels in and
-    float64 rewards out are arrays row-aligned with the ascending
+    A fold is the dataset and two lists of its bags, the training and the
+    held-out ones; a bag in both is a ``ValidationError``. Everything else is
+    derived once, at construction: the regime and the negative modes from the
+    dataset (``params.num_negative_labels`` None takes the regime's default),
+    the ascending ``train_ids`` and ``heldout_ids`` with their feature rows,
+    the ``HeldoutLayout`` (held-out bags in the given order), and the
+    bootstrap extras: the ``fixed`` labels of instances outside the training
+    bags, in ascending id order, stacked under the fold's fit matrix; and, in
+    feature space, the distance gaps (with tau=None's calibration). A k above
+    the held-out pool is clamped, with one warning per environment.
+
+    A labelling is scored by fitting the classifier on (fold features and
+    extras, labelling and extra labels) with a fresh seed drawn from its rng
+    (the only source of reward noise), predicting the fold and the held-out
+    set, building a RewardContext, and scoring every training instance.
+    Labels in and float64 rewards out are arrays row-aligned with
     ``train_ids``. A call takes one labelling with one rng, or a batch of
-    labellings with one rng each: the batch's members are fitted together
-    by one stacked ``fit``, then scored one by one in batch order, each
-    exactly as a call of its own would score it. Instances fixed by earlier
-    bootstrap passes can be appended to every fit via ``extra_features`` /
-    ``extra_labels``. What depends on no classifier is built once, at
-    construction: the ``HeldoutLayout``, the fit matrix with the extras
-    stacked under the fold, and the feature-space distance gaps (with
-    tau=None's calibration). A k above the held-out pool is clamped, with
-    one warning per environment.
+    labellings with one rng each: the batch's members are fitted together by
+    one stacked ``fit``, then scored one by one in batch order, each exactly
+    as a call of its own would score it.
     """
 
     def __init__(
         self,
-        regime: str,
-        train_ids: list[int],
-        train_features: np.ndarray,
-        train_bag_index: dict[int, Bag],
-        heldout_ids: list[int],
-        heldout_features: np.ndarray,
+        dataset: Dataset,
+        train_bags: list[Bag],
         heldout_bags: list[Bag],
         classifier_spec: ClassifierSpec,
         params: RewardParams,
-        negative_labels: frozenset[int] = frozenset({NEGATIVE_CLASS}),
-        extra_features: np.ndarray | None = None,
-        extra_labels: np.ndarray | None = None,
+        fixed: dict[int, int] | None = None,
     ):
-        if len(train_ids) != train_features.shape[0]:
-            raise ValidationError("train_ids and train_features disagree on length")
-        if len(heldout_ids) != heldout_features.shape[0]:
-            raise ValidationError("heldout_ids and heldout_features disagree on length")
-        extra_rows, num_extra = (0 if e is None else len(e) for e in (extra_features, extra_labels))
-        if extra_rows != num_extra:
-            raise ValidationError(f"{extra_rows} extra_features rows but {num_extra} extra_labels")
-        self.params = params
-        self.classifier_spec = classifier_spec
-        # keep everything row-aligned with ascending instance ids
-        train_order = np.argsort(np.asarray(train_ids))
-        self.train_ids = [int(train_ids[j]) for j in train_order]
-        self.train_features = train_features[train_order]
-        heldout_order = np.argsort(np.asarray(heldout_ids))
-        self.heldout_ids = [int(heldout_ids[j]) for j in heldout_order]
-        self.heldout_features = heldout_features[heldout_order]
-        # fixed for the fold: bootstrap extras are stacked under the fold once
-        self._fit_features, self._extra_labels = self.train_features, None
-        if num_extra:
-            self._fit_features = np.vstack([self.train_features, extra_features])
-            self._extra_labels = extra_labels
-        self._tau = params.tau
-        self._raw_distgap = None
+        heldout_bag_ids = {bag.id for bag in heldout_bags}
+        for bag in train_bags:
+            if bag.id in heldout_bag_ids:
+                raise ValidationError(f"bag {bag.id} is both a training and a held-out bag")
+        regime = dataset.regime
         if params.distgap_enabled and regime == "llp":
             raise ParameterError(
                 "the distance-gap prior applies to the MIL regimes only; "
                 "the llp reward does not read it (set reward.distgap_enabled to false)"
             )
+        self.params = params = params.for_regime(regime)
+        self.classifier_spec = classifier_spec
+        train_bag_index = {iid: bag for bag in train_bags for iid in bag.instance_ids}
+        self.train_ids = sorted(train_bag_index)
         self.layout = heldout_layout(
             regime,
             self.train_ids,
-            self.heldout_ids,
             heldout_bags,
-            negative_labels,
+            negative_label_ids(dataset.num_classes, params.num_negative_labels),
             classifier_spec.num_classes,
             train_bag_index if params.distgap_enabled else None,
         )
+        self.heldout_ids = self.layout.heldout_ids
+        index = dataset.instance_map()
+        self.train_features = np.stack([index[i].features for i in self.train_ids])
+        self.heldout_features = np.stack([index[i].features for i in self.heldout_ids])
+        # fixed for the fold: bootstrap extras are stacked under the fold once
+        extra_ids = [x for x in sorted(fixed or {}) if x not in train_bag_index]
+        self._fit_features, self._extra_labels = self.train_features, None
+        if extra_ids:
+            extra_features = np.stack([index[x].features for x in extra_ids])
+            self._fit_features = np.vstack([self.train_features, extra_features])
+            self._extra_labels = np.array([fixed[x] for x in extra_ids], dtype=np.intp)
+        self._tau = params.tau
+        self._raw_distgap = None
         k = min(params.k, len(self.heldout_ids))
         if k < params.k:
             logger.warning("k=%d exceeds the held-out pool size %d; clamping", params.k, k)

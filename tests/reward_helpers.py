@@ -24,10 +24,11 @@ def context(
     """``rewards.build_reward_context`` over held-out bags, laid out first by
     ``rewards.heldout_layout`` with the embedding width as the class count,
     and with ``train_bag_index`` (each training instance's bag) when the
-    distance gap is on."""
-    (train_ids, _, _), (heldout_ids, _, embeddings) = predictions
+    distance gap is on. The held-out predictions must cover exactly the
+    bags' members."""
+    (train_ids, _, _), (_, _, embeddings) = predictions
     layout = rewards.heldout_layout(
-        regime, train_ids, heldout_ids, bags, negative_labels, embeddings.shape[1],
+        regime, train_ids, bags, negative_labels, embeddings.shape[1],
         train_bag_index if params.distgap_enabled else None,
     )
     return rewards.build_reward_context(params, predictions, layout)
@@ -171,4 +172,9 @@ def reward_oracle(instance_id, assigned, ctx, params):
     if not params.distgap_enabled:
         return value
     gap = float(ctx.distgap_row[row])
-    return (1.0 - gap) * value if assigned in ctx.layout.negative_labels else gap * value
+    return (1.0 - gap) * value if assigned in negative_modes(ctx.layout) else gap * value
+
+
+def negative_modes(layout):
+    """The negative label ids a layout's ``negative_table`` marks."""
+    return frozenset(np.flatnonzero(layout.negative_table).tolist())

@@ -149,10 +149,9 @@ def test_03_initialization_covers_every_arm_in_minimal_sweeps():
 
 
 def _random_fuzz_context(rng, regime, params, num_classes=4):
-    negatives = frozenset(
-        [0] + list(range(num_classes, num_classes + params.num_negative_labels - 1))
-    )
-    extended = num_classes + params.num_negative_labels - 1
+    modes = params.for_regime(regime).num_negative_labels
+    negatives = frozenset([0] + list(range(num_classes, num_classes + modes - 1)))
+    extended = num_classes + modes - 1
     n_train, n_held = 5, 12
     if regime == "multiclass-mil":
         train_emb = rng.random((n_train, extended))

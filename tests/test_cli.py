@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from labelbandit import cli, metrics, rewards
+from labelbandit.classifiers import ClassifierSpec
 from labelbandit.cli import DEFAULT_CONFIG, build_inference_config, load_config, main
 from labelbandit.errors import ConfigError
 from labelbandit.pipeline import ClassifierConfig, InferenceConfig
-from labelbandit.rewards import RewardParams
+from labelbandit.rewards import RewardEnvironment, RewardParams
 
 
 def run(argv):
@@ -52,11 +53,21 @@ class TestConfig:
         assert config.reward.gamma == pytest.approx(1.0 / 7.0)
 
     def test_negative_label_default_tracks_regime(self):
+        """The CLI echoes null; it, InferenceConfig and a RewardEnvironment
+        over a dataset of the regime resolve the same count."""
         cfg = load_config(None)
-        cfg["regime"] = "binary-mil"
-        assert build_inference_config(cfg).reward.num_negative_labels == 1
-        cfg["regime"] = "multiclass-mil"
-        assert build_inference_config(cfg).reward.num_negative_labels == 3
+        assert cfg["reward"]["num_negative_labels"] is None
+        for regime, expected in (("binary-mil", 1), ("multiclass-mil", 3), ("llp", 1)):
+            cfg["regime"] = regime
+            assert build_inference_config(cfg).reward.num_negative_labels == expected
+            assert InferenceConfig(regime=regime).reward.num_negative_labels == expected
+            gen = {**DEFAULT_CONFIG["generator"], "num_bags": 6}
+            dataset = cli._generate_dataset(regime, gen, 0)
+            env = RewardEnvironment(
+                dataset, dataset.bags[:3], dataset.bags[3:],
+                ClassifierSpec("linear-svm", dataset.num_classes), RewardParams(),
+            )
+            assert env.params.num_negative_labels == expected
 
     def test_every_inference_key_reaches_the_inference_config(self, tmp_path):
         path = tmp_path / "config.json"

@@ -14,6 +14,7 @@ from labelbandit.data import (
     generate_binary_mil,
     generate_gaussian_blobs,
     generate_multiclass_mil,
+    negative_label_ids,
     strip_ground_truth,
     with_proportion_labels,
 )
@@ -28,7 +29,6 @@ from labelbandit.pipeline import (
     bootstrap_infer,
     derive_label_sets,
     kfold_infer,
-    negative_label_ids,
     split_bags_by_inferred_label,
     train_final,
 )

@@ -17,6 +17,7 @@ from reward_helpers import (
     loop_distance_gaps,
     mil_reward,
     mirrored,
+    negative_modes,
     prec_binary,
     prec_multiclass,
     predicted_label,
@@ -468,13 +469,9 @@ class TestDistanceGapKernel:
         except ParameterError:
             # a training bag's label without a same-label or an other-label group
             with pytest.raises(ParameterError, match="distance gap: "):
-                rewards.heldout_layout(
-                    regime, train_ids, held_ids, bags, frozenset({0}), 4, train_bags
-                )
+                rewards.heldout_layout(regime, train_ids, bags, frozenset({0}), 4, train_bags)
             return
-        layout = rewards.heldout_layout(
-            regime, train_ids, held_ids, bags, frozenset({0}), 4, train_bags
-        )
+        layout = rewards.heldout_layout(regime, train_ids, bags, frozenset({0}), 4, train_bags)
         with mock.patch.object(rewards, "_GAP_BLOCK_ELEMENTS", block_elements):
             raw = rewards.raw_distance_gaps(train_points, held_points, layout.distgap, k)
         assert raw.dtype == np.float64 and raw.tobytes() == expected.tobytes()
@@ -496,7 +493,7 @@ class TestDistanceGapKernel:
             train_ids = list(range(num_held, num_held + num_train))
             train_bags = {x: Bag(x, [x], WeakLabel.binary(x % 2)) for x in train_ids}
             layout = rewards.heldout_layout(
-                "binary-mil", train_ids, held_ids.tolist(), bags, frozenset({0}), 2, train_bags
+                "binary-mil", train_ids, bags, frozenset({0}), 2, train_bags
             )
             train_points = rng.normal(size=(num_train, dim))
             tracemalloc.start()
@@ -594,25 +591,6 @@ class TestLlpReward:
 
 
 class TestContextInputs:
-    def test_heldout_instance_without_bag_rejected(self):
-        held = predictions([10, 11, 12], mirrored([1.0, -1.0, 2.0]))
-        bags = [Bag(0, [10, 12], WeakLabel.binary(1))]
-        with pytest.raises(ValidationError, match=r"without a bag: \[11\]"):
-            context(
-                "binary-mil", RewardParams(k=1),
-                (predictions([0], mirrored([1.0])), held), bags,
-            )
-
-
-    def test_bag_member_not_held_out_rejected(self):
-        held = predictions([10, 11, 12], mirrored([1.0, -1.0, 2.0]))
-        bags = [Bag(0, [10, 11], WeakLabel.binary(1)), Bag(1, [12, 99], WeakLabel.binary(0))]
-        with pytest.raises(ValidationError, match=r"bag 1 names instance 99, which is not held"):
-            context(
-                "binary-mil", RewardParams(k=2),
-                (predictions([0], mirrored([1.0])), held), bags,
-            )
-
     def test_overlapping_heldout_bags_rejected(self):
         held = predictions([10, 11, 12], mirrored([1.0, -1.0, 2.0]))
         bags = [Bag(0, [10, 11], WeakLabel.binary(1)), Bag(1, [11, 12], WeakLabel.binary(0))]
@@ -622,10 +600,9 @@ class TestContextInputs:
                 (predictions([0], mirrored([1.0])), held), bags,
             )
 
-
     def test_layout_for_other_ids_rejected(self):
         bags = [Bag(0, [10, 11], WeakLabel.binary(1)), Bag(1, [12], WeakLabel.binary(0))]
-        layout = rewards.heldout_layout("binary-mil", [0], [10, 11, 12], bags, frozenset({0}), 2)
+        layout = rewards.heldout_layout("binary-mil", [0], bags, frozenset({0}), 2)
         train = predictions([0], mirrored([1.0]))
         ctx = build_reward_context(
             RewardParams(k=2),
@@ -640,26 +617,11 @@ class TestContextInputs:
 
 
 class TestRewardEnvironment:
-    def build_environment(self, seed=0, extra_features=None, extra_labels=None, **params_kw):
+    def build_environment(self, seed=0, **params_kw):
         dataset = generate_binary_mil(14, (3, 6), 0.5, 3, 6.0, seed=seed)
-        bags = dataset.bags
-        index = dataset.instance_map()
-        bag_of = dataset.bag_of_instance()
-        train_bags, held_bags = bags[:5], bags[5:]
-        train_ids = [i for b in train_bags for i in b.instance_ids]
-        held_ids = [i for b in held_bags for i in b.instance_ids]
         env = RewardEnvironment(
-            regime="binary-mil",
-            train_ids=train_ids,
-            train_features=np.stack([index[i].features for i in train_ids]),
-            train_bag_index={i: bag_of[i] for i in train_ids},
-            heldout_ids=held_ids,
-            heldout_features=np.stack([index[i].features for i in held_ids]),
-            heldout_bags=held_bags,
-            classifier_spec=ClassifierSpec("linear-svm", 2),
-            params=RewardParams(**params_kw),
-            extra_features=extra_features,
-            extra_labels=extra_labels,
+            dataset, dataset.bags[:5], dataset.bags[5:], ClassifierSpec("linear-svm", 2),
+            RewardParams(**params_kw),
         )
         truth = dataset.ground_truth_map()
         # the true labels as a label array row-aligned with the ascending train_ids
@@ -692,15 +654,53 @@ class TestRewardEnvironment:
         with pytest.raises(ParameterError, match="one label per training instance"):
             env(truth[:-1], np.random.default_rng(0))
 
-    @pytest.mark.parametrize("features, labels", [(None, 2), (3, None), (3, 2)])
-    def test_mismatched_bootstrap_extras_rejected(self, features, labels):
-        extras = {
-            "extra_features": None if features is None else np.zeros((features, 3)),
-            "extra_labels": None if labels is None else np.zeros(labels, dtype=np.intp),
-        }
-        lengths = f"{features or 0} extra_features rows but {labels or 0} extra_labels"
-        with pytest.raises(ValidationError, match=lengths):
-            self.build_environment(seed=4, **extras)
+    def test_bag_both_trained_and_held_out_rejected(self, monkeypatch):
+        dataset = generate_binary_mil(14, (3, 6), 0.5, 3, 6.0, seed=4)
+        shared = dataset.bags[4]
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a classifier was fitted")
+
+        monkeypatch.setattr(rewards, "fit", no_fit)
+        with pytest.raises(ValidationError, match=rf"bag {shared.id} is both a training and"):
+            RewardEnvironment(
+                dataset, dataset.bags[:5], dataset.bags[4:], ClassifierSpec("linear-svm", 2),
+                RewardParams(k=3),
+            )
+
+    def test_fixed_labels_outside_the_training_bags_are_the_extras(self):
+        """The extras are what the pipeline used to pass: the fixed ids outside
+        the training bags in ascending order, their features stacked under the
+        fold's and their labels, a negative mode above the classes included."""
+        pool = generate_gaussian_blobs(6, 30, 2, 6.0, seed=8)
+        dataset = generate_multiclass_mil(pool, 16, (3, 7), {1, 2, 3}, seed=9)
+        train_bags, held_bags = dataset.bags[:8], dataset.bags[8:]
+        index = dataset.instance_map()
+        ids = [iid for bag in dataset.bags for iid in bag.instance_ids]
+        labels = [0, 1, 2, 3, dataset.num_classes]
+        # insertion order is neither ascending nor by bag; some fixed ids are trained on
+        fixed = {x: labels[x % len(labels)] for x in reversed(ids[::3])}
+        params = RewardParams(k=3, num_negative_labels=2)
+        spec = ClassifierSpec("cooperative-softmax", dataset.num_classes + 1)
+        env = RewardEnvironment(dataset, train_bags, held_bags, spec, params, fixed)
+
+        train_set = {iid for bag in train_bags for iid in bag.instance_ids}
+        extra_ids = [x for x in sorted(fixed) if x not in train_set]
+        assert extra_ids and len(extra_ids) < len(fixed)
+        expected_features = np.vstack([
+            np.stack([index[x].features for x in sorted(train_set)]),
+            np.array([index[x].features for x in extra_ids]),
+        ])
+        expected_labels = np.array([fixed[x] for x in extra_ids], dtype=np.intp)
+        assert env._fit_features.tobytes() == expected_features.tobytes()
+        assert env._extra_labels.dtype == np.intp
+        assert env._extra_labels.tolist() == expected_labels.tolist()
+        assert dataset.num_classes in env._extra_labels.tolist()
+
+        trained_only = {x: 1 for x in train_set}
+        for no_extras in (None, {}, trained_only):
+            env = RewardEnvironment(dataset, train_bags, held_bags, spec, params, no_extras)
+            assert env._extra_labels is None and env._fit_features is env.train_features
 
     def test_distgap_tau_calibrates_once(self):
         env, truth = self.build_environment(seed=5, k=3, distgap_enabled=True)
@@ -717,7 +717,7 @@ class TestRewardEnvironment:
             seed=6, k=3, distgap_enabled=True, distgap_space="features"
         )
         index = dataset.instance_map()
-        bag_of = dataset.bag_of_instance()
+        bag_of = {iid: bag for bag in dataset.bags for iid in bag.instance_ids}
 
         def bag_features(bags):
             return [np.stack([index[i].features for i in bag.instance_ids]) for bag in bags]
@@ -758,7 +758,7 @@ class TestRewardEnvironment:
         kfold_infer(dataset, config)
         assert built
         for ctx, (_, (_, held), layout), kwargs in built:
-            negatives = layout.negative_labels if regime == "multiclass-mil" else None
+            negatives = negative_modes(layout) if regime == "multiclass-mil" else None
             assert_tables_match_oracles(ctx, held, layout.bags, negatives)
 
     @pytest.mark.parametrize(
@@ -826,26 +826,13 @@ def fold_environment(regime, params, bootstrap_extras=False, num_bags=24):
         if regime == "llp":
             dataset = with_proportion_labels(dataset)
         spec = ClassifierSpec("linear-svm", 2)
-    index, bag_of = dataset.instance_map(), dataset.bag_of_instance()
     half = len(dataset.bags) // 2
     train_bags, held_bags = dataset.bags[:half], dataset.bags[half:]
-    train_ids = [i for b in train_bags for i in b.instance_ids]
-    held_ids = [i for b in held_bags for i in b.instance_ids]
-    extra_ids = [i for b in held_bags[:3] for i in b.instance_ids] if bootstrap_extras else []
-    env = RewardEnvironment(
-        regime=regime,
-        train_ids=train_ids,
-        train_features=np.stack([index[i].features for i in train_ids]),
-        train_bag_index={i: bag_of[i] for i in train_ids},
-        heldout_ids=held_ids,
-        heldout_features=np.stack([index[i].features for i in held_ids]),
-        heldout_bags=held_bags,
-        classifier_spec=spec,
-        params=params,
-        extra_features=np.stack([index[i].features for i in extra_ids]) if extra_ids else None,
-        extra_labels=np.array([index[i].ground_truth for i in extra_ids]) if extra_ids else None,
-    )
-    return env, spec.num_classes
+    fixed = None
+    if bootstrap_extras:
+        truth = dataset.ground_truth_map()
+        fixed = {i: truth[i] for b in held_bags[:3] for i in b.instance_ids}
+    return RewardEnvironment(dataset, train_bags, held_bags, spec, params, fixed), spec.num_classes
 
 
 class TestBatchedEnvironment:
@@ -862,8 +849,8 @@ class TestBatchedEnvironment:
             # tau unset: the first member of the first batch calibrates it
             ("binary-mil", RewardParams(k=4, distgap_enabled=True), False),
             ("binary-mil", RewardParams(k=4, distgap_enabled=True, tau=0.5), True),
-            ("multiclass-mil", RewardParams(k=6, alpha=0.5), False),
-            ("multiclass-mil", RewardParams(k=6, alpha=0.5), True),
+            ("multiclass-mil", RewardParams(k=6, alpha=0.5, num_negative_labels=1), False),
+            ("multiclass-mil", RewardParams(k=6, alpha=0.5, num_negative_labels=1), True),
             ("llp", RewardParams(k=4), False),
         ],
         ids=["bin", "bin-extras", "bin-gap-features", "bin-gap-output-tau-unset",
@@ -894,7 +881,7 @@ class TestBatchedEnvironment:
         # members are fitted together but predicted and scored one at a time,
         # so a batch's peak stays near a single labelling's
         env, num_classes = fold_environment(
-            "multiclass-mil", RewardParams(k=5, alpha=0.5), num_bags=120
+            "multiclass-mil", RewardParams(k=5, alpha=0.5, num_negative_labels=1), num_bags=120
         )
         labels = np.random.default_rng(4).integers(0, num_classes, (4, len(env.train_ids)))
         env(labels[0], np.random.default_rng(0))  # warm caches outside the measurement

@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic dataset plus ground-truth sidecar")
     gen.add_argument("--config", default=None)
-    gen.add_argument("--regime", choices=("binary-mil", "multiclass-mil", "llp"), default=None)
+    gen.add_argument("--regime", choices=tuple(data.REGIME_LABEL_KIND), default=None)
     gen.add_argument("--bags", type=int, default=None)
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", default=None)

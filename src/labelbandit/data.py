@@ -35,7 +35,11 @@ def negative_label_ids(num_classes: int, num_negative_labels: int) -> list[int]:
     return [NEGATIVE_CLASS] + list(range(num_classes, num_classes + num_negative_labels - 1))
 
 
-REGIMES = ("binary-mil", "multiclass-mil", "llp", "custom")
+# The weak-label kind every bag of a built-in regime carries; a custom
+# dataset's bags may mix kinds.
+REGIME_LABEL_KIND = {"binary-mil": "binary", "multiclass-mil": "label_set", "llp": "proportion"}
+
+REGIMES = (*REGIME_LABEL_KIND, "custom")
 
 FORMATS = ("json", "csv")
 
@@ -85,13 +89,17 @@ class WeakLabel:
     def proportion(cls, value: float) -> "WeakLabel":
         return cls("proportion", value)
 
+    @property
+    def positive_classes(self) -> frozenset[int]:
+        """The positive classes the bag is said to hold: {1} for binary 1 or
+        a proportion above 0, the label set itself, else the empty set."""
+        if self.kind == "label_set":
+            return self.value
+        return frozenset({1}) if self.value > 0 else frozenset()
+
     def max_class_id(self) -> int:
         """Largest class id this label refers to (for num_classes validation)."""
-        if self.kind == "binary":
-            return int(self.value)
-        if self.kind == "label_set":
-            return max(self.value, default=0)
-        return 1 if self.value > 0 else 0
+        return max(self.positive_classes, default=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +150,8 @@ class Dataset:
 
     Construction validates every structural invariant: unique ids, a bag
     partition that covers each instance exactly once, one shared feature
-    dimension (>= 1), finite features, and weak-label class ids < num_classes.
+    dimension (>= 1), finite features, weak-label class ids < num_classes,
+    and, in a built-in regime, bags of its weak-label kind only.
     """
 
     instances: list[Instance]
@@ -158,6 +167,7 @@ class Dataset:
             raise ValidationError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
         if self.num_classes < 2:
             raise ValidationError(f"num_classes must be >= 2, got {self.num_classes}")
+        check_label_kinds(self.regime, self.bags)
         if not self.instances:
             raise ValidationError("dataset has no instances")
         dim = self.instances[0].features.shape[0]
@@ -226,6 +236,20 @@ class Dataset:
         return all(inst.ground_truth is not None for inst in self.instances)
 
 
+def check_label_kinds(regime: str, bags) -> None:
+    """Reject the first bag whose weak-label kind is not the regime's;
+    custom and unknown regimes pass."""
+    expected = REGIME_LABEL_KIND.get(regime)
+    if expected is None:
+        return
+    for bag in bags:
+        if bag.weak_label.kind != expected:
+            raise ValidationError(
+                f"bag {bag.id}: regime {regime!r} needs {expected!r} weak labels, "
+                f"got {bag.weak_label.kind!r}"
+            )
+
+
 def strip_ground_truth(dataset: Dataset) -> Dataset:
     """Projection that removes ground truth; the only view inference may see."""
     instances = [Instance(i.id, i.features, None) for i in dataset.instances]
@@ -265,14 +289,13 @@ def _weak_label_to_csv(label: WeakLabel) -> str:
 
 
 def _weak_label_from_csv(text: str, regime: str | None) -> WeakLabel:
-    # custom datasets mix kinds, so their values are inferred per row; note
-    # that a bare "1" then reads as a binary label, not the label set {1} --
-    # JSON is the lossless format for such data
-    if regime == "custom":
-        regime = None
-    if regime == "llp" or (regime is None and ("." in text or "e" in text)):
+    # a built-in regime names the kind; custom datasets mix kinds, so their
+    # kinds are inferred per row; note that a bare "1" then reads as a binary
+    # label, not the label set {1} -- JSON is the lossless format for such data
+    kind = REGIME_LABEL_KIND.get(regime)
+    if kind == "proportion" or (kind is None and ("." in text or "e" in text)):
         return WeakLabel.proportion(float(text))
-    if regime == "binary-mil" or (regime is None and text in ("0", "1")):
+    if kind == "binary" or (kind is None and text in ("0", "1")):
         return WeakLabel.binary(int(text))
     ids = [int(tok) for tok in text.split(";") if tok != ""]
     return WeakLabel.label_set(ids)
@@ -390,17 +413,17 @@ def load_dataset(path, format: str = "json") -> Dataset:
                     f"{bag_weak[bid]!r} and {row[2]!r}"
                 )
             bag_weak[bid] = row[2]
-    bags = [
-        Bag(bid, members, _weak_label_from_csv(bag_weak[bid], regime))
-        for bid, members in bag_members.items()
-    ]
+    bags = []
+    for bid, members in bag_members.items():
+        try:
+            weak = _weak_label_from_csv(bag_weak[bid], regime)
+        except ValueError as exc:
+            raise ParseError(f"{path}: bag {bid}: weak label {bag_weak[bid]!r}: {exc}") from exc
+        bags.append(Bag(bid, members, weak))
     if regime is None:
         kinds = {b.weak_label.kind for b in bags}
-        regime = {
-            "binary": "binary-mil",
-            "label_set": "multiclass-mil",
-            "proportion": "llp",
-        }[kinds.pop()] if len(kinds) == 1 else "custom"
+        regime_of = {k: r for r, k in REGIME_LABEL_KIND.items()}
+        regime = regime_of[kinds.pop()] if len(kinds) == 1 else "custom"
     if num_classes is None:
         num_classes = max(2, max(b.weak_label.max_class_id() for b in bags) + 1)
     return Dataset(instances, bags, num_classes, regime)
@@ -573,15 +596,10 @@ def with_proportion_labels(dataset: Dataset) -> Dataset:
 
 
 def label_set_size_histogram(dataset: Dataset) -> dict[int, int]:
-    """Bag counts keyed by label-set size (binary bags count their 0/1 label)."""
+    """Bag counts keyed by label-set size: the number of positive classes a
+    bag names (``WeakLabel.positive_classes``)."""
     counts: dict[int, int] = {}
     for bag in dataset.bags:
-        label = bag.weak_label
-        if label.kind == "label_set":
-            size = len(label.value)
-        elif label.kind == "binary":
-            size = int(label.value)
-        else:
-            size = 1 if label.value > 0 else 0
+        size = len(bag.weak_label.positive_classes)
         counts[size] = counts.get(size, 0) + 1
     return dict(sorted(counts.items()))

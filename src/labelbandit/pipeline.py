@@ -23,6 +23,8 @@ import numpy as np
 from .bandit import PullLog, run_inference
 from .classifiers import ClassifierSpec, TrainedModel, fit
 from .data import (
+    DEFAULT_NEGATIVE_LABELS,
+    REGIME_LABEL_KIND,
     Bag,
     Dataset,
     Instance,
@@ -69,8 +71,12 @@ class InferenceConfig:
     final_weighting: str = "uniform"
 
     def __post_init__(self):
-        if self.regime not in ("binary-mil", "multiclass-mil", "llp", "custom"):
-            raise ConfigError(f"unknown regime {self.regime!r}")
+        if self.regime not in REGIME_LABEL_KIND:
+            raise ConfigError(
+                f"no pipeline for regime {self.regime!r}; pipelines run "
+                f"{', '.join(REGIME_LABEL_KIND)}, and any other regime runs through "
+                "bandit.run_inference with its own reward environment"
+            )
         if self.rounds < 1:
             raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
         if self.batch_size < 1:
@@ -122,54 +128,42 @@ def extended_num_classes(num_classes: int, num_negative_labels: int) -> int:
     return num_classes + num_negative_labels - 1
 
 
-def derive_label_sets(dataset: Dataset, num_negative_labels: int = 1) -> dict[int, list[int]]:
+def derive_label_sets(
+    dataset: Dataset, num_negative_labels: int | None = None
+) -> dict[int, list[int]]:
     """Admissible labels per instance, from the bag-level weak labels.
 
-    Binary MIL: negative-bag instances are fixed negative, positive-bag
-    instances choose between negative and positive. Multi-class MIL: every
-    instance of a bag may take any negative mode or any label in the bag's
-    label set. LLP: proportions 0 and 1 force the label, anything else leaves
-    both options open.
+    Every instance of a bag may take any negative mode or any positive class
+    its bag names (``WeakLabel.positive_classes``): binary MIL negative-bag
+    instances are thereby fixed negative, multi-class MIL instances choose
+    among the negative modes and the bag's label set, and an LLP bag with
+    proportion 0 leaves only the negative modes. An LLP proportion of 1
+    forces the positive label. ``num_negative_labels`` None takes the
+    regime's default (``DEFAULT_NEGATIVE_LABELS``).
     """
+    if dataset.regime not in REGIME_LABEL_KIND:
+        raise ConfigError(
+            f"cannot derive label sets for regime {dataset.regime!r}; "
+            "custom regimes must supply their own"
+        )
+    if num_negative_labels is None:
+        num_negative_labels = DEFAULT_NEGATIVE_LABELS[dataset.regime]
     if num_negative_labels < 1:
         raise ParameterError(f"num_negative_labels must be >= 1, got {num_negative_labels}")
     negatives = negative_label_ids(dataset.num_classes, num_negative_labels)
     sets: dict[int, list[int]] = {}
     for bag in dataset.bags:
         label = bag.weak_label
-        if dataset.regime == "binary-mil":
-            if label.kind != "binary":
-                raise ConfigError(f"bag {bag.id}: binary-mil regime with {label.kind!r} weak label")
-            admissible = negatives + [1] if label.value == 1 else list(negatives)
-        elif dataset.regime == "multiclass-mil":
-            if label.kind != "label_set":
-                raise ConfigError(
-                    f"bag {bag.id}: multiclass-mil regime with {label.kind!r} weak label"
-                )
-            admissible = negatives + sorted(label.value)
-        elif dataset.regime == "llp":
-            if label.kind != "proportion":
-                raise ConfigError(f"bag {bag.id}: llp regime with {label.kind!r} weak label")
-            if label.value == 0.0:
-                admissible = list(negatives)
-            elif label.value == 1.0:
-                admissible = [1]
-            else:
-                admissible = negatives + [1]
-        else:
-            raise ConfigError(
-                f"cannot derive label sets for regime {dataset.regime!r}; "
-                "custom regimes must supply their own"
-            )
+        admissible = negatives + sorted(label.positive_classes)
+        if label.kind == "proportion" and label.value == 1.0:
+            admissible = [1]
         for iid in bag.instance_ids:
             sets[iid] = list(admissible)
     return sets
 
 
 def _resolve_classifier_spec(config: InferenceConfig, num_classes: int) -> ClassifierSpec:
-    kind = config.classifier.kind or DEFAULT_CLASSIFIER_BY_REGIME.get(config.regime)
-    if kind is None:
-        raise ConfigError(f"no default classifier for regime {config.regime!r}; set one")
+    kind = config.classifier.kind or DEFAULT_CLASSIFIER_BY_REGIME[config.regime]
     m = config.reward.num_negative_labels
     grouping = None
     if kind == "cooperative-softmax":

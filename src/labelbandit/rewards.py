@@ -32,7 +32,14 @@ from .classifiers import (
     nearest_indices_rows,
     predict_arrays,
 )
-from .data import DEFAULT_NEGATIVE_LABELS, Bag, Dataset, negative_label_ids
+from .data import (
+    DEFAULT_NEGATIVE_LABELS,
+    REGIME_LABEL_KIND,
+    Bag,
+    Dataset,
+    check_label_kinds,
+    negative_label_ids,
+)
 from .errors import ParameterError, RegimeError, RewardRangeError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -146,9 +153,10 @@ def _gate(assigned, ctx: RewardContext, values: np.ndarray) -> np.ndarray:
 def _mil_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
     """Binary and multi-class MIL reward: the gated recall/precision base.
 
-    The regime shows only in the context's tables and neighbours (full output
-    space for binary, the predicted-class dimension for multi-class); with two
-    classes and one negative label the two coincide.
+    Both regimes' tables read the bags as label sets; the regime shows only
+    in the neighbours (full output space for binary, the predicted-class
+    dimension for multi-class), and with two classes and one negative label
+    the two coincide.
     """
     return _gate(assigned, ctx, _gated_base(ctx, params))
 
@@ -275,35 +283,20 @@ def calibrate_tau(raw_distgap: np.ndarray) -> float:
 # Context construction
 # ---------------------------------------------------------------------------
 
-_REGIME_LABEL_KIND = {"binary-mil": "binary", "multiclass-mil": "label_set", "llp": "proportion"}
-
-
-def _check_bag_kinds(regime: str, bags: list[Bag]):
-    expected = _REGIME_LABEL_KIND.get(regime)
-    if expected is None:
-        raise RegimeError(f"no built-in reward for regime {regime!r}")
-    for bag in bags:
-        if bag.weak_label.kind != expected:
-            raise RegimeError(
-                f"regime {regime!r} needs {expected!r} weak labels, "
-                f"but bag {bag.id} carries {bag.weak_label.kind!r}"
-            )
-
-
 @dataclass(frozen=True)
 class HeldoutLayout:
     """The part of a reward context fixed for a fold, built by ``heldout_layout``.
 
     Ids are ascending; a context's rows follow them. ``row_bag`` gives each
     held-out row the position of its bag in ``bags``; the bag columns follow
-    ``bags``: ``bag_sizes``, and the weak labels of the regime's kind (the
-    others stay zero): ``positive`` (binary label 1), ``label_sets`` with
-    ``set_sizes`` (0 marks an empty set) and ``proportion``. ``label_sets``
-    and ``negative_table`` (true at the negative modes) have one column per
-    label id below the label space plus a last column, in no set and not
-    negative, that stands for every label outside it. ``distgap`` is the
-    distance gap's ``DistgapTable``, or None when the layout was built
-    without the training bags.
+    ``bags``: ``bag_sizes``, ``label_sets`` (each bag's
+    ``WeakLabel.positive_classes``, so a binary bag is the set {1} or the
+    empty set) with ``set_sizes`` (0 marks an empty set), and ``proportion``
+    (zero outside llp). ``label_sets`` and ``negative_table`` (true at the
+    negative modes) have one column per label id below the label space plus
+    a last column, in no set and not negative, that stands for every label
+    outside it. ``distgap`` is the distance gap's ``DistgapTable``, or None
+    when the layout was built without the training bags.
     """
 
     regime: str
@@ -313,7 +306,6 @@ class HeldoutLayout:
     negative_table: np.ndarray
     row_bag: np.ndarray
     bag_sizes: np.ndarray
-    positive: np.ndarray
     label_sets: np.ndarray
     set_sizes: np.ndarray
     proportion: np.ndarray
@@ -371,12 +363,15 @@ def heldout_layout(
 
     The held-out ids are the bags' members, ascending; the bags keep their
     order. No instance may sit in two bags. ``train_ids`` must be sorted
-    ascending. The label space covers the ``num_labels`` labels a classifier
-    can predict, the ``negative_labels`` and every class a bag names. Given
-    each training instance's bag, it also builds and checks the distance
-    gap's ``DistgapTable``.
+    ascending. The regime needs a built-in reward, and every bag its weak-label
+    kind (``data.check_label_kinds``). The label space covers the
+    ``num_labels`` labels a classifier can predict, the ``negative_labels``
+    and every class a bag names. Given each training instance's bag, it also
+    builds and checks the distance gap's ``DistgapTable``.
     """
-    _check_bag_kinds(regime, heldout_bags)
+    if regime not in REGIME_LABEL_KIND:
+        raise RegimeError(f"no built-in reward for regime {regime!r}")
+    check_label_kinds(regime, heldout_bags)
     if not heldout_bags:
         raise ParameterError("held-out set is empty")
     label_space = 1 + max(
@@ -385,9 +380,7 @@ def heldout_layout(
         max(bag.weak_label.max_class_id() for bag in heldout_bags),
     )
     num_bags = len(heldout_bags)
-    positive = np.zeros(num_bags, dtype=bool)
     label_sets = np.zeros((num_bags, label_space + 1), dtype=bool)
-    set_sizes = np.zeros(num_bags, dtype=np.intp)
     proportion = np.zeros(num_bags)
     bag_of: dict[int, int] = {}
     for b, bag in enumerate(heldout_bags):
@@ -399,12 +392,8 @@ def heldout_layout(
                 )
             bag_of[iid] = b
         label = bag.weak_label
-        if label.kind == "binary":
-            positive[b] = label.value == 1
-        elif label.kind == "label_set":
-            label_sets[b, list(label.value)] = True
-            set_sizes[b] = len(label.value)
-        else:
+        label_sets[b, list(label.positive_classes)] = True
+        if label.kind == "proportion":
             proportion[b] = label.value
     heldout_ids = sorted(bag_of)
     row_bag = np.array([bag_of[iid] for iid in heldout_ids], dtype=np.intp)
@@ -422,9 +411,8 @@ def heldout_layout(
         negative_table=negative_table,
         row_bag=row_bag,
         bag_sizes=np.bincount(row_bag, minlength=num_bags),
-        positive=positive,
         label_sets=label_sets,
-        set_sizes=set_sizes,
+        set_sizes=np.count_nonzero(label_sets, axis=1),
         proportion=proportion,
         distgap=distgap,
     )
@@ -433,30 +421,26 @@ def heldout_layout(
 def _bag_tables(layout: HeldoutLayout, labels: np.ndarray):
     """Each held-out row's bag recall, precision and proportion error, from
     the rows' predicted labels: per-bag counts by ``np.bincount`` over
-    ``row_bag``, spread back to the rows by indexing with it."""
+    ``row_bag``, spread back to the rows by indexing with it. Both MIL
+    regimes read the bags' label sets; llp reads their proportions."""
     row_bag = layout.row_bag
     num_bags = layout.bag_sizes.shape[0]
     rec_row = np.ones(labels.shape[0])
     prec_row = np.ones(labels.shape[0])
     proportion_error_row = np.zeros(labels.shape[0])
-    if layout.regime == "binary-mil":
-        predicted_positive = labels == 1
-        realized = np.bincount(row_bag[predicted_positive], minlength=num_bags) > 0
-        rec_row = (realized | ~layout.positive)[row_bag].astype(np.float64)
-        prec_row[predicted_positive & ~layout.positive[row_bag]] = 0.0
-    elif layout.regime == "multiclass-mil":
+    if layout.regime == "llp":
+        positives = np.bincount(row_bag[labels == 1], minlength=num_bags)
+        proportion_error_row = np.abs(positives / layout.bag_sizes - layout.proportion)[row_bag]
+    else:
         width = layout.label_sets.shape[1]
         columns = np.minimum(labels, width - 1)
-        counts = np.bincount(row_bag * width + columns, minlength=num_bags * width)
-        realized = counts.reshape(num_bags, width) > 0
+        cells = row_bag * width + columns  # each row's (bag, label) cell of label_sets
+        realized = np.bincount(cells, minlength=num_bags * width).reshape(num_bags, width) > 0
         hits = np.count_nonzero(realized & layout.label_sets, axis=1)
         sizes = layout.set_sizes
         rec_row = np.divide(hits, sizes, out=np.ones(num_bags), where=sizes > 0)[row_bag]
-        allowed = layout.negative_table[columns] | layout.label_sets[row_bag, columns]
+        allowed = layout.negative_table[columns] | layout.label_sets.ravel()[cells]
         prec_row[~allowed] = 0.0
-    else:  # llp
-        positives = np.bincount(row_bag[labels == 1], minlength=num_bags)
-        proportion_error_row = np.abs(positives / layout.bag_sizes - layout.proportion)[row_bag]
     return rec_row, prec_row, proportion_error_row
 
 

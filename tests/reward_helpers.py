@@ -86,11 +86,19 @@ def rec_binary(bag: Bag, labels: dict[int, int]) -> float:
     return 1.0 if any(labels[i] == 1 for i in bag.instance_ids) else 0.0
 
 
-def prec_binary(instance_id: int, labels: dict[int, int], bag_index: dict[int, Bag]) -> float:
-    """1 unless the instance is predicted positive while sitting in a negative bag."""
-    if labels[instance_id] != 1:
+def prec_binary(
+    instance_id: int,
+    labels: dict[int, int],
+    bag_index: dict[int, Bag],
+    negative_labels: frozenset[int] = frozenset({NEGATIVE_CLASS}),
+) -> float:
+    """1 for a negative-mode prediction and for a positive prediction in a
+    positive bag; 0 for a positive prediction in a negative bag, and for any
+    label that is neither 1 nor a negative mode, which no binary bag names."""
+    predicted = labels[instance_id]
+    if predicted in negative_labels:
         return 1.0
-    return 1.0 if bag_index[instance_id].weak_label.value == 1 else 0.0
+    return 1.0 if predicted == 1 and bag_index[instance_id].weak_label.value == 1 else 0.0
 
 
 def rec_multiclass(bag: Bag, labels: dict[int, int]) -> float:

@@ -240,6 +240,36 @@ class TestInfer:
         assert code == 2
         assert not out.exists()
 
+    def test_mixed_kind_csv_exits_two_without_result(self, tmp_path, capsys):
+        # a CSV without a regime header whose bags mix kinds loads as custom,
+        # which only run_inference can run
+        dataset = tmp_path / "mixed.csv"
+        rows = [f"{i},{i // 2},{'1' if i < 4 else '0.5'},,{float(i)}" for i in range(8)]
+        dataset.write_text("instance_id,bag_id,weak_label,ground_truth,f0\n" + "\n".join(rows))
+        out = tmp_path / "run"
+        code = run(["infer", "--dataset", dataset, "--out", out, "--folds", 2])
+        assert code == 2
+        assert "no pipeline for regime 'custom'" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
+    def test_bag_of_another_kind_exits_two(self, tmp_path, capsys):
+        doc = {
+            "num_classes": 2, "regime": "binary-mil",
+            "bags": [
+                {"id": 0, "weak_label": {"kind": "binary", "value": 1},
+                 "instances": [{"id": 0, "features": [0.5]}]},
+                {"id": 5, "weak_label": {"kind": "label_set", "value": [1]},
+                 "instances": [{"id": 1, "features": [1.5]}]},
+            ],
+        }
+        dataset = tmp_path / "mismatch.json"
+        dataset.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        code = run(["infer", "--dataset", dataset, "--out", out])
+        assert code == 2
+        assert "error: bag 5: regime 'binary-mil' needs 'binary'" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
     @pytest.mark.parametrize("space", ["features", "output"])
     def test_distgap_label_set_without_held_out_match_exits_two_before_fitting(
         self, tmp_path, capsys, monkeypatch, space

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from labelbandit.classifiers import ClassifierSpec, fit, predict_arrays
 from labelbandit.data import (
+    REGIME_LABEL_KIND,
+    REGIMES,
     Bag,
     Dataset,
     Instance,
@@ -82,6 +84,15 @@ class TestWeakLabel:
         with pytest.raises(ValidationError):
             WeakLabel.proportion(1.5)
 
+    def test_positive_classes_of_every_kind(self):
+        assert WeakLabel.binary(1).positive_classes == {1}
+        assert WeakLabel.binary(0).positive_classes == frozenset()
+        assert WeakLabel.label_set({2, 4}).positive_classes == {2, 4}
+        assert WeakLabel.label_set(()).positive_classes == frozenset()
+        assert WeakLabel.proportion(5e-324).positive_classes == {1}
+        assert WeakLabel.proportion(0.0).positive_classes == frozenset()
+        assert WeakLabel.label_set({2, 4}).max_class_id() == 4
+
 
 class TestDatasetValidation:
     def test_instance_in_two_bags_names_offender(self):
@@ -118,6 +129,25 @@ class TestDatasetValidation:
         with pytest.raises(ValidationError, match="num_classes"):
             Dataset(instances, bags, 3, "multiclass-mil")
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(REGIMES),
+        st.lists(st.sampled_from(["binary", "label_set", "proportion"]), min_size=1, max_size=4),
+    )
+    def test_bag_kinds_must_match_a_built_in_regime(self, regime, kinds):
+        """Every regime x weak-label kind: a built-in regime accepts only its
+        own kind and names the first bag of another; custom takes any mix."""
+        value = {"binary": 1, "label_set": {1}, "proportion": 0.5}
+        instances = [Instance(b, [float(b)]) for b in range(len(kinds))]
+        bags = [Bag(b, [b], WeakLabel(kind, value[kind])) for b, kind in enumerate(kinds)]
+        expected = REGIME_LABEL_KIND.get(regime)
+        wrong = [b for b, kind in enumerate(kinds) if expected not in (None, kind)]
+        if not wrong:
+            assert Dataset(instances, bags, 2, regime).regime == regime
+            return
+        with pytest.raises(ValidationError, match=rf"^bag {wrong[0]}: regime '{regime}' needs"):
+            Dataset(instances, bags, 2, regime)
+
     def test_bag_partition_property(self):
         rng = np.random.default_rng(0)
         for regime in ("binary-mil", "multiclass-mil", "llp"):
@@ -151,6 +181,41 @@ class TestFileRoundTrip:
         assert len(ds.bags) == 1 and ds.bags[0].weak_label.value == 1
         assert ds.instances[0].ground_truth is None
         assert ds.instances[1].ground_truth == 1
+
+    def test_json_bag_of_another_kind_names_the_bag(self, tmp_path):
+        doc = {
+            "num_classes": 2,
+            "regime": "llp",
+            "bags": [
+                {"id": 3, "weak_label": {"kind": "proportion", "value": 0.5},
+                 "instances": [{"id": 0, "features": [0.5]}]},
+                {"id": 7, "weak_label": {"kind": "binary", "value": 1},
+                 "instances": [{"id": 1, "features": [1.5]}]},
+            ],
+        }
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="bag 7: regime 'llp' needs 'proportion'"):
+            load_dataset(path, "json")
+
+    @pytest.mark.parametrize("regime, text", [("binary-mil", "0.5"), ("llp", "1;2")])
+    def test_csv_weak_label_of_another_kind_names_the_bag(self, tmp_path, regime, text):
+        path = tmp_path / "mismatch.csv"
+        path.write_text(
+            f"# num_classes=3 regime={regime}\n"
+            f"instance_id,bag_id,weak_label,ground_truth,f0\n0,4,{text},,1.0\n"
+        )
+        with pytest.raises(ParseError, match=f"bag 4: weak label '{text}'"):
+            load_dataset(path, "csv")
+
+    def test_csv_without_regime_takes_it_from_the_kinds(self, tmp_path):
+        for kind, text in (("binary", "1"), ("label_set", "1;2"), ("proportion", "0.5")):
+            path = tmp_path / f"{kind}.csv"
+            path.write_text(f"instance_id,bag_id,weak_label,ground_truth,f0\n0,0,{text},,1.0\n")
+            ds = load_dataset(path, "csv")
+            assert REGIME_LABEL_KIND[ds.regime] == kind
+        path.write_text("instance_id,bag_id,weak_label,ground_truth,f0\n0,0,1,,1.0\n1,1,0.5,,2.0\n")
+        assert load_dataset(path, "csv").regime == "custom"
 
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -7,6 +7,9 @@ import pytest
 
 from labelbandit.classifiers import ClassifierSpec, fit, predict_arrays
 from labelbandit.data import (
+    DEFAULT_NEGATIVE_LABELS,
+    REGIME_LABEL_KIND,
+    REGIMES,
     Bag,
     Dataset,
     Instance,
@@ -21,6 +24,7 @@ from labelbandit.data import (
 from labelbandit.errors import ConfigError, ParameterError, RegimeError
 from labelbandit.metrics import instance_accuracy
 from labelbandit.pipeline import (
+    DEFAULT_CLASSIFIER_BY_REGIME,
     ClassifierConfig,
     InferenceConfig,
     PipelineResult,
@@ -72,9 +76,48 @@ class TestDeriveLabelSets:
         sets = derive_label_sets(ds)
         assert sets[0] == [1] and sets[2] == [0] and sets[4] == [0, 1]
 
+    def test_default_negative_modes_follow_the_regime(self):
+        pool = generate_gaussian_blobs(4, 10, 2, 5.0, 0)
+        multiclass = generate_multiclass_mil(pool, 6, (2, 4), {1, 2}, 1)
+        sets = derive_label_sets(multiclass)
+        # three negative modes: 0 plus fresh ids 3, 4 above the 3 classes
+        for bag in multiclass.bags:
+            for i in bag.instance_ids:
+                assert sets[i] == [0, 3, 4] + sorted(bag.weak_label.value)
+        binary = generate_binary_mil(6, (2, 4), 0.5, 2, 5.0, seed=0)
+        assert {tuple(s) for s in derive_label_sets(binary).values()} == {(0,), (0, 1)}
+
+    def test_binary_bags_read_as_label_sets(self):
+        ds = generate_binary_mil(6, (2, 4), 0.5, 2, 5.0, seed=0)
+        sets = derive_label_sets(ds, num_negative_labels=2)
+        for bag in ds.bags:
+            for i in bag.instance_ids:
+                assert sets[i] == ([0, 2, 1] if bag.weak_label.value == 1 else [0, 2])
+
+    def test_custom_regime_has_no_label_sets(self):
+        ds = Dataset([Instance(0, [1.0])], [Bag(0, [0], WeakLabel.binary(1))], 2, "custom")
+        with pytest.raises(ConfigError, match="custom regimes must supply their own"):
+            derive_label_sets(ds)
+
     def test_negative_label_ids_layout(self):
         assert negative_label_ids(6, 1) == [0]
         assert negative_label_ids(6, 3) == [0, 6, 7]
+
+
+class TestRegimeDeclarations:
+    def test_every_built_in_regime_is_fully_declared(self):
+        """A regime with a pipeline has a weak-label kind, a negative-mode
+        default and a default classifier; custom has none of them."""
+        built_in = [regime for regime in REGIMES if regime != "custom"]
+        assert built_in
+        for table in (REGIME_LABEL_KIND, DEFAULT_NEGATIVE_LABELS, DEFAULT_CLASSIFIER_BY_REGIME):
+            assert sorted(table) == sorted(built_in), table
+
+    def test_custom_regime_config_points_to_run_inference(self):
+        with pytest.raises(ConfigError, match="run_inference"):
+            InferenceConfig(regime="custom")
+        with pytest.raises(ConfigError, match="no pipeline for regime 'mystery'"):
+            InferenceConfig(regime="mystery")
 
 
 class TestKfoldInfer:

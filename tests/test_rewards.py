@@ -257,7 +257,8 @@ class TestVectorizedTablesMatchDefinitions:
             bag = bag_index[iid]
             rec, prec, error = 1.0, 1.0, 0.0
             if regime == "binary-mil":
-                rec, prec = rec_binary(bag, label_of), prec_binary(iid, label_of, bag_index)
+                rec = rec_binary(bag, label_of)
+                prec = prec_binary(iid, label_of, bag_index, negatives)
             elif regime == "multiclass-mil":
                 rec = rec_multiclass(bag, label_of)
                 prec = prec_multiclass(iid, label_of, bag_index, negatives)
@@ -582,7 +583,7 @@ class TestLlpReward:
     def test_regime_mismatch_rejected(self):
         params = RewardParams(k=1)
         bags = [Bag(0, [5], WeakLabel.binary(1))]
-        with pytest.raises(RegimeError):
+        with pytest.raises(ValidationError, match="bag 0: regime 'llp' needs 'proportion'"):
             context(
                 "llp", params,
                 (predictions([0], mirrored([1.0])), predictions([5], mirrored([1.0]))),

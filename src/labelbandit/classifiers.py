@@ -109,98 +109,131 @@ _GROUPING_CACHE: dict = {}
 
 
 def _grouping_arrays(grouping):
-    """Static index structures per grouping, cached (groupings are few and reused)."""
+    """Fixed index tables per grouping, cached (groupings are few and reused):
+    the class -> group map, the singleton groups and their classes, the
+    larger groups with their classes, and the group and class ids as column
+    vectors for broadcasting against class-major (classes, rows) scores."""
     cached = _GROUPING_CACHE.get(grouping)
     if cached is None:
         num_classes = max(c for group in grouping for c in group) + 1
         group_of = np.empty(num_classes, dtype=np.intp)
         for gi, group in enumerate(grouping):
-            for c in group:
-                group_of[c] = gi
+            group_of[list(group)] = gi
         single_gis = np.array([gi for gi, g in enumerate(grouping) if len(g) == 1], dtype=np.intp)
         single_cols = np.array([g[0] for g in grouping if len(g) == 1], dtype=np.intp)
-        multis = [(gi, np.asarray(g, dtype=np.intp)) for gi, g in enumerate(grouping) if len(g) > 1]
-        cached = (group_of, single_gis, single_cols, multis)
+        multis = [(gi, g) for gi, g in enumerate(grouping) if len(g) > 1]
+        group_ids = np.arange(len(grouping))[:, None]
+        class_ids = np.arange(num_classes)[:, None]
+        cached = (group_of, single_gis, single_cols, multis, group_ids, class_ids)
         _GROUPING_CACHE[grouping] = cached
     return cached
 
 
-def _group_max_scores(z: np.ndarray, grouping):
-    """Per-group score maxima, the attaining class column (lowest id on ties),
-    and the class -> group index map."""
-    group_of, single_gis, single_cols, multis = _grouping_arrays(grouping)
-    rows = np.arange(z.shape[0])
-    group_max = np.empty((z.shape[0], len(grouping)))
-    argmax_col = np.empty((z.shape[0], len(grouping)), dtype=np.intp)
-    if single_gis.size:
-        group_max[:, single_gis] = z[:, single_cols]
-        argmax_col[:, single_gis] = single_cols[None, :]
-    for gi, cols in multis:
-        sub = z[:, cols]
-        local = np.argmax(sub, axis=1)  # first max: lowest class id within the sorted group
-        argmax_col[:, gi] = cols[local]
-        group_max[:, gi] = sub[rows, local]
-    return group_max, argmax_col, group_of
+def _group_max_scores(zt: np.ndarray, grouping):
+    """Per-group score maxima and the attaining class (lowest id on ties), each
+    (groups, rows), from class-major scores ``zt`` (classes, rows)."""
+    _, single_gis, single_cols, multis, _, _ = _grouping_arrays(grouping)
+    group_max = np.empty((len(grouping), zt.shape[1]))
+    argmax_class = np.empty(group_max.shape, dtype=np.intp)
+    group_max[single_gis] = zt[single_cols]
+    argmax_class[single_gis] = single_cols[:, None]
+    for gi, (first, *rest) in multis:
+        best, winner = zt[first], first
+        for c in rest:
+            better = zt[c] > best  # strict: ties keep the lower class id
+            best = np.where(better, zt[c], best)
+            winner = np.where(better, c, winner)
+        group_max[gi], argmax_class[gi] = best, winner
+    return group_max, argmax_class
 
 
-def _cooperative_target_terms(z: np.ndarray, labels: np.ndarray, grouping):
-    """Per-sample log sigma of the target class and the softmax weights of its
-    competing set.
+def _competing_set(z: np.ndarray, labels: np.ndarray, grouping):
+    """Each target's competing set, class-major: its own score in its group's
+    slot and the strongest score of every other group.
 
-    The competing set of a target is its own score plus the strongest score of
-    every other group; stabilizing by the max of that set (rather than the row
-    max, which may hide inside the target's own group) keeps the denominator
-    bounded away from zero. ``ratios[:, g]`` holds group g's weight, with the
-    target's own weight sitting in its own group's column.
+    Returns the (groups, rows) target-group mask, the target scores, the
+    set's max, the set's exponentials against it and their sum, and each
+    group's attaining class. Stabilizing by the max of the set (rather than
+    the row max, which may hide inside the target's own group) keeps the
+    denominator bounded away from zero.
     """
-    group_max, argmax_col, group_of = _group_max_scores(z, grouping)
-    rows = np.arange(z.shape[0])
-    target_group = group_of[labels]
-    competing = group_max.copy()
-    competing[rows, target_group] = z[rows, labels]
-    peak = competing.max(axis=1, keepdims=True)
+    group_of, *_, group_ids, _ = _grouping_arrays(grouping)
+    zt = np.ascontiguousarray(z.T)
+    group_max, argmax_class = _group_max_scores(zt, grouping)
+    is_target = group_of[labels] == group_ids
+    target = zt[labels, np.arange(zt.shape[1])]
+    competing = np.where(is_target, target, group_max)
+    peak = competing.max(axis=0)
     exp_set = np.exp(competing - peak)
-    denom = exp_set.sum(axis=1)
-    log_sigma = (z[rows, labels] - peak[:, 0]) - np.log(denom)
-    ratios = exp_set / denom[:, None]
-    return log_sigma, ratios, argmax_col, group_of, target_group
+    # numpy sums a contiguous run of 8 or more terms pairwise but adds rows
+    # one after another; summing contiguous (rows, groups) rows keeps the
+    # row-major bits at every group count
+    denom = np.ascontiguousarray(exp_set.T).sum(axis=1)
+    return is_target, target, peak, exp_set, denom, argmax_class
+
+
+def _cooperative_log_sigma(z: np.ndarray, labels: np.ndarray, grouping) -> np.ndarray:
+    """Per-sample log sigma of the target class."""
+    _, target, peak, _, denom, _ = _competing_set(z, labels, grouping)
+    return (target - peak) - np.log(denom)
 
 
 def _cooperative_nll_dz(z: np.ndarray, labels: np.ndarray, grouping) -> np.ndarray:
     """d(-log sigma_target)/dz per sample; the non-smooth in-denominator max
-    contributes through its attaining term only (lowest class id on ties)."""
-    _, ratios, argmax_col, group_of, target_group = _cooperative_target_terms(
-        z, labels, grouping
-    )
-    rows = np.arange(z.shape[0])
-    dz = np.zeros_like(z)
-    dz[rows, labels] -= 1.0 - ratios[rows, target_group]
-    # scatter each non-target group's weight onto its attaining class; the
-    # target's own group contributes zero (its weight was handled above).
-    # Groups are disjoint, so no (row, column) pair repeats and a plain
-    # indexed add is exact.
-    ratios[rows, target_group] = 0.0
-    dz[rows[:, None], argmax_col] += ratios
-    return dz
+    contributes through its attaining term only (lowest class id on ties).
+
+    Each group's weight lands on one class: the target's group gives its
+    weight minus one to the target, every other group its weight to its
+    attaining class; all other classes get zero.
+    """
+    group_of, *_, class_ids = _grouping_arrays(grouping)
+    is_target, _, _, exp_set, denom, argmax_class = _competing_set(z, labels, grouping)
+    weight = exp_set / denom - is_target  # r - 1 rounds exactly as -(1 - r)
+    receiver = np.where(is_target, labels, argmax_class)
+    dzt = np.where(receiver[group_of] == class_ids, weight[group_of], 0.0)
+    return np.ascontiguousarray(dzt.T)
 
 
 def _cooperative_sigma(z: np.ndarray, grouping) -> np.ndarray:
     """Cooperative scores for every class: exp(z_i) over exp(z_i) plus the
     strongest exponential of each group not containing i, computed with a
-    per-class stabilizer so saturated scores stay finite."""
-    group_max, _, group_of = _group_max_scores(z, grouping)
-    rows = np.arange(z.shape[0])
-    order = np.argsort(group_max, axis=1)
-    top = group_max[rows, order[:, -1]]
-    second = group_max[rows, order[:, -2]] if len(grouping) > 1 else np.full(z.shape[0], -np.inf)
+    per-class stabilizer so saturated scores stay finite.
+
+    Scores are handled class-major, (classes, rows). Below 8 groups each
+    group's exponentials are added into one (classes, rows) sum in group
+    order: numpy sums fewer than 8 contiguous terms left to right too, so
+    the result is bit-equal to summing a (classes, groups) block per row.
+    From 8 terms on numpy sums pairwise, in another order, so there that
+    (classes, rows, groups) array is built and summed along its group axis.
+    A class's own group enters as -inf before the exp, never as an
+    overflowing exponent zeroed after it.
+    """
+    group_of, *_, group_ids, _ = _grouping_arrays(grouping)
+    zt = z.T.copy()
+    group_max, _ = _group_max_scores(zt, grouping)
+    # strongest and second-strongest group max (equal when groups tie)
+    top, second = group_max[0], np.full(zt.shape[1], -np.inf)
+    for g_max in group_max[1:]:
+        second = np.maximum(second, np.minimum(top, g_max))
+        top = np.maximum(top, g_max)
     # strongest group max when class i's own group is excluded
-    excluded = np.where(group_of[None, :] == order[:, -1][:, None], second[:, None], top[:, None])
-    peak = np.maximum(z, excluded)
-    own = np.exp(z - peak)
-    exponents = group_max[:, None, :] - peak[:, :, None]  # (rows, classes, groups)
-    own_group = group_of[None, :, None] == np.arange(len(grouping))[None, None, :]
-    rest = np.exp(np.where(own_group, -np.inf, exponents)).sum(axis=2)
-    return own / (own + rest)
+    peak = np.where(group_max[group_of] == top, second, top)
+    np.maximum(zt, peak, out=peak)
+    own = np.exp(np.subtract(zt, peak, out=zt), out=zt)
+    if len(grouping) < 8:
+        rest = np.zeros_like(zt)
+        exponent = np.empty_like(zt)
+        for g_max, cols in zip(group_max, grouping):
+            np.subtract(g_max, peak, out=exponent)
+            exponent[list(cols)] = -np.inf
+            rest += np.exp(exponent, out=exponent)
+    else:
+        # C order keeps the group axis contiguous, so each sum runs along it
+        exponents = np.subtract(group_max.T, peak[:, :, None], order="C")
+        np.copyto(exponents, -np.inf, where=(group_of == group_ids).T[:, None, :])
+        rest = np.exp(exponents, out=exponents).sum(axis=2)
+    rest += own
+    return np.divide(own, rest, out=rest).T.copy()
 
 
 def cooperative_objective(weights, features, labels, grouping) -> float:
@@ -209,8 +242,7 @@ def cooperative_objective(weights, features, labels, grouping) -> float:
     xb = _with_bias(features)
     z = xb @ np.asarray(weights).T
     labels = np.asarray(labels, dtype=np.intp)
-    log_sigma, *_ = _cooperative_target_terms(z, labels, grouping)
-    return float(np.mean(log_sigma))
+    return float(np.mean(_cooperative_log_sigma(z, labels, grouping)))
 
 
 def cooperative_gradient(weights, features, labels, grouping) -> np.ndarray:
@@ -272,8 +304,7 @@ def training_loss(spec, weights, features, labels, sample_weight=None) -> float:
         data = float(np.mean(-w * log_probs[np.arange(n), labels]))
     else:
         z = xb @ weights.T
-        log_sigma, *_ = _cooperative_target_terms(z, labels, spec.grouping)
-        data = float(np.mean(-w * log_sigma))
+        data = float(np.mean(-w * _cooperative_log_sigma(z, labels, spec.grouping)))
     reg = 0.5 * spec.l2 * float(np.sum(weights[:, :-1] ** 2))
     return data + reg
 

@@ -35,6 +35,11 @@ def negative_label_ids(num_classes: int, num_negative_labels: int) -> list[int]:
     return [NEGATIVE_CLASS] + list(range(num_classes, num_classes + num_negative_labels - 1))
 
 
+def extended_num_classes(num_classes: int, num_negative_labels: int) -> int:
+    """Classifier width for a dataset's classes plus its extra negative modes."""
+    return num_classes + num_negative_labels - 1
+
+
 # The weak-label kind every bag of a built-in regime carries; a custom
 # dataset's bags may mix kinds.
 REGIME_LABEL_KIND = {"binary-mil": "binary", "multiclass-mil": "label_set", "llp": "proportion"}

@@ -29,6 +29,7 @@ from .data import (
     Dataset,
     Instance,
     WeakLabel,
+    extended_num_classes,
     negative_label_ids,
     strip_ground_truth,
 )
@@ -122,10 +123,6 @@ class PipelineResult:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def extended_num_classes(num_classes: int, num_negative_labels: int) -> int:
-    return num_classes + num_negative_labels - 1
 
 
 def derive_label_sets(

@@ -38,6 +38,7 @@ from .data import (
     Bag,
     Dataset,
     check_label_kinds,
+    extended_num_classes,
     negative_label_ids,
 )
 from .errors import ParameterError, RegimeError, RewardRangeError, ValidationError
@@ -548,7 +549,9 @@ class RewardEnvironment:
     """Callable scoring candidate labellings of one fold's training bags.
 
     A fold is the dataset and two lists of its bags, the training and the
-    held-out ones; a bag in both is a ``ValidationError``. Everything else is
+    held-out ones; a bag in both is a ``ValidationError``. A classifier spec
+    whose width is not the dataset's classes plus the extra negative modes
+    (``extended_num_classes``) is a ``ParameterError``. Everything else is
     derived once, at construction: the regime and the negative modes from the
     dataset (``params.num_negative_labels`` None takes the regime's default),
     the ascending ``train_ids`` and ``heldout_ids`` with their feature rows,
@@ -589,6 +592,13 @@ class RewardEnvironment:
                 "the llp reward does not read it (set reward.distgap_enabled to false)"
             )
         self.params = params = params.for_regime(regime)
+        width = extended_num_classes(dataset.num_classes, params.num_negative_labels)
+        if classifier_spec.num_classes != width:
+            raise ParameterError(
+                f"classifier has {classifier_spec.num_classes} classes; this fold's labels "
+                f"need {width} ({dataset.num_classes} dataset classes and "
+                f"{params.num_negative_labels} negative modes)"
+            )
         self.classifier_spec = classifier_spec
         train_bag_index = {iid: bag for bag in train_bags for iid in bag.instance_ids}
         self.train_ids = sorted(train_bag_index)

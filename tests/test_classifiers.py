@@ -1,12 +1,13 @@
 """Linear classifiers: training, prediction, gradients, and kNN search."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from classifier_helpers import cooperative_nll_dz_add_at, loop_fit
+from classifier_helpers import cooperative_nll_dz_add_at, cooperative_sigma_3d, loop_fit
 from hypothesis.extra import numpy as hnp
 from reward_helpers import context, predictions
 
@@ -15,6 +16,7 @@ from labelbandit.classifiers import (
     ClassifierSpec,
     TrainedModel,
     _cooperative_nll_dz,
+    _cooperative_sigma,
     cooperative_gradient,
     cooperative_objective,
     fit,
@@ -182,7 +184,8 @@ class TestStackedFit:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_indexed_scatter_matches_add_at(self, data):
-        num_classes = data.draw(st.integers(2, 7))
+        # up to 12 groups: numpy sums 8 or more terms pairwise
+        num_classes = data.draw(st.integers(2, 12))
         grouping = random_grouping(data.draw, num_classes)
         rows = data.draw(st.integers(1, 20))
         # a few distinct values make score ties within groups common
@@ -193,7 +196,31 @@ class TestStackedFit:
         assert _cooperative_nll_dz(z, labels, grouping).tobytes() == expected.tobytes()
 
 
+def grouping_of_size(draw, num_groups):
+    """A partition of 2 to num_groups + 3 class ids into exactly num_groups
+    groups, in a drawn group order."""
+    num_classes = draw(st.integers(max(2, num_groups), num_groups + 3))
+    spread = draw(st.lists(st.integers(0, num_groups - 1), min_size=num_classes - num_groups,
+                           max_size=num_classes - num_groups))
+    group_of = draw(st.permutations(list(range(num_groups)) + spread))
+    groups = [[c for c, g in enumerate(group_of) if g == gi] for gi in range(num_groups)]
+    return tuple(tuple(group) for group in draw(st.permutations(groups)))
+
+
 class TestPredict:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cooperative_sigma_matches_3d_oracle(self, data):
+        """The per-group sum equals the (rows, classes, groups) form bit for
+        bit on both sides of 8 groups, with ties and saturated scores."""
+        grouping = grouping_of_size(data.draw, data.draw(st.integers(1, 12)))
+        num_classes = sum(len(group) for group in grouping)
+        rows = data.draw(st.integers(1, 20))
+        values = st.sampled_from([-500.0, -2.0, 0.0, 0.5, 3.0, 500.0]) | st.floats(-500.0, 500.0)
+        z = data.draw(hnp.arrays(np.float64, (rows, num_classes), elements=values))
+        expected = cooperative_sigma_3d(z, grouping)
+        assert _cooperative_sigma(z, grouping).tobytes() == expected.tobytes()
+
     def test_zero_weight_softmax_is_uniform_label_zero(self):
         spec = ClassifierSpec("softmax", 4)
         model = TrainedModel(np.zeros((4, 3)), spec)
@@ -291,6 +318,12 @@ class TestCooperativeObjective:
         model = TrainedModel(weights, spec)
         _, emb = predict_arrays(model, np.array([[2.0], [-2.0], [0.0]]))
         assert np.all(np.isfinite(emb))
+        # one gradient step from scores of several hundred
+        step = replace(spec, epochs=1, batch_size=3)
+        X = np.array([[5e4], [-5e4], [0.0]])
+        assert np.abs(X @ initial_weights(step, 1)[:, :1].T).max() > 100.0
+        model = fit(step, X, np.array([0, 2, 3]))
+        assert np.all(np.isfinite(model.weights))
 
 
 def full_space(pool, query, k):

@@ -11,6 +11,7 @@ import pytest
 from labelbandit import cli, metrics, rewards
 from labelbandit.classifiers import ClassifierSpec
 from labelbandit.cli import DEFAULT_CONFIG, build_inference_config, load_config, main
+from labelbandit.data import extended_num_classes
 from labelbandit.errors import ConfigError
 from labelbandit.pipeline import ClassifierConfig, InferenceConfig
 from labelbandit.rewards import RewardEnvironment, RewardParams
@@ -63,9 +64,10 @@ class TestConfig:
             assert InferenceConfig(regime=regime).reward.num_negative_labels == expected
             gen = {**DEFAULT_CONFIG["generator"], "num_bags": 6}
             dataset = cli._generate_dataset(regime, gen, 0)
+            width = extended_num_classes(dataset.num_classes, expected)
             env = RewardEnvironment(
                 dataset, dataset.bags[:3], dataset.bags[3:],
-                ClassifierSpec("linear-svm", dataset.num_classes), RewardParams(),
+                ClassifierSpec("linear-svm", width), RewardParams(),
             )
             assert env.params.num_negative_labels == expected
 

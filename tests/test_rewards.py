@@ -34,6 +34,7 @@ from labelbandit.classifiers import ClassifierSpec, nearest_indices_rows
 from labelbandit.data import (
     Bag,
     WeakLabel,
+    extended_num_classes,
     generate_binary_mil,
     generate_gaussian_blobs,
     generate_multiclass_mil,
@@ -668,6 +669,25 @@ class TestRewardEnvironment:
                 dataset, dataset.bags[:5], dataset.bags[4:], ClassifierSpec("linear-svm", 2),
                 RewardParams(k=3),
             )
+
+    @pytest.mark.parametrize("off_by", [1, -1])
+    def test_classifier_width_must_match_the_label_space(self, monkeypatch, off_by):
+        """A spec one class wider or narrower than the dataset's classes plus
+        its extra negative modes is refused at construction, before any fit."""
+        pool = generate_gaussian_blobs(6, 30, 2, 6.0, seed=8)
+        dataset = generate_multiclass_mil(pool, 16, (3, 7), {1, 2, 3}, seed=9)
+        params = RewardParams(k=3, num_negative_labels=2)
+        width = extended_num_classes(dataset.num_classes, 2)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a classifier was fitted")
+
+        monkeypatch.setattr(rewards, "fit", no_fit)
+        spec = ClassifierSpec("cooperative-softmax", width + off_by)
+        with pytest.raises(ParameterError, match=rf"{width + off_by} classes; .* need {width}"):
+            RewardEnvironment(dataset, dataset.bags[:8], dataset.bags[8:], spec, params)
+        spec = ClassifierSpec("cooperative-softmax", width)
+        RewardEnvironment(dataset, dataset.bags[:8], dataset.bags[8:], spec, params)
 
     def test_fixed_labels_outside_the_training_bags_are_the_extras(self):
         """The extras are what the pipeline used to pass: the fixed ids outside

@@ -464,6 +464,23 @@ def nearest_indices_rows(dist_matrix: np.ndarray, k: int) -> np.ndarray:
     return part
 
 
+def _sorted_windows(pool_values: np.ndarray, queries: np.ndarray, half_width: int):
+    """One stable sort of the pool, and per query the sorted positions of a
+    window of min(2 * half_width, n) values: the half_width positions on each
+    side of the query's insertion point, shifted inside the pool at the ends.
+    Distances to a query never grow toward its insertion point, so its k
+    nearest values form a contiguous run inside a window of half-width k.
+
+    Returns (order, sorted_values, window).
+    """
+    n = pool_values.shape[0]
+    order = np.argsort(pool_values, kind="stable")
+    sorted_values = pool_values[order]
+    width = min(2 * half_width, n)
+    start = np.clip(np.searchsorted(sorted_values, queries) - half_width, 0, n - width)
+    return order, sorted_values, start[:, None] + np.arange(width)
+
+
 def nearest_indices_1d(pool_values: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """k-nearest pool positions per query along one coordinate, (nq, k).
 
@@ -475,14 +492,11 @@ def nearest_indices_1d(pool_values: np.ndarray, queries: np.ndarray, k: int) -> 
     exact ties the distance multiset is still correct but equally-distant
     candidates outside the window are not considered (the choice stays
     deterministic: lowest index among the windowed candidates).
+    ``nearest_indices_mirrored`` is the exact sibling for binary SVM
+    embeddings, with the whole-pool tie rule.
     """
-    n = pool_values.shape[0]
-    k = min(int(k), n)
-    order = np.argsort(pool_values, kind="stable")
-    sorted_values = pool_values[order]
-    width = min(2 * k, n)
-    start = np.clip(np.searchsorted(sorted_values, queries) - k, 0, n - width)
-    window = start[:, None] + np.arange(width)[None, :]
+    k = min(int(k), pool_values.shape[0])
+    order, sorted_values, window = _sorted_windows(pool_values, queries, k)
     candidates = order[window]
     delta = np.abs(sorted_values[window] - queries[:, None])
     # pre-sorting candidates by pool index makes the stable distance sort
@@ -492,6 +506,44 @@ def nearest_indices_1d(pool_values: np.ndarray, queries: np.ndarray, k: int) -> 
     delta = np.take_along_axis(delta, by_index, axis=1)
     nearest = np.argsort(delta, axis=1, kind="stable")[:, :k]
     return np.take_along_axis(candidates, nearest, axis=1)
+
+
+def _mirrored_distances(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Euclidean distances between embeddings [-q, q] and [-p, p], as the
+    column-by-column sum of squares computes them: sqrt(2 * (p - q)**2)."""
+    diff = values - queries
+    diff *= diff
+    diff *= 2.0
+    return np.sqrt(diff, out=diff)
+
+
+def nearest_indices_mirrored(pool_values: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """k-nearest pool rows per query for binary SVM embeddings [-d, d], given
+    the d of the pool and of the queries, (nq, k), each row unordered.
+
+    The membership is that of ``nearest_indices_rows`` over the full
+    Euclidean distances, tie rule included: lowest index among equal
+    distances over the whole pool. Distances are ``_mirrored_distances``,
+    bit-equal to the summed squares. A window of half-width k + 1 holds the
+    k nearest values and both their neighbours in sorted order; a query
+    takes the window rows at or below its k-th distance there. Where the
+    window holds more than k such rows, the ties at that distance may
+    straddle the window, and the query falls back to the full-row rule.
+    """
+    n = pool_values.shape[0]
+    k = min(int(k), n)
+    order, sorted_values, window = _sorted_windows(pool_values, queries, k + 1)
+    dist = _mirrored_distances(sorted_values[window], queries[:, None])
+    ranked = np.sort(dist, axis=1)
+    kth = ranked[:, k - 1]
+    straddle = ranked[:, k] <= kth if k < n else np.zeros(queries.shape[0], dtype=bool)
+    exact = ~straddle
+    out = np.empty((queries.shape[0], k), dtype=np.intp)
+    out[exact] = order[window[exact][dist[exact] <= kth[exact, None]]].reshape(-1, k)
+    if straddle.any():
+        full = _mirrored_distances(pool_values[None, :], queries[straddle, None])
+        out[straddle] = nearest_indices_rows(full, k)
+    return out
 
 
 # ---------------------------------------------------------------------------

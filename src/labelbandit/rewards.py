@@ -29,6 +29,7 @@ from .classifiers import (
     ClassifierSpec,
     fit,
     nearest_indices_1d,
+    nearest_indices_mirrored,
     nearest_indices_rows,
     predict_arrays,
 )
@@ -111,8 +112,12 @@ class RewardContext:
     labels; the rest is built per pull from the predictions. ``train_labels``,
     ``neighbor_rows`` and ``distgap_row`` follow ``layout.train_ids``. Row r
     of the (n_train, k) array ``neighbor_rows`` holds the held-out rows
-    nearest training row r, and the held-out tables ``rec_row`` (the recall
-    of each row's bag), ``prec_row`` and ``proportion_error_row`` follow
+    nearest training row r, in no specified order: where a regime has two
+    searches they order a row differently, so its rule must average a row to
+    the same bits in any order. Binary MIL's does, as its tables hold only 0
+    and 1; llp's proportion errors do not, which is why llp keeps one
+    search, the full output space. The held-out tables ``rec_row`` (the recall of each row's bag),
+    ``prec_row`` and ``proportion_error_row`` follow
     ``layout.heldout_ids``. ``distgap_row`` holds each training row's
     normalized distance gap ``eta(raw, tau)`` (empty when the gap is off),
     and ``tau`` the scale it used, calibrated from the raw gaps when unset.
@@ -472,6 +477,12 @@ def _full_space_neighbors(queries: np.ndarray, pool: np.ndarray, k: int) -> np.n
     return out
 
 
+def _mirrored(embeddings: np.ndarray) -> bool:
+    """Whether embeddings are a one-output linear SVM's [-d, d]: two columns,
+    each the exact negation of the other."""
+    return embeddings.shape[1] == 2 and np.array_equal(embeddings[:, 0], -embeddings[:, 1])
+
+
 def build_reward_context(
     params: RewardParams,
     predictions,
@@ -484,11 +495,20 @@ def build_reward_context(
     ``predictions`` is ((train_ids, labels, embeddings), (heldout_ids,
     labels, embeddings)): ids sorted ascending, with labels and embeddings
     row-aligned to them as ``predict_arrays`` returns them. Neighbour pools
-    are therefore ordered by ascending held-out instance id. In the full
-    output space (binary MIL, LLP) distance ties resolve to the lower id; in
-    multi-class MIL's one-coordinate search (``nearest_indices_1d``) they
-    resolve to the lower id among a window of 2k candidates around the
-    query, which need not hold the lowest tied id. ``layout`` is the fold's
+    are therefore ordered by ascending held-out instance id. The search, and
+    its tie rule, follow the regime and the embeddings:
+
+    - binary MIL with a one-output linear SVM's [-d, d] (each column the
+      exact negation of the other): ``nearest_indices_mirrored`` along d,
+      with the full space's rule, the lowest id among equal distances over
+      the whole pool;
+    - llp, and binary MIL with any other embedding (softmax, cooperative
+      softmax): the full output space, ties to the lowest id likewise;
+    - multi-class MIL: the predicted-class coordinate
+      (``nearest_indices_1d``), ties to the lower id among a window of 2k
+      candidates around the query, which need not hold the lowest tied id.
+
+    ``layout`` is the fold's
     ``HeldoutLayout`` for those ids, which also names the regime; k is
     clamped to the held-out pool without a word (a RewardEnvironment warns
     once, at construction).
@@ -503,7 +523,7 @@ def build_reward_context(
         raise ValidationError("the held-out layout belongs to another regime or other instance ids")
     k = min(params.k, len(ho_ids))
 
-    # neighbours: full embedding space, or the predicted-class coordinate
+    # neighbours: the predicted-class coordinate, the SVM's line, or the full space
     if layout.regime == "multiclass-mil":
         neighbor_rows = np.empty((len(tr_ids), k), dtype=np.intp)
         for cls in np.unique(tr_labels):
@@ -511,6 +531,8 @@ def build_reward_context(
             neighbor_rows[member_rows] = nearest_indices_1d(
                 ho_emb[:, cls], tr_emb[member_rows, cls], k
             )
+    elif layout.regime == "binary-mil" and _mirrored(tr_emb) and _mirrored(ho_emb):
+        neighbor_rows = nearest_indices_mirrored(ho_emb[:, 1], tr_emb[:, 1], k)
     else:
         neighbor_rows = _full_space_neighbors(tr_emb, ho_emb, k)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from classifier_helpers import cooperative_nll_dz_add_at, cooperative_sigma_3d, loop_fit
 from hypothesis.extra import numpy as hnp
-from reward_helpers import context, predictions
+from reward_helpers import context, mirrored, predictions
 
 from labelbandit import rewards
 from labelbandit.classifiers import (
@@ -26,6 +26,7 @@ from labelbandit.classifiers import (
     model_to_json,
     nearest_indices,
     nearest_indices_1d,
+    nearest_indices_mirrored,
     nearest_indices_rows,
     predict_arrays,
     save_model,
@@ -471,6 +472,27 @@ class TestNeighbourProperties:
         for i in range(len(queries)):
             assert [int(v) for v in fast[i]] == nearest_indices(dist[i], k)
             assert sorted(int(v) for v in fast[i]) == sorted(int(v) for v in rows[i])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mirrored_search_keeps_full_space_membership(self, data):
+        """On binary SVM embeddings [-d, d] the exact one-dimensional search
+        selects the rows ``nearest_indices_rows`` selects from the full
+        distances, ties at the k-th distance included: values on an integer
+        or half-integer grid repeat, queries equal pool values, pools may
+        hold one row and k runs to two above the pool."""
+        step, span = data.draw(st.sampled_from([1.0, 0.5])), data.draw(st.sampled_from([3, 40]))
+        grid = st.integers(-span, span).map(lambda i: i * step)
+        pool = data.draw(st.lists(grid, min_size=1, max_size=30))
+        queries = data.draw(st.lists(st.sampled_from(pool) | grid, min_size=1, max_size=8))
+        k = data.draw(st.integers(1, len(pool) + 2))
+        pool, queries = np.array(pool), np.array(queries)
+        found = nearest_indices_mirrored(pool, queries, k)
+        full = rewards._pairwise_distances(mirrored(queries), mirrored(pool))
+        expected = nearest_indices_rows(full, k)
+        assert found.shape == expected.shape
+        for hits, rows in zip(found, expected):
+            assert sorted(hits.tolist()) == sorted(rows.tolist())
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@
 
 import logging
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -293,6 +294,116 @@ class TestFullSpaceDistances:
         assert [len(block) for block in blocks] == [5, 5, 5, 5, 3]
         assert np.vstack(blocks).tobytes() == expected.tobytes()
         assert np.array_equal(neighbors, nearest_indices_rows(expected, 4))
+
+
+@st.composite
+def mirrored_folds(draw):
+    """A binary-MIL fold with linear-SVM embeddings [-d, d]: decision values
+    on an integer or half-integer grid (ties, queries equal to pool values),
+    held-out bags of both labels, an assigned label per training row, and k
+    up to two above the held-out pool."""
+    step = draw(st.sampled_from([1.0, 0.5]))
+    grid = st.integers(-6, 6).map(lambda i: i * step)
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=8))
+    labels = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=len(sizes) - 2,
+                                    max_size=len(sizes) - 2))
+    held_ids = list(range(100, 100 + sum(sizes)))
+    bounds = np.cumsum([0] + sizes)
+    bags = [
+        Bag(b, held_ids[bounds[b] : bounds[b + 1]], WeakLabel.binary(label))
+        for b, label in enumerate(labels)
+    ]
+    num_train = draw(st.integers(1, 12))
+    train_bags = {x: Bag(50 + x, [x], WeakLabel.binary(draw(st.integers(0, 1))))
+                  for x in range(num_train)}
+    train_d = draw(st.lists(grid, min_size=num_train, max_size=num_train))
+    held_d = draw(st.lists(grid, min_size=len(held_ids), max_size=len(held_ids)))
+    assigned = np.array(draw(st.lists(st.integers(0, 1), min_size=num_train, max_size=num_train)))
+    k = draw(st.integers(1, len(held_ids) + 2))
+    return bags, train_bags, np.array(train_d), np.array(held_d), assigned, k
+
+
+class TestMirroredNeighbours:
+    """A linear SVM's binary-MIL embeddings [-d, d] take the exact
+    one-dimensional neighbour search; every other context searches the full
+    output space."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mirrored_folds(), st.sampled_from(["off", "features", "output"]))
+    def test_rewards_equal_full_space_context_bit_for_bit(self, fold, gap):
+        bags, train_bags, train_d, held_d, assigned, k = fold
+        params = RewardParams(k=k, distgap_enabled=gap != "off",
+                              distgap_space="features" if gap == "features" else "output")
+        train_ids = sorted(train_bags)
+        layout = rewards.heldout_layout(
+            "binary-mil", train_ids, bags, frozenset({0}), 2,
+            train_bags if params.distgap_enabled else None,
+        )
+        train = predictions(train_ids, mirrored(train_d))
+        held = predictions(range(100, 100 + len(held_d)), mirrored(held_d))
+        ctx = build_reward_context(
+            params, (train, held), layout, raw_distgap=train_d if gap == "features" else None
+        )
+        full = replace(ctx, neighbor_rows=rewards._full_space_neighbors(train[2], held[2], k))
+        # the neighbour rows' order differs between the two searches: the
+        # means over them are exact only because these tables hold 0 and 1
+        assert set(ctx.rec_row.tolist()) <= {0.0, 1.0}
+        assert set(ctx.prec_row.tolist()) <= {0.0, 1.0}
+        got = rewards._regime_rule(assigned, ctx, params)
+        assert got.tobytes() == rewards._regime_rule(assigned, full, params).tobytes()
+
+    @pytest.fixture
+    def full_space_calls(self, monkeypatch):
+        calls = []
+        search = rewards._full_space_neighbors
+
+        def counting(queries, pool, k):
+            calls.append(len(queries))
+            return search(queries, pool, k)
+
+        monkeypatch.setattr(rewards, "_full_space_neighbors", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "regime, kind",
+        [("llp", "linear-svm"), ("binary-mil", "softmax"),
+         ("binary-mil", "cooperative-softmax"), ("binary-mil", "linear-svm")],
+    )
+    def test_only_svm_binary_mil_folds_skip_the_full_space(self, full_space_calls, regime, kind):
+        dataset = generate_binary_mil(24, (3, 6), 0.5, 3, 6.0, seed=8)
+        if regime == "llp":
+            dataset = with_proportion_labels(dataset)
+        half = len(dataset.bags) // 2
+        env = RewardEnvironment(
+            dataset, dataset.bags[:half], dataset.bags[half:], ClassifierSpec(kind, 2),
+            RewardParams(k=4),
+        )
+        labels = np.random.default_rng(0).integers(0, 2, size=(3, len(env.train_ids)))
+        env(labels, [np.random.default_rng(s) for s in range(3)])
+        mirrored_path = regime == "binary-mil" and kind == "linear-svm"
+        assert full_space_calls == ([] if mirrored_path else [len(env.train_ids)] * 3)
+
+    @pytest.mark.parametrize("embedding", ["normal", "probabilities", "one-row-off"])
+    def test_other_two_column_embeddings_search_the_full_space(self, full_space_calls, embedding):
+        rng = np.random.default_rng(21)
+
+        def columns(n):
+            if embedding == "normal":
+                return rng.normal(size=(n, 2))
+            if embedding == "probabilities":
+                p = rng.random(n)
+                return np.column_stack([1.0 - p, p])
+            values = mirrored(rng.normal(size=n))
+            values[-1, 0] += 1.0
+            return values
+
+        held_ids = list(range(100, 112))
+        bags = [Bag(b, held_ids[3 * b : 3 * b + 3], WeakLabel.binary(b % 2)) for b in range(4)]
+        context(
+            "binary-mil", RewardParams(k=3),
+            (predictions(range(6), columns(6)), predictions(held_ids, columns(12))), bags,
+        )
+        assert full_space_calls == [6]
 
 
 class TestMulticlassBinaryReduction:

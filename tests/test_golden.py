@@ -1,4 +1,4 @@
-"""Golden outputs: ``generate`` + ``infer`` on twelve tiny configs, pinned by hash.
+"""Golden outputs: ``generate`` + ``infer`` on thirteen tiny configs, pinned by hash.
 
 A refactor or a speed-up must leave ``result.json`` and ``pull_log.ndjson``
 byte-identical. This test makes that rule executable: it compares their
@@ -93,6 +93,14 @@ CASES = {
         "generator": GENERATOR,
         "reward": {"k": 4},
     },
+    # the llp reward averages fractions over each neighbour row, so its bits
+    # follow the row's order: this case moves if llp takes the mirrored
+    # binary-SVM neighbour search, whose order differs from the full-space one
+    "llp-neighbour-order": {
+        "regime": "llp",
+        "generator": GENERATOR,
+        "reward": {"k": 7},
+    },
     # k above every fold's held-out pool (37, 43 and 46 rows): k is clamped
     "binary-k-above-pool": {
         "regime": "binary-mil",
@@ -152,6 +160,10 @@ GOLDEN = {
     "llp": {
         "result.json": "768465c5d328ca786aa203321abf45c951f746f609395c850b0d5e4f0bada287",
         "pull_log.ndjson": "da046ea1bb72eccbd3a088e46c89322f850706d50535a4d9f20816899a70755b",
+    },
+    "llp-neighbour-order": {
+        "result.json": "f8ec4d017d270e03e82e9ad56501a212601cffdfcbc2224a19081017dff2b2d1",
+        "pull_log.ndjson": "6b08556f6338a2555b6dee1994d0c88a5554ca3c2b264aa316ac0d077370a513",
     },
     "binary-k-above-pool": {
         "result.json": "8d9b81e0170bcf53c080ff3e116734e0d530f278d4eea3522dc038761215d21b",

@@ -48,7 +48,6 @@ class ClassifierSpec:
     epochs: int = 30
     l2: float = 1e-3
     batch_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -309,13 +308,13 @@ def training_loss(spec, weights, features, labels, sample_weight=None) -> float:
     return data + reg
 
 
-def initial_weights(spec: ClassifierSpec, feature_dim: int, rng=None) -> np.ndarray:
+def initial_weights(spec: ClassifierSpec, feature_dim: int, rng=0) -> np.ndarray:
     """Zeros for svm/softmax; a small seeded Gaussian for cooperative-softmax,
-    which needs the symmetry between same-group weights broken."""
+    which needs the symmetry between same-group weights broken. ``rng`` is a
+    Generator or a seed."""
     shape = (spec.num_outputs, feature_dim + 1)
     if spec.kind == "cooperative-softmax":
-        rng = np.random.default_rng(spec.seed) if rng is None else rng
-        return rng.normal(0.0, 0.01, shape)
+        return np.random.default_rng(rng).normal(0.0, 0.01, shape)
     return np.zeros(shape)
 
 
@@ -324,9 +323,9 @@ def fit(
 ) -> TrainedModel | list[TrainedModel]:
     """Train by seeded minibatch (sub)gradient descent; deterministic per seed.
 
-    ``seed`` overrides ``spec.seed`` so one spec can serve many independently
-    seeded fits. Degenerate inputs (a single class present) still return a
-    model. Sample weights scale each instance's loss term.
+    ``seed`` None means seed 0 for every member. Degenerate inputs (a single
+    class present) still return a model. Sample weights scale each
+    instance's loss term.
 
     A (B, n) ``labels`` matrix fits B members on the same features at once
     and returns a list of B models; ``seed`` is then a sequence of B seeds
@@ -356,7 +355,7 @@ def fit(
             raise ValidationError("sample weights must be non-negative")
         weight_col = sample_weight.reshape(members.shape + (1,))
     if seed is None:
-        seed = spec.seed if labels.ndim == 1 else [spec.seed] * len(members)
+        seed = 0 if labels.ndim == 1 else [0] * len(members)
     seeds = [seed] if labels.ndim == 1 else list(seed)
     if len(seeds) != members.shape[0]:
         raise ValidationError(f"{len(seeds)} seeds for {members.shape[0]} label rows")
@@ -499,12 +498,8 @@ def nearest_indices_1d(pool_values: np.ndarray, queries: np.ndarray, k: int) -> 
     order, sorted_values, window = _sorted_windows(pool_values, queries, k)
     candidates = order[window]
     delta = np.abs(sorted_values[window] - queries[:, None])
-    # pre-sorting candidates by pool index makes the stable distance sort
-    # break exact ties toward the lower index
-    by_index = np.argsort(candidates, axis=1, kind="stable")
-    candidates = np.take_along_axis(candidates, by_index, axis=1)
-    delta = np.take_along_axis(delta, by_index, axis=1)
-    nearest = np.argsort(delta, axis=1, kind="stable")[:, :k]
+    # ordered by (distance, pool index): exact ties go to the lower index
+    nearest = np.lexsort((candidates, delta), axis=1)[:, :k]
     return np.take_along_axis(candidates, nearest, axis=1)
 
 

@@ -1,8 +1,10 @@
 """Command-line front end: generate, infer, evaluate, bench.
 
-One JSON config file drives everything; command-line flags override single
-values. The effective config is echoed into the output directory so any run
-can be reproduced from its own artifacts. Exit codes: 0 success, 2 bad
+One JSON config file drives everything; each flag of generate, infer and
+bench but --config, --name and --format sets the config key its argparse
+dest names ("generator.num_bags" for --bags). The effective config is echoed
+into the output directory so any run can be reproduced from its own
+artifacts. Exit codes, set in ``main`` alone: 0 success, 2 bad
 usage/config/inputs, 3 runtime failure.
 """
 
@@ -132,6 +134,25 @@ def load_config(path: str | None) -> dict:
     return _merge_config(DEFAULT_CONFIG, user)
 
 
+# options of generate, infer and bench that are not config keys
+_OPTIONS = ("command", "func", "config", "name", "format")
+
+
+def _config_with_flags(args) -> dict:
+    """The config file (or the defaults) with every given flag applied at the
+    config key its dest names; a dotted dest names a key of a section."""
+    cfg = load_config(args.config)
+    for key, value in vars(args).items():
+        if key in _OPTIONS or value is None:
+            continue
+        *sections, leaf = key.split(".")
+        node = cfg
+        for section in sections:
+            node = node[section]
+        node[leaf] = value
+    return cfg
+
+
 def build_inference_config(cfg: dict) -> pipeline.InferenceConfig:
     top = {f.name: cfg[f.name] for f in dataclasses.fields(pipeline.InferenceConfig)}
     return pipeline.InferenceConfig(
@@ -190,19 +211,11 @@ def _generate_dataset(regime: str, gen: dict, seed: int) -> data.Dataset:
 
 
 def cmd_generate(args) -> int:
-    cfg = load_config(args.config)
-    if args.regime:
-        cfg["regime"] = args.regime
-    if args.bags:
-        cfg["generator"]["num_bags"] = args.bags
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
-    if args.out:
-        cfg["out"] = args.out
+    cfg = _config_with_flags(args)
     cfg["regime"] = cfg["regime"] or "binary-mil"
+    dataset = _generate_dataset(cfg["regime"], cfg["generator"], cfg["master_seed"])
     out_dir = Path(cfg["out"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = _generate_dataset(cfg["regime"], cfg["generator"], cfg["master_seed"])
     name = args.name
     dataset_path = out_dir / f"{name}.{args.format}"
     data.save_dataset(data.strip_ground_truth(dataset), dataset_path, format=args.format)
@@ -224,24 +237,8 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _apply_infer_overrides(cfg: dict, args) -> None:
-    if args.dataset:
-        cfg["dataset"] = args.dataset
-    if args.out:
-        cfg["out"] = args.out
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
-    if args.passes is not None:
-        cfg["bootstrap_passes"] = args.passes
-    if args.rounds is not None:
-        cfg["rounds"] = args.rounds
-    if args.folds is not None:
-        cfg["folds"] = args.folds
-
-
 def cmd_infer(args) -> int:
-    cfg = load_config(args.config)
-    _apply_infer_overrides(cfg, args)
+    cfg = _config_with_flags(args)
     if not cfg["dataset"]:
         raise ConfigError("no dataset given; pass --dataset or set it in the config")
     dataset_path = Path(cfg["dataset"])
@@ -258,12 +255,7 @@ def cmd_infer(args) -> int:
     config = build_inference_config(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        result = pipeline.bootstrap_infer(dataset, config)
-    except USAGE_ERRORS:
-        raise
-    except LabelBanditError as exc:
-        raise InferenceError(str(exc)) from exc
+    result = pipeline.bootstrap_infer(dataset, config)
     (out_dir / "result.json").write_text(result.to_json())
     save_model(result.model, out_dir / "model.json")
     with (out_dir / "pull_log.ndjson").open("w") as fh:
@@ -356,19 +348,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = load_config(args.config)
-    if args.out:
-        cfg["out"] = args.out
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
-    if args.repetitions is not None:
-        cfg["bench"]["repetitions"] = args.repetitions
+    cfg = _config_with_flags(args)
     if not cfg["out"]:
         raise ConfigError("no output directory given; pass --out or set it in the config")
     cfg["regime"] = cfg["regime"] or "binary-mil"
     repetitions = int(cfg["bench"]["repetitions"])
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    config = build_inference_config(cfg)
     out_dir = Path(cfg["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [int(s) for s in np.random.SeedSequence(cfg["master_seed"]).generate_state(repetitions)]
@@ -379,11 +366,8 @@ def cmd_bench(args) -> int:
             t0 = time.perf_counter()
             dataset = _generate_dataset(cfg["regime"], cfg["generator"], seed)
             wall["generate"] += time.perf_counter() - t0
-            run_cfg = copy.deepcopy(cfg)
-            run_cfg["master_seed"] = seed
-            config = build_inference_config(run_cfg)
             t0 = time.perf_counter()
-            result = pipeline.bootstrap_infer(dataset, config)
+            result = pipeline.bootstrap_infer(dataset, dataclasses.replace(config, master_seed=seed))
             wall["infer"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             overall, per_class, _ = metrics.instance_accuracy(result.labels, dataset)
@@ -394,6 +378,8 @@ def cmd_bench(args) -> int:
                 run_metrics["bag_accuracy"] = metrics.bag_accuracy(result.model, dataset)
             wall["evaluate"] += time.perf_counter() - t0
             per_run.append({"repetition": rep, "seed": seed, "metrics": run_metrics})
+        except USAGE_ERRORS:
+            raise
         except Exception as exc:
             raise InferenceError(f"repetition {rep} (seed {seed}) failed: {exc}") from exc
     names = sorted(per_run[0]["metrics"])
@@ -432,23 +418,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset plus ground-truth sidecar")
-    gen.add_argument("--config", default=None)
-    gen.add_argument("--regime", choices=tuple(data.REGIME_LABEL_KIND), default=None)
-    gen.add_argument("--bags", type=int, default=None)
-    gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--out", default=None)
+    gen.add_argument("--config")
+    gen.add_argument("--regime", choices=tuple(data.REGIME_LABEL_KIND))
+    gen.add_argument("--bags", dest="generator.num_bags", type=int)
+    gen.add_argument("--seed", dest="master_seed", type=int)
+    gen.add_argument("--out")
     gen.add_argument("--name", default="dataset")
     gen.add_argument("--format", choices=data.FORMATS, default="json")
     gen.set_defaults(func=cmd_generate)
 
     inf = sub.add_parser("infer", help="run label inference over a dataset file")
-    inf.add_argument("--config", default=None)
-    inf.add_argument("--dataset", default=None)
-    inf.add_argument("--out", default=None)
-    inf.add_argument("--seed", type=int, default=None)
-    inf.add_argument("--passes", type=int, default=None)
-    inf.add_argument("--rounds", type=int, default=None)
-    inf.add_argument("--folds", type=int, default=None)
+    inf.add_argument("--config")
+    inf.add_argument("--dataset")
+    inf.add_argument("--out")
+    inf.add_argument("--seed", dest="master_seed", type=int)
+    inf.add_argument("--passes", dest="bootstrap_passes", type=int)
+    inf.add_argument("--rounds", type=int)
+    inf.add_argument("--folds", type=int)
     inf.set_defaults(func=cmd_infer)
 
     ev = sub.add_parser("evaluate", help="score inferred labels against ground truth")
@@ -461,10 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_evaluate)
 
     bench = sub.add_parser("bench", help="repeat generate/infer/evaluate with derived seeds")
-    bench.add_argument("--config", default=None)
-    bench.add_argument("--out", default=None)
-    bench.add_argument("--seed", type=int, default=None)
-    bench.add_argument("--repetitions", type=int, default=None)
+    bench.add_argument("--config")
+    bench.add_argument("--out")
+    bench.add_argument("--seed", dest="master_seed", type=int)
+    bench.add_argument("--repetitions", dest="bench.repetitions", type=int)
     bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -47,13 +47,14 @@ WEIGHTINGS = ("uniform", "confidence")
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    """Classifier kind (None = regime default) and training hyperparameters."""
+    """Classifier kind (None = regime default) and training hyperparameters,
+    whose defaults are ``ClassifierSpec``'s."""
 
     kind: str | None = None
-    learning_rate: float = 0.1
-    epochs: int = 30
-    l2: float = 1e-3
-    batch_size: int = 32
+    learning_rate: float = ClassifierSpec.learning_rate
+    epochs: int = ClassifierSpec.epochs
+    l2: float = ClassifierSpec.l2
+    batch_size: int = ClassifierSpec.batch_size
 
 
 @dataclass(frozen=True)

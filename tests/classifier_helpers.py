@@ -8,13 +8,16 @@ scatters the cooperative gradient with ``np.add.at``, and
 ``cooperative_sigma_3d`` builds the cooperative scores from one
 (rows, classes, groups) array of exponentials. Both work on row-major
 (rows, classes) scores. The library's stacked ``fit`` and class-major
-kernels must match them bit for bit.
+kernels must match them bit for bit. ``nearest_indices_1d_two_sorts`` is the
+one-dimensional window search with its (distance, index) order built from a
+stable sort by index and then a stable sort by distance.
 """
 
 import numpy as np
 
 from labelbandit.classifiers import (
     _check_features,
+    _sorted_windows,
     _svm_signs,
     _with_bias,
     initial_weights,
@@ -109,7 +112,7 @@ def loop_fit(spec, features, labels, sample_weight=None, seed=None) -> np.ndarra
     """One member's trained weights, (num_outputs, feature_dim + 1)."""
     features = _check_features(features)
     labels = np.asarray(labels, dtype=np.intp)
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(0 if seed is None else seed)
     xb = _with_bias(features)
     weights = initial_weights(spec, features.shape[1], rng)
     n = xb.shape[0]
@@ -124,3 +127,17 @@ def loop_fit(spec, features, labels, sample_weight=None, seed=None) -> np.ndarra
             grad += spec.l2 * weights * l2_mask
             weights -= spec.learning_rate * grad
     return weights
+
+
+def nearest_indices_1d_two_sorts(pool_values, queries, k) -> np.ndarray:
+    """``nearest_indices_1d`` with the window's candidates pre-sorted by pool
+    index, so that the stable sort by distance breaks ties toward it."""
+    k = min(int(k), pool_values.shape[0])
+    order, sorted_values, window = _sorted_windows(pool_values, queries, k)
+    candidates = order[window]
+    delta = np.abs(sorted_values[window] - queries[:, None])
+    by_index = np.argsort(candidates, axis=1, kind="stable")
+    candidates = np.take_along_axis(candidates, by_index, axis=1)
+    delta = np.take_along_axis(delta, by_index, axis=1)
+    nearest = np.argsort(delta, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(candidates, nearest, axis=1)

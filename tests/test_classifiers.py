@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from classifier_helpers import cooperative_nll_dz_add_at, cooperative_sigma_3d, loop_fit
+from classifier_helpers import (
+    cooperative_nll_dz_add_at,
+    cooperative_sigma_3d,
+    loop_fit,
+    nearest_indices_1d_two_sorts,
+)
 from hypothesis.extra import numpy as hnp
 from reward_helpers import context, mirrored, predictions
 
@@ -76,9 +81,9 @@ class TestFit:
     def test_loss_descends_from_initial_weights(self, kind):
         rng = np.random.default_rng(2)
         X, y = separable_data(rng, classes=3)
-        spec = ClassifierSpec(kind, 3, seed=5)
-        start = training_loss(spec, initial_weights(spec, X.shape[1]), X, y)
-        model = fit(spec, X, y)
+        spec = ClassifierSpec(kind, 3)
+        start = training_loss(spec, initial_weights(spec, X.shape[1], 5), X, y)
+        model = fit(spec, X, y, seed=5)
         assert training_loss(spec, model.weights, X, y) <= start
 
     @pytest.mark.parametrize("kind", ["linear-svm", "softmax", "cooperative-softmax"])
@@ -472,6 +477,22 @@ class TestNeighbourProperties:
         for i in range(len(queries)):
             assert [int(v) for v in fast[i]] == nearest_indices(dist[i], k)
             assert sorted(int(v) for v in fast[i]) == sorted(int(v) for v in rows[i])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_dimensional_order_matches_two_sort_form(self, data):
+        """Multi-class rewards average fractions over each neighbour row, so
+        the row's order counts: the one-sort search returns the two-sort
+        form's rows element for element, on integer and half-integer grids
+        where distances tie and queries equal pool values."""
+        step, span = data.draw(st.sampled_from([1.0, 0.5])), data.draw(st.sampled_from([3, 40]))
+        grid = st.integers(-span, span).map(lambda i: i * step)
+        pool = data.draw(st.lists(grid, min_size=1, max_size=40))
+        queries = data.draw(st.lists(st.sampled_from(pool) | grid, min_size=1, max_size=10))
+        k = data.draw(st.integers(1, len(pool) + 2))
+        pool, queries = np.array(pool), np.array(queries)
+        found = nearest_indices_1d(pool, queries, k)
+        assert np.array_equal(found, nearest_indices_1d_two_sorts(pool, queries, k))
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())

@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, file outputs, determinism, config handling."""
 
+import argparse
 import json
 import logging
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +165,56 @@ class TestConfig:
         assert run(["infer", "--config", path, "--dataset", "x.json", "--out", tmp_path]) == 2
 
 
+def config_flags():
+    """(command, flag, dest) for every flag of generate, infer and bench but
+    --help, --config, --name and --format: each sets the config key its dest
+    names."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("generate", "infer", "bench"):
+        for action in commands.choices[command]._actions:
+            if action.dest not in ("help", "config", "name", "format"):
+                yield command, action.option_strings[0], action.dest
+
+
+# a value per config key that differs from the tiny base config and the defaults
+FLAG_VALUES = {
+    "regime": "llp",
+    "generator.num_bags": 9,
+    "master_seed": 5,
+    "bootstrap_passes": 2,
+    "rounds": 3,
+    "folds": 3,
+    "bench.repetitions": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, key", list(config_flags()), ids=lambda v: str(v).lstrip("-")
+)
+def test_every_flag_sets_the_config_key_its_dest_names(tmp_path, capsys, command, flag, key):
+    config = {
+        "rounds": 2, "folds": 2, "batch_size": 2, "classifier": {"epochs": 2},
+        "generator": {"num_bags": 6, "bag_size": [2, 3], "feature_dim": 2},
+        "bench": {"repetitions": 1}, "out": str(tmp_path / "base"),
+    }
+    if command == "infer":
+        assert run(["generate", "--bags", 6, "--seed", 1, "--out", tmp_path / "gen"]) == 0
+        config["dataset"] = str(tmp_path / "gen" / "dataset.json")
+        shutil.copy(config["dataset"], tmp_path / "copy.json")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    value = {
+        "out": str(tmp_path / "flagged"), "dataset": str(tmp_path / "copy.json"), **FLAG_VALUES
+    }[key]
+    assert run([command, "--config", path, flag, value]) == 0
+    out = tmp_path / ("flagged" if key == "out" else "base")
+    echoed = json.loads((out / "config.json").read_text())
+    for section in key.split("."):
+        echoed = echoed[section]
+    assert echoed == value
+
+
 class TestGenerate:
     def test_writes_dataset_and_sidecar(self, binary_workspace):
         assert (binary_workspace / "dataset.json").exists()
@@ -199,6 +251,11 @@ class TestGenerate:
     def test_bad_parameters_exit_two(self, tmp_path, capsys):
         assert run(["generate", "--bags", 1, "--out", tmp_path]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_zero_bags_flag_is_applied_and_exits_two(self, tmp_path, capsys):
+        assert run(["generate", "--bags", 0, "--out", tmp_path / "gen"]) == 2
+        assert capsys.readouterr().err == "error: num_bags must be >= 2, got 0\n"
+        assert not (tmp_path / "gen").exists()
 
 
 @pytest.fixture()
@@ -451,3 +508,22 @@ class TestBench:
             values = [r["metrics"][name] for r in summary["per_run"]]
             assert stats["mean"] == pytest.approx(float(np.mean(values)))
         assert set(summary["wall_clock_seconds"]) == {"generate", "infer", "evaluate"}
+
+    def test_bad_inference_config_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"rounds": 0}))
+        generated = []
+        monkeypatch.setattr(cli, "_generate_dataset", lambda *a: generated.append(a))
+        out = tmp_path / "bench"
+        assert run(["bench", "--config", path, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: rounds must be >= 1, got 0\n"
+        assert generated == []
+        assert not out.exists()
+
+    def test_bad_generator_config_exits_two_without_summary(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"generator": {"num_bags": 1}}))
+        out = tmp_path / "bench"
+        assert run(["bench", "--config", path, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: num_bags must be >= 2, got 1\n"
+        assert not (out / "summary.json").exists()

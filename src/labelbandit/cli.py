@@ -1,11 +1,10 @@
 """Command-line front end: generate, infer, evaluate, bench.
 
-One JSON config file drives everything; each flag of generate, infer and
-bench but --config, --name and --format sets the config key its argparse
-dest names ("generator.num_bags" for --bags). The effective config is echoed
-into the output directory so any run can be reproduced from its own
-artifacts. Exit codes, set in ``main`` alone: 0 success, 2 bad
-usage/config/inputs, 3 runtime failure.
+One JSON config file drives everything; a flag of generate, infer or bench
+sets the config key its argparse dest names ("generator.num_bags" for
+--bags). The effective config is echoed into the output directory so any
+run can be reproduced from its own artifacts. Exit codes, set in ``main``
+alone: 0 success, 2 bad usage/config/inputs, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -134,16 +133,13 @@ def load_config(path: str | None) -> dict:
     return _merge_config(DEFAULT_CONFIG, user)
 
 
-# options of generate, infer and bench that are not config keys
-_OPTIONS = ("command", "func", "config", "name", "format")
-
-
 def _config_with_flags(args) -> dict:
     """The config file (or the defaults) with every given flag applied at the
-    config key its dest names; a dotted dest names a key of a section."""
+    config key its dest names; a dotted dest names a key of a section. The
+    subcommand and --config, --name and --format are not config keys."""
     cfg = load_config(args.config)
     for key, value in vars(args).items():
-        if key in _OPTIONS or value is None:
+        if key in ("command", "func", "config", "name", "format") or value is None:
             continue
         *sections, leaf = key.split(".")
         node = cfg

@@ -55,7 +55,11 @@ class ClassifierSpec:
         if self.num_classes < 2:
             raise ParameterError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.learning_rate <= 0 or self.epochs < 1 or self.l2 < 0 or self.batch_size < 1:
-            raise ParameterError("hyperparameters must be positive (l2 may be 0)")
+            raise ParameterError(
+                "classifier hyperparameters must be positive (l2 may be 0), got "
+                f"learning_rate={self.learning_rate}, epochs={self.epochs}, l2={self.l2}, "
+                f"batch_size={self.batch_size}"
+            )
         grouping = self.grouping
         if self.kind == "cooperative-softmax" and grouping is None:
             grouping = singleton_grouping(self.num_classes)

@@ -374,10 +374,10 @@ def cmd_bench(args) -> int:
                 run_metrics["bag_accuracy"] = metrics.bag_accuracy(result.model, dataset)
             wall["evaluate"] += time.perf_counter() - t0
             per_run.append({"repetition": rep, "seed": seed, "metrics": run_metrics})
-        except USAGE_ERRORS:
-            raise
         except Exception as exc:
-            raise InferenceError(f"repetition {rep} (seed {seed}) failed: {exc}") from exc
+            # a usage error keeps its type (exit 2), any other failure exits 3
+            error = type(exc) if isinstance(exc, USAGE_ERRORS) else InferenceError
+            raise error(f"repetition {rep} (seed {seed}) failed: {exc}") from exc
     names = sorted(per_run[0]["metrics"])
     summary_metrics = {}
     for name in names:

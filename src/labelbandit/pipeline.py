@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -47,8 +47,9 @@ WEIGHTINGS = ("uniform", "confidence")
 
 @dataclass(frozen=True)
 class ClassifierConfig:
-    """Classifier kind (None = regime default) and training hyperparameters,
-    whose defaults are ``ClassifierSpec``'s."""
+    """Classifier kind (None = the regime's default, which ``InferenceConfig``
+    fills in) and training hyperparameters, whose defaults are
+    ``ClassifierSpec``'s."""
 
     kind: str | None = None
     learning_rate: float = ClassifierSpec.learning_rate
@@ -95,8 +96,15 @@ class InferenceConfig:
             raise ConfigError(f"final_weighting must be one of {WEIGHTINGS}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
-        # reward.num_negative_labels=None: the regime's default
+        # classifier.kind=None and reward.num_negative_labels=None: the regime's defaults
+        if self.classifier.kind is None:
+            kind = DEFAULT_CLASSIFIER_BY_REGIME[self.regime]
+            object.__setattr__(self, "classifier", replace(self.classifier, kind=kind))
         object.__setattr__(self, "reward", self.reward.for_regime(self.regime))
+        # the classifier and the feature map check their own settings
+        ClassifierSpec(num_classes=2, **asdict(self.classifier))
+        if self.rff_width is not None:
+            _check_feature_map(self.rff_width, self.rff_bandwidth)
 
 
 @dataclass
@@ -161,21 +169,16 @@ def derive_label_sets(
 
 
 def _resolve_classifier_spec(config: InferenceConfig, num_classes: int) -> ClassifierSpec:
-    kind = config.classifier.kind or DEFAULT_CLASSIFIER_BY_REGIME[config.regime]
     m = config.reward.num_negative_labels
     grouping = None
-    if kind == "cooperative-softmax":
+    if config.classifier.kind == "cooperative-softmax":
         grouping = (tuple(negative_label_ids(num_classes, m)),) + tuple(
             (c,) for c in range(1, num_classes)
         )
     return ClassifierSpec(
-        kind,
-        extended_num_classes(num_classes, m),
+        num_classes=extended_num_classes(num_classes, m),
         grouping=grouping,
-        learning_rate=config.classifier.learning_rate,
-        epochs=config.classifier.epochs,
-        l2=config.classifier.l2,
-        batch_size=config.classifier.batch_size,
+        **asdict(config.classifier),
     )
 
 
@@ -194,25 +197,6 @@ def _confidence_weights(labels: dict[int, int], confidence: dict[int, float]) ->
     return weights
 
 
-def _fit_final(
-    dataset: Dataset,
-    labels: dict[int, int],
-    confidence: dict[int, float],
-    spec: ClassifierSpec,
-    weighting: str,
-    seed,
-) -> TrainedModel:
-    ids = [inst.id for inst in dataset.instances]
-    X = np.stack([inst.features for inst in dataset.instances])
-    y = np.array([labels[i] for i in ids], dtype=np.intp)
-    sample_weight = None
-    if weighting == "confidence":
-        per_instance = _confidence_weights(labels, confidence)
-        sample_weight = np.array([per_instance[i] for i in ids])
-    seed_int = int(np.random.default_rng(seed).integers(0, 2**63))
-    return fit(spec, X, y, sample_weight=sample_weight, seed=seed_int)
-
-
 def train_final(
     dataset: Dataset,
     result: "PipelineResult",
@@ -228,61 +212,15 @@ def train_final(
     missing = {inst.id for inst in dataset.instances} - result.labels.keys()
     if missing:
         raise ParameterError(f"result does not cover instances {sorted(missing)[:5]}")
-    return _fit_final(dataset, result.labels, result.confidence, spec, weighting, seed)
-
-
-def _single_pass(dataset: Dataset, config: InferenceConfig, fixed: dict[int, int], seed_seq):
-    """One pass over all folds. Returns the merged labels and confidences, the
-    fold diagnostics, the pull logs and this pass's seed for the final model,
-    which is fitted only after the last pass."""
-    bags = dataset.bags
-    if config.folds > len(bags):
-        raise ParameterError(f"folds={config.folds} exceeds the number of bags {len(bags)}")
-    children = seed_seq.spawn(config.folds + 2)
-    shuffle_rng = np.random.default_rng(children[0])
-    order = shuffle_rng.permutation(len(bags))
-    fold_assignments = np.array_split(order, config.folds)
-
-    label_sets = derive_label_sets(dataset, config.reward.num_negative_labels)
-    for x, lbl in fixed.items():
-        label_sets[x] = [lbl]
-    spec = _resolve_classifier_spec(config, dataset.num_classes)
-
-    labels_out: dict[int, int] = {}
-    confidence_out: dict[int, float] = {}
-    fold_diagnostics = []
-    pull_logs = []
-    for fold_index in range(config.folds):
-        train_bags = [bags[j] for j in fold_assignments[fold_index]]
-        held_bags = [
-            bags[j]
-            for other in range(config.folds)
-            if other != fold_index
-            for j in fold_assignments[other]
-        ]
-        environment = RewardEnvironment(dataset, train_bags, held_bags, spec, config.reward, fixed)
-        log = PullLog()
-        result = run_inference(
-            {x: label_sets[x] for bag in train_bags for x in bag.instance_ids},
-            environment,
-            rounds=config.rounds,
-            batch_size=config.batch_size,
-            rng=np.random.default_rng(children[fold_index + 1]),
-            pull_log=log,
-        )
-        labels_out.update(result.assignment)
-        confidence_out.update(result.confidence)
-        fold_diagnostics.append(
-            {
-                "fold": fold_index,
-                "bag_ids": sorted(int(bags[j].id) for j in fold_assignments[fold_index]),
-                "pulls": result.pull_history_length,
-                "mean_reward_per_round": log.round_means(),
-            }
-        )
-        pull_logs.append({"fold": fold_index, "log": log})
-
-    return labels_out, confidence_out, fold_diagnostics, pull_logs, children[-1]
+    ids = [inst.id for inst in dataset.instances]
+    X = np.stack([inst.features for inst in dataset.instances])
+    y = np.array([result.labels[i] for i in ids], dtype=np.intp)
+    sample_weight = None
+    if weighting == "confidence":
+        per_instance = _confidence_weights(result.labels, result.confidence)
+        sample_weight = np.array([per_instance[i] for i in ids])
+    seed_int = int(np.random.default_rng(seed).integers(0, 2**63))
+    return fit(spec, X, y, sample_weight=sample_weight, seed=seed_int)
 
 
 def _grow_fixed(
@@ -306,61 +244,87 @@ def _grow_fixed(
     return grown
 
 
-def _run_pipeline(dataset: Dataset, config: InferenceConfig, passes: int) -> PipelineResult:
+def bootstrap_infer(dataset: Dataset, config: InferenceConfig) -> PipelineResult:
+    """Label inference in ``config.bootstrap_passes`` passes over all bags.
+
+    Each pass shuffles the bags into folds; each fold in turn is the training
+    set, with the remaining folds as the held-out set. After every pass but
+    the last, the most confident labels are frozen and join every later
+    classifier fit as additional supervised data. The final model is fitted
+    once, on the last pass's labels, with that pass's seed.
+    """
     if dataset.regime != config.regime:
         raise ConfigError(
             f"config regime {config.regime!r} does not match dataset regime {dataset.regime!r}"
         )
-    clean = strip_ground_truth(dataset)
-    root = np.random.SeedSequence(config.master_seed)
-    rff_child, *pass_children = root.spawn(passes + 1)
-    if config.rff_width is not None:
-        clean = apply_random_feature_map(
-            clean, config.rff_width, config.rff_bandwidth, seed=rff_child
+    if config.folds > len(dataset.bags):
+        raise ParameterError(
+            f"folds={config.folds} exceeds the number of bags {len(dataset.bags)}"
         )
+    clean = strip_ground_truth(dataset)
+    rff_seed, *pass_seeds = np.random.SeedSequence(config.master_seed).spawn(
+        config.bootstrap_passes + 1
+    )
+    if config.rff_width is not None:
+        clean = apply_random_feature_map(clean, config.rff_width, config.rff_bandwidth, rff_seed)
+    bags = clean.bags
+    spec = _resolve_classifier_spec(config, clean.num_classes)
+    label_sets = derive_label_sets(clean, config.reward.num_negative_labels)
     fixed: dict[int, int] = {}
     pass_reports = []
-    all_logs = []
-    labels: dict[int, int] = {}
-    confidence: dict[int, float] = {}
-    for pass_index in range(passes):
-        labels, confidence, fold_diags, pull_logs, final_seed = _single_pass(
-            clean, config, fixed, pass_children[pass_index]
-        )
+    pull_logs = []
+    for pass_index, pass_seed in enumerate(pass_seeds):
+        if pass_index > 0:
+            fixed = _grow_fixed(fixed, labels, confidence, config.bootstrap_fraction)
+            label_sets.update((x, [label]) for x, label in fixed.items())
+        shuffle_seed, *fold_seeds, final_seed = pass_seed.spawn(config.folds + 2)
+        order = np.random.default_rng(shuffle_seed).permutation(len(bags))
+        folds = [[bags[j] for j in part] for part in np.array_split(order, config.folds)]
+        labels: dict[int, int] = {}
+        confidence: dict[int, float] = {}
+        fold_reports = []
+        for fold_index, (train_bags, fold_seed) in enumerate(zip(folds, fold_seeds)):
+            held_bags = [bag for other in folds if other is not train_bags for bag in other]
+            environment = RewardEnvironment(
+                clean, train_bags, held_bags, spec, config.reward, fixed
+            )
+            log = PullLog()
+            result = run_inference(
+                {x: label_sets[x] for bag in train_bags for x in bag.instance_ids},
+                environment,
+                rounds=config.rounds,
+                batch_size=config.batch_size,
+                rng=np.random.default_rng(fold_seed),
+                pull_log=log,
+            )
+            labels.update(result.assignment)
+            confidence.update(result.confidence)
+            fold_reports.append(
+                {
+                    "fold": fold_index,
+                    "bag_ids": sorted(int(bag.id) for bag in train_bags),
+                    "pulls": result.pull_history_length,
+                    "mean_reward_per_round": log.round_means(),
+                }
+            )
+            pull_logs.append({"pass": pass_index, "fold": fold_index, "log": log})
         pass_reports.append(
             {
                 "pass": pass_index,
                 "fixed_instances": {str(x): int(l) for x, l in sorted(fixed.items())},
-                "folds": fold_diags,
+                "folds": fold_reports,
             }
         )
-        for entry in pull_logs:
-            all_logs.append({"pass": pass_index, **entry})
-        if pass_index < passes - 1:
-            fixed = _grow_fixed(fixed, labels, confidence, config.bootstrap_fraction)
-    model = _fit_final(
-        clean,
-        labels,
-        confidence,
-        _resolve_classifier_spec(config, clean.num_classes),
-        config.final_weighting,
-        final_seed,
-    )
     diagnostics = {"passes": pass_reports, "num_instances": len(labels)}
-    return PipelineResult(labels, confidence, model, diagnostics, all_logs)
+    result = PipelineResult(labels, confidence, None, diagnostics, pull_logs)
+    result.model = train_final(clean, result, spec, config.final_weighting, final_seed)
+    return result
 
 
 def kfold_infer(dataset: Dataset, config: InferenceConfig) -> PipelineResult:
-    """One inference pass over all bags: each fold of bags is in turn the
+    """One pass of ``bootstrap_infer``: each fold of bags is in turn the
     training set, with the remaining folds as the held-out set."""
-    return _run_pipeline(dataset, config, passes=1)
-
-
-def bootstrap_infer(dataset: Dataset, config: InferenceConfig) -> PipelineResult:
-    """Repeated passes; after each one the most confident labels are frozen
-    and join every later classifier fit as additional supervised data. With a
-    single pass this is exactly ``kfold_infer``."""
-    return _run_pipeline(dataset, config, passes=config.bootstrap_passes)
+    return bootstrap_infer(dataset, replace(config, bootstrap_passes=1))
 
 
 def split_bags_by_inferred_label(
@@ -410,16 +374,20 @@ def split_bags_by_inferred_label(
     return Dataset(kept_instances, new_bags, 2, "binary-mil"), source_label
 
 
+def _check_feature_map(width: int, bandwidth: float) -> None:
+    if width < 1:
+        raise ParameterError(f"feature-map width must be >= 1, got {width}")
+    if bandwidth <= 0:
+        raise ParameterError(f"feature-map bandwidth must be positive, got {bandwidth}")
+
+
 def apply_random_feature_map(dataset: Dataset, width, bandwidth: float, seed) -> Dataset:
     """Replace features by a seeded random cosine expansion approximating a
     Gaussian kernel of the given bandwidth. ``width=None`` disables the map
     and returns the dataset unchanged."""
     if width is None:
         return dataset
-    if width < 1:
-        raise ParameterError(f"width must be >= 1, got {width}")
-    if bandwidth <= 0:
-        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
+    _check_feature_map(width, bandwidth)
     rng = np.random.default_rng(seed)
     dim = dataset.feature_dim
     projection = rng.normal(0.0, 1.0 / bandwidth, size=(int(width), dim))

@@ -185,15 +185,14 @@ def _llp_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
 
 
 def _regime_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
-    """Dispatch on the layout's regime (and the distance-gap flag)."""
-    regime = ctx.layout.regime
-    if regime == "llp":
+    """Dispatch on the layout's regime and the distance-gap flag. The layout
+    holds a built-in regime (``heldout_layout`` checks it), so anything but
+    llp is one of the two MIL regimes."""
+    if ctx.layout.regime == "llp":
         return _llp_rule(assigned, ctx, params)
-    if regime in ("binary-mil", "multiclass-mil"):
-        if params.distgap_enabled:
-            return _distgap_rule(assigned, ctx, params)
-        return _mil_rule(assigned, ctx, params)
-    raise RegimeError(f"no built-in reward for regime {regime!r}; supply a custom environment")
+    if params.distgap_enabled:
+        return _distgap_rule(assigned, ctx, params)
+    return _mil_rule(assigned, ctx, params)
 
 
 def eta(raw, tau: float):
@@ -571,7 +570,8 @@ class RewardEnvironment:
     """Callable scoring candidate labellings of one fold's training bags.
 
     A fold is the dataset and two lists of its bags, the training and the
-    held-out ones; a bag in both is a ``ValidationError``. A classifier spec
+    held-out ones; a bag that is not one of ``dataset.bags``, or that is in
+    both lists, is a ``ValidationError``. A classifier spec
     whose width is not the dataset's classes plus the extra negative modes
     (``extended_num_classes``) is a ``ParameterError``. Everything else is
     derived once, at construction: the regime and the negative modes from the
@@ -603,6 +603,10 @@ class RewardEnvironment:
         params: RewardParams,
         fixed: dict[int, int] | None = None,
     ):
+        dataset_bags = {bag.id: bag for bag in dataset.bags}
+        for bag in (*train_bags, *heldout_bags):
+            if dataset_bags.get(bag.id) != bag:
+                raise ValidationError(f"bag {bag.id} is not one of the dataset's bags")
         heldout_bag_ids = {bag.id for bag in heldout_bags}
         for bag in train_bags:
             if bag.id in heldout_bag_ids:

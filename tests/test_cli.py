@@ -23,6 +23,32 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+# config values InferenceConfig refuses at construction, with the error main prints
+bad_inference_configs = pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"rounds": 0}, "rounds must be >= 1, got 0"),
+        (
+            {"classifier": {"kind": "bogus"}},
+            "unknown classifier kind 'bogus'; expected one of "
+            "('linear-svm', 'softmax', 'cooperative-softmax')",
+        ),
+        (
+            {"classifier": {"epochs": 0}},
+            "classifier hyperparameters must be positive (l2 may be 0), got "
+            "learning_rate=0.1, epochs=0, l2=0.001, batch_size=32",
+        ),
+        ({"rff_width": 0}, "feature-map width must be >= 1, got 0"),
+    ],
+    ids=["rounds", "classifier.kind", "classifier.epochs", "rff_width"],
+)
+
+
+def first_bench_seed(master_seed: int) -> int:
+    """The derived seed of a bench run's repetition 0."""
+    return int(np.random.SeedSequence(master_seed).generate_state(1)[0])
+
+
 @pytest.fixture()
 def binary_workspace(tmp_path, capsys):
     out = tmp_path / "gen"
@@ -293,6 +319,24 @@ class TestInfer:
         assert (first / "result.json").read_bytes() == (second / "result.json").read_bytes()
         assert (first / "model.json").read_bytes() == (second / "model.json").read_bytes()
 
+    @bad_inference_configs
+    def test_bad_inference_config_exits_two_without_output_directory(
+        self, binary_workspace, tmp_path, capsys, monkeypatch, config, message
+    ):
+        path = tmp_path / "infer.json"
+        path.write_text(json.dumps(config))
+        fits = []
+        monkeypatch.setattr(rewards, "fit", lambda *a, **kw: fits.append(a))
+        out = tmp_path / "run"
+        code = run(
+            ["infer", "--config", path, "--dataset", binary_workspace / "dataset.json",
+             "--out", out]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert fits == []
+        assert not out.exists()
+
     def test_missing_dataset_exits_two_without_outputs(self, tmp_path, capsys):
         out = tmp_path / "never"
         code = run(["infer", "--dataset", tmp_path / "ghost.json", "--out", out])
@@ -509,14 +553,17 @@ class TestBench:
             assert stats["mean"] == pytest.approx(float(np.mean(values)))
         assert set(summary["wall_clock_seconds"]) == {"generate", "infer", "evaluate"}
 
-    def test_bad_inference_config_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch):
+    @bad_inference_configs
+    def test_bad_inference_config_exits_two_before_any_work(
+        self, tmp_path, capsys, monkeypatch, config, message
+    ):
         path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"rounds": 0}))
+        path.write_text(json.dumps(config))
         generated = []
         monkeypatch.setattr(cli, "_generate_dataset", lambda *a: generated.append(a))
         out = tmp_path / "bench"
         assert run(["bench", "--config", path, "--out", out]) == 2
-        assert capsys.readouterr().err == "error: rounds must be >= 1, got 0\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert generated == []
         assert not out.exists()
 
@@ -525,5 +572,36 @@ class TestBench:
         path.write_text(json.dumps({"generator": {"num_bags": 1}}))
         out = tmp_path / "bench"
         assert run(["bench", "--config", path, "--out", out]) == 2
-        assert capsys.readouterr().err == "error: num_bags must be >= 2, got 1\n"
+        assert capsys.readouterr().err == (
+            f"error: repetition 0 (seed {first_bench_seed(0)}) failed: "
+            "num_bags must be >= 2, got 1\n"
+        )
         assert not (out / "summary.json").exists()
+
+    def test_usage_error_in_a_repetition_names_it_and_its_seed(self, tmp_path, capsys):
+        """A dataset-dependent usage error still exits 2, and its message
+        carries the repetition and the derived seed that reproduce it."""
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({
+            "regime": "multiclass-mil", "folds": 3, "rounds": 2,
+            "reward": {"distgap_enabled": True, "distgap_space": "features"},
+            "generator": {"num_bags": 40}, "bench": {"repetitions": 1},
+        }))
+        assert run(["bench", "--config", path, "--out", tmp_path / "bench"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: repetition 0 (seed {first_bench_seed(0)}) failed: distance gap: "
+            "no held-out bag carries the weak label"
+        )
+
+    def test_runtime_failure_in_a_repetition_exits_three_with_its_seed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli.pipeline, "bootstrap_infer", crash)
+        code = run(["bench", "--config", self.bench_config(tmp_path, 2), "--out", tmp_path / "b"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: repetition 0 (seed {first_bench_seed(0)}) failed: boom\n"
+        )

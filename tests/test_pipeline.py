@@ -120,6 +120,29 @@ class TestRegimeDeclarations:
             InferenceConfig(regime="mystery")
 
 
+class TestInferenceConfig:
+    def test_classifier_kind_resolves_to_the_regime_default(self):
+        for regime, kind in DEFAULT_CLASSIFIER_BY_REGIME.items():
+            assert InferenceConfig(regime=regime).classifier.kind == kind
+        chosen = ClassifierConfig(kind="softmax", epochs=3)
+        assert InferenceConfig(regime="binary-mil", classifier=chosen).classifier == chosen
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"classifier": ClassifierConfig(kind="bogus")}, "unknown classifier kind 'bogus'"),
+            ({"classifier": ClassifierConfig(epochs=0)}, r"epochs=0"),
+            ({"classifier": ClassifierConfig(l2=-1.0)}, r"l2=-1.0"),
+            ({"rff_width": 0}, "feature-map width must be >= 1, got 0"),
+            ({"rff_width": 8, "rff_bandwidth": 0.0}, "feature-map bandwidth must be positive"),
+        ],
+        ids=["kind", "epochs", "l2", "rff_width", "rff_bandwidth"],
+    )
+    def test_bad_classifier_or_feature_map_raises_at_construction(self, settings, message):
+        with pytest.raises(ParameterError, match=message):
+            InferenceConfig(regime="binary-mil", **settings)
+
+
 class TestKfoldInfer:
     def test_two_bags_two_folds_cover_everything(self):
         ds = generate_binary_mil(2, (2, 3), 0.5, 2, 6.0, seed=1)
@@ -210,9 +233,13 @@ class TestBootstrap:
         assert len(fits) == 1
 
     def test_single_pass_equals_kfold(self):
+        """kfold_infer runs one pass whatever bootstrap_passes says."""
         ds = generate_binary_mil(8, (2, 4), 0.5, 3, 6.0, seed=10)
-        config = small_binary_config(rounds=20, bootstrap_passes=1)
-        assert bootstrap_infer(ds, config).to_json() == kfold_infer(ds, config).to_json()
+        single = bootstrap_infer(ds, small_binary_config(rounds=20, bootstrap_passes=1))
+        for passes in (1, 3):
+            kfold = kfold_infer(ds, small_binary_config(rounds=20, bootstrap_passes=passes))
+            assert len(kfold.diagnostics["passes"]) == 1
+            assert kfold.to_json() == single.to_json()
 
     def test_fixed_instances_keep_labels_across_passes(self):
         ds = generate_binary_mil(10, (2, 4), 0.5, 3, 6.0, seed=11)

@@ -781,6 +781,22 @@ class TestRewardEnvironment:
                 RewardParams(k=3),
             )
 
+    @pytest.mark.parametrize("side", ["train", "heldout"])
+    def test_bag_outside_the_dataset_rejected(self, monkeypatch, side):
+        dataset = generate_binary_mil(14, (3, 6), 0.5, 3, 6.0, seed=4)
+        foreign = Bag(99, [500, 501], WeakLabel.binary(1))
+        train, heldout = list(dataset.bags[:5]), list(dataset.bags[5:])
+        (train if side == "train" else heldout).append(foreign)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a classifier was fitted")
+
+        monkeypatch.setattr(rewards, "fit", no_fit)
+        with pytest.raises(ValidationError, match="bag 99 is not one of the dataset's bags"):
+            RewardEnvironment(
+                dataset, train, heldout, ClassifierSpec("linear-svm", 2), RewardParams(k=3)
+            )
+
     @pytest.mark.parametrize("off_by", [1, -1])
     def test_classifier_width_must_match_the_label_space(self, monkeypatch, off_by):
         """A spec one class wider or narrower than the dataset's classes plus

@@ -4,7 +4,7 @@ One JSON config file drives everything; a flag of generate, infer or bench
 sets the config key its argparse dest names ("generator.num_bags" for
 --bags). The effective config is echoed into the output directory so any
 run can be reproduced from its own artifacts. Exit codes, set in ``main``
-alone: 0 success, 2 bad usage/config/inputs, 3 runtime failure.
+alone: 0 success, 2 a ``UsageError`` or a missing file, 3 any other package error.
 """
 
 from __future__ import annotations
@@ -22,29 +22,12 @@ import numpy as np
 
 from . import data, metrics, pipeline
 from .classifiers import load_model, save_model
-from .errors import (
-    ConfigError,
-    EvaluationError,
-    InferenceError,
-    LabelBanditError,
-    ParameterError,
-    ParseError,
-    RegimeError,
-    ValidationError,
-)
+from .errors import ConfigError, EvaluationError, InferenceError, LabelBanditError, UsageError
 from .rewards import RewardParams
 
 logger = logging.getLogger(__name__)
 
-USAGE_ERRORS = (
-    ConfigError,
-    ParameterError,
-    ValidationError,
-    ParseError,
-    EvaluationError,
-    RegimeError,
-    FileNotFoundError,
-)
+USAGE_ERRORS = (UsageError, FileNotFoundError)
 
 
 def _field_defaults(cls) -> dict:
@@ -164,6 +147,18 @@ def _echo_config(cfg: dict, out_dir: Path) -> None:
     (out_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
 
+def _output_dir(out: str | None) -> Path:
+    """The output directory, checked before a command's work and created
+    after it; a path through an existing file is a ConfigError."""
+    if not out:
+        raise ConfigError("no output directory given; pass --out or set it in the config")
+    out_dir = Path(out)
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
+    return out_dir
+
+
 def _dataset_format(path: Path) -> str:
     return "csv" if path.suffix == ".csv" else "json"
 
@@ -209,8 +204,8 @@ def _generate_dataset(regime: str, gen: dict, seed: int) -> data.Dataset:
 def cmd_generate(args) -> int:
     cfg = _config_with_flags(args)
     cfg["regime"] = cfg["regime"] or "binary-mil"
+    out_dir = _output_dir(cfg["out"] or ".")
     dataset = _generate_dataset(cfg["regime"], cfg["generator"], cfg["master_seed"])
-    out_dir = Path(cfg["out"] or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     name = args.name
     dataset_path = out_dir / f"{name}.{args.format}"
@@ -240,8 +235,7 @@ def cmd_infer(args) -> int:
     dataset_path = Path(cfg["dataset"])
     if not dataset_path.exists():
         raise FileNotFoundError(f"dataset file not found: {dataset_path}")
-    if not cfg["out"]:
-        raise ConfigError("no output directory given; pass --out or set it in the config")
+    out_dir = _output_dir(cfg["out"])
     dataset = data.load_dataset(dataset_path, format=_dataset_format(dataset_path))
     if cfg["regime"] is not None and cfg["regime"] != dataset.regime:
         raise ConfigError(
@@ -249,9 +243,8 @@ def cmd_infer(args) -> int:
         )
     cfg["regime"] = dataset.regime
     config = build_inference_config(cfg)
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     result = pipeline.bootstrap_infer(dataset, config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "result.json").write_text(result.to_json())
     save_model(result.model, out_dir / "model.json")
     with (out_dir / "pull_log.ndjson").open("w") as fh:
@@ -299,6 +292,7 @@ def cmd_evaluate(args) -> int:
     for required in (args.dataset, args.result, args.ground_truth):
         if not Path(required).exists():
             raise FileNotFoundError(f"input file not found: {required}")
+    out_dir = _output_dir(args.out or ".")
     dataset_path = Path(args.dataset)
     dataset = data.load_dataset(dataset_path, format=_dataset_format(dataset_path))
     truth = {int(k): int(v) for k, v in json.loads(Path(args.ground_truth).read_text()).items()}
@@ -306,34 +300,24 @@ def cmd_evaluate(args) -> int:
     result_doc = json.loads(Path(args.result).read_text())
     labels = {int(k): int(v) for k, v in result_doc["labels"].items()}
 
-    report = metrics.MetricsReport()
-    overall, per_class, confusion = metrics.instance_accuracy(labels, dataset)
-    report.inference_accuracy = overall
-    report.per_class_accuracy = per_class
-    report.confusion = confusion
-    report.reward_trace = _mean_reward_trace(result_doc.get("diagnostics", {}))
-    if args.model:
-        model = load_model(args.model)
-        model_overall, _, _ = metrics.instance_accuracy(model, dataset)
-        report.instance_accuracy = model_overall
-        if dataset.regime == "binary-mil":
-            report.bag_accuracy = metrics.bag_accuracy(model, dataset)
+    model = load_model(args.model) if args.model else None
+    report = metrics.score_run(dataset, labels, model)
+    report["reward_trace"] = _mean_reward_trace(result_doc.get("diagnostics", {}))
 
-    out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(report.to_json())
-    if args.trace_csv and report.reward_trace:
+    (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if args.trace_csv and report["reward_trace"]:
         lines = ["round,mean_reward"] + [
-            f"{i},{v}" for i, v in enumerate(report.reward_trace)
+            f"{i},{v}" for i, v in enumerate(report["reward_trace"])
         ]
         (out_dir / "trace.csv").write_text("\n".join(lines) + "\n")
-    print(f"inference accuracy: {report.inference_accuracy:.4f}")
-    for cls, acc in sorted(report.per_class_accuracy.items()):
+    print(f"inference accuracy: {report['inference_accuracy']:.4f}")
+    for cls, acc in report["per_class_accuracy"].items():
         print(f"  class {cls}: {acc:.4f}")
-    if report.instance_accuracy is not None:
-        print(f"model instance accuracy: {report.instance_accuracy:.4f}")
-    if report.bag_accuracy is not None:
-        print(f"model bag accuracy: {report.bag_accuracy:.4f}")
+    if report["instance_accuracy"] is not None:
+        print(f"model instance accuracy: {report['instance_accuracy']:.4f}")
+    if report["bag_accuracy"] is not None:
+        print(f"model bag accuracy: {report['bag_accuracy']:.4f}")
     print(f"report written to {out_dir / 'report.json'}")
     return 0
 
@@ -345,15 +329,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config_with_flags(args)
-    if not cfg["out"]:
-        raise ConfigError("no output directory given; pass --out or set it in the config")
+    out_dir = _output_dir(cfg["out"])
     cfg["regime"] = cfg["regime"] or "binary-mil"
     repetitions = int(cfg["bench"]["repetitions"])
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
     config = build_inference_config(cfg)
-    out_dir = Path(cfg["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = [int(s) for s in np.random.SeedSequence(cfg["master_seed"]).generate_state(repetitions)]
     per_run = []
     wall = {"generate": 0.0, "infer": 0.0, "evaluate": 0.0}
@@ -366,13 +347,13 @@ def cmd_bench(args) -> int:
             result = pipeline.bootstrap_infer(dataset, dataclasses.replace(config, master_seed=seed))
             wall["infer"] += time.perf_counter() - t0
             t0 = time.perf_counter()
-            overall, per_class, _ = metrics.instance_accuracy(result.labels, dataset)
-            run_metrics = {"inference_accuracy": overall}
-            model_overall, _, _ = metrics.instance_accuracy(result.model, dataset)
-            run_metrics["instance_accuracy"] = model_overall
-            if dataset.regime == "binary-mil":
-                run_metrics["bag_accuracy"] = metrics.bag_accuracy(result.model, dataset)
+            scores = metrics.score_run(dataset, result.labels, result.model)
             wall["evaluate"] += time.perf_counter() - t0
+            run_metrics = {
+                name: scores[name]
+                for name in ("inference_accuracy", "instance_accuracy", "bag_accuracy")
+                if scores[name] is not None  # bag_accuracy outside binary MIL
+            }
             per_run.append({"repetition": rep, "seed": seed, "metrics": run_metrics})
         except Exception as exc:
             # a usage error keeps its type (exit 2), any other failure exits 3
@@ -392,6 +373,7 @@ def cmd_bench(args) -> int:
         "wall_clock_seconds": {k: round(v, 3) for k, v in wall.items()},
         "per_run": per_run,
     }
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     _echo_config(cfg, out_dir)
     for name, stats in summary_metrics.items():

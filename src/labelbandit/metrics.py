@@ -8,39 +8,11 @@ Pure functions over immutable inputs.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .classifiers import TrainedModel, predict_arrays
 from .data import Dataset
 from .errors import EvaluationError, ParameterError, RegimeError
-
-
-@dataclass
-class MetricsReport:
-    """Flat bundle of everything the evaluation command reports."""
-
-    bag_accuracy: float | None = None
-    instance_accuracy: float | None = None
-    per_class_accuracy: dict[int, float] = field(default_factory=dict)
-    inference_accuracy: float | None = None
-    confusion: list[list[int]] = field(default_factory=list)
-    reward_trace: list[float] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bag_accuracy": self.bag_accuracy,
-            "instance_accuracy": self.instance_accuracy,
-            "per_class_accuracy": {str(k): v for k, v in sorted(self.per_class_accuracy.items())},
-            "inference_accuracy": self.inference_accuracy,
-            "confusion": self.confusion,
-            "reward_trace": self.reward_trace,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def collapse_negative(label: int, num_classes: int) -> int:
@@ -49,22 +21,28 @@ def collapse_negative(label: int, num_classes: int) -> int:
     return label if 0 < label < num_classes else 0
 
 
+def _predicted_labels(model: TrainedModel, dataset: Dataset) -> dict[int, int]:
+    """The model's raw label of every instance, by id, from one predict call."""
+    features = np.stack([inst.features for inst in dataset.instances])
+    raw, _ = predict_arrays(model, features)
+    return {inst.id: int(l) for inst, l in zip(dataset.instances, raw)}
+
+
+def _bag_accuracy(predicted: dict[int, int], dataset: Dataset) -> float:
+    # label 1 is the one positive class; every other label (0 or a negative mode) is negative
+    correct = 0
+    for bag in dataset.bags:
+        bag_predicted = any(predicted[i] == 1 for i in bag.instance_ids)
+        correct += bag_predicted == bag.weak_label.value
+    return correct / len(dataset.bags)
+
+
 def bag_accuracy(model: TrainedModel, dataset: Dataset) -> float:
     """Fraction of bags whose MIL rule label (positive iff any member is
     predicted positive) matches the bag's binary weak label."""
     if dataset.regime != "binary-mil":
         raise RegimeError(f"bag accuracy is defined for binary MIL, not {dataset.regime!r}")
-    ids = [inst.id for inst in dataset.instances]
-    features = np.stack([inst.features for inst in dataset.instances])
-    raw_labels, _ = predict_arrays(model, features)
-    predicted = {
-        i: collapse_negative(int(l), dataset.num_classes) for i, l in zip(ids, raw_labels)
-    }
-    correct = 0
-    for bag in dataset.bags:
-        bag_predicted = 1 if any(predicted[i] == 1 for i in bag.instance_ids) else 0
-        correct += bag_predicted == bag.weak_label.value
-    return correct / len(dataset.bags)
+    return _bag_accuracy(_predicted_labels(model, dataset), dataset)
 
 
 def instance_accuracy(labels_or_model, dataset: Dataset):
@@ -79,9 +57,7 @@ def instance_accuracy(labels_or_model, dataset: Dataset):
         raise EvaluationError("dataset has no ground truth to evaluate against")
     truth = dataset.ground_truth_map()
     if isinstance(labels_or_model, TrainedModel):
-        features = np.stack([inst.features for inst in dataset.instances])
-        raw, _ = predict_arrays(labels_or_model, features)
-        predicted = {inst.id: int(l) for inst, l in zip(dataset.instances, raw)}
+        predicted = _predicted_labels(labels_or_model, dataset)
     else:
         predicted = dict(labels_or_model)
         missing = truth.keys() - predicted.keys()
@@ -101,6 +77,27 @@ def instance_accuracy(labels_or_model, dataset: Dataset):
         if (support := sum(confusion[c])) > 0
     }
     return overall, per_class, confusion
+
+
+def score_run(dataset: Dataset, labels: dict[int, int], model: TrainedModel | None = None) -> dict:
+    """Everything ``evaluate`` reports but the reward trace: the inferred
+    labels' ``inference_accuracy``, ``per_class_accuracy`` (string keys, in
+    class order) and ``confusion``; with a ``model``, predicted once, its
+    ``instance_accuracy`` and, in binary MIL, ``bag_accuracy`` (else None)."""
+    overall, per_class, confusion = instance_accuracy(labels, dataset)
+    scores = {
+        "inference_accuracy": overall,
+        "per_class_accuracy": {str(c): acc for c, acc in per_class.items()},
+        "confusion": confusion,
+        "instance_accuracy": None,
+        "bag_accuracy": None,
+    }
+    if model is not None:
+        predicted = _predicted_labels(model, dataset)
+        scores["instance_accuracy"] = instance_accuracy(predicted, dataset)[0]
+        if dataset.regime == "binary-mil":
+            scores["bag_accuracy"] = _bag_accuracy(predicted, dataset)
+    return scores
 
 
 def reward_trace_summary(pull_log: list[dict]) -> dict:

@@ -571,9 +571,11 @@ class RewardEnvironment:
 
     A fold is the dataset and two lists of its bags, the training and the
     held-out ones; a bag that is not one of ``dataset.bags``, or that is in
-    both lists, is a ``ValidationError``. A classifier spec
-    whose width is not the dataset's classes plus the extra negative modes
-    (``extended_num_classes``) is a ``ParameterError``. Everything else is
+    both lists, is a ``ValidationError``, and so is a ``fixed`` entry for an
+    instance outside the dataset or with a label outside the classifier's
+    classes. A classifier spec whose width is not the dataset's classes plus
+    the extra negative modes (``extended_num_classes``) is a
+    ``ParameterError``. Everything else is
     derived once, at construction: the regime and the negative modes from the
     dataset (``params.num_negative_labels`` None takes the regime's default),
     the ascending ``train_ids`` and ``heldout_ids`` with their feature rows,
@@ -626,6 +628,14 @@ class RewardEnvironment:
                 f"{params.num_negative_labels} negative modes)"
             )
         self.classifier_spec = classifier_spec
+        index = dataset.instance_map()
+        for x, label in (fixed or {}).items():
+            if x not in index:
+                raise ValidationError(f"fixed instance {x} is not in the dataset")
+            if not 0 <= label < width:
+                raise ValidationError(
+                    f"fixed label {label} of instance {x} lies outside [0, {width})"
+                )
         train_bag_index = {iid: bag for bag in train_bags for iid in bag.instance_ids}
         self.train_ids = sorted(train_bag_index)
         self.layout = heldout_layout(
@@ -637,7 +647,6 @@ class RewardEnvironment:
             train_bag_index if params.distgap_enabled else None,
         )
         self.heldout_ids = self.layout.heldout_ids
-        index = dataset.instance_map()
         self.train_features = np.stack([index[i].features for i in self.train_ids])
         self.heldout_features = np.stack([index[i].features for i in self.heldout_ids])
         # fixed for the fold: bootstrap extras are stacked under the fold once

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from labelbandit import cli, metrics, rewards
+from labelbandit import cli, errors, metrics, rewards
 from labelbandit.classifiers import ClassifierSpec
 from labelbandit.cli import DEFAULT_CONFIG, build_inference_config, load_config, main
 from labelbandit.data import extended_num_classes
@@ -400,6 +400,7 @@ class TestInfer:
             "bag 1; bags are grouped by exact weak label"
         ) in capsys.readouterr().err
         assert fits == []
+        assert not (tmp_path / "run").exists()
 
     def test_llp_with_distgap_exits_two_before_fitting(self, tmp_path, capsys, monkeypatch):
         gen = tmp_path / "gen"
@@ -509,6 +510,26 @@ class TestEvaluate:
         assert report["instance_accuracy"] is not None
         assert isinstance(report["reward_trace"], list) and report["reward_trace"]
 
+    def test_trace_csv_lists_the_reports_reward_trace(
+        self, binary_workspace, infer_config, tmp_path, capsys
+    ):
+        run_dir = tmp_path / "run"
+        assert run(["infer", "--config", infer_config, "--dataset",
+                    binary_workspace / "dataset.json", "--out", run_dir, "--seed", 3]) == 0
+        out = tmp_path / "eval"
+        assert run(
+            ["evaluate", "--dataset", binary_workspace / "dataset.json",
+             "--result", run_dir / "result.json", "--ground-truth",
+             binary_workspace / "dataset.groundtruth.json", "--out", out, "--trace-csv"]
+        ) == 0
+        trace = json.loads((out / "report.json").read_text())["reward_trace"]
+        header, *rows = (out / "trace.csv").read_text().splitlines()
+        assert header == "round,mean_reward"
+        assert len(rows) == len(trace) == 26  # the sweep, then 25 rounds
+        for i, row in enumerate(rows):
+            index, value = row.split(",")
+            assert int(index) == i and float(value) == trace[i]
+
     def test_missing_inputs_exit_two(self, tmp_path, capsys):
         code = run(
             ["evaluate", "--dataset", tmp_path / "none.json", "--result", tmp_path / "r.json",
@@ -576,7 +597,7 @@ class TestBench:
             f"error: repetition 0 (seed {first_bench_seed(0)}) failed: "
             "num_bags must be >= 2, got 1\n"
         )
-        assert not (out / "summary.json").exists()
+        assert not out.exists()
 
     def test_usage_error_in_a_repetition_names_it_and_its_seed(self, tmp_path, capsys):
         """A dataset-dependent usage error still exits 2, and its message
@@ -592,6 +613,7 @@ class TestBench:
             f"error: repetition 0 (seed {first_bench_seed(0)}) failed: distance gap: "
             "no held-out bag carries the weak label"
         )
+        assert not (tmp_path / "bench").exists()
 
     def test_runtime_failure_in_a_repetition_exits_three_with_its_seed(
         self, tmp_path, capsys, monkeypatch
@@ -605,3 +627,221 @@ class TestBench:
         assert capsys.readouterr().err == (
             f"error: repetition 0 (seed {first_bench_seed(0)}) failed: boom\n"
         )
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+# ---------------------------------------------------------------------------
+
+# the exit code main documents for every class in errors.py: 2 for a UsageError,
+# 3 for any other package error
+ERROR_EXIT_CODES = {
+    "LabelBanditError": 3,
+    "UsageError": 2,
+    "ValidationError": 2,
+    "ParseError": 2,
+    "ParameterError": 2,
+    "ConfigError": 2,
+    "RegimeError": 2,
+    "EvaluationError": 2,
+    "RewardRangeError": 3,
+    "InferenceError": 3,
+}
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
+    assert classes == set(ERROR_EXIT_CODES)
+
+
+@pytest.mark.parametrize("name, code", sorted(ERROR_EXIT_CODES.items()))
+def test_error_class_exits_with_its_code(monkeypatch, capsys, name, code):
+    def fail(args):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setattr(cli, "cmd_generate", fail)
+    assert run(["generate"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def tiny_dataset_doc():
+    return {
+        "num_classes": 2, "regime": "binary-mil",
+        "bags": [
+            {"id": 0, "weak_label": {"kind": "binary", "value": 1},
+             "instances": [{"id": 0, "features": [0.5]}, {"id": 1, "features": [1.5]}]},
+            {"id": 1, "weak_label": {"kind": "binary", "value": 0},
+             "instances": [{"id": 2, "features": [-0.5]}]},
+        ],
+    }
+
+
+def write(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
+def tiny_dataset(tmp: Path, edit=lambda doc: None) -> Path:
+    doc = tiny_dataset_doc()
+    edit(doc)
+    return write(tmp / "dataset.json", json.dumps(doc))
+
+
+def infer_on_json(edit):
+    """argv of infer on the tiny dataset after ``edit`` changed its document."""
+    return lambda tmp: ["infer", "--dataset", tiny_dataset(tmp, edit), "--out", tmp / "out"]
+
+
+def infer_on_csv(rows: str, header: str = "instance_id,bag_id,weak_label,ground_truth,f0"):
+    def argv(tmp: Path) -> list:
+        dataset = write(tmp / "dataset.csv", f"{header}\n{rows}")
+        return ["infer", "--dataset", dataset, "--out", tmp / "out"]
+
+    return argv
+
+
+def infer_with_config(tmp: Path, config) -> list:
+    config_path = write(tmp / "config.json", json.dumps(config))
+    return ["infer", "--config", config_path, "--dataset", tiny_dataset(tmp), "--out", tmp / "out"]
+
+
+def generate_with(generator: dict, regime: str = "binary-mil"):
+    def argv(tmp: Path) -> list:
+        config = {"regime": regime, "generator": generator}
+        return ["generate", "--config", write(tmp / "gen.json", json.dumps(config)),
+                "--out", tmp / "out"]
+
+    return argv
+
+
+def evaluate_inputs(tmp: Path, truth: dict) -> list:
+    result = write(tmp / "result.json", json.dumps({"labels": {"0": 1, "1": 0, "2": 0}}))
+    truth_path = write(tmp / "truth.json", json.dumps(truth))
+    return ["evaluate", "--dataset", tiny_dataset(tmp), "--result", result,
+            "--ground-truth", truth_path]
+
+
+# (argv built in a fresh directory, a piece of the message main prints)
+USAGE_FAILURES = {
+    "config-missing": (
+        lambda tmp: ["infer", "--config", tmp / "none.json"], "config file not found: "
+    ),
+    "config-invalid-json": (
+        lambda tmp: ["infer", "--config", write(tmp / "c.json", "{\"rounds\": ")],
+        "c.json: invalid JSON at line 1",
+    ),
+    "config-root-not-object": (
+        lambda tmp: ["bench", "--config", write(tmp / "c.json", "[1]")],
+        "c.json: config root must be a JSON object",
+    ),
+    "infer-no-dataset": (
+        lambda tmp: ["infer", "--out", tmp / "out"],
+        "no dataset given; pass --dataset or set it in the config",
+    ),
+    "infer-no-out": (
+        lambda tmp: ["infer", "--dataset", tiny_dataset(tmp)],
+        "no output directory given; pass --out or set it in the config",
+    ),
+    "infer-regime-mismatch": (
+        lambda tmp: infer_with_config(tmp, {"regime": "llp"}),
+        "config regime 'llp' does not match dataset regime 'binary-mil'",
+    ),
+    "bench-no-out": (
+        lambda tmp: ["bench"], "no output directory given; pass --out or set it in the config"
+    ),
+    "bench-zero-repetitions": (
+        lambda tmp: ["bench", "--repetitions", 0, "--out", tmp / "out"],
+        "repetitions must be >= 1, got 0",
+    ),
+    "evaluate-truth-missing-instance": (
+        lambda tmp: evaluate_inputs(tmp, {"0": 1, "1": 0}) + ["--out", tmp / "out"],
+        "ground truth missing for instances [2]",
+    ),
+    "csv-wrong-header": (
+        infer_on_csv("0,0,1,,0.5\n", header="id,bag,weak,truth,f0"),
+        "unexpected CSV header ['id', 'bag', 'weak', 'truth']",
+    ),
+    "csv-unparsable-line": (
+        infer_on_csv("0,0,1,,0.5\n1,0,1,,x\n"),
+        "dataset.csv: line 3: could not convert string to float: 'x'",
+    ),
+    "csv-bag-with-two-weak-labels": (
+        infer_on_csv("0,0,1,,0.5\n1,0,0,,1.5\n"),
+        "line 3: bag 0 carries conflicting weak labels '1' and '0'",
+    ),
+    "json-missing-field": (
+        infer_on_json(lambda d: d.pop("num_classes")),
+        "dataset.json: missing or malformed field: 'num_classes'",
+    ),
+    "json-malformed-weak-label": (
+        infer_on_json(lambda d: d["bags"][0].update(weak_label=[1])),
+        "malformed weak label object [1]",
+    ),
+    "json-unknown-weak-label-kind": (
+        infer_on_json(lambda d: d["bags"][0]["weak_label"].update(kind="ternary")),
+        "unknown weak label kind 'ternary'",
+    ),
+    "json-duplicate-bag-id": (
+        infer_on_json(lambda d: d["bags"][1].update(id=0)), "duplicate bag id 0"
+    ),
+    "json-empty-bag": (
+        infer_on_json(lambda d: d["bags"][1].update(instances=[])), "bag 1 has no instances"
+    ),
+    "binary-bag-size-reversed": (generate_with({"bag_size": [5, 3]}), "bad bag size range [5, 3]"),
+    "binary-positive-fraction-one": (
+        generate_with({"positive_fraction": 1.0}), "positive_fraction must lie in (0, 1), got 1.0"
+    ),
+    "binary-feature-dim-zero": (
+        generate_with({"feature_dim": 0}), "feature_dim must be >= 1, got 0"
+    ),
+    "binary-negative-separation": (
+        generate_with({"separation": -1}), "class_separation must be >= 0, got -1"
+    ),
+    "multiclass-per-class-zero": (
+        generate_with({"per_class": 0}, "multiclass-mil"), "per_class must be >= 1, got 0"
+    ),
+    "multiclass-no-positive-classes": (
+        generate_with({"positive_classes": 0}, "multiclass-mil"),
+        "positive_classes must be nonempty",
+    ),
+    "multiclass-bag-above-pool": (
+        generate_with({"bag_size": [5, 2000]}, "multiclass-mil"),
+        "bag size 2000 exceeds pool size 1000",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_FAILURES))
+def test_usage_failure_exits_two_naming_the_problem(tmp_path, capsys, case):
+    argv, message = USAGE_FAILURES[case]
+    assert run(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["generate", "infer", "evaluate", "bench"])
+def test_output_path_through_a_file_exits_two_before_any_work(
+    tmp_path, capsys, monkeypatch, command, nested
+):
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "_generate_dataset", no_work)
+    monkeypatch.setattr(cli.pipeline, "bootstrap_infer", no_work)
+    monkeypatch.setattr(cli.metrics, "score_run", no_work)
+    blocker = write(tmp_path / "blocker", "")
+    out = blocker / "out" if nested else blocker
+    argv = {
+        "generate": lambda: ["generate"],
+        "infer": lambda: ["infer", "--dataset", tiny_dataset(tmp_path)],
+        "evaluate": lambda: evaluate_inputs(tmp_path, {"0": 1, "1": 0, "2": 0}),
+        "bench": lambda: ["bench"],
+    }[command]()
+    assert run(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: output directory {out}: {blocker} is not a directory\n"
+    )

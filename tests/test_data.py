@@ -251,6 +251,16 @@ class TestFileRoundTrip:
         assert all(i.ground_truth is None for i in again.instances)
         assert again == ds
 
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        ds = make_dataset()
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path, "csv")
+        # a blank line after the column header and after every row
+        comment, *lines = path.read_text().splitlines(keepends=True)
+        path.write_text(comment + "\n".join(lines) + "\n\n")
+        assert path.read_text().count("\n\n") == len(lines) == 4
+        assert load_dataset(path, "csv") == ds
+
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.sampled_from(["json", "csv"]))
     def test_round_trip_property(self, tmp_path_factory, data, format):

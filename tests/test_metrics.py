@@ -6,12 +6,13 @@ import pytest
 from labelbandit.classifiers import ClassifierSpec, TrainedModel, fit
 from labelbandit.data import Bag, Dataset, Instance, WeakLabel, generate_binary_mil
 from labelbandit.errors import EvaluationError, ParameterError, RegimeError
+from labelbandit import metrics
 from labelbandit.metrics import (
-    MetricsReport,
     bag_accuracy,
     collapse_negative,
     instance_accuracy,
     reward_trace_summary,
+    score_run,
 )
 
 
@@ -184,15 +185,48 @@ class TestRewardTrace:
 
 
 class TestReportSerialization:
+    """``score_run`` is what ``evaluate`` serializes (plus the reward trace)
+    and what ``bench`` records, so its dict is the report's shape."""
+
     def test_json_shape(self):
-        report = MetricsReport(
-            bag_accuracy=0.9,
-            instance_accuracy=0.8,
-            per_class_accuracy={0: 0.7, 1: 0.9},
-            inference_accuracy=0.85,
-            confusion=[[3, 1], [0, 4]],
-            reward_trace=[0.1, 0.2],
+        ds = generate_binary_mil(12, (2, 5), 0.5, 4, 6.0, seed=7)
+        truth = ds.ground_truth_map()
+        labels = {x: 1 - y if x % 3 == 0 else y for x, y in truth.items()}
+        model = constant_model(4, 1)
+        scores = score_run(ds, labels, model)
+        assert set(scores) == {
+            "inference_accuracy", "per_class_accuracy", "confusion",
+            "instance_accuracy", "bag_accuracy",
+        }
+        overall, per_class, confusion = instance_accuracy(labels, ds)
+        assert scores["inference_accuracy"] == overall
+        assert list(scores["per_class_accuracy"].items()) == [
+            (str(c), acc) for c, acc in per_class.items()
+        ]
+        assert list(scores["per_class_accuracy"]) == ["0", "1"]
+        assert scores["confusion"] == confusion
+        assert scores["instance_accuracy"] == instance_accuracy(model, ds)[0]
+        assert scores["bag_accuracy"] == bag_accuracy(model, ds)
+
+    def test_model_scores_are_none_without_a_model_or_outside_binary_mil(self):
+        ds = generate_binary_mil(8, (2, 4), 0.5, 3, 6.0, seed=8)
+        scores = score_run(ds, ds.ground_truth_map())
+        assert scores["inference_accuracy"] == 1.0
+        assert scores["instance_accuracy"] is None and scores["bag_accuracy"] is None
+        instances = [Instance(i, [float(i)], t) for i, t in enumerate([0, 1, 2, 1])]
+        bags = [Bag(0, [0, 1, 2, 3], WeakLabel.label_set({1, 2}))]
+        multi = Dataset(instances, bags, 3, "multiclass-mil")
+        model = TrainedModel(np.zeros((3, 2)), ClassifierSpec("softmax", 3))
+        scores = score_run(multi, {0: 0, 1: 1, 2: 2, 3: 1}, model)
+        assert scores["instance_accuracy"] == instance_accuracy(model, multi)[0]
+        assert scores["bag_accuracy"] is None
+
+    def test_dataset_is_predicted_once(self, monkeypatch):
+        ds = generate_binary_mil(8, (2, 4), 0.5, 3, 6.0, seed=9)
+        calls = []
+        predict = metrics.predict_arrays
+        monkeypatch.setattr(
+            metrics, "predict_arrays", lambda *a: calls.append(a) or predict(*a)
         )
-        doc = report.to_json_dict()
-        assert doc["per_class_accuracy"] == {"0": 0.7, "1": 0.9}
-        assert doc["confusion"] == [[3, 1], [0, 4]]
+        score_run(ds, ds.ground_truth_map(), oracle_model(ds))
+        assert len(calls) == 1

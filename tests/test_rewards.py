@@ -797,6 +797,32 @@ class TestRewardEnvironment:
                 dataset, train, heldout, ClassifierSpec("linear-svm", 2), RewardParams(k=3)
             )
 
+    def test_fixed_instance_outside_the_dataset_rejected(self):
+        dataset = generate_binary_mil(8, (3, 6), 0.5, 3, 6.0, seed=4)
+        with pytest.raises(ValidationError, match="fixed instance 9999 is not in the dataset"):
+            RewardEnvironment(
+                dataset, dataset.bags[:4], dataset.bags[4:], ClassifierSpec("linear-svm", 2),
+                RewardParams(k=3), fixed={9999: 1},
+            )
+
+    def test_fixed_label_outside_the_classes_rejected(self, monkeypatch):
+        """A held-out instance fixed to label 7 of a two-class spec is refused
+        at construction, not at the first fit."""
+        dataset = generate_binary_mil(8, (3, 6), 0.5, 3, 6.0, seed=4)
+        held_out = dataset.bags[4].instance_ids[0]
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a classifier was fitted")
+
+        monkeypatch.setattr(rewards, "fit", no_fit)
+        with pytest.raises(
+            ValidationError, match=rf"fixed label 7 of instance {held_out} lies outside \[0, 2\)"
+        ):
+            RewardEnvironment(
+                dataset, dataset.bags[:4], dataset.bags[4:], ClassifierSpec("linear-svm", 2),
+                RewardParams(k=3), fixed={held_out: 7},
+            )
+
     @pytest.mark.parametrize("off_by", [1, -1])
     def test_classifier_width_must_match_the_label_space(self, monkeypatch, off_by):
         """A spec one class wider or narrower than the dataset's classes plus

@@ -1,4 +1,4 @@
-"""Golden outputs: ``generate`` + ``infer`` on thirteen tiny configs, pinned by hash.
+"""Golden outputs: ``generate`` + ``infer`` on fifteen tiny configs, pinned by hash.
 
 A refactor or a speed-up must leave ``result.json`` and ``pull_log.ndjson``
 byte-identical. This test makes that rule executable: it compares their
@@ -116,6 +116,19 @@ CASES = {
         "bootstrap_passes": 2,
         "reward": {"k": 4, "alpha": 0.5, "num_negative_labels": 2},
     },
+    # a numeric tau in output space, with the second pass's extras in every fit
+    "binary-gap-output-tau-bootstrap": {
+        "regime": "binary-mil",
+        "generator": GENERATOR,
+        "bootstrap_passes": 2,
+        "reward": {"k": 3, "distgap_enabled": True, "distgap_space": "output", "tau": 0.5},
+    },
+    # the feature-space gap reads the k clamped to each fold's held-out pool
+    "binary-gap-features-k-above-pool": {
+        "regime": "binary-mil",
+        "generator": GENERATOR,
+        "reward": {"k": 60, "distgap_enabled": True, "distgap_space": "features"},
+    },
 }
 
 COMMON = {"rounds": 25, "folds": 3, "master_seed": 11}
@@ -172,6 +185,14 @@ GOLDEN = {
     "multiclass-bootstrap": {
         "result.json": "fc5e6d6f08dda9534cc2d164a8e9a865f8d87f27cd48c1a6017210d344f2f02a",
         "pull_log.ndjson": "e89ae55139c2acb6b5008de4fe3d28f8fe143e4c58213d62a59ae734c487ad30",
+    },
+    "binary-gap-output-tau-bootstrap": {
+        "result.json": "44bbe04aa683fbf64a8613a2282e9555542e752346eb3f9be01ed1fbc13a6c86",
+        "pull_log.ndjson": "e0161b7c1fae92bdf5898ab8968d4cd8473cbcc688098fb54177c978c18b98e2",
+    },
+    "binary-gap-features-k-above-pool": {
+        "result.json": "8bb0d53b54cde45f6f444019cc705adf542da722d4434d13fc03bceb6a10a6ec",
+        "pull_log.ndjson": "83eec42dfd38f918fb7659a67e683e3ee02ff23ee17b94afb8e89ebafac32678",
     },
 }
 

@@ -21,8 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import data, metrics, pipeline
-from .classifiers import load_model, save_model
-from .errors import ConfigError, EvaluationError, InferenceError, LabelBanditError, UsageError
+from .classifiers import model_from_json, save_model
+from .errors import (
+    ConfigError, EvaluationError, InferenceError, LabelBanditError, ParseError, UsageError,
+)
 from .rewards import RewardParams
 
 logger = logging.getLogger(__name__)
@@ -274,6 +276,19 @@ def _attach_ground_truth(dataset: data.Dataset, truth: dict[int, int]) -> data.D
     return data.Dataset(instances, list(dataset.bags), dataset.num_classes, dataset.regime)
 
 
+def _read_json(path, what: str, parse):
+    """``parse`` applied to a JSON file's document. A file that is not JSON,
+    or a document ``parse`` cannot read, is a ParseError naming the file."""
+    try:
+        return parse(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ParseError(f"{path}: malformed {what} file: {exc!r}") from exc
+
+
+def _int_map(doc: dict) -> dict[int, int]:
+    return {int(k): int(v) for k, v in doc.items()}
+
+
 def _mean_reward_trace(diagnostics: dict) -> list[float]:
     """Elementwise mean of the final pass's per-fold reward traces."""
     passes = diagnostics.get("passes", [])
@@ -295,18 +310,18 @@ def cmd_evaluate(args) -> int:
     out_dir = _output_dir(args.out or ".")
     dataset_path = Path(args.dataset)
     dataset = data.load_dataset(dataset_path, format=_dataset_format(dataset_path))
-    truth = {int(k): int(v) for k, v in json.loads(Path(args.ground_truth).read_text()).items()}
+    truth = _read_json(args.ground_truth, "ground truth", _int_map)
     dataset = _attach_ground_truth(dataset, truth)
-    result_doc = json.loads(Path(args.result).read_text())
-    labels = {int(k): int(v) for k, v in result_doc["labels"].items()}
-
-    model = load_model(args.model) if args.model else None
+    labels, trace = _read_json(args.result, "result", lambda doc: (
+        _int_map(doc["labels"]), _mean_reward_trace(doc.get("diagnostics", {}))
+    ))
+    model = _read_json(args.model, "model", model_from_json) if args.model else None
     report = metrics.score_run(dataset, labels, model)
-    report["reward_trace"] = _mean_reward_trace(result_doc.get("diagnostics", {}))
+    report["reward_trace"] = trace
 
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if args.trace_csv and report["reward_trace"]:
+    if args.trace_csv:
         lines = ["round,mean_reward"] + [
             f"{i},{v}" for i, v in enumerate(report["reward_trace"])
         ]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, ValidationError
+from .errors import ParameterError, ParseError, UsageError, ValidationError
 
 NEGATIVE_CLASS = 0
 
@@ -378,7 +378,9 @@ def load_dataset(path, format: str = "json") -> Dataset:
                     iids.append(int(inst_obj["id"]))
                 bags.append(Bag(int(bag_obj["id"]), iids, weak))
             return Dataset(instances, bags, int(doc["num_classes"]), str(doc["regime"]))
-        except (KeyError, TypeError) as exc:
+        except UsageError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: missing or malformed field: {exc}") from exc
 
     num_classes = None
@@ -392,7 +394,10 @@ def load_dataset(path, format: str = "json") -> Dataset:
             for token in first[1:].split():
                 key, _, val = token.partition("=")
                 if key == "num_classes":
-                    num_classes = int(val)
+                    try:
+                        num_classes = int(val)
+                    except ValueError as exc:
+                        raise ParseError(f"{path}: line 1: {exc}") from exc
                 elif key == "regime":
                     regime = val
             header_line = fh.readline()
@@ -430,7 +435,7 @@ def load_dataset(path, format: str = "json") -> Dataset:
         regime_of = {k: r for r, k in REGIME_LABEL_KIND.items()}
         regime = regime_of[kinds.pop()] if len(kinds) == 1 else "custom"
     if num_classes is None:
-        num_classes = max(2, max(b.weak_label.max_class_id() for b in bags) + 1)
+        num_classes = max(2, 1 + max((b.weak_label.max_class_id() for b in bags), default=0))
     return Dataset(instances, bags, num_classes, regime)
 
 

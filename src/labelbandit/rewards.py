@@ -8,13 +8,14 @@ the modelability gate: an instance whose assigned label the freshly trained
 classifier cannot reproduce on the training fold scores exactly 0.
 
 A ``RewardContext`` precomputes everything shared across instances for one
-evaluation (each held-out row's bag recall and precision, neighbour rows,
-normalized distance gaps) from the classifier's predictions, given as arrays
-row-aligned with ascending instance ids; the reward rules then score every
-training row at once from it. Its fixed half, the fold's ``HeldoutLayout``
-(the regime, the ids, and each held-out row's bag and each bag's weak label
-as arrays), is built once per fold; ``build_reward_context`` adds the
-per-pull half from the predictions, without a loop over bags.
+evaluation (each held-out row's bag recall and precision, neighbour rows)
+from the classifier's predictions, given as arrays row-aligned with
+ascending instance ids; the reward rules then score every training row at
+once from it. Its fixed half, the fold's ``HeldoutLayout`` (the regime, the
+ids, and each held-out row's bag and each bag's weak label as arrays), is
+built once per fold; ``build_reward_context`` adds the per-pull half from
+the predictions, without a loop over bags. The ``RewardEnvironment`` alone
+computes the distance-gap prior and scales the rules' rewards by it.
 """
 
 from __future__ import annotations
@@ -57,13 +58,16 @@ class RewardParams:
     negative class several interchangeable modes; None means the regime's
     default (``DEFAULT_NEGATIVE_LABELS``), which ``for_regime`` fills in.
 
-    tau=None calibrates tau to the median absolute raw gap of the first 100
-    training instances: a RewardEnvironment does so at construction in
-    feature space and on its first evaluation in output space.
+    tau=None calibrates tau once per fold, from the first gaps a
+    RewardEnvironment computes (at construction in feature space, on its
+    first evaluation in output space): the median absolute raw gap of the
+    first 100 training instances.
 
-    The distance gap applies to the MIL regimes only: the llp reward does not
-    read it, so a RewardEnvironment for llp rejects distgap_enabled. It
-    groups held-out bags by exact weak label: multi-class bags match only
+    The distance gap applies to the MIL regimes only, so a RewardEnvironment
+    for llp rejects distgap_enabled. The environment scales the regime's
+    reward by the gap for a positive label and by its complement for a
+    negative mode; a gated reward stays 0. The gap groups held-out bags by
+    exact weak label: multi-class bags match only
     when their label sets are identical. Every training bag's label needs a
     matching held-out bag and one that differs; a RewardEnvironment checks
     this at construction, in either space. Its raw gaps cost one
@@ -109,18 +113,16 @@ class RewardContext:
     """Per-evaluation tables read by the reward functions.
 
     ``layout`` is the fold's ``HeldoutLayout``, with the regime and negative
-    labels; the rest is built per pull from the predictions. ``train_labels``,
-    ``neighbor_rows`` and ``distgap_row`` follow ``layout.train_ids``. Row r
-    of the (n_train, k) array ``neighbor_rows`` holds the held-out rows
-    nearest training row r, in no specified order: where a regime has two
-    searches they order a row differently, so its rule must average a row to
-    the same bits in any order. Binary MIL's does, as its tables hold only 0
-    and 1; llp's proportion errors do not, which is why llp keeps one
-    search, the full output space. The held-out tables ``rec_row`` (the recall of each row's bag),
-    ``prec_row`` and ``proportion_error_row`` follow
-    ``layout.heldout_ids``. ``distgap_row`` holds each training row's
-    normalized distance gap ``eta(raw, tau)`` (empty when the gap is off),
-    and ``tau`` the scale it used, calibrated from the raw gaps when unset.
+    labels; the rest is built per pull from the predictions. ``train_labels``
+    and ``neighbor_rows`` follow ``layout.train_ids``. Row r of the
+    (n_train, k) array ``neighbor_rows`` holds the held-out rows nearest
+    training row r, in no specified order: where a regime has two searches
+    they order a row differently, so its rule must average a row to the same
+    bits in any order. Binary MIL's does, as its tables hold only 0 and 1;
+    llp's proportion errors do not, which is why llp keeps one search, the
+    full output space. The held-out tables ``rec_row`` (the recall of each
+    row's bag), ``prec_row`` and ``proportion_error_row`` follow
+    ``layout.heldout_ids``.
     """
 
     layout: HeldoutLayout
@@ -129,8 +131,6 @@ class RewardContext:
     rec_row: np.ndarray
     prec_row: np.ndarray
     proportion_error_row: np.ndarray
-    distgap_row: np.ndarray
-    tau: float | None
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +167,6 @@ def _mil_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
     return _gate(assigned, ctx, _gated_base(ctx, params))
 
 
-def _distgap_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
-    """Base reward scaled by the distance gap for positive assignments and by
-    its complement for negative-mode assignments; the gate is unchanged."""
-    gap, base = ctx.distgap_row, _gated_base(ctx, params)
-    table = ctx.layout.negative_table
-    negative = table[np.minimum(assigned, table.shape[0] - 1)]
-    return _gate(assigned, ctx, np.where(negative, (1.0 - gap) * base, gap * base))
-
-
 def _llp_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
     """Worked example of a user-defined regime for proportion-labelled bags:
     one minus the mean absolute error between each neighbouring bag's labelled
@@ -185,13 +176,11 @@ def _llp_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
 
 
 def _regime_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
-    """Dispatch on the layout's regime and the distance-gap flag. The layout
-    holds a built-in regime (``heldout_layout`` checks it), so anything but
-    llp is one of the two MIL regimes."""
+    """Dispatch on the layout's regime. The layout holds a built-in regime
+    (``heldout_layout`` checks it), so anything but llp is one of the two
+    MIL regimes."""
     if ctx.layout.regime == "llp":
         return _llp_rule(assigned, ctx, params)
-    if params.distgap_enabled:
-        return _distgap_rule(assigned, ctx, params)
     return _mil_rule(assigned, ctx, params)
 
 
@@ -277,11 +266,18 @@ def _check_distgap_groups(table: DistgapTable, train_ids: list[int], train_bag_i
         )
 
 
-def calibrate_tau(raw_distgap: np.ndarray) -> float:
-    """Median absolute raw gap over the first 100 training rows (1 if 0), from
-    the gaps row-aligned with the ascending training ids."""
-    median = float(np.median(np.abs(raw_distgap[:100])))
-    return median if median > 0 else 1.0
+def _distgap_rows(
+    train_points: np.ndarray, heldout_points: np.ndarray, table: DistgapTable, k: int, tau
+) -> tuple[np.ndarray, float]:
+    """Each training row's normalized distance gap ``eta(raw, tau)``,
+    row-aligned, and the tau it used. An unset tau is calibrated from these
+    raw gaps: their median absolute value over the first 100 training rows
+    (1 if 0)."""
+    raw = raw_distance_gaps(train_points, heldout_points, table, k)
+    if tau is None:
+        median = float(np.median(np.abs(raw[:100])))
+        tau = median if median > 0 else 1.0
+    return eta(raw, tau), tau
 
 
 # ---------------------------------------------------------------------------
@@ -483,11 +479,7 @@ def _mirrored(embeddings: np.ndarray) -> bool:
 
 
 def build_reward_context(
-    params: RewardParams,
-    predictions,
-    layout: HeldoutLayout,
-    raw_distgap: np.ndarray | None = None,
-    tau: float | None = None,
+    params: RewardParams, predictions, layout: HeldoutLayout
 ) -> RewardContext:
     """Build the per-evaluation tables of one reward evaluation.
 
@@ -507,15 +499,9 @@ def build_reward_context(
       (``nearest_indices_1d``), ties to the lower id among a window of 2k
       candidates around the query, which need not hold the lowest tied id.
 
-    ``layout`` is the fold's
-    ``HeldoutLayout`` for those ids, which also names the regime; k is
-    clamped to the held-out pool without a word (a RewardEnvironment warns
-    once, at construction).
-    In output space the raw gaps are computed here from the embeddings by
-    ``raw_distance_gaps`` over the layout's ``DistgapTable``. In feature
-    space they do not depend on the classifier, so the caller computes them
-    once and passes them as ``raw_distgap``, row-aligned with the training
-    ids. With ``tau`` None it is calibrated from these raw gaps.
+    ``layout`` is the fold's ``HeldoutLayout`` for those ids, which also
+    names the regime; k is clamped to the held-out pool without a word (a
+    RewardEnvironment warns once, at construction).
     """
     (tr_ids, tr_labels, tr_emb), (ho_ids, ho_labels, ho_emb) = predictions
     if layout.train_ids != tr_ids or layout.heldout_ids != ho_ids:
@@ -536,19 +522,6 @@ def build_reward_context(
         neighbor_rows = _full_space_neighbors(tr_emb, ho_emb, k)
 
     rec_row, prec_row, proportion_error_row = _bag_tables(layout, ho_labels)
-
-    distgap_row = np.empty(0)
-    if params.distgap_enabled:
-        if params.distgap_space == "output":
-            if layout.distgap is None:
-                raise ParameterError("distance gap needs train_bag_index (instance -> bag)")
-            raw_distgap = raw_distance_gaps(tr_emb, ho_emb, layout.distgap, k)
-        elif raw_distgap is None or np.shape(raw_distgap) != (len(tr_ids),):
-            raise ParameterError("distgap_space='features' needs raw_distgap, one per training row")
-        if tau is None:
-            tau = calibrate_tau(raw_distgap)
-        distgap_row = eta(raw_distgap, tau)
-
     return RewardContext(
         layout=layout,
         train_labels=tr_labels,
@@ -556,8 +529,6 @@ def build_reward_context(
         rec_row=rec_row,
         prec_row=prec_row,
         proportion_error_row=proportion_error_row,
-        distgap_row=distgap_row,
-        tau=tau,
     )
 
 
@@ -582,18 +553,22 @@ class RewardEnvironment:
     the ``HeldoutLayout`` (held-out bags in the given order), and the
     bootstrap extras: the ``fixed`` labels of instances outside the training
     bags, in ascending id order, stacked under the fold's fit matrix; and, in
-    feature space, the distance gaps (with tau=None's calibration). A k above
-    the held-out pool is clamped, with one warning per environment.
+    feature space, the distance gaps. A k above the held-out pool is clamped,
+    with one warning per environment.
 
     A labelling is scored by fitting the classifier on (fold features and
     extras, labelling and extra labels) with a fresh seed drawn from its rng
     (the only source of reward noise), predicting the fold and the held-out
-    set, building a RewardContext, and scoring every training instance.
-    Labels in and float64 rewards out are arrays row-aligned with
-    ``train_ids``. A call takes one labelling with one rng, or a batch of
-    labellings with one rng each: the batch's members are fitted together by
-    one stacked ``fit``, then scored one by one in batch order, each exactly
-    as a call of its own would score it.
+    set, building a RewardContext, and scoring every training instance by
+    the regime's rule. With the distance gap on, each reward is multiplied by
+    its row's gap, or by one minus it at a negative mode (a gated 0 stays 0);
+    in output space the gaps come from each labelling's embeddings, and the
+    tau the first gaps calibrate (``params.tau`` None) is kept. Labels in
+    and float64 rewards out are arrays row-aligned with ``train_ids``. A call
+    takes one labelling with one rng, or a batch of labellings with one rng
+    each: the batch's members are fitted together by one stacked ``fit``,
+    then scored one by one in batch order, each exactly as a call of its own
+    would score it.
     """
 
     def __init__(
@@ -656,17 +631,14 @@ class RewardEnvironment:
             extra_features = np.stack([index[x].features for x in extra_ids])
             self._fit_features = np.vstack([self.train_features, extra_features])
             self._extra_labels = np.array([fixed[x] for x in extra_ids], dtype=np.intp)
-        self._tau = params.tau
-        self._raw_distgap = None
-        k = min(params.k, len(self.heldout_ids))
+        self._k = k = min(params.k, len(self.heldout_ids))
         if k < params.k:
             logger.warning("k=%d exceeds the held-out pool size %d; clamping", params.k, k)
+        self._tau, self._gap_rows = params.tau, None
         if params.distgap_enabled and params.distgap_space == "features":
-            self._raw_distgap = raw_distance_gaps(
-                self.train_features, self.heldout_features, self.layout.distgap, k
+            self._gap_rows, self._tau = _distgap_rows(
+                self.train_features, self.heldout_features, self.layout.distgap, k, self._tau
             )
-            if self._tau is None:
-                self._tau = calibrate_tau(self._raw_distgap)
 
     def evaluate(self, labels, rng) -> np.ndarray:
         """Rewards of one labelling (n,) scored with one generator, or of a
@@ -694,16 +666,18 @@ class RewardEnvironment:
         context are freed on return, before the next member's are built."""
         train_labels, train_emb = predict_arrays(model, self.train_features)
         ho_labels, ho_emb = predict_arrays(model, self.heldout_features)
+        gap, layout = self._gap_rows, self.layout
+        if self.params.distgap_enabled and gap is None:
+            gap, self._tau = _distgap_rows(train_emb, ho_emb, layout.distgap, self._k, self._tau)
         ctx = build_reward_context(
             self.params,
             ((self.train_ids, train_labels, train_emb), (self.heldout_ids, ho_labels, ho_emb)),
-            self.layout,
-            raw_distgap=self._raw_distgap,
-            tau=self._tau,
+            layout,
         )
-        if self._tau is None and ctx.tau is not None:
-            self._tau = ctx.tau  # output space: calibrated once, on the first evaluation
         rewards = _regime_rule(labels, ctx, self.params)
+        if gap is not None:
+            table = layout.negative_table
+            rewards *= np.where(table[np.minimum(labels, table.shape[0] - 1)], 1.0 - gap, gap)
         bounded = (rewards >= 0.0) & (rewards <= 1.0)
         if not bounded.all():
             row = int(np.argmin(bounded))

@@ -1,10 +1,14 @@
 """Test helpers for reward contexts: a context built straight from held-out
-bags, row-aligned prediction arrays, the definitional recall/precision forms
-the vectorized context tables must match, the reward rules and context
-columns read one training instance at a time, the per-instance loop form of
-the rewards the vectorized rules must match, and the per-instance loop form
-of the raw distance gaps the vectorized ``rewards.raw_distance_gaps`` must
-match bit for bit.
+bags, the distance-gap rows a ``RewardEnvironment`` applies to it,
+row-aligned prediction arrays, the definitional recall/precision forms the
+vectorized context tables must match, the reward rules and context columns
+read one training instance at a time, the per-instance loop form of the
+rewards the environment must match, and the per-instance loop form of the
+raw distance gaps the vectorized ``rewards.raw_distance_gaps`` must match
+bit for bit.
+
+A distance-gap argument ``gaps`` is the rows ``rewards._distgap_rows``
+returned for the context's training rows, None when the gap is off.
 
 The ``rec_*``/``prec_*``/``proportion_error`` oracles read predicted labels from an
 ``{instance id: label}`` map and bags from an ``{instance id: bag}`` map. A
@@ -34,31 +38,80 @@ def context(
     return rewards.build_reward_context(params, predictions, layout)
 
 
+def output_gaps(params, predictions, ctx):
+    """The output-space distance-gap rows a RewardEnvironment applies to a
+    context built from ``predictions``, and the tau they used:
+    ``rewards._distgap_rows`` on the embeddings, k clamped to the pool."""
+    (_, _, train_embeddings), (heldout_ids, _, heldout_embeddings) = predictions
+    k = min(params.k, len(heldout_ids))
+    return rewards._distgap_rows(
+        train_embeddings, heldout_embeddings, ctx.layout.distgap, k, params.tau
+    )
+
+
+def record_scoring(monkeypatch):
+    """Record every context a RewardEnvironment builds, with the gap rows it
+    applies to that member's rewards (None with the gap off), in scoring
+    order. Wraps ``rewards.build_reward_context`` and
+    ``rewards._distgap_rows``: a context pairs with the rows computed last
+    before it, at the environment's construction in feature space and just
+    before the context in output space."""
+    scored, latest = [], [None]
+    build, gap_rows = rewards.build_reward_context, rewards._distgap_rows
+
+    def recording_gaps(*args):
+        latest[0], tau = gap_rows(*args)
+        return latest[0], tau
+
+    def recording_context(*args, **kwargs):
+        scored.append((build(*args, **kwargs), latest[0]))
+        return scored[-1][0]
+
+    monkeypatch.setattr(rewards, "_distgap_rows", recording_gaps)
+    monkeypatch.setattr(rewards, "build_reward_context", recording_context)
+    return scored
+
+
 def row_of(instance_id, ctx):
     """A training instance's row in the context's arrays."""
     return ctx.layout.train_ids.index(instance_id)
 
 
-def one_row(rule):
-    """A vectorized reward rule as (instance_id, assigned, ctx, params) -> float:
-    every training row is assigned ``assigned``, and the instance's row is read."""
+def gap_factor(assigned, ctx, gaps):
+    """What the distance-gap prior scales a reward by, per training row: the
+    gap for a positive label, its complement for a negative mode."""
+    negative = np.isin(assigned, list(negative_modes(ctx.layout)))
+    return np.where(negative, 1.0 - gaps, gaps)
 
-    def reward(instance_id, assigned, ctx, params):
+
+def scaled_rule(assigned, ctx, params, gaps=None):
+    """The regime rule's rewards, scaled by the distance-gap rows ``gaps`` as
+    a RewardEnvironment scales them."""
+    values = rewards._regime_rule(assigned, ctx, params)
+    return values if gaps is None else values * gap_factor(assigned, ctx, gaps)
+
+
+def one_row(rule):
+    """A vectorized reward rule as (instance_id, assigned, ctx, params, ...)
+    -> float: every training row is assigned ``assigned``, and the instance's
+    row is read. Further arguments go to the rule."""
+
+    def reward(instance_id, assigned, ctx, params, *rest):
         assigned_rows = np.full(len(ctx.layout.train_ids), assigned)
-        return float(rule(assigned_rows, ctx, params)[row_of(instance_id, ctx)])
+        return float(rule(assigned_rows, ctx, params, *rest)[row_of(instance_id, ctx)])
 
     return reward
 
 
 mil_reward = one_row(rewards._mil_rule)
-distgap_augmented_reward = one_row(rewards._distgap_rule)
 llp_example_reward = one_row(rewards._llp_rule)
-reward_for = one_row(rewards._regime_rule)
+reward_for = one_row(scaled_rule)
 
 
-def distgap(instance_id, ctx):
-    """The normalized distance gap of a training instance."""
-    return float(ctx.distgap_row[row_of(instance_id, ctx)])
+def distgap(instance_id, ctx, gaps):
+    """The normalized distance gap of a training instance, from the rows
+    applied to the context."""
+    return float(gaps[row_of(instance_id, ctx)])
 
 
 def predicted_label(instance_id, ctx):
@@ -163,10 +216,10 @@ def loop_distance_gaps(
     return raw
 
 
-def reward_oracle(instance_id, assigned, ctx, params):
+def reward_oracle(instance_id, assigned, ctx, params, gaps=None):
     """One instance's built-in reward, one neighbour row at a time: the gate,
     then the llp error or the gated recall/precision base, scaled by the
-    distance gap when it is on."""
+    applied distance-gap rows ``gaps`` when the gap is on."""
     row = row_of(instance_id, ctx)
     if assigned != int(ctx.train_labels[row]):
         return 0.0
@@ -179,7 +232,7 @@ def reward_oracle(instance_id, assigned, ctx, params):
         value += (1.0 - params.gamma) * mean_prec
     if not params.distgap_enabled:
         return value
-    gap = float(ctx.distgap_row[row])
+    gap = float(gaps[row])
     return (1.0 - gap) * value if assigned in negative_modes(ctx.layout) else gap * value
 
 

@@ -16,6 +16,7 @@ from reward_helpers import (
     distgap,
     mil_reward,
     mirrored,
+    output_gaps,
     predicted_label,
     predictions,
     reward_for,
@@ -180,14 +181,15 @@ def _random_fuzz_context(rng, regime, params, num_classes=4):
     train_bags = {
         x: Bag(50 + x, [x], bags[int(rng.integers(len(bags)))].weak_label) for x in range(n_train)
     }
+    folds = (predictions(range(n_train), train_emb), predictions(held_ids, held_emb))
     ctx = context(
-        regime, params,
-        (predictions(range(n_train), train_emb), predictions(held_ids, held_emb)), bags,
-        train_bag_index=train_bags, negative_labels=negatives,
+        regime, params, folds, bags, train_bag_index=train_bags, negative_labels=negatives,
     )
+    # the output-space gap rows a RewardEnvironment applies; None with the gap off
+    gaps = output_gaps(params, folds, ctx)[0] if params.distgap_enabled else None
     label_pool = list(negatives) + list(range(1, num_classes))
     assignment = {x: int(rng.choice(label_pool)) for x in range(n_train)}
-    return ctx, assignment
+    return ctx, assignment, gaps
 
 
 def test_04_rewards_bounded_and_gated():
@@ -201,9 +203,9 @@ def test_04_rewards_bounded_and_gated():
     checked = 0
     for regime, params in regimes:
         for _ in range(1000):
-            ctx, assignment = _random_fuzz_context(rng, regime, params)
+            ctx, assignment, gaps = _random_fuzz_context(rng, regime, params)
             for x, assigned in assignment.items():
-                reward = reward_for(x, assigned, ctx, params)
+                reward = reward_for(x, assigned, ctx, params, gaps)
                 assert 0.0 <= reward <= 1.0, (regime, reward)
                 if assigned != predicted_label(x, ctx):
                     assert reward == 0.0, (regime, "gate violated")
@@ -387,9 +389,9 @@ def test_09_distance_gap_properties():
     rng = np.random.default_rng(909)
     params = RewardParams(k=3, distgap_enabled=True)
     for _ in range(200):
-        ctx, _ = _random_fuzz_context(rng, "binary-mil", params)
+        ctx, _, gaps = _random_fuzz_context(rng, "binary-mil", params)
         for x in ctx.layout.train_ids:
-            assert 0.0 <= distgap(x, ctx) <= 1.0
+            assert 0.0 <= distgap(x, ctx, gaps) <= 1.0
 
     # planted clusters: positive-bag members gather in one region, negative-bag
     # members in another; all probe instances sit in positive bags, but only
@@ -410,13 +412,11 @@ def test_09_distance_gap_properties():
         train_d.append(clustered(positive))
         train_bags[x] = Bag(90 + x, [x], WeakLabel.binary(1))
         truth[x] = positive
-    ctx = context(
-        "binary-mil", params,
-        (predictions(range(20), mirrored(train_d)), predictions(held_ids, mirrored(held_d))),
-        bags, train_bag_index=train_bags,
-    )
-    positive_mean = np.mean([distgap(x, ctx) for x, t in truth.items() if t])
-    negative_mean = np.mean([distgap(x, ctx) for x, t in truth.items() if not t])
+    folds = (predictions(range(20), mirrored(train_d)), predictions(held_ids, mirrored(held_d)))
+    ctx = context("binary-mil", params, folds, bags, train_bag_index=train_bags)
+    gaps, _ = output_gaps(params, folds, ctx)
+    positive_mean = np.mean([distgap(x, ctx, gaps) for x, t in truth.items() if t])
+    negative_mean = np.mean([distgap(x, ctx, gaps) for x, t in truth.items() if not t])
     _criterion(
         9, "distance gap properties", positive_mean > negative_mean,
         f"planted means {positive_mean:.3f} > {negative_mean:.3f}, eta(0)=0.5 exact",

@@ -530,6 +530,47 @@ class TestEvaluate:
             index, value = row.split(",")
             assert int(index) == i and float(value) == trace[i]
 
+    def test_trace_csv_is_written_for_an_empty_reward_trace(
+        self, binary_workspace, tmp_path, capsys
+    ):
+        truth = json.loads((binary_workspace / "dataset.groundtruth.json").read_text())
+        result_path = write(tmp_path / "result.json",
+                            json.dumps({"labels": truth, "diagnostics": {}}))
+        out = tmp_path / "eval"
+        assert run(
+            ["evaluate", "--dataset", binary_workspace / "dataset.json",
+             "--result", result_path, "--ground-truth",
+             binary_workspace / "dataset.groundtruth.json", "--out", out, "--trace-csv"]
+        ) == 0
+        assert json.loads((out / "report.json").read_text())["reward_trace"] == []
+        assert (out / "trace.csv").read_text() == "round,mean_reward\n"
+
+    @pytest.mark.parametrize(
+        "flag, text, problem",
+        [
+            ("--result", '{"labels": ', "JSONDecodeError"),
+            ("--result", "{}", "KeyError('labels')"),
+            ("--ground-truth", "[1, 2]", "AttributeError"),
+            ("--model", '{"kind": "linear-svm"}', "KeyError('num_classes')"),
+            ("--model", '{"kind": "linear-svm", "num_classes": 2, "weights": [1.0]}',
+             "finite 2-d matrix"),
+        ],
+        ids=["result-truncated", "result-without-labels", "truth-a-list", "model-without-classes",
+             "model-weights-1d"],
+    )
+    def test_malformed_input_file_exits_two_naming_it(self, tmp_path, capsys, flag, text, problem):
+        argv = evaluate_inputs(tmp_path, {"0": 1, "1": 0, "2": 0})
+        bad = write(tmp_path / "bad.json", text)
+        if flag == "--model":
+            argv += ["--model", bad]
+        else:
+            argv[argv.index(flag) + 1] = bad
+        assert run(argv + ["--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: malformed ") and err.count("\n") == 1
+        assert problem in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_inputs_exit_two(self, tmp_path, capsys):
         code = run(
             ["evaluate", "--dataset", tmp_path / "none.json", "--result", tmp_path / "r.json",
@@ -765,6 +806,7 @@ USAGE_FAILURES = {
         infer_on_csv("0,0,1,,0.5\n1,0,1,,x\n"),
         "dataset.csv: line 3: could not convert string to float: 'x'",
     ),
+    "csv-header-only": (infer_on_csv(""), "dataset has no instances"),
     "csv-bag-with-two-weak-labels": (
         infer_on_csv("0,0,1,,0.5\n1,0,0,,1.5\n"),
         "line 3: bag 0 carries conflicting weak labels '1' and '0'",
@@ -772,6 +814,17 @@ USAGE_FAILURES = {
     "json-missing-field": (
         infer_on_json(lambda d: d.pop("num_classes")),
         "dataset.json: missing or malformed field: 'num_classes'",
+    ),
+    "json-num-classes-a-word": (
+        infer_on_json(lambda d: d.update(num_classes="two")),
+        "dataset.json: missing or malformed field: invalid literal for int() with base 10: 'two'",
+    ),
+    "csv-header-num-classes-a-word": (
+        lambda tmp: ["infer", "--out", tmp / "out", "--dataset", write(
+            tmp / "dataset.csv",
+            "# num_classes=two\ninstance_id,bag_id,weak_label,ground_truth,f0\n0,0,1,,0.5\n",
+        )],
+        "dataset.csv: line 1: invalid literal for int() with base 10: 'two'",
     ),
     "json-malformed-weak-label": (
         infer_on_json(lambda d: d["bags"][0].update(weak_label=[1])),

@@ -1,6 +1,9 @@
 """Dataset model, file round-trips, and synthetic generators."""
 
+import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from labelbandit.data import (
     strip_ground_truth,
     with_proportion_labels,
 )
-from labelbandit.errors import ParameterError, ParseError, ValidationError
+from labelbandit.errors import ParameterError, ParseError, UsageError, ValidationError
 
 
 def class_means(pool: list[Instance]) -> dict[int, np.ndarray]:
@@ -275,6 +278,71 @@ class TestFileRoundTrip:
         ]
         assert [b.weak_label.kind for b in again.bags] == [b.weak_label.kind for b in dataset.bags]
 
+    @pytest.mark.parametrize(
+        "format, edit, bad",
+        [
+            ("json", lambda doc: doc.update(num_classes="two"), "'two'"),
+            ("json", lambda doc: doc["bags"][0]["instances"][0].update(id="x"), "'x'"),
+            ("json", lambda doc: doc["bags"][0]["instances"][0].update(features=["a"]), "'a'"),
+            ("json", lambda doc: doc["bags"][0].update(
+                weak_label={"kind": "label_set", "value": ["a"]}), "'a'"),
+            ("json", lambda doc: doc["bags"][0].update(
+                weak_label={"kind": "proportion", "value": "x"}), "'x'"),
+            ("csv", "# num_classes=two regime=binary-mil\n", "'two'"),
+        ],
+        ids=["num-classes", "instance-id", "feature", "label-set", "proportion", "csv-header"],
+    )
+    def test_malformed_value_is_a_parse_error_naming_the_file(self, tmp_path, format, edit, bad):
+        path = tmp_path / f"ds.{format}"
+        save_dataset(make_dataset(), path, format)
+        if format == "json":
+            doc = json.loads(path.read_text())
+            edit(doc)
+            path.write_text(json.dumps(doc))
+        else:
+            path.write_text(edit + path.read_text().split("\n", 1)[1])
+        with pytest.raises(ParseError, match=re.escape(str(path)) + f".*{bad}"):
+            load_dataset(path, format)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.sampled_from(["json", "csv"]))
+    def test_one_value_replaced_by_a_string_loads_or_is_a_usage_error(
+        self, tmp_path_factory, data, format
+    ):
+        """Any one value of a saved file (in JSON any node, containers too; in
+        CSV a header value or a cell) replaced by a string either loads or
+        raises a UsageError, never another exception."""
+        path = tmp_path_factory.getbasetemp() / f"one-string.{format}"
+        save_dataset(data.draw(datasets()), path, format)
+        text = st.text(max_size=4) | st.sampled_from(["x", "two", "", "1", "0.5", "1;a", "-1"])
+        if format == "json":
+            doc = json.loads(path.read_text())
+            nodes = list(json_nodes(doc))
+            parent, key = data.draw(st.sampled_from(nodes))
+            parent[key] = data.draw(text)
+            path.write_text(json.dumps(doc))
+        else:
+            comment, *rows = path.read_text().splitlines()
+            tokens = comment[1:].split()
+            cells = [(None, t) for t in range(len(tokens))]
+            cells += [(r, c) for r in range(1, len(rows)) for c in range(len(rows[r].split(",")))]
+            row, col = data.draw(st.sampled_from(cells))
+            value = data.draw(text.filter(lambda v: "\n" not in v and "\r" not in v))
+            if row is None:
+                tokens[col] = tokens[col].partition("=")[0] + "=" + value
+                comment = "# " + " ".join(tokens)
+            else:
+                parsed = next(csv.reader([rows[row]]))
+                parsed[col] = value
+                buffer = io.StringIO()
+                csv.writer(buffer, lineterminator="").writerow(parsed)
+                rows[row] = buffer.getvalue()
+            path.write_text("\n".join([comment, *rows]) + "\n")
+        try:
+            load_dataset(path, format)
+        except UsageError:
+            pass
+
     def test_generator_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_dataset(generate_binary_mil(8, (2, 4), 0.5, 3, 5.0, 7), a)
@@ -390,6 +458,15 @@ class TestGroundTruthHandling:
         assert llp.regime == "llp"
         assert llp.bags[0].weak_label.value == 0.5
         assert llp.bags[1].weak_label.value == 0.0
+
+
+def json_nodes(node):
+    """(container, key) of every value below a JSON document's root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from json_nodes(value)
 
 
 # awkward finite floats: signed zero, subnormals, the extremes of the range

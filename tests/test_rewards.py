@@ -13,12 +13,12 @@ from hypothesis.extra import numpy as hnp
 from reward_helpers import (
     context,
     distgap,
-    distgap_augmented_reward,
     llp_example_reward,
     loop_distance_gaps,
     mil_reward,
     mirrored,
     negative_modes,
+    output_gaps,
     prec_binary,
     prec_multiclass,
     predicted_label,
@@ -26,8 +26,10 @@ from reward_helpers import (
     proportion_error,
     rec_binary,
     rec_multiclass,
+    record_scoring,
     reward_for,
     reward_oracle,
+    scaled_rule,
 )
 
 from labelbandit import rewards
@@ -341,16 +343,21 @@ class TestMirroredNeighbours:
         )
         train = predictions(train_ids, mirrored(train_d))
         held = predictions(range(100, 100 + len(held_d)), mirrored(held_d))
-        ctx = build_reward_context(
-            params, (train, held), layout, raw_distgap=train_d if gap == "features" else None
-        )
+        ctx = build_reward_context(params, (train, held), layout)
+        gaps = None
+        if gap == "features":
+            gaps, _ = rewards._distgap_rows(
+                train_d[:, None], held_d[:, None], layout.distgap, min(k, len(held_d)), None
+            )
+        elif gap == "output":
+            gaps, _ = output_gaps(params, (train, held), ctx)
         full = replace(ctx, neighbor_rows=rewards._full_space_neighbors(train[2], held[2], k))
         # the neighbour rows' order differs between the two searches: the
         # means over them are exact only because these tables hold 0 and 1
         assert set(ctx.rec_row.tolist()) <= {0.0, 1.0}
         assert set(ctx.prec_row.tolist()) <= {0.0, 1.0}
-        got = rewards._regime_rule(assigned, ctx, params)
-        assert got.tobytes() == rewards._regime_rule(assigned, full, params).tobytes()
+        got = scaled_rule(assigned, ctx, params, gaps)
+        assert got.tobytes() == scaled_rule(assigned, full, params, gaps).tobytes()
 
     @pytest.fixture
     def full_space_calls(self, monkeypatch):
@@ -490,36 +497,57 @@ class TestDistanceGap:
         return folds, bags, train_bags, truths
 
     def build_planted_context(self, params):
+        """The planted context, the output-space gap rows applied to it, their
+        tau, and each training instance's truth."""
         folds, bags, train_bags, truths = self.planted()
         ctx = context("binary-mil", params, folds, bags, train_bag_index=train_bags)
-        return ctx, truths
+        gaps, tau = output_gaps(params, folds, ctx)
+        return ctx, gaps, tau, truths
 
     def test_planted_positives_have_larger_gap(self):
         params = RewardParams(k=2, distgap_enabled=True)
-        ctx, truths = self.build_planted_context(params)
-        positives = [distgap(x, ctx) for x, t in truths.items() if t]
-        negatives = [distgap(x, ctx) for x, t in truths.items() if not t]
+        ctx, gaps, _, truths = self.build_planted_context(params)
+        positives = [distgap(x, ctx, gaps) for x, t in truths.items() if t]
+        negatives = [distgap(x, ctx, gaps) for x, t in truths.items() if not t]
         assert np.mean(positives) > np.mean(negatives)
         assert all(0.0 <= v <= 1.0 for v in positives + negatives)
 
-    def test_augmented_reward_arithmetic(self):
-        params = RewardParams(k=2, distgap_enabled=True, alpha=0.0, gamma=0.5)
-        ctx, _ = self.build_planted_context(params)
-        for x in (0, 7):
-            assigned = predicted_label(x, ctx)
-            base_params = RewardParams(k=2, alpha=0.0, gamma=0.5)
-            base = mil_reward(x, assigned, ctx, base_params)
-            gap = distgap(x, ctx)
-            expected = gap * base if assigned == 1 else (1 - gap) * base
-            assert distgap_augmented_reward(x, assigned, ctx, params) == pytest.approx(expected)
-            assert distgap_augmented_reward(x, 1 - assigned, ctx, params) == 0.0
+    def test_augmented_reward_arithmetic(self, monkeypatch):
+        """In either space, the environment's rewards are the gated base times
+        the gap for a positive label and times its complement for the
+        negative one."""
+        dataset = generate_binary_mil(14, (3, 6), 0.5, 3, 6.0, seed=5)
+        scored = record_scoring(monkeypatch)
+        base_params = RewardParams(k=2, alpha=0.0, gamma=0.5)
+        for space in ("features", "output"):
+            params = replace(base_params, distgap_enabled=True, distgap_space=space)
+            env = RewardEnvironment(
+                dataset, dataset.bags[:5], dataset.bags[5:], ClassifierSpec("linear-svm", 2),
+                params,
+            )
+            assigned = np.random.default_rng(2).integers(0, 2, size=len(env.train_ids))
+            values = env(assigned, np.random.default_rng(0))
+            ctx, gaps = scored[-1]
+            counts = {"kept": 0, "gated": 0}
+            for x, label, value in zip(env.train_ids, assigned.tolist(), values.tolist()):
+                if label != predicted_label(x, ctx):
+                    assert value == 0.0
+                    counts["gated"] += 1
+                    continue
+                base = mil_reward(x, label, ctx, base_params)
+                gap = distgap(x, ctx, gaps)
+                expected = gap * base if label == 1 else (1 - gap) * base
+                assert value == pytest.approx(expected)
+                counts["kept"] += 1
+            assert counts["kept"] > 0 and counts["gated"] > 0, (space, counts)
+        assert len(scored) == 2
 
     def test_tau_calibration_median(self):
         params = RewardParams(k=2, distgap_enabled=True)
-        ctx, _ = self.build_planted_context(params)
+        _, _, tau, _ = self.build_planted_context(params)
         ((train_ids, _, train_emb), (held_ids, _, held_emb)), bags, train_bags, _ = self.planted()
         raw = loop_distance_gaps(train_ids, train_emb, held_ids, held_emb, bags, train_bags, k=2)
-        assert ctx.tau == pytest.approx(float(np.median(np.abs(raw[:100]))))
+        assert tau == pytest.approx(float(np.median(np.abs(raw[:100]))))
 
 
 LABEL_SETS = [{1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3}, {1, 2, 3}]
@@ -896,15 +924,15 @@ class TestRewardEnvironment:
         def bag_features(bags):
             return [np.stack([index[i].features for i in bag.instance_ids]) for bag in bags]
 
-        assert env._raw_distgap.shape == (len(env.train_ids),)
+        tau = env._tau
+        assert tau is not None and tau > 0
+        assert env._gap_rows.shape == (len(env.train_ids),)
         for row, x in enumerate(env.train_ids):
             own = bag_of[x].weak_label
             same = bag_features([b for b in env.layout.bags if b.weak_label == own])
             other = bag_features([b for b in env.layout.bags if b.weak_label != own])
-            assert env._raw_distgap[row] == distance_gap(index[x].features, same, other, k=3)
-
-        tau = env._tau
-        assert tau is not None and tau > 0
+            raw = distance_gap(index[x].features, same, other, k=3)
+            assert env._gap_rows[row] == eta(raw, tau)
         env(truth, np.random.default_rng(0))
         env(truth, np.random.default_rng(1))
         assert env._tau == tau
@@ -958,12 +986,7 @@ class TestRewardEnvironment:
             dataset = generate_binary_mil(24, (3, 6), 0.5, 3, 6.0, seed=8)
             if regime == "llp":
                 dataset = with_proportion_labels(dataset)
-        contexts, scored = [], []
-        build, call = rewards.build_reward_context, RewardEnvironment.__call__
-
-        def building(*args, **kwargs):
-            contexts.append(build(*args, **kwargs))
-            return contexts[-1]
+        scored, call = [], RewardEnvironment.__call__
 
         def calling(env, labels, rngs):
             # one call scores a whole batch, one context per member in batch order
@@ -972,16 +995,17 @@ class TestRewardEnvironment:
                 scored.append((dict(zip(env.train_ids, member.tolist())), member_values))
             return values
 
-        monkeypatch.setattr(rewards, "build_reward_context", building)
+        contexts = record_scoring(monkeypatch)
         monkeypatch.setattr(RewardEnvironment, "__call__", calling)
         kfold_infer(dataset, InferenceConfig(
             regime=regime, rounds=4, batch_size=2, folds=2, master_seed=5, reward=params
         ))
         assert len(contexts) == len(scored) > 0
         checked = 0
-        for ctx, (assignment, values) in zip(contexts, scored):
+        for (ctx, gaps), (assignment, values) in zip(contexts, scored):
+            assert (gaps is None) == (not params.distgap_enabled)
             for (x, assigned), value in zip(assignment.items(), values.tolist()):
-                assert value == reward_oracle(x, assigned, ctx, params)  # bit for bit
+                assert value == reward_oracle(x, assigned, ctx, params, gaps)  # bit for bit
                 checked += value > 0.0
         assert checked > 0
 

@@ -111,90 +111,118 @@ def _svm_signs(labels: np.ndarray, spec: ClassifierSpec) -> np.ndarray:
 _GROUPING_CACHE: dict = {}
 
 
+def _run_or_ids(ids: list[int]):
+    """A slice when ``ids`` is a run of consecutive integers, else an index array."""
+    if ids and ids == list(range(ids[0], ids[-1] + 1)):
+        return slice(ids[0], ids[-1] + 1)
+    return np.array(ids, dtype=np.intp)
+
+
 def _grouping_arrays(grouping):
     """Fixed index tables per grouping, cached (groupings are few and reused):
-    the class -> group map, the singleton groups and their classes, the
-    larger groups with their classes, and the group and class ids as column
-    vectors for broadcasting against class-major (classes, rows) scores."""
+    the class -> group map; the singleton groups and their classes, each a
+    slice when they run consecutively; the larger groups with their classes;
+    and the larger groups' ids."""
     cached = _GROUPING_CACHE.get(grouping)
     if cached is None:
         num_classes = max(c for group in grouping for c in group) + 1
         group_of = np.empty(num_classes, dtype=np.intp)
         for gi, group in enumerate(grouping):
             group_of[list(group)] = gi
-        single_gis = np.array([gi for gi, g in enumerate(grouping) if len(g) == 1], dtype=np.intp)
-        single_cols = np.array([g[0] for g in grouping if len(g) == 1], dtype=np.intp)
+        single_gis = _run_or_ids([gi for gi, g in enumerate(grouping) if len(g) == 1])
+        single_cols = _run_or_ids([g[0] for g in grouping if len(g) == 1])
         multis = [(gi, g) for gi, g in enumerate(grouping) if len(g) > 1]
-        group_ids = np.arange(len(grouping))[:, None]
-        class_ids = np.arange(num_classes)[:, None]
-        cached = (group_of, single_gis, single_cols, multis, group_ids, class_ids)
+        multi_gis = np.array([gi for gi, _ in multis], dtype=np.intp)
+        cached = (group_of, single_gis, single_cols, multis, multi_gis)
         _GROUPING_CACHE[grouping] = cached
     return cached
 
 
-def _group_max_scores(zt: np.ndarray, grouping):
-    """Per-group score maxima and the attaining class (lowest id on ties), each
-    (groups, rows), from class-major scores ``zt`` (classes, rows)."""
-    _, single_gis, single_cols, multis, _, _ = _grouping_arrays(grouping)
+def _group_max_scores(zt: np.ndarray, grouping, receiver=None) -> np.ndarray:
+    """Per-group score maxima, (groups, rows), from class-major scores ``zt``
+    (classes, rows). Given a (groups, rows) ``receiver``, each larger
+    group's row of it gets the attaining class (lowest id on ties); its
+    singleton rows are left as they are."""
+    _, single_gis, single_cols, multis, _ = _grouping_arrays(grouping)
     group_max = np.empty((len(grouping), zt.shape[1]))
-    argmax_class = np.empty(group_max.shape, dtype=np.intp)
     group_max[single_gis] = zt[single_cols]
-    argmax_class[single_gis] = single_cols[:, None]
     for gi, (first, *rest) in multis:
-        best, winner = zt[first], first
+        best = group_max[gi]
+        best[...] = zt[first]
+        if receiver is not None:
+            receiver[gi] = first
         for c in rest:
-            better = zt[c] > best  # strict: ties keep the lower class id
-            best = np.where(better, zt[c], best)
-            winner = np.where(better, c, winner)
-        group_max[gi], argmax_class[gi] = best, winner
-    return group_max, argmax_class
+            better = np.greater(zt[c], best)  # strict: ties keep the lower class id
+            np.copyto(best, zt[c], where=better)
+            if receiver is not None:
+                np.copyto(receiver[gi], c, where=better)
+    return group_max
 
 
-def _competing_set(z: np.ndarray, labels: np.ndarray, grouping):
+def _competing_set(z: np.ndarray, labels: np.ndarray, grouping, receiver=None):
     """Each target's competing set, class-major: its own score in its group's
-    slot and the strongest score of every other group.
+    slot and the strongest score of every other group, from (rows, classes)
+    scores ``z``; ``receiver`` is passed on to ``_group_max_scores``.
 
-    Returns the (groups, rows) target-group mask, the target scores, the
-    set's max, the set's exponentials against it and their sum, and each
-    group's attaining class. Stabilizing by the max of the set (rather than
-    the row max, which may hide inside the target's own group) keeps the
-    denominator bounded away from zero.
+    Returns the set's exponentials against its max, (groups, rows), their
+    sum, the target slots as flat indices into that array, the target
+    scores and the max. The target scores go into their slots by one flat
+    put. Stabilizing by the max of the set (rather than the row max, which
+    may hide inside the target's own group) keeps the denominator bounded
+    away from zero. numpy adds rows one after another, but sums a
+    contiguous run of 8 or more terms pairwise; so below 8 groups the sum
+    runs over axis 0, and from 8 on over contiguous (rows, groups) rows,
+    which gives the row-major bits at every group count.
     """
-    group_of, *_, group_ids, _ = _grouping_arrays(grouping)
+    group_of = _grouping_arrays(grouping)[0]
     zt = np.ascontiguousarray(z.T)
-    group_max, argmax_class = _group_max_scores(zt, grouping)
-    is_target = group_of[labels] == group_ids
-    target = zt[labels, np.arange(zt.shape[1])]
-    competing = np.where(is_target, target, group_max)
-    peak = competing.max(axis=0)
-    exp_set = np.exp(competing - peak)
-    # numpy sums a contiguous run of 8 or more terms pairwise but adds rows
-    # one after another; summing contiguous (rows, groups) rows keeps the
-    # row-major bits at every group count
-    denom = np.ascontiguousarray(exp_set.T).sum(axis=1)
-    return is_target, target, peak, exp_set, denom, argmax_class
+    rows = np.arange(z.shape[0])
+    exp_set = _group_max_scores(zt, grouping, receiver)
+    slots = group_of[labels] * z.shape[0] + rows
+    target = zt.ravel()[labels * z.shape[0] + rows]
+    exp_set.ravel()[slots] = target
+    peak = exp_set.max(axis=0)
+    np.exp(np.subtract(exp_set, peak, out=exp_set), out=exp_set)
+    if len(grouping) < 8:
+        denom = exp_set.sum(axis=0)
+    else:
+        denom = np.ascontiguousarray(exp_set.T).sum(axis=1)
+    return exp_set, denom, slots, target, peak
 
 
 def _cooperative_log_sigma(z: np.ndarray, labels: np.ndarray, grouping) -> np.ndarray:
     """Per-sample log sigma of the target class."""
-    _, target, peak, _, denom, _ = _competing_set(z, labels, grouping)
+    _, denom, _, target, peak = _competing_set(z, labels, grouping)
     return (target - peak) - np.log(denom)
 
 
 def _cooperative_nll_dz(z: np.ndarray, labels: np.ndarray, grouping) -> np.ndarray:
-    """d(-log sigma_target)/dz per sample; the non-smooth in-denominator max
-    contributes through its attaining term only (lowest class id on ties).
+    """d(-log sigma_target)/dz per sample, (rows, classes); the non-smooth
+    in-denominator max contributes through its attaining term only (lowest
+    class id on ties).
 
     Each group's weight lands on one class: the target's group gives its
     weight minus one to the target, every other group its weight to its
-    attaining class; all other classes get zero.
+    attaining class; all other classes get zero. The weights are the
+    competing set's exponentials divided in place, less 1 at the target
+    slots. ``dz`` starts from zeros: singleton classes take their group's
+    weight through one slice, and the larger groups' receivers (attaining
+    class, or the target in the target's group) theirs by one flat put.
     """
-    group_of, *_, class_ids = _grouping_arrays(grouping)
-    is_target, _, _, exp_set, denom, argmax_class = _competing_set(z, labels, grouping)
-    weight = exp_set / denom - is_target  # r - 1 rounds exactly as -(1 - r)
-    receiver = np.where(is_target, labels, argmax_class)
-    dzt = np.where(receiver[group_of] == class_ids, weight[group_of], 0.0)
-    return np.ascontiguousarray(dzt.T)
+    _, single_gis, single_cols, _, multi_gis = _grouping_arrays(grouping)
+    num_rows, num_classes = z.shape
+    receiver = np.empty((len(grouping), num_rows), dtype=np.intp)
+    weight, denom, slots, _, _ = _competing_set(z, labels, grouping, receiver)
+    np.divide(weight, denom, out=weight)
+    flat_weight = weight.ravel()
+    flat_weight[slots] -= 1.0  # r - 1 rounds exactly as -(1 - r)
+    dz = np.zeros((num_rows, num_classes))
+    dz[:, single_cols] = weight[single_gis].T
+    if multi_gis.size:
+        receiver.ravel()[slots] = labels
+        cells = receiver[multi_gis] + np.arange(0, dz.size, num_classes)
+        dz.ravel()[cells] = weight[multi_gis]
+    return dz
 
 
 def _cooperative_sigma(z: np.ndarray, grouping) -> np.ndarray:
@@ -211,16 +239,17 @@ def _cooperative_sigma(z: np.ndarray, grouping) -> np.ndarray:
     A class's own group enters as -inf before the exp, never as an
     overflowing exponent zeroed after it.
     """
-    group_of, *_, group_ids, _ = _grouping_arrays(grouping)
+    group_of = _grouping_arrays(grouping)[0]
     zt = z.T.copy()
-    group_max, _ = _group_max_scores(zt, grouping)
+    group_max = _group_max_scores(zt, grouping)
     # strongest and second-strongest group max (equal when groups tie)
-    top, second = group_max[0], np.full(zt.shape[1], -np.inf)
+    top, second = group_max[0].copy(), np.full(zt.shape[1], -np.inf)
+    lower = np.empty_like(top)
     for g_max in group_max[1:]:
-        second = np.maximum(second, np.minimum(top, g_max))
-        top = np.maximum(top, g_max)
+        np.maximum(second, np.minimum(top, g_max, out=lower), out=second)
+        np.maximum(top, g_max, out=top)
     # strongest group max when class i's own group is excluded
-    peak = np.where(group_max[group_of] == top, second, top)
+    peak = np.where(group_max == top, second, top)[group_of]
     np.maximum(zt, peak, out=peak)
     own = np.exp(np.subtract(zt, peak, out=zt), out=zt)
     if len(grouping) < 8:
@@ -233,10 +262,11 @@ def _cooperative_sigma(z: np.ndarray, grouping) -> np.ndarray:
     else:
         # C order keeps the group axis contiguous, so each sum runs along it
         exponents = np.subtract(group_max.T, peak[:, :, None], order="C")
-        np.copyto(exponents, -np.inf, where=(group_of == group_ids).T[:, None, :])
+        own_group = group_of[:, None, None] == np.arange(len(grouping))
+        np.copyto(exponents, -np.inf, where=own_group)
         rest = np.exp(exponents, out=exponents).sum(axis=2)
     rest += own
-    return np.divide(own, rest, out=rest).T.copy()
+    return np.divide(own.T, rest.T, out=np.empty(z.shape))
 
 
 def cooperative_objective(weights, features, labels, grouping) -> float:
@@ -570,7 +600,3 @@ def model_from_json(doc: dict) -> TrainedModel:
 
 def save_model(model: TrainedModel, path) -> None:
     Path(path).write_text(json.dumps(model_to_json(model)) + "\n")
-
-
-def load_model(path) -> TrainedModel:
-    return model_from_json(json.loads(Path(path).read_text()))

@@ -1,5 +1,6 @@
 """Linear classifiers: training, prediction, gradients, and kNN search."""
 
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -26,7 +27,6 @@ from labelbandit.classifiers import (
     cooperative_objective,
     fit,
     initial_weights,
-    load_model,
     model_from_json,
     model_to_json,
     nearest_indices,
@@ -193,13 +193,40 @@ class TestStackedFit:
         # up to 12 groups: numpy sums 8 or more terms pairwise
         num_classes = data.draw(st.integers(2, 12))
         grouping = random_grouping(data.draw, num_classes)
-        rows = data.draw(st.integers(1, 20))
         # a few distinct values make score ties within groups common
-        values = st.sampled_from([-2.0, 0.0, 0.5, 3.0]) | st.floats(-30.0, 30.0)
-        z = data.draw(hnp.arrays(np.float64, (rows, num_classes), elements=values))
-        labels = data.draw(hnp.arrays(np.intp, rows, elements=st.integers(0, num_classes - 1)))
+        tie_values = [-2.0, 0.0, 0.5, 3.0]
+        rows = data.draw(st.integers(1, 20) | st.integers(21, 600))
+        if rows <= 20:
+            values = st.sampled_from(tie_values) | st.floats(-30.0, 30.0)
+            z = data.draw(hnp.arrays(np.float64, (rows, num_classes), elements=values))
+            labels = data.draw(
+                hnp.arrays(np.intp, rows, elements=st.integers(0, num_classes - 1))
+            )
+        else:
+            # minibatch-sized steps, as a stacked fit of a few members takes
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            shape = (rows, num_classes)
+            z = np.where(rng.random(shape) < 0.3, rng.choice(tie_values, shape),
+                         rng.uniform(-30.0, 30.0, shape))
+            labels = rng.integers(0, num_classes, rows)
         expected = cooperative_nll_dz_add_at(z, labels, grouping)
         assert _cooperative_nll_dz(z, labels, grouping).tobytes() == expected.tobytes()
+
+    def test_scale_shaped_members_equal_loop_fits(self):
+        """Four members at the benchmark's multi-class shape: one three-class
+        group, five singletons, and a last minibatch shorter than the rest."""
+        grouping = ((0, 6, 7), (1,), (2,), (3,), (4,), (5,))
+        spec = ClassifierSpec(
+            "cooperative-softmax", 8, grouping=grouping, epochs=10, batch_size=128
+        )
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(700, 2)) * 3.0
+        labels = rng.integers(0, 8, size=(4, 700))
+        seeds = [11, 12, 13, 14]
+        stacked = fit(spec, X, labels, seed=seeds)
+        for b, model in enumerate(stacked):
+            reference = loop_fit(spec, X, labels[b], seed=seeds[b])
+            assert model.weights.tobytes() == reference.tobytes()
 
 
 def grouping_of_size(draw, num_groups):
@@ -524,7 +551,7 @@ class TestSerialization:
         model = fit(ClassifierSpec("cooperative-softmax", 3, grouping=grouping), X, y)
         path = tmp_path / "model.json"
         save_model(model, path)
-        again = load_model(path)
+        again = model_from_json(json.loads(path.read_text()))
         assert again.spec.kind == "cooperative-softmax"
         assert again.spec.grouping == grouping
         assert np.array_equal(again.weights, model.weights)

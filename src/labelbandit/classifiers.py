@@ -111,26 +111,18 @@ def _svm_signs(labels: np.ndarray, spec: ClassifierSpec) -> np.ndarray:
 _GROUPING_CACHE: dict = {}
 
 
-def _run_or_ids(ids: list[int]):
-    """A slice when ``ids`` is a run of consecutive integers, else an index array."""
-    if ids and ids == list(range(ids[0], ids[-1] + 1)):
-        return slice(ids[0], ids[-1] + 1)
-    return np.array(ids, dtype=np.intp)
-
-
 def _grouping_arrays(grouping):
     """Fixed index tables per grouping, cached (groupings are few and reused):
-    the class -> group map; the singleton groups and their classes, each a
-    slice when they run consecutively; the larger groups with their classes;
-    and the larger groups' ids."""
+    the class -> group map, the singleton groups and their classes, the
+    larger groups with their classes, and the larger groups' ids."""
     cached = _GROUPING_CACHE.get(grouping)
     if cached is None:
         num_classes = max(c for group in grouping for c in group) + 1
         group_of = np.empty(num_classes, dtype=np.intp)
         for gi, group in enumerate(grouping):
             group_of[list(group)] = gi
-        single_gis = _run_or_ids([gi for gi, g in enumerate(grouping) if len(g) == 1])
-        single_cols = _run_or_ids([g[0] for g in grouping if len(g) == 1])
+        single_gis = np.array([gi for gi, g in enumerate(grouping) if len(g) == 1], dtype=np.intp)
+        single_cols = np.array([g[0] for g in grouping if len(g) == 1], dtype=np.intp)
         multis = [(gi, g) for gi, g in enumerate(grouping) if len(g) > 1]
         multi_gis = np.array([gi for gi, _ in multis], dtype=np.intp)
         cached = (group_of, single_gis, single_cols, multis, multi_gis)
@@ -169,10 +161,10 @@ def _competing_set(z: np.ndarray, labels: np.ndarray, grouping, receiver=None):
     scores and the max. The target scores go into their slots by one flat
     put. Stabilizing by the max of the set (rather than the row max, which
     may hide inside the target's own group) keeps the denominator bounded
-    away from zero. numpy adds rows one after another, but sums a
-    contiguous run of 8 or more terms pairwise; so below 8 groups the sum
-    runs over axis 0, and from 8 on over contiguous (rows, groups) rows,
-    which gives the row-major bits at every group count.
+    away from zero. The denominator sums each row's groups as one
+    contiguous run, the order the row-major form sums them in (left to
+    right below 8 terms, pairwise from 8 on), so the bits match it at
+    every group count.
     """
     group_of = _grouping_arrays(grouping)[0]
     zt = np.ascontiguousarray(z.T)
@@ -183,10 +175,7 @@ def _competing_set(z: np.ndarray, labels: np.ndarray, grouping, receiver=None):
     exp_set.ravel()[slots] = target
     peak = exp_set.max(axis=0)
     np.exp(np.subtract(exp_set, peak, out=exp_set), out=exp_set)
-    if len(grouping) < 8:
-        denom = exp_set.sum(axis=0)
-    else:
-        denom = np.ascontiguousarray(exp_set.T).sum(axis=1)
+    denom = np.ascontiguousarray(exp_set.T).sum(axis=1)
     return exp_set, denom, slots, target, peak
 
 
@@ -243,13 +232,12 @@ def _cooperative_sigma(z: np.ndarray, grouping) -> np.ndarray:
     zt = z.T.copy()
     group_max = _group_max_scores(zt, grouping)
     # strongest and second-strongest group max (equal when groups tie)
-    top, second = group_max[0].copy(), np.full(zt.shape[1], -np.inf)
-    lower = np.empty_like(top)
+    top, second = group_max[0], np.full(zt.shape[1], -np.inf)
     for g_max in group_max[1:]:
-        np.maximum(second, np.minimum(top, g_max, out=lower), out=second)
-        np.maximum(top, g_max, out=top)
+        second = np.maximum(second, np.minimum(top, g_max))
+        top = np.maximum(top, g_max)
     # strongest group max when class i's own group is excluded
-    peak = np.where(group_max == top, second, top)[group_of]
+    peak = np.where(group_max[group_of] == top, second, top)
     np.maximum(zt, peak, out=peak)
     own = np.exp(np.subtract(zt, peak, out=zt), out=zt)
     if len(grouping) < 8:
@@ -266,7 +254,7 @@ def _cooperative_sigma(z: np.ndarray, grouping) -> np.ndarray:
         np.copyto(exponents, -np.inf, where=own_group)
         rest = np.exp(exponents, out=exponents).sum(axis=2)
     rest += own
-    return np.divide(own.T, rest.T, out=np.empty(z.shape))
+    return np.divide(own, rest, out=rest).T.copy()
 
 
 def cooperative_objective(weights, features, labels, grouping) -> float:

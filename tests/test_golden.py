@@ -1,4 +1,4 @@
-"""Golden outputs: ``generate`` + ``infer`` on fifteen tiny configs, pinned by hash.
+"""Golden outputs: ``generate`` + ``infer`` on seventeen tiny configs, pinned by hash.
 
 A refactor or a speed-up must leave ``result.json`` and ``pull_log.ndjson``
 byte-identical. This test makes that rule executable: it compares their
@@ -6,10 +6,17 @@ sha256 with the values recorded before the last such change (numpy 2.4.6,
 CPython 3.11, x86-64). A change that moves results on purpose re-baselines
 here, by updating the hashes in the same change and saying so in a
 CHANGES.md line; any other mismatch is a regression.
+
+``PYTHONPATH=src python tests/test_golden.py`` prints every case's current
+hashes in the layout of ``GOLDEN``, ready to paste over a re-baselined entry.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +136,25 @@ CASES = {
         "generator": GENERATOR,
         "reward": {"k": 60, "distgap_enabled": True, "distgap_space": "features"},
     },
+    # 10 feature columns: the gap's distances sum 8 or more squares
+    "binary-gap-features-wide": {
+        "regime": "binary-mil",
+        "generator": {**GENERATOR, "feature_dim": 10},
+        "reward": {"k": 3, "distgap_enabled": True, "distgap_space": "features"},
+    },
+    # 8 classifier outputs (3 classes and 5 negative modes), in output space
+    "multiclass-gap-output-wide": {
+        "regime": "multiclass-mil",
+        "generator": {**MULTICLASS_GENERATOR, "num_bags": 24},
+        "classifier": {"epochs": 5},
+        "reward": {
+            "k": 4,
+            "alpha": 0.5,
+            "num_negative_labels": 5,
+            "distgap_enabled": True,
+            "distgap_space": "output",
+        },
+    },
 }
 
 COMMON = {"rounds": 25, "folds": 3, "master_seed": 11}
@@ -194,6 +220,14 @@ GOLDEN = {
         "result.json": "8bb0d53b54cde45f6f444019cc705adf542da722d4434d13fc03bceb6a10a6ec",
         "pull_log.ndjson": "83eec42dfd38f918fb7659a67e683e3ee02ff23ee17b94afb8e89ebafac32678",
     },
+    "binary-gap-features-wide": {
+        "result.json": "19deb1dfa9495611194d445bbd27cf25dd34f3cc2c8fec91d0d2f625710045d5",
+        "pull_log.ndjson": "d631493783b7dd17bd25866170d9275a7c792f26325285fda0e840550f3ccd99",
+    },
+    "multiclass-gap-output-wide": {
+        "result.json": "2d644a551bafd6b3aee83470ce5763c6b615d5052e0469a5bd03c894b685c28b",
+        "pull_log.ndjson": "41153aa95322de4b9786394d5eb35a26cace9b1a9dd4d4c6f36266bc7ac38960",
+    },
 }
 
 
@@ -215,3 +249,15 @@ def test_outputs_match_recorded_hashes(tmp_path, capsys, name):
     hashes = output_hashes(tmp_path, CASES[name])
     capsys.readouterr()
     assert hashes == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            hashes = output_hashes(Path(tmp), CASES[name])
+        print(f'    "{name}": {{')
+        for file, digest in hashes.items():
+            print(f'        "{file}": "{digest}",')
+        print("    },")
+    print("}")

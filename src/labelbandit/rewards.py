@@ -194,13 +194,13 @@ def distance_gap(vector: np.ndarray, same_bag_points, other_bag_points, k: int) 
     """Raw gap of one point (``raw_distance_gaps`` is the all-rows form): mean
     distance to the k nearest members of each other-label bag minus the same
     quantity over same-label bags. Positive when the point sits close to bags
-    sharing its bag's label and far from the rest. Bags smaller than k
-    contribute the mean over all their members."""
+    sharing its bag's label and far from the rest. Bags smaller than k give the
+    mean over all their members. Distances are ``_pairwise_distances``'s."""
     if not same_bag_points or not other_bag_points:
         raise ParameterError("distance gap needs at least one same-label and one other-label bag")
 
     def mean_knn_distance(points: np.ndarray) -> float:
-        d = np.linalg.norm(points - vector, axis=1)
+        d = _pairwise_distances(vector[None], points)[0]
         kk = min(k, d.shape[0])
         return float(np.partition(d, kk - 1)[:kk].mean())
 
@@ -209,34 +209,27 @@ def distance_gap(vector: np.ndarray, same_bag_points, other_bag_points, k: int) 
     return float(other - same)
 
 
-# bounds block rows x held-out rows x width in ``raw_distance_gaps``
-_GAP_BLOCK_ELEMENTS = 2**15
-
-
 def raw_distance_gaps(
     train_points: np.ndarray, heldout_points: np.ndarray, table: DistgapTable, k: int
 ) -> np.ndarray:
     """``distance_gap`` of every training row, bit for bit, row-aligned.
 
-    Per block of training rows: the block's distances to the held-out rows by
-    ``np.linalg.norm``; per bag size, each bag's mean of its min(k, size)
-    nearest members; per label group, the other-label minus the same-label
-    mean. Every mean reduces a C-contiguous last axis, as the scalar form's
-    1-d means do. Memory stays bounded by the block, whatever the row count.
+    Per block of ``_distance_blocks`` (training rows to held-out rows): per
+    bag size, each bag's mean of its min(k, size) nearest members; per label
+    group, the other-label minus the same-label mean. Every mean reduces a
+    C-contiguous last axis, as the scalar form's 1-d means do. Memory stays
+    bounded by the block, whatever the row count.
     """
     raw = np.empty(train_points.shape[0])
     num_bags = sum(cols.size for cols, _ in table.size_groups)
-    step = max(1, _GAP_BLOCK_ELEMENTS // heldout_points.size)
-    for start in range(0, raw.shape[0], step):
-        block = train_points[start : start + step, None]
-        dist = np.linalg.norm(heldout_points[None] - block, axis=2)
+    for start, dist in _distance_blocks(train_points, heldout_points):
         bag_mean = np.empty((dist.shape[0], num_bags))
         for cols, members in table.size_groups:
             kk = min(k, members.shape[1])
             near = np.take(dist, members, axis=1)
             near.partition(kk - 1, axis=2)
             bag_mean[:, cols] = near[..., :kk].mean(axis=2)
-        train_group = table.train_group[start : start + step]
+        train_group = table.train_group[start : start + dist.shape[0]]
         for group, (same, other) in enumerate(table.label_groups):
             rows = np.flatnonzero(train_group == group)
             other_mean = np.take(bag_mean[rows], other, axis=1).mean(axis=1)
@@ -445,13 +438,13 @@ def _bag_tables(layout: HeldoutLayout, labels: np.ndarray):
     return rec_row, prec_row, proportion_error_row
 
 
-# bounds block rows x pool rows x width in ``_full_space_neighbors``
-_NEIGHBOR_BLOCK_ELEMENTS = 2**22
+# bounds query rows x pool rows of each block of ``_distance_blocks``
+_BLOCK_ELEMENTS = 2**16
 
 
 def _pairwise_distances(queries: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Euclidean distances, (nq, n_pool): the squared differences are added
-    into one array a column at a time, in column order, then square-rooted."""
+    """The reward path's Euclidean distances, (nq, n_pool): squared differences
+    added into zeros a column at a time, left to right, then square-rooted."""
     squared = np.zeros((queries.shape[0], pool.shape[0]))
     diff = np.empty_like(squared)
     for j in range(pool.shape[1]):
@@ -461,14 +454,19 @@ def _pairwise_distances(queries: np.ndarray, pool: np.ndarray) -> np.ndarray:
     return np.sqrt(squared, out=squared)
 
 
+def _distance_blocks(queries: np.ndarray, pool: np.ndarray):
+    """Each block's first query row and its ``_pairwise_distances`` to ``pool``;
+    a block is one query row, or as many as ``_BLOCK_ELEMENTS`` allows."""
+    step = max(1, _BLOCK_ELEMENTS // max(1, pool.shape[0]))
+    for start in range(0, queries.shape[0], step):
+        yield start, _pairwise_distances(queries[start : start + step], pool)
+
+
 def _full_space_neighbors(queries: np.ndarray, pool: np.ndarray, k: int) -> np.ndarray:
-    """Euclidean k-nearest rows of ``pool`` for each query, (nq, k), chunked
-    to bound memory."""
+    """Euclidean k-nearest rows of ``pool`` for each query, (nq, k), by block."""
     out = np.empty((queries.shape[0], min(k, pool.shape[0])), dtype=np.intp)
-    chunk = max(1, int(_NEIGHBOR_BLOCK_ELEMENTS // max(1, pool.shape[0] * pool.shape[1])))
-    for start in range(0, queries.shape[0], chunk):
-        d = _pairwise_distances(queries[start : start + chunk], pool)
-        out[start : start + chunk] = nearest_indices_rows(d, k)
+    for start, d in _distance_blocks(queries, pool):
+        out[start : start + d.shape[0]] = nearest_indices_rows(d, k)
     return out
 
 

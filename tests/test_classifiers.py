@@ -480,7 +480,7 @@ class TestNeighbourProperties:
         queries = data.draw(small_int_matrix((nq, dim), -3, 3))
         k = data.draw(st.integers(1, m + 1))
         block_rows = data.draw(st.integers(1, nq - 1))  # so the queries span several blocks
-        with mock.patch.object(rewards, "_NEIGHBOR_BLOCK_ELEMENTS", block_rows * m * dim):
+        with mock.patch.object(rewards, "_BLOCK_ELEMENTS", block_rows * m):
             found = rewards._full_space_neighbors(queries, pool, k)
         assert len(found) == nq
         for query, hits in zip(queries, found):

@@ -221,12 +221,12 @@ GOLDEN = {
         "pull_log.ndjson": "83eec42dfd38f918fb7659a67e683e3ee02ff23ee17b94afb8e89ebafac32678",
     },
     "binary-gap-features-wide": {
-        "result.json": "19deb1dfa9495611194d445bbd27cf25dd34f3cc2c8fec91d0d2f625710045d5",
-        "pull_log.ndjson": "d631493783b7dd17bd25866170d9275a7c792f26325285fda0e840550f3ccd99",
+        "result.json": "a40be9961341e59c758003d31a9927c1e5dbffca6fb82a2917e6f32443932c85",
+        "pull_log.ndjson": "991062e3ee6a0300b6302c9d5d4050017596a74fa3311acd11a0ffb7aa1de1c0",
     },
     "multiclass-gap-output-wide": {
-        "result.json": "2d644a551bafd6b3aee83470ce5763c6b615d5052e0469a5bd03c894b685c28b",
-        "pull_log.ndjson": "41153aa95322de4b9786394d5eb35a26cace9b1a9dd4d4c6f36266bc7ac38960",
+        "result.json": "97e1f3af82b19562cad8899d471d9973bf51d94c0a05f0bc0abb7a31bec3969f",
+        "pull_log.ndjson": "552e2340f3ec3180887aaf641bfe2eb3d09783ab659ecf5eb3d69c6a6e202953",
     },
 }
 

@@ -1,6 +1,8 @@
 """Reward regimes: recall/precision tables, gating, distance gap, environments."""
 
+import gc
 import logging
+import math
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -282,7 +284,7 @@ class TestFullSpaceDistances:
         queries = rng.normal(size=(23, width)) * 10.0 ** rng.uniform(-3, 3, size=(23, width))
         pool = rng.normal(size=(37, width)) * 10.0 ** rng.uniform(-3, 3, size=(37, width))
         # five queries per block: blocks of 5, 5, 5, 5 and 3 rows
-        monkeypatch.setattr(rewards, "_NEIGHBOR_BLOCK_ELEMENTS", 5 * 37 * width)
+        monkeypatch.setattr(rewards, "_BLOCK_ELEMENTS", 5 * 37)
         blocks = []
         distances = rewards._pairwise_distances
 
@@ -296,6 +298,22 @@ class TestFullSpaceDistances:
         assert [len(block) for block in blocks] == [5, 5, 5, 5, 3]
         assert np.vstack(blocks).tobytes() == expected.tobytes()
         assert np.array_equal(neighbors, nearest_indices_rows(expected, 4))
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_distances_sum_squares_left_to_right(self, width):
+        """Bit for bit at every width, against plain Python floats: each
+        column's squared difference added left to right to 0.0, then
+        ``math.sqrt``; coordinates span six decades."""
+        rng = np.random.default_rng(100 + width)
+        queries = rng.normal(size=(7, width)) * 10.0 ** rng.uniform(-3, 3, size=(7, width))
+        pool = rng.normal(size=(11, width)) * 10.0 ** rng.uniform(-3, 3, size=(11, width))
+        distances = rewards._pairwise_distances(queries, pool)
+        for i, query in enumerate(queries.tolist()):
+            for j, row in enumerate(pool.tolist()):
+                total = 0.0
+                for a, b in zip(query, row):
+                    total += (a - b) * (a - b)
+                assert distances[i, j] == math.sqrt(total), (i, j)
 
 
 @st.composite
@@ -597,7 +615,7 @@ def large_group_fold():
 
 class TestDistanceGapKernel:
     @settings(max_examples=400, deadline=None)
-    @given(gap_folds(), st.sampled_from([1, 64, 512, rewards._GAP_BLOCK_ELEMENTS]))
+    @given(gap_folds(), st.sampled_from([1, 64, 512, rewards._BLOCK_ELEMENTS]))
     @example(large_group_fold(), 64)
     def test_kernel_equals_per_instance_loop_bit_for_bit(self, fold, block_elements):
         # small block budgets split the training rows into blocks of 1 row up
@@ -613,7 +631,7 @@ class TestDistanceGapKernel:
                 rewards.heldout_layout(regime, train_ids, bags, frozenset({0}), 4, train_bags)
             return
         layout = rewards.heldout_layout(regime, train_ids, bags, frozenset({0}), 4, train_bags)
-        with mock.patch.object(rewards, "_GAP_BLOCK_ELEMENTS", block_elements):
+        with mock.patch.object(rewards, "_BLOCK_ELEMENTS", block_elements):
             raw = rewards.raw_distance_gaps(train_points, held_points, layout.distgap, k)
         assert raw.dtype == np.float64 and raw.tobytes() == expected.tobytes()
 
@@ -637,12 +655,17 @@ class TestDistanceGapKernel:
                 "binary-mil", train_ids, bags, frozenset({0}), 2, train_bags
             )
             train_points = rng.normal(size=(num_train, dim))
+            # the collector off, so that freeing other tests' garbage mid-trace
+            # cannot add to the kernel's peak
+            gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
                 rewards.raw_distance_gaps(train_points, held_points, layout.distgap, 5)
                 peaks[num_train] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+                gc.enable()
         assert peaks[300] < 4 * 300 * num_held * 8, peaks
         # 4x the rows adds only the 900 rows' gaps (8 bytes each) to the output
         assert peaks[1200] < peaks[300] + 900 * 8 + 4096, peaks

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -117,12 +118,17 @@ def new_bandit(label_sets: dict[int, list[int]]) -> BanditState:
         raise ParameterError("label_sets is empty")
     clean: dict[int, list[int]] = {}
     for x, labels in label_sets.items():
-        labels = [int(l) for l in labels]
+        try:
+            x, labels = operator.index(x), [operator.index(l) for l in labels]
+        except TypeError:
+            raise ParameterError(
+                f"instance {x!r} needs an integer id and integer labels, got {labels!r}"
+            ) from None
         if not labels:
             raise ParameterError(f"instance {x} has an empty label set")
         if len(set(labels)) != len(labels):
             raise ParameterError(f"instance {x} has duplicate labels {labels}")
-        clean[int(x)] = labels
+        clean[x] = labels
     ids = np.array(sorted(clean), dtype=np.int64)
     rows = [sorted(clean[x]) for x in ids.tolist()]
     width = max(map(len, rows))

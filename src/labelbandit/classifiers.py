@@ -358,7 +358,11 @@ def fit(
     ``fit(spec, features, labels[b], sample_weight[b], seed[b])``.
     """
     features = _check_features(features)
-    labels = np.asarray(labels, dtype=np.intp)
+    given = np.asarray(labels)
+    labels = given.astype(np.intp, copy=False)
+    if labels is not given and not np.array_equal(labels, given):
+        bad = given[labels != given][0].item()
+        raise ValidationError(f"label ids must be whole numbers; got {bad!r}")
     n = features.shape[0]
     if labels.ndim not in (1, 2) or labels.shape[-1] != n:
         raise ValidationError(f"labels shape {labels.shape} does not match {n} instances")

@@ -69,6 +69,19 @@ class TestNewBandit:
         with pytest.raises(ParameterError):
             new_bandit({0: []})
 
+    @pytest.mark.parametrize(
+        "label_sets, instance",
+        [({3.2: [0, 1], 3.7: [1.9, 0]}, "3.2"), ({3: [0, 1.0]}, "3"), ({"4": [0]}, "'4'")],
+    )
+    def test_non_integer_ids_and_labels_rejected(self, label_sets, instance):
+        with pytest.raises(ParameterError, match=f"instance {instance} needs an integer id"):
+            new_bandit(label_sets)
+
+    def test_numpy_integers_accepted(self):
+        state = new_bandit({np.int64(3): np.array([1, 0]), np.int32(1): [np.int8(2)]})
+        assert state.ids.tolist() == [1, 3]
+        assert state.labels.tolist() == [[2, 0], [0, 1]]
+
     def test_singletons_always_receive_their_label(self):
         state = new_bandit({0: [4], 1: [0, 1]})
         rng = np.random.default_rng(0)

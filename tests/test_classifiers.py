@@ -109,6 +109,16 @@ class TestFit:
         with pytest.raises(ValidationError):
             fit(ClassifierSpec("softmax", 2), np.ones((2, 1)), np.array([0, 5]))
 
+    def test_fractional_labels_rejected_whole_floats_accepted(self):
+        X = np.random.default_rng(6).normal(size=(6, 2))
+        spec = ClassifierSpec("softmax", 3)
+        with pytest.raises(ValidationError, match="whole numbers; got 0.5"):
+            fit(spec, X, [0.5, 1.7, 2.2, 0, 1, 2])
+        with pytest.raises(ValidationError, match="whole numbers; got 2.5"):
+            fit(spec, X, np.array([[0, 1, 2, 0, 1, 2], [0, 1, 2, 0, 1, 2.5]]), seed=[0, 1])
+        whole = fit(spec, X, [0.0, 1.0, 2.0, 0.0, 1.0, 2.0])
+        assert np.array_equal(whole.weights, fit(spec, X, np.array([0, 1, 2, 0, 1, 2])).weights)
+
     def test_sample_weight_zero_freezes_instance_influence(self):
         rng = np.random.default_rng(4)
         X, y = separable_data(rng, n=40)

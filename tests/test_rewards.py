@@ -818,6 +818,13 @@ class TestRewardEnvironment:
         with pytest.raises(ParameterError, match="one label per training instance"):
             env(truth[:-1], np.random.default_rng(0))
 
+    def test_fractional_labels_rejected(self):
+        env, truth = self.build_environment(seed=4)
+        labels = truth.astype(np.float64)
+        labels[2] = 0.5
+        with pytest.raises(ValidationError, match="whole numbers; got 0.5"):
+            env(labels, np.random.default_rng(0))
+
     def test_bag_both_trained_and_held_out_rejected(self, monkeypatch):
         dataset = generate_binary_mil(14, (3, 6), 0.5, 3, 6.0, seed=4)
         shared = dataset.bags[4]

@@ -195,7 +195,7 @@ def distance_gap(vector: np.ndarray, same_bag_points, other_bag_points, k: int) 
     distance to the k nearest members of each other-label bag minus the same
     quantity over same-label bags. Positive when the point sits close to bags
     sharing its bag's label and far from the rest. Bags smaller than k give the
-    mean over all their members. Distances are ``_pairwise_distances``'s."""
+    mean over all their members. Distances come from ``_pairwise_distances``."""
     if not same_bag_points or not other_bag_points:
         raise ParameterError("distance gap needs at least one same-label and one other-label bag")
 

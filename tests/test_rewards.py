@@ -636,8 +636,9 @@ class TestDistanceGapKernel:
         assert raw.dtype == np.float64 and raw.tobytes() == expected.tobytes()
 
     def test_peak_memory_stays_flat_as_training_rows_grow(self):
-        # the kernel takes a block of training rows at a time: whole, the
-        # (train, held-out, d) difference array alone would be 8x the matrix
+        # the kernel takes a block of training rows at a time: whole, its
+        # distances, their column buffer and the bags' gathered copy would
+        # each be the full (train, held-out) matrix
         rng = np.random.default_rng(0)
         num_held, dim = 3000, 8
         bounds = np.cumsum(rng.integers(3, 11, size=num_held // 3))

@@ -1,4 +1,4 @@
-"""Golden outputs: ``generate`` + ``infer`` on seventeen tiny configs, pinned by hash.
+"""Golden outputs: ``generate`` + ``infer`` on eighteen tiny configs, pinned by hash.
 
 A refactor or a speed-up must leave ``result.json`` and ``pull_log.ndjson``
 byte-identical. This test makes that rule executable: it compares their
@@ -155,6 +155,21 @@ CASES = {
             "distgap_space": "output",
         },
     },
+    # 8 positive classes and the 3 negative modes: 9 cooperative groups, one of
+    # them multi-class, so the softmax's group sums run numpy's pairwise order;
+    # the output-space gap puts the scores' last bits into the rewards, and
+    # one-instance bags give every training label set a held-out bag
+    "multiclass-9-groups": {
+        "regime": "multiclass-mil",
+        "generator": {
+            **MULTICLASS_GENERATOR,
+            "num_bags": 40,
+            "bag_size": [1, 1],
+            "positive_classes": 8,
+        },
+        "classifier": {"epochs": 5},
+        "reward": {"k": 4, "alpha": 0.5, "distgap_enabled": True, "distgap_space": "output"},
+    },
 }
 
 COMMON = {"rounds": 25, "folds": 3, "master_seed": 11}
@@ -227,6 +242,10 @@ GOLDEN = {
     "multiclass-gap-output-wide": {
         "result.json": "97e1f3af82b19562cad8899d471d9973bf51d94c0a05f0bc0abb7a31bec3969f",
         "pull_log.ndjson": "552e2340f3ec3180887aaf641bfe2eb3d09783ab659ecf5eb3d69c6a6e202953",
+    },
+    "multiclass-9-groups": {
+        "result.json": "1f8ef008d77938c128a5cbd6812db85068323cafad1bfdf9a317168ef8aba1d7",
+        "pull_log.ndjson": "2dac266a4d8260b79ec879fd9a1ea5ce83112cb98d5044930a732102ba6d987b",
     },
 }
 

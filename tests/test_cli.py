@@ -471,6 +471,32 @@ class TestInfer:
         for iid, label in fixed.items():
             assert result["labels"][iid] == label
 
+    def test_diverging_cooperative_fit_exits_three_with_round_and_assignment(
+        self, tmp_path, capsys
+    ):
+        """Features are checked finite, so a non-finite score can only come
+        from weights a diverging fit drove past the float range. That step
+        overflows before any NaN score exists, and pytest turns the overflow's
+        RuntimeWarning into an error: the first pull fails with its context."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "regime": "multiclass-mil", "rounds": 5, "folds": 3, "master_seed": 11,
+            "generator": {"num_bags": 16, "bag_size": [3, 6], "feature_dim": 2,
+                          "positive_classes": 3, "per_class": 12},
+            "classifier": {"epochs": 5, "learning_rate": 1e300},
+        }))
+        gen, out = tmp_path / "gen", tmp_path / "run"
+        assert run(["generate", "--config", config, "--out", gen]) == 0
+        capsys.readouterr()
+        code = run(["infer", "--config", config, "--dataset", gen / "dataset.json", "--out", out])
+        assert code == 3
+        assert re.fullmatch(
+            r"error: reward environment failed at round 0, assignment [0-9a-f]{12}: "
+            r"overflow encountered in multiply\n",
+            capsys.readouterr().err,
+        )
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_ground_truth_against_itself_is_perfect(self, binary_workspace, tmp_path, capsys):

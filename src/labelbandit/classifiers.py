@@ -133,22 +133,54 @@ def _grouping_arrays(grouping):
 def _group_max_scores(zt: np.ndarray, grouping, receiver=None) -> np.ndarray:
     """Per-group score maxima, (groups, rows), from class-major scores ``zt``
     (classes, rows). Given a (groups, rows) ``receiver``, each larger
-    group's row of it gets the attaining class (lowest id on ties); its
-    singleton rows are left as they are."""
+    group's row of it gets the attaining class, the lowest id on ties; its
+    singleton rows are left as they are.
+
+    A larger group's maxima are one ``np.maximum`` chain over its classes,
+    and its receiver one equality compare per class, from the highest class
+    down. A NaN score makes its group's maximum NaN, as ``np.maximum``
+    propagates it; no class then compares equal, and the receiver is the
+    group's highest class. Features are checked finite, so a NaN score only
+    comes from weights a diverging fit drove past the float range.
+    """
     _, single_gis, single_cols, multis, _ = _grouping_arrays(grouping)
     group_max = np.empty((len(grouping), zt.shape[1]))
     group_max[single_gis] = zt[single_cols]
-    for gi, (first, *rest) in multis:
-        best = group_max[gi]
-        best[...] = zt[first]
+    for gi, group in multis:
+        best = np.maximum(zt[group[0]], zt[group[1]], out=group_max[gi])
+        for c in group[2:]:
+            np.maximum(best, zt[c], out=best)
         if receiver is not None:
-            receiver[gi] = first
-        for c in rest:
-            better = np.greater(zt[c], best)  # strict: ties keep the lower class id
-            np.copyto(best, zt[c], where=better)
-            if receiver is not None:
-                np.copyto(receiver[gi], c, where=better)
+            receiver[gi] = group[-1]
+            for c in group[-2::-1]:
+                np.putmask(receiver[gi], np.equal(zt[c], best), c)
     return group_max
+
+
+def _group_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum of a class-major stack of group terms over its leading axis, with
+    the bits numpy gives each row of the contiguous transpose, so no
+    transposed copy is made. Numpy sums fewer than 8 terms left to right,
+    as ``sum(axis=0)`` does here. From 8 terms on it sums pairwise: 8
+    accumulators over a block of at most 128 terms, combined as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the last n % 8 terms
+    one by one; above 128 terms, the two halves split at a multiple of 8
+    are summed alone and added."""
+    n = len(stack)
+    if n < 8:
+        return stack.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _group_sum(stack[:half]) + _group_sum(stack[half:])
+    tail = n - n % 8
+    acc = stack[:8]
+    for start in range(8, tail, 8):
+        acc = acc + stack[start : start + 8]
+    pairs = acc[0::2] + acc[1::2]
+    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for row in stack[tail:]:
+        total += row
+    return total
 
 
 def _competing_set(z: np.ndarray, labels: np.ndarray, grouping, receiver=None):
@@ -157,32 +189,21 @@ def _competing_set(z: np.ndarray, labels: np.ndarray, grouping, receiver=None):
     scores ``z``; ``receiver`` is passed on to ``_group_max_scores``.
 
     Returns the set's exponentials against its max, (groups, rows), their
-    sum, the target slots as flat indices into that array, the target
-    scores and the max. The target scores go into their slots by one flat
-    put. Stabilizing by the max of the set (rather than the row max, which
-    may hide inside the target's own group) keeps the denominator bounded
-    away from zero. The denominator sums each row's groups as one
-    contiguous run, the order the row-major form sums them in (left to
-    right below 8 terms, pairwise from 8 on), so the bits match it at
-    every group count.
+    sum by ``_group_sum`` (the bits of each row's groups summed as one
+    contiguous run) and the target slots as flat indices into the set. The
+    target scores go into their slots by one flat put. Stabilizing by the
+    max of the set (rather than the row max, which may hide inside the
+    target's own group) keeps the denominator bounded away from zero.
     """
     group_of = _grouping_arrays(grouping)[0]
     zt = np.ascontiguousarray(z.T)
     rows = np.arange(z.shape[0])
     exp_set = _group_max_scores(zt, grouping, receiver)
     slots = group_of[labels] * z.shape[0] + rows
-    target = zt.ravel()[labels * z.shape[0] + rows]
-    exp_set.ravel()[slots] = target
-    peak = exp_set.max(axis=0)
-    np.exp(np.subtract(exp_set, peak, out=exp_set), out=exp_set)
-    denom = np.ascontiguousarray(exp_set.T).sum(axis=1)
-    return exp_set, denom, slots, target, peak
-
-
-def _cooperative_log_sigma(z: np.ndarray, labels: np.ndarray, grouping) -> np.ndarray:
-    """Per-sample log sigma of the target class."""
-    _, denom, _, target, peak = _competing_set(z, labels, grouping)
-    return (target - peak) - np.log(denom)
+    exp_set.ravel()[slots] = zt.ravel()[labels * z.shape[0] + rows]
+    np.subtract(exp_set, exp_set.max(axis=0), out=exp_set)
+    np.exp(exp_set, out=exp_set)
+    return exp_set, _group_sum(exp_set), slots
 
 
 def _cooperative_nll_dz(z: np.ndarray, labels: np.ndarray, grouping) -> np.ndarray:
@@ -201,7 +222,7 @@ def _cooperative_nll_dz(z: np.ndarray, labels: np.ndarray, grouping) -> np.ndarr
     _, single_gis, single_cols, _, multi_gis = _grouping_arrays(grouping)
     num_rows, num_classes = z.shape
     receiver = np.empty((len(grouping), num_rows), dtype=np.intp)
-    weight, denom, slots, _, _ = _competing_set(z, labels, grouping, receiver)
+    weight, denom, slots = _competing_set(z, labels, grouping, receiver)
     np.divide(weight, denom, out=weight)
     flat_weight = weight.ravel()
     flat_weight[slots] -= 1.0  # r - 1 rounds exactly as -(1 - r)
@@ -214,19 +235,22 @@ def _cooperative_nll_dz(z: np.ndarray, labels: np.ndarray, grouping) -> np.ndarr
     return dz
 
 
+_SIGMA_BLOCK_ROWS = 500
+
+
 def _cooperative_sigma(z: np.ndarray, grouping) -> np.ndarray:
     """Cooperative scores for every class: exp(z_i) over exp(z_i) plus the
     strongest exponential of each group not containing i, computed with a
     per-class stabilizer so saturated scores stay finite.
 
-    Scores are handled class-major, (classes, rows). Below 8 groups each
-    group's exponentials are added into one (classes, rows) sum in group
-    order: numpy sums fewer than 8 contiguous terms left to right too, so
-    the result is bit-equal to summing a (classes, groups) block per row.
-    From 8 terms on numpy sums pairwise, in another order, so there that
-    (classes, rows, groups) array is built and summed along its group axis.
-    A class's own group enters as -inf before the exp, never as an
-    overflowing exponent zeroed after it.
+    Scores are handled class-major, (classes, rows). Every group's
+    exponentials against each class's stabilizer form a (groups, classes,
+    rows) stack, summed by ``_group_sum``: the bits of summing each
+    (classes, groups) block per row. Rows are independent, so the stack is
+    built for ``_SIGMA_BLOCK_ROWS`` rows at a time, which keeps it from
+    adding to peak memory at the fold sizes the rewards predict. A class's
+    own group enters as -inf before the exp, never as an overflowing
+    exponent zeroed after it.
     """
     group_of = _grouping_arrays(grouping)[0]
     zt = z.T.copy()
@@ -240,41 +264,15 @@ def _cooperative_sigma(z: np.ndarray, grouping) -> np.ndarray:
     peak = np.where(group_max[group_of] == top, second, top)
     np.maximum(zt, peak, out=peak)
     own = np.exp(np.subtract(zt, peak, out=zt), out=zt)
-    if len(grouping) < 8:
-        rest = np.zeros_like(zt)
-        exponent = np.empty_like(zt)
-        for g_max, cols in zip(group_max, grouping):
-            np.subtract(g_max, peak, out=exponent)
-            exponent[list(cols)] = -np.inf
-            rest += np.exp(exponent, out=exponent)
-    else:
-        # C order keeps the group axis contiguous, so each sum runs along it
-        exponents = np.subtract(group_max.T, peak[:, :, None], order="C")
-        own_group = group_of[:, None, None] == np.arange(len(grouping))
-        np.copyto(exponents, -np.inf, where=own_group)
-        rest = np.exp(exponents, out=exponents).sum(axis=2)
+    rest = np.empty_like(zt)
+    classes = np.arange(len(group_of))
+    for start in range(0, zt.shape[1], _SIGMA_BLOCK_ROWS):
+        part = slice(start, start + _SIGMA_BLOCK_ROWS)
+        exponents = np.subtract(group_max[:, None, part], peak[:, part])
+        exponents[group_of, classes] = -np.inf
+        rest[:, part] = _group_sum(np.exp(exponents, out=exponents))
     rest += own
     return np.divide(own, rest, out=rest).T.copy()
-
-
-def cooperative_objective(weights, features, labels, grouping) -> float:
-    """Mean log-score of the assigned labels under the cooperative softmax."""
-    features = _check_features(features)
-    xb = _with_bias(features)
-    z = xb @ np.asarray(weights).T
-    labels = np.asarray(labels, dtype=np.intp)
-    return float(np.mean(_cooperative_log_sigma(z, labels, grouping)))
-
-
-def cooperative_gradient(weights, features, labels, grouping) -> np.ndarray:
-    """Ascent (sub)gradient of ``cooperative_objective`` with respect to the weights."""
-    features = _check_features(features)
-    xb = _with_bias(features)
-    weights = np.asarray(weights, dtype=np.float64)
-    z = xb @ weights.T
-    labels = np.asarray(labels, dtype=np.intp)
-    dz = _cooperative_nll_dz(z, labels, grouping)
-    return -(dz.T @ xb) / z.shape[0]
 
 
 def _batch_gradient(spec, weights, xb, targets, weight_col):
@@ -304,30 +302,6 @@ def _batch_gradient(spec, weights, xb, targets, weight_col):
     if weight_col is not None:
         dz = weight_col * dz
     return (dz / xb.shape[1]).transpose(0, 2, 1) @ xb
-
-
-def training_loss(spec, weights, features, labels, sample_weight=None) -> float:
-    """Regularized training objective being minimized by ``fit``."""
-    features = _check_features(features)
-    xb = _with_bias(features)
-    weights = np.asarray(weights, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    n = xb.shape[0]
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    if spec.kind == "linear-svm":
-        signs = _svm_signs(labels, spec)
-        margins = np.maximum(0.0, 1.0 - signs * (xb @ weights.T))
-        data = float(np.mean(w * margins.sum(axis=1)))
-    elif spec.kind == "softmax":
-        z = xb @ weights.T
-        zs = z - z.max(axis=1, keepdims=True)
-        log_probs = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
-        data = float(np.mean(-w * log_probs[np.arange(n), labels]))
-    else:
-        z = xb @ weights.T
-        data = float(np.mean(-w * _cooperative_log_sigma(z, labels, spec.grouping)))
-    reg = 0.5 * spec.l2 * float(np.sum(weights[:, :-1] ** 2))
-    return data + reg
 
 
 def initial_weights(spec: ClassifierSpec, feature_dim: int, rng=0) -> np.ndarray:
@@ -377,8 +351,8 @@ def fit(
         sample_weight = np.asarray(sample_weight, dtype=np.float64)
         if sample_weight.shape != labels.shape:
             raise ValidationError("sample_weight length does not match labels")
-        if np.any(sample_weight < 0):
-            raise ValidationError("sample weights must be non-negative")
+        if not np.all(np.isfinite(sample_weight)) or np.any(sample_weight < 0):
+            raise ValidationError("sample weights must be finite and non-negative")
         weight_col = sample_weight.reshape(members.shape + (1,))
     if seed is None:
         seed = 0 if labels.ndim == 1 else [0] * len(members)

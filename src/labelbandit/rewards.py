@@ -542,7 +542,7 @@ class RewardEnvironment:
     held-out ones; a bag that is not one of ``dataset.bags``, or that is in
     both lists, is a ``ValidationError``, and so is a ``fixed`` entry for an
     instance outside the dataset or with a label outside the classifier's
-    classes. A classifier spec whose width is not the dataset's classes plus
+    classes or not a whole number (whole floats pass). A classifier spec whose width is not the dataset's classes plus
     the extra negative modes (``extended_num_classes``) is a
     ``ParameterError``. Everything else is
     derived once, at construction: the regime and the negative modes from the
@@ -608,6 +608,10 @@ class RewardEnvironment:
             if not 0 <= label < width:
                 raise ValidationError(
                     f"fixed label {label} of instance {x} lies outside [0, {width})"
+                )
+            if label != int(label):
+                raise ValidationError(
+                    f"fixed label of instance {x} must be a whole number; got {label!r}"
                 )
         train_bag_index = {iid: bag for bag in train_bags for iid in bag.instance_ids}
         self.train_ids = sorted(train_bag_index)

@@ -11,12 +11,20 @@ scatters the cooperative gradient with ``np.add.at``, and
 kernels must match them bit for bit. ``nearest_indices_1d_two_sorts`` is the
 one-dimensional window search with its (distance, index) order built from a
 stable sort by index and then a stable sort by distance.
+
+``cooperative_objective`` and ``training_loss`` are the objectives ``fit``
+descends, built from ``cooperative_target_terms``; ``cooperative_gradient``
+is the library's own ``_cooperative_nll_dz`` carried to the weights, so
+finite differences of the first check the program's kernel. The oracles
+take finite scores: on a NaN score ``group_max_scores`` names the NaN's
+class, where the library kernel names the group's highest class.
 """
 
 import numpy as np
 
 from labelbandit.classifiers import (
     _check_features,
+    _cooperative_nll_dz,
     _sorted_windows,
     _svm_signs,
     _with_bias,
@@ -56,6 +64,47 @@ def cooperative_target_terms(z, labels, grouping):
     log_sigma = (z[rows, labels] - peak[:, 0]) - np.log(denom)
     ratios = exp_set / denom[:, None]
     return log_sigma, ratios, argmax_col, group_of, target_group
+
+
+def cooperative_objective(weights, features, labels, grouping) -> float:
+    """Mean log-score of the assigned labels under the cooperative softmax."""
+    xb = _with_bias(_check_features(features))
+    z = xb @ np.asarray(weights).T
+    labels = np.asarray(labels, dtype=np.intp)
+    return float(np.mean(cooperative_target_terms(z, labels, grouping)[0]))
+
+
+def cooperative_gradient(weights, features, labels, grouping) -> np.ndarray:
+    """Ascent (sub)gradient of ``cooperative_objective`` with respect to the
+    weights, from the library's own ``_cooperative_nll_dz``."""
+    xb = _with_bias(_check_features(features))
+    z = xb @ np.asarray(weights, dtype=np.float64).T
+    labels = np.asarray(labels, dtype=np.intp)
+    dz = _cooperative_nll_dz(z, labels, grouping)
+    return -(dz.T @ xb) / z.shape[0]
+
+
+def training_loss(spec, weights, features, labels, sample_weight=None) -> float:
+    """Regularized training objective being minimized by ``fit``."""
+    xb = _with_bias(_check_features(features))
+    weights = np.asarray(weights, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
+    n = xb.shape[0]
+    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
+    if spec.kind == "linear-svm":
+        signs = _svm_signs(labels, spec)
+        margins = np.maximum(0.0, 1.0 - signs * (xb @ weights.T))
+        data = float(np.mean(w * margins.sum(axis=1)))
+    elif spec.kind == "softmax":
+        z = xb @ weights.T
+        zs = z - z.max(axis=1, keepdims=True)
+        log_probs = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+        data = float(np.mean(-w * log_probs[np.arange(n), labels]))
+    else:
+        z = xb @ weights.T
+        data = float(np.mean(-w * cooperative_target_terms(z, labels, spec.grouping)[0]))
+    reg = 0.5 * spec.l2 * float(np.sum(weights[:, :-1] ** 2))
+    return data + reg
 
 
 def cooperative_nll_dz_add_at(z, labels, grouping):

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from bandit_helpers import arms, cell, records
+from classifier_helpers import cooperative_gradient, cooperative_objective
 from reward_helpers import (
     context,
     distgap,
@@ -24,11 +25,7 @@ from reward_helpers import (
 
 import labelbandit as lb
 from labelbandit.bandit import PullLog, new_bandit, run_inference, ucb_scores, update
-from labelbandit.classifiers import (
-    cooperative_gradient,
-    cooperative_objective,
-    singleton_grouping,
-)
+from labelbandit.classifiers import singleton_grouping
 from labelbandit.data import Bag, WeakLabel
 from labelbandit.metrics import bag_accuracy, instance_accuracy
 from labelbandit.pipeline import ClassifierConfig, InferenceConfig, kfold_infer

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from classifier_helpers import (
+    cooperative_gradient,
     cooperative_nll_dz_add_at,
+    cooperative_objective,
     cooperative_sigma_3d,
     loop_fit,
     nearest_indices_1d_two_sorts,
+    training_loss,
 )
 from hypothesis.extra import numpy as hnp
 from reward_helpers import context, mirrored, predictions
@@ -23,8 +26,8 @@ from labelbandit.classifiers import (
     TrainedModel,
     _cooperative_nll_dz,
     _cooperative_sigma,
-    cooperative_gradient,
-    cooperative_objective,
+    _group_max_scores,
+    _group_sum,
     fit,
     initial_weights,
     model_from_json,
@@ -36,7 +39,6 @@ from labelbandit.classifiers import (
     predict_arrays,
     save_model,
     singleton_grouping,
-    training_loss,
 )
 from labelbandit.errors import ParameterError, ValidationError
 from labelbandit.rewards import RewardParams
@@ -118,6 +120,13 @@ class TestFit:
             fit(spec, X, np.array([[0, 1, 2, 0, 1, 2], [0, 1, 2, 0, 1, 2.5]]), seed=[0, 1])
         whole = fit(spec, X, [0.0, 1.0, 2.0, 0.0, 1.0, 2.0])
         assert np.array_equal(whole.weights, fit(spec, X, np.array([0, 1, 2, 0, 1, 2])).weights)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_sample_weights_rejected(self, bad):
+        X = np.random.default_rng(6).normal(size=(6, 2))
+        with pytest.raises(ValidationError, match="sample weights must be finite and non-negative"):
+            fit(ClassifierSpec("softmax", 3), X, [0, 1, 2, 0, 1, 2],
+                sample_weight=[bad, 1, 1, 1, 1, 1])
 
     def test_sample_weight_zero_freezes_instance_influence(self):
         rng = np.random.default_rng(4)
@@ -239,6 +248,32 @@ class TestStackedFit:
             assert model.weights.tobytes() == reference.tobytes()
 
 
+class TestGroupKernels:
+    @pytest.mark.parametrize("terms", [*range(1, 41), 127, 128, 129, 130, 257])
+    def test_group_sum_matches_contiguous_row_sums(self, terms):
+        """Summing a class-major stack's group rows gives the bits of numpy's
+        row sums of its contiguous transpose, left to right below 8 terms and
+        pairwise from 8 on, with halving above 128."""
+        rng = np.random.default_rng(terms)
+        shape = (terms, 3, 41)
+        stack = rng.choice([-1.0, 1.0], shape) * rng.random(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+        expected = np.ascontiguousarray(np.moveaxis(stack, 0, -1)).sum(axis=-1)
+        assert _group_sum(stack).tobytes() == expected.tobytes()
+        flat = stack[:, 0]
+        assert _group_sum(flat).tobytes() == np.ascontiguousarray(flat.T).sum(axis=1).tobytes()
+
+    def test_nan_score_makes_its_group_max_nan(self):
+        """Scores are only NaN where a diverging fit overflowed its weights:
+        the NaN's group then has a NaN maximum and its highest class as the
+        receiver, and the other groups are unaffected."""
+        zt = np.array([[1.0, 2.0], [np.nan, 0.0], [0.5, 2.0], [2.0, -1.0]])
+        receiver = np.full((2, 2), -1, dtype=np.intp)
+        group_max = _group_max_scores(zt, ((0, 1, 2), (3,)), receiver)
+        assert np.isnan(group_max[0, 0]) and group_max[0, 1] == 2.0
+        assert group_max[1].tolist() == [2.0, -1.0]
+        assert receiver.tolist() == [[2, 0], [-1, -1]]
+
+
 def grouping_of_size(draw, num_groups):
     """A partition of 2 to num_groups + 3 class ids into exactly num_groups
     groups, in a drawn group order."""
@@ -261,6 +296,18 @@ class TestPredict:
         rows = data.draw(st.integers(1, 20))
         values = st.sampled_from([-500.0, -2.0, 0.0, 0.5, 3.0, 500.0]) | st.floats(-500.0, 500.0)
         z = data.draw(hnp.arrays(np.float64, (rows, num_classes), elements=values))
+        expected = cooperative_sigma_3d(z, grouping)
+        assert _cooperative_sigma(z, grouping).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("num_positive", [5, 8])
+    def test_cooperative_sigma_row_blocks_match_3d_oracle(self, num_positive):
+        """Fold-sized inputs span several row blocks, below and above 8 groups."""
+        grouping = ((0, num_positive + 1, num_positive + 2),) + singleton_grouping(
+            num_positive + 1
+        )[1:]
+        rng = np.random.default_rng(num_positive)
+        shape = (2345, num_positive + 3)
+        z = np.where(rng.random(shape) < 0.2, 0.5, rng.uniform(-40.0, 40.0, shape))
         expected = cooperative_sigma_3d(z, grouping)
         assert _cooperative_sigma(z, grouping).tobytes() == expected.tobytes()
 

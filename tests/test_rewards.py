@@ -882,6 +882,27 @@ class TestRewardEnvironment:
                 RewardParams(k=3), fixed={held_out: 7},
             )
 
+    def test_fractional_fixed_label_rejected_whole_float_accepted(self, monkeypatch):
+        """A bootstrap extra fixed to 0.6 is refused at construction, naming
+        its instance, instead of being truncated to label 0."""
+        dataset = generate_binary_mil(8, (3, 6), 0.5, 3, 6.0, seed=1)
+        extra = dataset.bags[6].instance_ids[0]
+        args = (
+            dataset, dataset.bags[:4], dataset.bags[4:6], ClassifierSpec("linear-svm", 2),
+            RewardParams(k=3),
+        )
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a classifier was fitted")
+
+        monkeypatch.setattr(rewards, "fit", no_fit)
+        with pytest.raises(
+            ValidationError, match=rf"fixed label of instance {extra} must be a whole number; got 0.6"
+        ):
+            RewardEnvironment(*args, fixed={extra: 0.6})
+        whole = RewardEnvironment(*args, fixed={extra: 1.0})
+        assert whole._extra_labels.tolist() == [1]
+
     @pytest.mark.parametrize("off_by", [1, -1])
     def test_classifier_width_must_match_the_label_space(self, monkeypatch, off_by):
         """A spec one class wider or narrower than the dataset's classes plus

@@ -542,9 +542,9 @@ class RewardEnvironment:
     held-out ones; a bag that is not one of ``dataset.bags``, or that is in
     both lists, is a ``ValidationError``, and so is a ``fixed`` entry for an
     instance outside the dataset or with a label outside the classifier's
-    classes or not a whole number (whole floats pass). A classifier spec whose width is not the dataset's classes plus
-    the extra negative modes (``extended_num_classes``) is a
-    ``ParameterError``. Everything else is
+    classes or not a whole number (whole floats pass). A classifier spec
+    whose width is not the dataset's classes plus the extra negative modes
+    (``extended_num_classes``) is a ``ParameterError``. Everything else is
     derived once, at construction: the regime and the negative modes from the
     dataset (``params.num_negative_labels`` None takes the regime's default),
     the ascending ``train_ids`` and ``heldout_ids`` with their feature rows,

@@ -124,7 +124,8 @@ class TestFit:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_non_finite_or_negative_sample_weights_rejected(self, bad):
         X = np.random.default_rng(6).normal(size=(6, 2))
-        with pytest.raises(ValidationError, match="sample weights must be finite and non-negative"):
+        message = "sample weights must be finite and non-negative"
+        with pytest.raises(ValidationError, match=message):
             fit(ClassifierSpec("softmax", 3), X, [0, 1, 2, 0, 1, 2],
                 sample_weight=[bad, 1, 1, 1, 1, 1])
 
@@ -256,7 +257,8 @@ class TestGroupKernels:
         pairwise from 8 on, with halving above 128."""
         rng = np.random.default_rng(terms)
         shape = (terms, 3, 41)
-        stack = rng.choice([-1.0, 1.0], shape) * rng.random(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+        magnitude = rng.random(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+        stack = rng.choice([-1.0, 1.0], shape) * magnitude
         expected = np.ascontiguousarray(np.moveaxis(stack, 0, -1)).sum(axis=-1)
         assert _group_sum(stack).tobytes() == expected.tobytes()
         flat = stack[:, 0]

@@ -896,9 +896,8 @@ class TestRewardEnvironment:
             raise AssertionError("a classifier was fitted")
 
         monkeypatch.setattr(rewards, "fit", no_fit)
-        with pytest.raises(
-            ValidationError, match=rf"fixed label of instance {extra} must be a whole number; got 0.6"
-        ):
+        message = rf"fixed label of instance {extra} must be a whole number; got 0.6"
+        with pytest.raises(ValidationError, match=message):
             RewardEnvironment(*args, fixed={extra: 0.6})
         whole = RewardEnvironment(*args, fixed={extra: 1.0})
         assert whole._extra_labels.tolist() == [1]

@@ -22,11 +22,12 @@ BanditState has a single owner; selections are read-only.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import operator
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
@@ -83,33 +84,95 @@ class InferenceResult:
 class PullLog:
     """Every pull of one ``run_inference`` call, column by column.
 
-    ``ids`` holds the instance ids once, ascending. Each entry of ``pulls`` is
-    (round, assignment hash, labels, rewards); the label and reward arrays are
-    row-aligned with ``ids`` and the rewards are stored as float64. Round 0
-    holds the initialization sweep.
+    ``ids`` holds the instance ids once, ascending. ``add`` logs a pull as
+    (round, assignment hash, labels, rewards), the label and reward arrays
+    row-aligned with ``ids`` and the rewards stored as float64. Round 0 holds
+    the initialization sweep.
+
+    Without a ``spill`` the pulls stay in memory, in ``pulls``. With one, a
+    binary file open for reading and writing, each pull's int64 labels and
+    float64 rewards are appended to it as raw bytes, ``spilled`` keeps
+    (round, assignment hash, byte offset) per pull and ``pulls`` stays empty;
+    several logs may share one spill. Either way a round's mean is taken when
+    the round closes, so only the open round's reward arrays are held for it.
     """
 
     ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     pulls: list[tuple[int, str, np.ndarray, np.ndarray]] = field(default_factory=list)
+    spill: BinaryIO | None = None
+    spilled: list[tuple[int, str, int]] = field(default_factory=list)
+    _closed_means: list[float] = field(default_factory=list, init=False, repr=False)
+    _open_round: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
+    _open_index: int = field(default=0, init=False, repr=False)
+
+    def add(self, round_index: int, digest: str, labels: np.ndarray, rewards: np.ndarray):
+        """Log one pull; a pull of another round than the last closes that round."""
+        rewards = np.asarray(rewards, dtype=np.float64)
+        if self._open_round and round_index != self._open_index:
+            self._closed_means.append(_round_mean(self._open_round))
+            self._open_round = []
+        self._open_index = round_index
+        self._open_round.append(rewards)
+        if self.spill is None:
+            self.pulls.append((round_index, digest, labels, rewards))
+            return
+        offset = self.spill.seek(0, os.SEEK_END)
+        self.spill.write(np.ascontiguousarray(labels, dtype=np.int64).tobytes())
+        self.spill.write(np.ascontiguousarray(rewards).tobytes())
+        self.spilled.append((round_index, digest, offset))
 
     def round_means(self) -> list[float]:
         """Mean reward of each round's pulls, in log order (round 0: the whole sweep)."""
-        return [
-            float(np.mean(np.concatenate([rewards for _, _, _, rewards in pulls])))
-            for _, pulls in itertools.groupby(self.pulls, key=lambda pull: pull[0])
-        ]
+        return self._closed_means + ([_round_mean(self._open_round)] if self._open_round else [])
+
+    def _entries(self) -> Iterator[tuple[int, str, np.ndarray, np.ndarray]]:
+        """Every pull as (round, assignment hash, labels, rewards), in log order;
+        a spilled log reads its arrays back, so its spill must still be open."""
+        if self.spill is None:
+            yield from self.pulls
+            return
+        n = len(self.ids)
+        for round_index, digest, offset in self.spilled:
+            self.spill.seek(offset)
+            raw = self.spill.read(16 * n)
+            if len(raw) != 16 * n:
+                raise ValueError(f"spill ends inside the pull at byte offset {offset}")
+            labels = np.frombuffer(raw, dtype=np.int64, count=n)
+            yield round_index, digest, labels, np.frombuffer(raw, np.float64, n, 8 * n)
 
     def lines(self, pass_index: int, fold: int) -> Iterator[str]:
         """The log as ``pull_log.ndjson`` text, one string per pull: a line per
         instance, each the ``json.dumps(record, sort_keys=True)`` of
-        ``{pass, fold, round, assignment_hash, instance_id, label, reward}``."""
-        ids = self.ids.tolist()
-        for round_index, digest, labels, rewards in self.pulls:
-            line = (
-                f'{{"assignment_hash": "{digest}", "fold": {fold}, "instance_id": %d, '
-                f'"label": %d, "pass": {pass_index}, "reward": %r, "round": {round_index}}}\n'
-            )
-            yield "".join(map(line.__mod__, zip(ids, labels.tolist(), rewards.tolist())))
+        ``{pass, fold, round, assignment_hash, instance_id, label, reward}``.
+
+        A pull formats each distinct label, and the ``repr`` of each distinct
+        reward bit pattern (so -0.0 and 0.0 stay apart), once, and joins the
+        line pieces."""
+        n = len(self.ids)
+        pieces = [""] * (4 * n)
+        pieces[1::4] = [f'"instance_id": {x}, "label": ' for x in self.ids.tolist()]
+        for round_index, digest, labels, rewards in self._entries():
+            tail = f', "round": {round_index}}}\n'
+            pieces[0::4] = [f'{{"assignment_hash": "{digest}", "fold": {fold}, '] * n
+            pieces[2::4] = _row_texts(labels, lambda values: list(map(str, values.tolist())))
+            pieces[3::4] = _row_texts(rewards.view(np.int64), lambda bits: [
+                f', "pass": {pass_index}, "reward": {reward!r}{tail}'
+                for reward in bits.view(np.float64).tolist()
+            ])
+            yield "".join(pieces)
+
+
+def _round_mean(rewards: list[np.ndarray]) -> float:
+    """``np.mean`` of one round's reward arrays, concatenated: the pairwise sum
+    of the whole round, which a running sum over its pulls would not match."""
+    return float(np.mean(np.concatenate(rewards)))
+
+
+def _row_texts(keys: np.ndarray, render) -> list[str]:
+    """The text of each row: ``render`` gets the distinct keys, ascending, and
+    returns one text per key."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return list(map(render(distinct).__getitem__, inverse.tolist()))
 
 
 def new_bandit(label_sets: dict[int, list[int]]) -> BanditState:
@@ -308,7 +371,7 @@ def run_inference(
         rng = np.random.default_rng()
     state = new_bandit(label_sets)
     if pull_log is not None:
-        if pull_log.pulls:
+        if pull_log.pulls or pull_log.spilled:
             raise ParameterError("pull_log already holds the pulls of another run")
         pull_log.ids = state.ids
 
@@ -337,7 +400,7 @@ def run_inference(
         update(state, labels, rewards, advance_round)
         if pull_log is not None:
             digest = assignment_hash(state.ids, labels)
-            pull_log.pulls.append((state.t if advance_round else 0, digest, labels, rewards))
+            pull_log.add(state.t if advance_round else 0, digest, labels, rewards)
 
     sweep = initialization_assignments(state, rng)
     for labels, rewards in zip(sweep, evaluate_batch(sweep)):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import InferenceError, ParameterError, ValidationError
 
 KINDS = ("linear-svm", "softmax", "cooperative-softmax")
 
@@ -321,7 +321,9 @@ def fit(
 
     ``seed`` None means seed 0 for every member. Degenerate inputs (a single
     class present) still return a model. Sample weights scale each
-    instance's loss term.
+    instance's loss term. A fit whose weights end non-finite (a learning
+    rate that drove them past the float range) is an InferenceError,
+    whatever the warnings filter makes of numpy's overflow warnings.
 
     A (B, n) ``labels`` matrix fits B members on the same features at once
     and returns a list of B models; ``seed`` is then a sequence of B seeds
@@ -379,6 +381,11 @@ def fit(
             )
             grad += weights * decay
             weights -= spec.learning_rate * grad
+    if not np.all(np.isfinite(weights)):
+        raise InferenceError(
+            f"classifier fit diverged: its weights are not finite after {spec.epochs} epochs "
+            f"at learning_rate={spec.learning_rate!r}"
+        )
     models = [TrainedModel(w, spec) for w in weights]
     return models[0] if labels.ndim == 1 else models
 

@@ -10,12 +10,16 @@ alone: 0 success, 2 a ``UsageError`` or a missing file, 3 any other package erro
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
 import logging
+import shutil
 import sys
+import tempfile
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -149,16 +153,26 @@ def _echo_config(cfg: dict, out_dir: Path) -> None:
     (out_dir / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
 
 
-def _output_dir(out: str | None) -> Path:
-    """The output directory, checked before a command's work and created
-    after it; a path through an existing file is a ConfigError."""
+@contextlib.contextmanager
+def _output_dir(out: str | None) -> Iterator[Path]:
+    """The output directory, checked and created before a command's work. If
+    the command fails, ``BaseException`` included, the directories created
+    here are removed; a directory that existed before keeps its files. A path
+    through an existing file is a ConfigError."""
     if not out:
         raise ConfigError("no output directory given; pass --out or set it in the config")
     out_dir = Path(out)
-    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"output directory {out_dir}: {existing} is not a directory")
-    return out_dir
+    chain = (out_dir, *out_dir.parents)
+    depth = next(index for index, path in enumerate(chain) if path.exists())
+    if not chain[depth].is_dir():
+        raise ConfigError(f"output directory {out_dir}: {chain[depth]} is not a directory")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out_dir
+    except BaseException:
+        if depth:
+            shutil.rmtree(chain[depth - 1], ignore_errors=True)
+        raise
 
 
 def _dataset_format(path: Path) -> str:
@@ -206,16 +220,15 @@ def _generate_dataset(regime: str, gen: dict, seed: int) -> data.Dataset:
 def cmd_generate(args) -> int:
     cfg = _config_with_flags(args)
     cfg["regime"] = cfg["regime"] or "binary-mil"
-    out_dir = _output_dir(cfg["out"] or ".")
-    dataset = _generate_dataset(cfg["regime"], cfg["generator"], cfg["master_seed"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = args.name
-    dataset_path = out_dir / f"{name}.{args.format}"
-    data.save_dataset(data.strip_ground_truth(dataset), dataset_path, format=args.format)
-    truth_path = out_dir / f"{name}.groundtruth.json"
-    truth = {str(k): v for k, v in sorted(dataset.ground_truth_map().items())}
-    truth_path.write_text(json.dumps(truth, indent=2, sort_keys=True) + "\n")
-    _echo_config(cfg, out_dir)
+    with _output_dir(cfg["out"] or ".") as out_dir:
+        dataset = _generate_dataset(cfg["regime"], cfg["generator"], cfg["master_seed"])
+        name = args.name
+        dataset_path = out_dir / f"{name}.{args.format}"
+        data.save_dataset(data.strip_ground_truth(dataset), dataset_path, format=args.format)
+        truth_path = out_dir / f"{name}.groundtruth.json"
+        truth = {str(k): v for k, v in sorted(dataset.ground_truth_map().items())}
+        truth_path.write_text(json.dumps(truth, indent=2, sort_keys=True) + "\n")
+        _echo_config(cfg, out_dir)
     histogram = data.label_set_size_histogram(dataset)
     print(f"wrote {dataset_path} and {truth_path}")
     print("bags by label-set size:")
@@ -237,22 +250,22 @@ def cmd_infer(args) -> int:
     dataset_path = Path(cfg["dataset"])
     if not dataset_path.exists():
         raise FileNotFoundError(f"dataset file not found: {dataset_path}")
-    out_dir = _output_dir(cfg["out"])
-    dataset = data.load_dataset(dataset_path, format=_dataset_format(dataset_path))
-    if cfg["regime"] is not None and cfg["regime"] != dataset.regime:
-        raise ConfigError(
-            f"config regime {cfg['regime']!r} does not match dataset regime {dataset.regime!r}"
-        )
-    cfg["regime"] = dataset.regime
-    config = build_inference_config(cfg)
-    result = pipeline.bootstrap_infer(dataset, config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "result.json").write_text(result.to_json())
-    save_model(result.model, out_dir / "model.json")
-    with (out_dir / "pull_log.ndjson").open("w") as fh:
-        for entry in result.pull_logs:
-            fh.writelines(entry["log"].lines(entry["pass"], entry["fold"]))
-    _echo_config(cfg, out_dir)
+    # the pull logs spill to a file without a name, gone once closed
+    with _output_dir(cfg["out"]) as out_dir, tempfile.TemporaryFile(dir=out_dir) as spill:
+        dataset = data.load_dataset(dataset_path, format=_dataset_format(dataset_path))
+        if cfg["regime"] is not None and cfg["regime"] != dataset.regime:
+            raise ConfigError(
+                f"config regime {cfg['regime']!r} does not match dataset regime {dataset.regime!r}"
+            )
+        cfg["regime"] = dataset.regime
+        config = build_inference_config(cfg)
+        result = pipeline.bootstrap_infer(dataset, config, spill=spill)
+        (out_dir / "result.json").write_text(result.to_json())
+        save_model(result.model, out_dir / "model.json")
+        with (out_dir / "pull_log.ndjson").open("w") as fh:
+            for entry in result.pull_logs:
+                fh.writelines(entry["log"].lines(entry["pass"], entry["fold"]))
+        _echo_config(cfg, out_dir)
     fixed = sum(1 for c in result.confidence.values() if c == float("inf"))
     print(
         f"inferred {len(result.labels)} labels ({fixed} structurally fixed); "
@@ -307,25 +320,24 @@ def cmd_evaluate(args) -> int:
     for required in (args.dataset, args.result, args.ground_truth):
         if not Path(required).exists():
             raise FileNotFoundError(f"input file not found: {required}")
-    out_dir = _output_dir(args.out or ".")
-    dataset_path = Path(args.dataset)
-    dataset = data.load_dataset(dataset_path, format=_dataset_format(dataset_path))
-    truth = _read_json(args.ground_truth, "ground truth", _int_map)
-    dataset = _attach_ground_truth(dataset, truth)
-    labels, trace = _read_json(args.result, "result", lambda doc: (
-        _int_map(doc["labels"]), _mean_reward_trace(doc.get("diagnostics", {}))
-    ))
-    model = _read_json(args.model, "model", model_from_json) if args.model else None
-    report = metrics.score_run(dataset, labels, model)
-    report["reward_trace"] = trace
+    with _output_dir(args.out or ".") as out_dir:
+        dataset_path = Path(args.dataset)
+        dataset = data.load_dataset(dataset_path, format=_dataset_format(dataset_path))
+        truth = _read_json(args.ground_truth, "ground truth", _int_map)
+        dataset = _attach_ground_truth(dataset, truth)
+        labels, trace = _read_json(args.result, "result", lambda doc: (
+            _int_map(doc["labels"]), _mean_reward_trace(doc.get("diagnostics", {}))
+        ))
+        model = _read_json(args.model, "model", model_from_json) if args.model else None
+        report = metrics.score_run(dataset, labels, model)
+        report["reward_trace"] = trace
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if args.trace_csv:
-        lines = ["round,mean_reward"] + [
-            f"{i},{v}" for i, v in enumerate(report["reward_trace"])
-        ]
-        (out_dir / "trace.csv").write_text("\n".join(lines) + "\n")
+        (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        if args.trace_csv:
+            lines = ["round,mean_reward"] + [
+                f"{i},{v}" for i, v in enumerate(report["reward_trace"])
+            ]
+            (out_dir / "trace.csv").write_text("\n".join(lines) + "\n")
     print(f"inference accuracy: {report['inference_accuracy']:.4f}")
     for cls, acc in report["per_class_accuracy"].items():
         print(f"  class {cls}: {acc:.4f}")
@@ -344,8 +356,20 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config_with_flags(args)
-    out_dir = _output_dir(cfg["out"])
-    cfg["regime"] = cfg["regime"] or "binary-mil"
+    with _output_dir(cfg["out"]) as out_dir:
+        cfg["regime"] = cfg["regime"] or "binary-mil"
+        summary = _bench_summary(cfg)
+        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _echo_config(cfg, out_dir)
+    for name, stats in summary["metrics"].items():
+        print(f"{name}: {stats['mean']:.4f} +- {stats['std']:.4f}")
+    print(f"wall clock (s): {summary['wall_clock_seconds']}")
+    print(f"summary written to {out_dir / 'summary.json'}")
+    return 0
+
+
+def _bench_summary(cfg: dict) -> dict:
+    """Generate, infer and score ``bench.repetitions`` times, one derived seed each."""
     repetitions = int(cfg["bench"]["repetitions"])
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
@@ -382,20 +406,12 @@ def cmd_bench(args) -> int:
             "mean": float(values.mean()),
             "std": float(values.std(ddof=0)),
         }
-    summary = {
+    return {
         "repetitions": repetitions,
         "metrics": summary_metrics,
         "wall_clock_seconds": {k: round(v, 3) for k, v in wall.items()},
         "per_run": per_run,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _echo_config(cfg, out_dir)
-    for name, stats in summary_metrics.items():
-        print(f"{name}: {stats['mean']:.4f} +- {stats['std']:.4f}")
-    print(f"wall clock (s): {summary['wall_clock_seconds']}")
-    print(f"summary written to {out_dir / 'summary.json'}")
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,17 @@ class Bag:
             raise ValidationError(f"bag {self.id} has no instances")
 
 
+def _check_finite(instances: list[Instance]) -> None:
+    """One finiteness check over the stacked features of instances of one
+    dimension; a ValidationError names the first non-finite instance."""
+    if not instances:
+        return
+    finite = np.isfinite(np.stack([inst.features for inst in instances])).all(axis=1)
+    if not finite.all():
+        first = instances[int(finite.argmin())]
+        raise ValidationError(f"instance {first.id}: non-finite feature value")
+
+
 @dataclass(eq=False)
 class Dataset:
     """Instances partitioned into bags, with the regime tag and class count.
@@ -179,16 +190,20 @@ class Dataset:
         if dim == 0:
             raise ValidationError("feature dimension must be at least 1")
         ids = set()
-        for inst in self.instances:
+        for index, inst in enumerate(self.instances):
+            problem = None
             if inst.id in ids:
-                raise ValidationError(f"duplicate instance id {inst.id}")
-            ids.add(inst.id)
-            if inst.features.shape[0] != dim:
-                raise ValidationError(
+                problem = f"duplicate instance id {inst.id}"
+            elif inst.features.shape[0] != dim:
+                problem = (
                     f"instance {inst.id}: feature dimension {inst.features.shape[0]} != {dim}"
                 )
-            if not np.all(np.isfinite(inst.features)):
-                raise ValidationError(f"instance {inst.id}: non-finite feature value")
+            if problem:
+                # a non-finite instance before this one is named first
+                _check_finite(self.instances[:index])
+                raise ValidationError(problem)
+            ids.add(inst.id)
+        _check_finite(self.instances)
         owner: dict[int, int] = {}
         bag_ids = set()
         for bag in self.bags:

@@ -39,4 +39,5 @@ class EvaluationError(UsageError):
 
 
 class InferenceError(LabelBanditError, RuntimeError):
-    """An inference run aborted; the message carries round and assignment context."""
+    """An inference run or a classifier fit aborted; a failure inside
+    ``run_inference`` carries round and assignment context."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import BinaryIO
 
 import numpy as np
 
@@ -244,14 +245,18 @@ def _grow_fixed(
     return grown
 
 
-def bootstrap_infer(dataset: Dataset, config: InferenceConfig) -> PipelineResult:
+def bootstrap_infer(
+    dataset: Dataset, config: InferenceConfig, spill: BinaryIO | None = None
+) -> PipelineResult:
     """Label inference in ``config.bootstrap_passes`` passes over all bags.
 
     Each pass shuffles the bags into folds; each fold in turn is the training
     set, with the remaining folds as the held-out set. After every pass but
     the last, the most confident labels are frozen and join every later
     classifier fit as additional supervised data. The final model is fitted
-    once, on the last pass's labels, with that pass's seed.
+    once, on the last pass's labels, with that pass's seed. Every fold's
+    ``PullLog`` writes its pulls to ``spill`` when one is given (see
+    ``PullLog``), and keeps them in memory otherwise.
     """
     if dataset.regime != config.regime:
         raise ConfigError(
@@ -288,7 +293,7 @@ def bootstrap_infer(dataset: Dataset, config: InferenceConfig) -> PipelineResult
             environment = RewardEnvironment(
                 clean, train_bags, held_bags, spec, config.reward, fixed
             )
-            log = PullLog()
+            log = PullLog(spill=spill)
             result = run_inference(
                 {x: label_sets[x] for bag in train_bags for x in bag.instance_ids},
                 environment,

@@ -4,12 +4,15 @@
 ``arms`` lists the arms in the caller's instance and label order,
 ``labelling`` reads a row-aligned label array as an ``{instance: label}``
 dict, ``records`` parses a pull log through its ndjson renderer,
+``oracle_lines`` and ``oracle_round_means`` are the one-template-per-line
+renderer and the grouped round means that ``PullLog`` must reproduce,
 ``oracle_batch`` is the dict-walk UCB selection that
 ``select_super_arm_batch`` must reproduce, and ``dict_assignment_hash`` is
 the dict form of ``assignment_hash`` that the array form must match.
 """
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -42,6 +45,27 @@ def dict_assignment_hash(assignment):
 def records(log, pass_index=0, fold=0):
     """The log's ``pull_log.ndjson`` records, parsed."""
     return [json.loads(line) for text in log.lines(pass_index, fold) for line in text.splitlines()]
+
+
+def oracle_lines(ids, pulls, pass_index, fold):
+    """``pull_log.ndjson`` text of (round, hash, labels, rewards) pulls, one
+    string per pull, by one ``%`` template per line over the float64 rewards."""
+    for round_index, digest, labels, rewards in pulls:
+        line = (
+            f'{{"assignment_hash": "{digest}", "fold": {fold}, "instance_id": %d, '
+            f'"label": %d, "pass": {pass_index}, "reward": %r, "round": {round_index}}}\n'
+        )
+        rewards = np.asarray(rewards, dtype=np.float64)
+        yield "".join(map(line.__mod__, zip(ids.tolist(), labels.tolist(), rewards.tolist())))
+
+
+def oracle_round_means(pulls):
+    """Mean reward of each run of equal rounds among (round, hash, labels,
+    rewards) pulls, by ``np.mean`` of the run's concatenated rewards."""
+    return [
+        float(np.mean(np.concatenate([rewards for _, _, _, rewards in run])))
+        for _, run in itertools.groupby(pulls, key=lambda pull: pull[0])
+    ]
 
 
 def oracle_batch(state, batch_size):

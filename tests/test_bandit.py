@@ -3,12 +3,22 @@
 import gc
 import json
 import math
+import tempfile
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from bandit_helpers import arms, cell, dict_assignment_hash, labelling, oracle_batch, records
+from bandit_helpers import (
+    arms,
+    cell,
+    dict_assignment_hash,
+    labelling,
+    oracle_batch,
+    oracle_lines,
+    oracle_round_means,
+    records,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -610,7 +620,88 @@ class TestArrayBanditProperties:
             assert sums[key] == state.reward_sums[cell(state, *key)]  # same order: exact
 
 
+# repeated values, -0.0 beside 0.0, an integer 1 and subnormals among the rewards
+reward_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1, 1.0, 0.5, 1.0 / 3.0, 5e-324, 2.5e-308]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def logged_pulls(draw):
+    """Ascending instance ids and (round, hash, labels, rewards) pulls on them."""
+    ids = sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=8)))
+    n = len(ids)
+    pulls = []
+    for round_index in sorted(draw(st.lists(st.integers(0, 30), min_size=1, max_size=8))):
+        digest = draw(st.text("0123456789abcdef", min_size=12, max_size=12))
+        labels = draw(st.lists(st.integers(-3, 20), min_size=n, max_size=n))
+        rewards = draw(st.lists(reward_values, min_size=n, max_size=n))
+        pulls.append((round_index, digest, np.array(labels, dtype=np.int64), np.array(rewards)))
+    return np.array(ids, dtype=np.int64), pulls
+
+
+def hexes(values):
+    return [value.hex() for value in values]
+
+
 class TestPullLog:
+    @settings(max_examples=150, deadline=None)
+    @given(logged_pulls())
+    @example((
+        np.array([3, 8]),
+        [
+            (0, "0123456789ab", np.array([1, 0]), np.array([1, 1])),
+            (0, "0123456789ab", np.array([2, 2]), np.array([-0.0, 0.0])),
+            (4, "fedcba987654", np.array([0, -1]), np.array([5e-324, 5e-324])),
+        ],
+    ))
+    def test_lines_and_round_means_match_the_oracles_in_memory_and_spilled(self, drawn):
+        ids, pulls = drawn
+        expected = list(oracle_lines(ids, pulls, 4, 1))
+        with tempfile.TemporaryFile() as spill:
+            # two spilled logs share one file, their pulls interleaved
+            logs = [PullLog(ids=ids), PullLog(ids=ids, spill=spill), PullLog(ids=ids, spill=spill)]
+            for pull in pulls:
+                for log in logs:
+                    log.add(*pull)
+            for log in logs:
+                assert list(log.lines(4, 1)) == expected
+                assert hexes(log.round_means()) == hexes(oracle_round_means(pulls))
+        assert len(logs[0].pulls) == len(pulls) and not logs[0].spilled
+        assert all(not log.pulls and len(log.spilled) == len(pulls) for log in logs[1:])
+
+    def test_integer_rewards_are_logged_as_floats(self):
+        log = PullLog(ids=np.array([5]))
+        log.add(0, "0123456789ab", np.array([1]), np.array([1]))
+        assert records(log)[0]["reward"] == 1.0
+        assert '"reward": 1.0,' in next(log.lines(0, 0))
+
+    def test_spilled_round_means_are_bit_equal_to_in_memory_ones(self):
+        def env(assignment, rng):
+            return {x: float(rng.random()) for x in assignment}
+
+        # five labels per instance: the sweep is five pulls in round 0
+        label_sets = {x: list(range(5)) for x in range(40)}
+        with tempfile.TemporaryFile() as spill:
+            logs = [PullLog(), PullLog(spill=spill)]
+            for log in logs:
+                run_inference(
+                    label_sets, env, rounds=12, batch_size=3, rng=np.random.default_rng(8),
+                    pull_log=log,
+                )
+            memory, spilled = logs
+            assert [pull[0] for pull in memory.pulls] == [0] * 5 + list(range(1, 13))
+            assert not spilled.pulls and len(spilled.spilled) == 5 + 12
+            assert hexes(spilled.round_means()) == hexes(memory.round_means())
+            assert hexes(memory.round_means()) == hexes(oracle_round_means(memory.pulls))
+            assert list(spilled.lines(1, 2)) == list(memory.lines(1, 2))
+            with pytest.raises(ParameterError, match="pull_log"):
+                run_inference(label_sets, env, rounds=1, pull_log=spilled)
+        # the spill is closed: its pulls cannot be read back
+        with pytest.raises(ValueError):
+            next(spilled.lines(1, 2))
+
     def test_lines_are_sorted_key_json(self):
         values = [0.0, 1.0, 1.0 / 3.0, 1e-7, 0.1, 5e-324, 0.7499999999999999]
 

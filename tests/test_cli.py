@@ -1,22 +1,31 @@
 """Command-line interface: exit codes, file outputs, determinism, config handling."""
 
 import argparse
+import dataclasses
 import json
 import logging
+import os
 import re
 import shutil
+import subprocess
+import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from labelbandit import cli, errors, metrics, rewards
+from labelbandit import cli, errors, metrics, pipeline, rewards
 from labelbandit.classifiers import ClassifierSpec
 from labelbandit.cli import DEFAULT_CONFIG, build_inference_config, load_config, main
 from labelbandit.data import extended_num_classes
 from labelbandit.errors import ConfigError
 from labelbandit.pipeline import ClassifierConfig, InferenceConfig
 from labelbandit.rewards import RewardEnvironment, RewardParams
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -496,6 +505,100 @@ class TestInfer:
             capsys.readouterr().err,
         )
         assert not out.exists()
+
+
+    def test_diverging_fit_exits_three_whatever_the_warnings_filter(self, tmp_path):
+        """Outside pytest numpy's overflow is only a warning, and ``-W ignore``
+        hides even that: the fit's own check of its weights fails the pull."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "regime": "multiclass-mil", "rounds": 5, "folds": 3, "master_seed": 11,
+            "generator": {"num_bags": 16, "bag_size": [3, 6], "feature_dim": 2,
+                          "positive_classes": 3, "per_class": 12},
+            "classifier": {"epochs": 5, "learning_rate": 1e300},
+        }))
+        gen, out = tmp_path / "gen", tmp_path / "run"
+        path = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+        def cli_process(*argv):
+            return subprocess.run(
+                [sys.executable, "-W", "ignore", "-m", "labelbandit.cli", *map(str, argv)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+
+        assert cli_process("generate", "--config", config, "--out", gen).returncode == 0
+        proc = cli_process("infer", "--config", config, "--dataset", gen / "dataset.json",
+                           "--out", out)
+        assert proc.returncode == 3
+        assert re.fullmatch(
+            r"error: reward environment failed at round 0, assignment [0-9a-f]{12}: "
+            r"classifier fit diverged: its weights are not finite after 5 epochs "
+            r"at learning_rate=1e\+300\n",
+            proc.stderr,
+        )
+        assert not out.exists()
+
+    def test_diverging_final_fit_exits_three_without_output_directory(
+        self, binary_workspace, infer_config, tmp_path, capsys, monkeypatch
+    ):
+        def diverging_fit(spec, *args, **kwargs):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return fit(dataclasses.replace(spec, learning_rate=1e300), *args, **kwargs)
+
+        fit = pipeline.fit
+        monkeypatch.setattr(pipeline, "fit", diverging_fit)
+        out = tmp_path / "run"
+        code = run(["infer", "--config", infer_config, "--dataset",
+                    binary_workspace / "dataset.json", "--out", out])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: classifier fit diverged: ")
+        assert not out.exists()
+
+    def test_success_writes_four_files_and_nothing_under_tmpdir(
+        self, binary_workspace, infer_config, tmp_path, capsys, monkeypatch
+    ):
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmpdir))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+        out = tmp_path / "run"
+        code = run(["infer", "--config", infer_config, "--dataset",
+                    binary_workspace / "dataset.json", "--out", out])
+        assert code == 0
+        assert tempfile.gettempdir() == str(tmpdir)
+        assert list(tmpdir.iterdir()) == []
+        assert sorted(path.name for path in out.iterdir()) == [
+            "config.json", "model.json", "pull_log.ndjson", "result.json"
+        ]
+
+    @pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt, errors.InferenceError])
+    def test_failure_removes_the_directories_it_created_and_keeps_earlier_files(
+        self, binary_workspace, infer_config, tmp_path, capsys, monkeypatch, failure
+    ):
+        """--out is created before the work; a failure of any kind, an
+        interrupt included, removes what was created and nothing else."""
+        def fail(dataset, config, spill):
+            spill.write(b"pulls")
+            raise failure("boom")
+
+        monkeypatch.setattr(cli.pipeline, "bootstrap_infer", fail)
+        earlier = tmp_path / "earlier"
+        earlier.mkdir()
+        (earlier / "result.json").write_text("{}\n")
+        (earlier / "notes.txt").write_bytes(b"kept\x00bytes")
+        before = {path.name: path.read_bytes() for path in earlier.iterdir()}
+        for out in (tmp_path / "fresh" / "nested" / "run", earlier):
+            argv = ["infer", "--config", infer_config, "--dataset",
+                    binary_workspace / "dataset.json", "--out", out]
+            if issubclass(failure, errors.LabelBanditError):
+                assert run(argv) == 3
+            else:
+                with pytest.raises(failure):
+                    run(argv)
+        assert not (tmp_path / "fresh").exists()
+        assert {path.name: path.read_bytes() for path in earlier.iterdir()} == before
 
 
 class TestEvaluate:

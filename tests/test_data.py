@@ -126,6 +126,29 @@ class TestDatasetValidation:
                 [Instance(0, [np.nan])], [Bag(0, [0], WeakLabel.binary(0))], 2, "binary-mil"
             )
 
+    @pytest.mark.parametrize(
+        "ids, later, message",
+        [
+            # the first non-finite instance in dataset order, not by id
+            ([9, 4, 2, 7], None, "instance 4: non-finite feature value"),
+            # a non-finite instance before a duplicate id is named first
+            ([9, 4, 2, 4], None, "instance 4: non-finite feature value"),
+            # a duplicate id is reported before its own instance's features
+            ([9, 9, 2, 4], None, "duplicate instance id 9"),
+            # and before a feature dimension that differs
+            ([9, 4, 2, 7], [1.0, 2.0], "instance 4: non-finite feature value"),
+        ],
+    )
+    def test_first_non_finite_instance_in_dataset_order_is_named(self, ids, later, message):
+        features = [[0.5], [np.inf], [1.5], [np.nan]]
+        if later is not None:
+            features[2] = later
+        instances = [Instance(x, f) for x, f in zip(ids, features)]
+        bags = [Bag(0, sorted(set(ids)), WeakLabel.binary(0))]
+        with pytest.raises(ValidationError) as info:
+            Dataset(instances, bags, 2, "binary-mil")
+        assert str(info.value) == message
+
     def test_weak_label_class_must_fit_num_classes(self):
         instances = [Instance(0, [1.0])]
         bags = [Bag(0, [0], WeakLabel.label_set({4}))]

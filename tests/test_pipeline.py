@@ -1,6 +1,10 @@
 """Label-set derivation, fold pipelines, bootstrapping, splitting, final training."""
 
+import gc
 import math
+import tempfile
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from labelbandit.data import (
     strip_ground_truth,
     with_proportion_labels,
 )
-from labelbandit.errors import ConfigError, ParameterError, RegimeError
+from labelbandit.errors import ConfigError, InferenceError, ParameterError, RegimeError
 from labelbandit.metrics import instance_accuracy
 from labelbandit.pipeline import (
     DEFAULT_CLASSIFIER_BY_REGIME,
@@ -232,6 +236,31 @@ class TestBootstrap:
         assert len(result.diagnostics["passes"]) == 2
         assert len(fits) == 1
 
+    def test_spilled_peak_memory_stays_flat_as_rounds_grow(self):
+        """A spilled pull log keeps a few words per pull, where an in-memory one
+        keeps 16 bytes per training instance per pull (about 260 rows here)."""
+        ds = generate_binary_mil(60, (3, 10), 0.5, 3, 6.0, seed=2)
+
+        def peak(rounds, spill):
+            # the collector off, so that freeing other tests' garbage mid-trace
+            # cannot add to the run's peak
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                bootstrap_infer(ds, small_binary_config(rounds=rounds, batch_size=4), spill=spill)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+
+        extra_pulls = 3 * (50 - 10)
+        with tempfile.TemporaryFile() as spill:
+            spilled = peak(50, spill) - peak(10, spill)
+        in_memory = peak(50, None) - peak(10, None)
+        assert spilled < 512 * extra_pulls, spilled
+        assert in_memory > 4 * 512 * extra_pulls, in_memory
+
     def test_single_pass_equals_kfold(self):
         """kfold_infer runs one pass whatever bootstrap_passes says."""
         ds = generate_binary_mil(8, (2, 4), 0.5, 3, 6.0, seed=10)
@@ -355,6 +384,15 @@ class TestTrainFinal:
         final_acc = (predict_arrays(final, X)[0] == y).mean()
         oracle_acc = (predict_arrays(oracle, X)[0] == y).mean()
         assert final_acc >= oracle_acc - 0.02
+
+    def test_diverged_fit_raises_whatever_the_warnings_filter(self):
+        ds = generate_binary_mil(10, (2, 4), 0.5, 3, 6.0, seed=12)
+        result = kfold_infer(ds, small_binary_config(rounds=20))
+        spec = ClassifierSpec("linear-svm", 2, learning_rate=1e300, epochs=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(InferenceError, match="classifier fit diverged"):
+                train_final(ds, result, spec, seed=3)
 
     def test_result_must_cover_dataset(self):
         ds = generate_binary_mil(4, (2, 3), 0.5, 2, 5.0, seed=15)

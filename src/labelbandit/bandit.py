@@ -117,8 +117,7 @@ class PullLog:
             self.pulls.append((round_index, digest, labels, rewards))
             return
         offset = self.spill.seek(0, os.SEEK_END)
-        self.spill.write(np.ascontiguousarray(labels, dtype=np.int64).tobytes())
-        self.spill.write(np.ascontiguousarray(rewards).tobytes())
+        self.spill.write(np.asarray(labels, dtype=np.int64).tobytes() + rewards.tobytes())
         self.spilled.append((round_index, digest, offset))
 
     def round_means(self) -> list[float]:
@@ -135,8 +134,6 @@ class PullLog:
         for round_index, digest, offset in self.spilled:
             self.spill.seek(offset)
             raw = self.spill.read(16 * n)
-            if len(raw) != 16 * n:
-                raise ValueError(f"spill ends inside the pull at byte offset {offset}")
             labels = np.frombuffer(raw, dtype=np.int64, count=n)
             yield round_index, digest, labels, np.frombuffer(raw, np.float64, n, 8 * n)
 

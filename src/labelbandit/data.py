@@ -150,10 +150,9 @@ class Bag:
 
 
 def _check_finite(instances: list[Instance]) -> None:
-    """One finiteness check over the stacked features of instances of one
-    dimension; a ValidationError names the first non-finite instance."""
-    if not instances:
-        return
+    """One finiteness check over the stacked features of a nonempty list of
+    instances of one dimension; a ValidationError names the first non-finite
+    instance."""
     finite = np.isfinite(np.stack([inst.features for inst in instances])).all(axis=1)
     if not finite.all():
         first = instances[int(finite.argmin())]

@@ -22,6 +22,7 @@ BanditState has a single owner; selections are read-only.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import operator
 import os
@@ -89,51 +90,54 @@ class PullLog:
     row-aligned with ``ids`` and the rewards stored as float64. Round 0 holds
     the initialization sweep.
 
-    Without a ``spill`` the pulls stay in memory, in ``pulls``. With one, a
-    binary file open for reading and writing, each pull's int64 labels and
-    float64 rewards are appended to it as raw bytes, ``spilled`` keeps
-    (round, assignment hash, byte offset) per pull and ``pulls`` stays empty;
-    several logs may share one spill. Either way a round's mean is taken when
-    the round closes, so only the open round's reward arrays are held for it.
+    The arrays live in ``spill``, a binary file open for reading and writing:
+    each pull's int64 labels and float64 rewards are appended to it as raw
+    bytes, and ``spilled`` keeps (round, assignment hash, byte offset) per
+    pull. The default spill is an ``io.BytesIO``, in memory; a file keeps the
+    pulls out of memory. Several logs may share one spill, whose position the
+    log leaves at its end. A round's mean is taken when the round closes, so
+    only the open round's reward arrays are held for it.
     """
 
     ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    pulls: list[tuple[int, str, np.ndarray, np.ndarray]] = field(default_factory=list)
-    spill: BinaryIO | None = None
+    spill: BinaryIO = field(default_factory=io.BytesIO)
     spilled: list[tuple[int, str, int]] = field(default_factory=list)
     _closed_means: list[float] = field(default_factory=list, init=False, repr=False)
     _open_round: list[np.ndarray] = field(default_factory=list, init=False, repr=False)
     _open_index: int = field(default=0, init=False, repr=False)
 
+    def __post_init__(self):
+        self.spill.seek(0, os.SEEK_END)
+
     def add(self, round_index: int, digest: str, labels: np.ndarray, rewards: np.ndarray):
         """Log one pull; a pull of another round than the last closes that round."""
-        rewards = np.asarray(rewards, dtype=np.float64)
+        rewards = np.ascontiguousarray(rewards, dtype=np.float64)
         if self._open_round and round_index != self._open_index:
             self._closed_means.append(_round_mean(self._open_round))
             self._open_round = []
         self._open_index = round_index
         self._open_round.append(rewards)
-        if self.spill is None:
-            self.pulls.append((round_index, digest, labels, rewards))
-            return
-        offset = self.spill.seek(0, os.SEEK_END)
-        self.spill.write(np.asarray(labels, dtype=np.int64).tobytes() + rewards.tobytes())
-        self.spilled.append((round_index, digest, offset))
+        self.spilled.append((round_index, digest, self.spill.tell()))
+        self.spill.write(np.ascontiguousarray(labels, dtype=np.int64))
+        self.spill.write(rewards)
+
+    @property
+    def pulls(self) -> list[tuple[int, str, np.ndarray, np.ndarray]]:
+        """Every pull as (round, assignment hash, labels, rewards), in log order,
+        read back from the spill."""
+        return list(self._entries())
 
     def round_means(self) -> list[float]:
         """Mean reward of each round's pulls, in log order (round 0: the whole sweep)."""
         return self._closed_means + ([_round_mean(self._open_round)] if self._open_round else [])
 
     def _entries(self) -> Iterator[tuple[int, str, np.ndarray, np.ndarray]]:
-        """Every pull as (round, assignment hash, labels, rewards), in log order;
-        a spilled log reads its arrays back, so its spill must still be open."""
-        if self.spill is None:
-            yield from self.pulls
-            return
+        """The pulls read back one by one, so the spill must still be open."""
         n = len(self.ids)
         for round_index, digest, offset in self.spilled:
             self.spill.seek(offset)
             raw = self.spill.read(16 * n)
+            self.spill.seek(0, os.SEEK_END)
             labels = np.frombuffer(raw, dtype=np.int64, count=n)
             yield round_index, digest, labels, np.frombuffer(raw, np.float64, n, 8 * n)
 
@@ -368,7 +372,7 @@ def run_inference(
         rng = np.random.default_rng()
     state = new_bandit(label_sets)
     if pull_log is not None:
-        if pull_log.pulls or pull_log.spilled:
+        if pull_log.spilled:
             raise ParameterError("pull_log already holds the pulls of another run")
         pull_log.ids = state.ids
 

@@ -358,7 +358,7 @@ def cmd_bench(args) -> int:
     cfg = _config_with_flags(args)
     with _output_dir(cfg["out"]) as out_dir:
         cfg["regime"] = cfg["regime"] or "binary-mil"
-        summary = _bench_summary(cfg)
+        summary = _bench_summary(cfg, out_dir)
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
         _echo_config(cfg, out_dir)
     for name, stats in summary["metrics"].items():
@@ -368,8 +368,9 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _bench_summary(cfg: dict) -> dict:
-    """Generate, infer and score ``bench.repetitions`` times, one derived seed each."""
+def _bench_summary(cfg: dict, out_dir: Path) -> dict:
+    """Generate, infer and score ``bench.repetitions`` times, one derived seed
+    each; a repetition's pull logs spill to a file without a name in ``out_dir``."""
     repetitions = int(cfg["bench"]["repetitions"])
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
@@ -383,7 +384,10 @@ def _bench_summary(cfg: dict) -> dict:
             dataset = _generate_dataset(cfg["regime"], cfg["generator"], seed)
             wall["generate"] += time.perf_counter() - t0
             t0 = time.perf_counter()
-            result = pipeline.bootstrap_infer(dataset, dataclasses.replace(config, master_seed=seed))
+            with tempfile.TemporaryFile(dir=out_dir) as spill:
+                result = pipeline.bootstrap_infer(
+                    dataset, dataclasses.replace(config, master_seed=seed), spill
+                )
             wall["infer"] += time.perf_counter() - t0
             t0 = time.perf_counter()
             scores = metrics.score_run(dataset, result.labels, result.model)

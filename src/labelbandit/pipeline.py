@@ -14,6 +14,7 @@ deterministically from it, so a pipeline run is reproducible bit for bit.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -255,8 +256,8 @@ def bootstrap_infer(
     the last, the most confident labels are frozen and join every later
     classifier fit as additional supervised data. The final model is fitted
     once, on the last pass's labels, with that pass's seed. Every fold's
-    ``PullLog`` writes its pulls to ``spill`` when one is given (see
-    ``PullLog``), and keeps them in memory otherwise.
+    ``PullLog`` writes its pulls to ``spill`` (see ``PullLog``), an
+    ``io.BytesIO`` in memory when none is given.
     """
     if dataset.regime != config.regime:
         raise ConfigError(
@@ -266,6 +267,8 @@ def bootstrap_infer(
         raise ParameterError(
             f"folds={config.folds} exceeds the number of bags {len(dataset.bags)}"
         )
+    if spill is None:
+        spill = io.BytesIO()
     clean = strip_ground_truth(dataset)
     rff_seed, *pass_seeds = np.random.SeedSequence(config.master_seed).spawn(
         config.bootstrap_passes + 1

@@ -668,14 +668,34 @@ class TestPullLog:
             for log in logs:
                 assert list(log.lines(4, 1)) == expected
                 assert hexes(log.round_means()) == hexes(oracle_round_means(pulls))
-        assert len(logs[0].pulls) == len(pulls) and not logs[0].spilled
-        assert all(not log.pulls and len(log.spilled) == len(pulls) for log in logs[1:])
+                assert len(log.spilled) == len(log.pulls) == len(pulls)
 
     def test_integer_rewards_are_logged_as_floats(self):
         log = PullLog(ids=np.array([5]))
         log.add(0, "0123456789ab", np.array([1]), np.array([1]))
         assert records(log)[0]["reward"] == 1.0
         assert '"reward": 1.0,' in next(log.lines(0, 0))
+
+    def test_pulls_append_at_the_end_of_a_shared_spill_after_reads(self):
+        ids = np.array([1, 4, 6])
+        pulls = [
+            (index, "0123456789ab", np.array([index, 0, 1]), np.full(3, index / 7))
+            for index in range(6)
+        ]
+        with tempfile.TemporaryFile() as spill:
+            # a spill handed over at its start keeps what it held
+            spill.write(b"earlier bytes")
+            spill.seek(0)
+            first, second = PullLog(ids=ids, spill=spill), PullLog(ids=ids, spill=spill)
+            for pull in pulls:
+                first.add(*pull)
+                # a partial read must leave the spill at its end, where the next pull goes
+                next(first.lines(0, 0))
+                second.add(*pull)
+            for log in (first, second):
+                assert list(log.lines(0, 0)) == list(oracle_lines(ids, pulls, 0, 0))
+            spill.seek(0)
+            assert spill.read(13) == b"earlier bytes"
 
     def test_spilled_round_means_are_bit_equal_to_in_memory_ones(self):
         def env(assignment, rng):
@@ -692,7 +712,7 @@ class TestPullLog:
                 )
             memory, spilled = logs
             assert [pull[0] for pull in memory.pulls] == [0] * 5 + list(range(1, 13))
-            assert not spilled.pulls and len(spilled.spilled) == 5 + 12
+            assert len(spilled.spilled) == 5 + 12
             assert hexes(spilled.round_means()) == hexes(memory.round_means())
             assert hexes(memory.round_means()) == hexes(oracle_round_means(memory.pulls))
             assert list(spilled.lines(1, 2)) == list(memory.lines(1, 2))

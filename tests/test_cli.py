@@ -725,6 +725,27 @@ class TestBench:
         )
         return path
 
+    def test_each_repetition_spills_to_its_own_unnamed_file_in_out(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        original, spills = pipeline.bootstrap_infer, []
+
+        def spying(dataset, config, spill):
+            result = original(dataset, config, spill)
+            stat = os.fstat(spill.fileno())
+            spills.append((spill, stat.st_nlink, stat.st_dev, stat.st_size))
+            return result
+
+        monkeypatch.setattr(cli.pipeline, "bootstrap_infer", spying)
+        out = tmp_path / "bench"
+        code = run(["bench", "--config", self.bench_config(tmp_path, 3), "--out", out])
+        assert code == 0
+        assert len({id(spill) for spill, *_ in spills}) == 3
+        for spill, links, device, size in spills:
+            assert spill.closed and links == 0 and size > 0
+            assert device == out.stat().st_dev
+        assert sorted(path.name for path in out.iterdir()) == ["config.json", "summary.json"]
+
     def test_single_repetition_reports_zero_std(self, tmp_path, capsys):
         out = tmp_path / "bench1"
         code = run(["bench", "--config", self.bench_config(tmp_path, 1), "--out", out, "--seed", 5])

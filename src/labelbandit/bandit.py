@@ -368,6 +368,8 @@ def run_inference(
     """
     if rounds < 1:
         raise ParameterError(f"rounds must be >= 1, got {rounds}")
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     if rng is None:
         rng = np.random.default_rng()
     state = new_bandit(label_sets)

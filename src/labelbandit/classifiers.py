@@ -10,8 +10,7 @@ Three kinds are supported:
 
 ``predict_arrays`` returns hard labels plus the output-space embeddings they
 are the argmax of (decision values for the SVM, per-class scores for the
-softmax variants); the nearest-neighbour search the rewards run in that
-space lives here too. Models are immutable after ``fit``.
+softmax variants). Models are immutable after ``fit``.
 """
 
 from __future__ import annotations
@@ -421,131 +420,6 @@ def predict_arrays(model: TrainedModel, features) -> tuple[np.ndarray, np.ndarra
         embedding = _cooperative_sigma(z, spec.grouping)
     labels = np.argmax(embedding, axis=1)
     return labels, embedding
-
-
-# ---------------------------------------------------------------------------
-# Nearest neighbours in classifier-output space
-# ---------------------------------------------------------------------------
-
-
-def nearest_indices(distances: np.ndarray, k: int) -> list[int]:
-    """Indices of the k smallest distances, ordered by (distance, index).
-
-    Ties at the boundary are resolved toward the lower index, so the result
-    is fully deterministic.
-    """
-    n = distances.shape[0]
-    k = min(int(k), n)
-    if k < n:
-        part = np.argpartition(distances, k - 1)[:k]
-        threshold = distances[part].max()
-    else:
-        threshold = distances.max()
-    strict = np.flatnonzero(distances < threshold)
-    ties = np.flatnonzero(distances == threshold)
-    chosen = np.concatenate([strict, ties[: k - strict.size]])
-    order = np.lexsort((chosen, distances[chosen]))
-    return [int(i) for i in chosen[order]]
-
-
-def nearest_indices_rows(dist_matrix: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise k-nearest membership with the same tie rule as ``nearest_indices``.
-
-    Returns an (n, k) index array, each row unordered; only membership
-    matters to callers that average over the neighbourhood.
-    """
-    n, m = dist_matrix.shape
-    k = min(int(k), m)
-    if k == m:
-        return np.broadcast_to(np.arange(m), (n, m))
-    part = np.argpartition(dist_matrix, k - 1, axis=1)[:, :k]
-    thresholds = np.take_along_axis(dist_matrix, part, axis=1).max(axis=1)
-    le_counts = (dist_matrix <= thresholds[:, None]).sum(axis=1)
-    for i in np.flatnonzero(le_counts != k):
-        # ties straddle the boundary; keep the lowest indices
-        row = dist_matrix[i]
-        strict = np.flatnonzero(row < thresholds[i])
-        ties = np.flatnonzero(row == thresholds[i])
-        part[i] = np.concatenate([strict, ties[: k - strict.size]])
-    return part
-
-
-def _sorted_windows(pool_values: np.ndarray, queries: np.ndarray, half_width: int):
-    """One stable sort of the pool, and per query the sorted positions of a
-    window of min(2 * half_width, n) values: the half_width positions on each
-    side of the query's insertion point, shifted inside the pool at the ends.
-    Distances to a query never grow toward its insertion point, so its k
-    nearest values form a contiguous run inside a window of half-width k.
-
-    Returns (order, sorted_values, window).
-    """
-    n = pool_values.shape[0]
-    order = np.argsort(pool_values, kind="stable")
-    sorted_values = pool_values[order]
-    width = min(2 * half_width, n)
-    start = np.clip(np.searchsorted(sorted_values, queries) - half_width, 0, n - width)
-    return order, sorted_values, start[:, None] + np.arange(width)
-
-
-def nearest_indices_1d(pool_values: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    """k-nearest pool positions per query along one coordinate, (nq, k).
-
-    One sort of the pool plus per-query windows instead of the full distance
-    matrix: the k nearest values always form a contiguous run in sorted
-    order, so a window of 2k around each query's insertion point is
-    guaranteed to contain a valid k-nearest set. Matches
-    ``nearest_indices_rows`` exactly whenever distances are tie-free; with
-    exact ties the distance multiset is still correct but equally-distant
-    candidates outside the window are not considered (the choice stays
-    deterministic: lowest index among the windowed candidates).
-    ``nearest_indices_mirrored`` is the exact sibling for binary SVM
-    embeddings, with the whole-pool tie rule.
-    """
-    k = min(int(k), pool_values.shape[0])
-    order, sorted_values, window = _sorted_windows(pool_values, queries, k)
-    candidates = order[window]
-    delta = np.abs(sorted_values[window] - queries[:, None])
-    # ordered by (distance, pool index): exact ties go to the lower index
-    nearest = np.lexsort((candidates, delta), axis=1)[:, :k]
-    return np.take_along_axis(candidates, nearest, axis=1)
-
-
-def _mirrored_distances(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Euclidean distances between embeddings [-q, q] and [-p, p], as the
-    column-by-column sum of squares computes them: sqrt(2 * (p - q)**2)."""
-    diff = values - queries
-    diff *= diff
-    diff *= 2.0
-    return np.sqrt(diff, out=diff)
-
-
-def nearest_indices_mirrored(pool_values: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    """k-nearest pool rows per query for binary SVM embeddings [-d, d], given
-    the d of the pool and of the queries, (nq, k), each row unordered.
-
-    The membership is that of ``nearest_indices_rows`` over the full
-    Euclidean distances, tie rule included: lowest index among equal
-    distances over the whole pool. Distances are ``_mirrored_distances``,
-    bit-equal to the summed squares. A window of half-width k + 1 holds the
-    k nearest values and both their neighbours in sorted order; a query
-    takes the window rows at or below its k-th distance there. Where the
-    window holds more than k such rows, the ties at that distance may
-    straddle the window, and the query falls back to the full-row rule.
-    """
-    n = pool_values.shape[0]
-    k = min(int(k), n)
-    order, sorted_values, window = _sorted_windows(pool_values, queries, k + 1)
-    dist = _mirrored_distances(sorted_values[window], queries[:, None])
-    ranked = np.sort(dist, axis=1)
-    kth = ranked[:, k - 1]
-    straddle = ranked[:, k] <= kth if k < n else np.zeros(queries.shape[0], dtype=bool)
-    exact = ~straddle
-    out = np.empty((queries.shape[0], k), dtype=np.intp)
-    out[exact] = order[window[exact][dist[exact] <= kth[exact, None]]].reshape(-1, k)
-    if straddle.any():
-        full = _mirrored_distances(pool_values[None, :], queries[straddle, None])
-        out[straddle] = nearest_indices_rows(full, k)
-    return out
 
 
 # ---------------------------------------------------------------------------

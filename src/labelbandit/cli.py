@@ -76,15 +76,26 @@ _JSON_TYPE_NAMES = {
 }
 
 
+def _has_type(expected: type, value) -> bool:
+    accepted = (int, float) if expected is float else expected
+    return isinstance(value, bool) == (expected is bool) and isinstance(value, accepted)
+
+
 def _check_type(key: str, default, value) -> None:
     """A config value must have its default's type: an int passes for a float,
-    a bool never for a number, and null only where the default is null."""
+    a bool never for a number, and null only where the default is null. An
+    array must have its default's length and each element its element's type."""
     if default is None and value is None:
         return
     expected = _NULL_DEFAULT_TYPES[key] if default is None else type(default)
-    accepted = (int, float) if expected is float else expected
-    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
-        name = _JSON_TYPE_NAMES[expected] + (" or null" if default is None else "")
+    name = _JSON_TYPE_NAMES[expected] + (" or null" if default is None else "")
+    matches = _has_type(expected, value)
+    if expected is list:
+        elements = ", ".join(_JSON_TYPE_NAMES[type(d)] for d in default)
+        name = f"an array of {len(default)} values ({elements})"
+        matches = matches and len(value) == len(default)
+        matches = matches and all(_has_type(type(d), v) for d, v in zip(default, value))
+    if not matches:
         raise ConfigError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
 
 

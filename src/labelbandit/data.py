@@ -366,6 +366,14 @@ def save_dataset(dataset: Dataset, path, format: str = "json") -> None:
                 )
 
 
+def _whole(path, field: str, value) -> int:
+    """A JSON integer field as an int: a whole float such as 2.0 passes, a
+    fraction is a ParseError naming the file and the field."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ParseError(f"{path}: {field} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def load_dataset(path, format: str = "json") -> Dataset:
     """Read a dataset file; raises ParseError naming the offending record."""
     if format not in FORMATS:
@@ -379,19 +387,23 @@ def load_dataset(path, format: str = "json") -> Dataset:
         try:
             instances, bags = [], []
             for bag_obj in doc["bags"]:
+                bid = _whole(path, "bag id", bag_obj["id"])
                 weak = _weak_label_from_json(bag_obj["weak_label"])
+                if weak.kind == "label_set":
+                    for c in bag_obj["weak_label"]["value"]:
+                        _whole(path, f"bag {bid}: label set class id", c)
                 iids = []
                 for inst_obj in bag_obj["instances"]:
-                    instances.append(
-                        Instance(
-                            int(inst_obj["id"]),
-                            np.asarray(inst_obj["features"], dtype=np.float64),
-                            inst_obj.get("ground_truth"),
-                        )
-                    )
-                    iids.append(int(inst_obj["id"]))
-                bags.append(Bag(int(bag_obj["id"]), iids, weak))
-            return Dataset(instances, bags, int(doc["num_classes"]), str(doc["regime"]))
+                    iid = _whole(path, f"bag {bid}: instance id", inst_obj["id"])
+                    truth = inst_obj.get("ground_truth")
+                    if truth is not None:
+                        truth = _whole(path, f"instance {iid}: ground_truth", truth)
+                    features = np.asarray(inst_obj["features"], dtype=np.float64)
+                    instances.append(Instance(iid, features, truth))
+                    iids.append(iid)
+                bags.append(Bag(bid, iids, weak))
+            num_classes = _whole(path, "num_classes", doc["num_classes"])
+            return Dataset(instances, bags, num_classes, str(doc["regime"]))
         except UsageError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

@@ -8,9 +8,7 @@ scatters the cooperative gradient with ``np.add.at``, and
 ``cooperative_sigma_3d`` builds the cooperative scores from one
 (rows, classes, groups) array of exponentials. Both work on row-major
 (rows, classes) scores. The library's stacked ``fit`` and class-major
-kernels must match them bit for bit. ``nearest_indices_1d_two_sorts`` is the
-one-dimensional window search with its (distance, index) order built from a
-stable sort by index and then a stable sort by distance.
+kernels must match them bit for bit.
 
 ``cooperative_objective`` and ``training_loss`` are the objectives ``fit``
 descends, built from ``cooperative_target_terms``; ``cooperative_gradient``
@@ -25,7 +23,6 @@ import numpy as np
 from labelbandit.classifiers import (
     _check_features,
     _cooperative_nll_dz,
-    _sorted_windows,
     _svm_signs,
     _with_bias,
     initial_weights,
@@ -176,17 +173,3 @@ def loop_fit(spec, features, labels, sample_weight=None, seed=None) -> np.ndarra
             grad += spec.l2 * weights * l2_mask
             weights -= spec.learning_rate * grad
     return weights
-
-
-def nearest_indices_1d_two_sorts(pool_values, queries, k) -> np.ndarray:
-    """``nearest_indices_1d`` with the window's candidates pre-sorted by pool
-    index, so that the stable sort by distance breaks ties toward it."""
-    k = min(int(k), pool_values.shape[0])
-    order, sorted_values, window = _sorted_windows(pool_values, queries, k)
-    candidates = order[window]
-    delta = np.abs(sorted_values[window] - queries[:, None])
-    by_index = np.argsort(candidates, axis=1, kind="stable")
-    candidates = np.take_along_axis(candidates, by_index, axis=1)
-    delta = np.take_along_axis(delta, by_index, axis=1)
-    nearest = np.argsort(delta, axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(candidates, nearest, axis=1)

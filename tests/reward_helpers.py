@@ -5,7 +5,9 @@ vectorized context tables must match, the reward rules and context columns
 read one training instance at a time, the per-instance loop form of the
 rewards the environment must match, and the per-instance loop form of the
 raw distance gaps the vectorized ``rewards.raw_distance_gaps`` must match
-bit for bit.
+bit for bit. ``nearest_indices_1d_two_sorts`` is the one-dimensional window
+search with its (distance, index) order built from a stable sort by index and
+then a stable sort by distance.
 
 A distance-gap argument ``gaps`` is the rows ``rewards._distgap_rows``
 returned for the context's training rows, None when the gap is off.
@@ -239,3 +241,17 @@ def reward_oracle(instance_id, assigned, ctx, params, gaps=None):
 def negative_modes(layout):
     """The negative label ids a layout's ``negative_table`` marks."""
     return frozenset(np.flatnonzero(layout.negative_table).tolist())
+
+
+def nearest_indices_1d_two_sorts(pool_values, queries, k) -> np.ndarray:
+    """``nearest_indices_1d`` with the window's candidates pre-sorted by pool
+    index, so that the stable sort by distance breaks ties toward it."""
+    k = min(int(k), pool_values.shape[0])
+    order, sorted_values, window = rewards._sorted_windows(pool_values, queries, k)
+    candidates = order[window]
+    delta = np.abs(sorted_values[window] - queries[:, None])
+    by_index = np.argsort(candidates, axis=1, kind="stable")
+    candidates = np.take_along_axis(candidates, by_index, axis=1)
+    delta = np.take_along_axis(delta, by_index, axis=1)
+    nearest = np.argsort(delta, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(candidates, nearest, axis=1)

@@ -524,6 +524,21 @@ class TestRunInference:
                 rng=np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize("rounds, batch_size", [(0, 1), (5, 0)])
+    def test_bad_rounds_or_batch_size_rejected_before_any_pull(self, rounds, batch_size):
+        calls = []
+
+        def env(assignment, rng):
+            calls.append(assignment)
+            return {x: 0.5 for x in assignment}
+
+        with pytest.raises(ParameterError, match="must be >= 1"):
+            run_inference(
+                {0: [0, 1], 1: [0, 1, 2]}, env, rounds=rounds, batch_size=batch_size,
+                rng=np.random.default_rng(0),
+            )
+        assert calls == []
+
     def test_array_environment_with_other_ids_rejected(self):
         class ArrayEnvironment:
             train_ids = [2, 5]

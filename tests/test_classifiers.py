@@ -14,11 +14,10 @@ from classifier_helpers import (
     cooperative_objective,
     cooperative_sigma_3d,
     loop_fit,
-    nearest_indices_1d_two_sorts,
     training_loss,
 )
 from hypothesis.extra import numpy as hnp
-from reward_helpers import context, mirrored, predictions
+from reward_helpers import context, mirrored, nearest_indices_1d_two_sorts, predictions
 
 from labelbandit import rewards
 from labelbandit.classifiers import (
@@ -32,16 +31,18 @@ from labelbandit.classifiers import (
     initial_weights,
     model_from_json,
     model_to_json,
-    nearest_indices,
-    nearest_indices_1d,
-    nearest_indices_mirrored,
-    nearest_indices_rows,
     predict_arrays,
     save_model,
     singleton_grouping,
 )
 from labelbandit.errors import ParameterError, ValidationError
-from labelbandit.rewards import RewardParams
+from labelbandit.rewards import (
+    RewardParams,
+    nearest_indices,
+    nearest_indices_1d,
+    nearest_indices_mirrored,
+    nearest_indices_rows,
+)
 
 
 def separable_data(rng, n=80, dim=3, classes=2, scale=4.0):

@@ -167,6 +167,10 @@ class TestConfig:
             ({"classifier": {"epochs": 2.5}}, "classifier.epochs"),
             ({"rounds": True}, "rounds"),
             ({"reward": {"distgap_enabled": 1}}, "reward.distgap_enabled"),
+            ({"generator": {"bag_size": ["a", 3]}}, "generator.bag_size"),
+            ({"generator": {"bag_size": [3]}}, "generator.bag_size"),
+            ({"generator": {"bag_size": [3.5, 6]}}, "generator.bag_size"),
+            ({"generator": {"bag_size": [3, 6, 9]}}, "generator.bag_size"),
         ],
     )
     def test_wrongly_typed_value_exits_two_before_fitting(

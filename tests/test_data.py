@@ -327,6 +327,42 @@ class TestFileRoundTrip:
         with pytest.raises(ParseError, match=re.escape(str(path)) + f".*{bad}"):
             load_dataset(path, format)
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.update(num_classes=2.9), "num_classes"),
+            (lambda doc: doc["bags"][0].update(id=0.5), "bag id"),
+            (lambda doc: doc["bags"][0]["instances"][0].update(id=7.9), "instance id"),
+            (lambda doc: doc["bags"][0]["instances"][0].update(ground_truth=0.6), "ground_truth"),
+            (lambda doc: doc["bags"][0].update(
+                weak_label={"kind": "label_set", "value": [1.5]}), "label set class id"),
+        ],
+        ids=["num-classes", "bag-id", "instance-id", "ground-truth", "label-set"],
+    )
+    def test_json_fraction_is_a_parse_error_naming_file_and_field(self, tmp_path, edit, field):
+        path = tmp_path / "ds.json"
+        save_dataset(make_dataset(), path, "json")
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=re.escape(str(path)) + f".*{field} must be a whole"):
+            load_dataset(path, "json")
+
+    def test_json_whole_floats_load_as_integers(self, tmp_path):
+        path = tmp_path / "ds.json"
+        dataset = make_dataset()
+        save_dataset(dataset, path, "json")
+        doc = json.loads(path.read_text())
+        doc["num_classes"] = float(doc["num_classes"])
+        for bag in doc["bags"]:
+            bag["id"] = float(bag["id"])
+            for inst in bag["instances"]:
+                inst["id"] = float(inst["id"])
+                if inst["ground_truth"] is not None:
+                    inst["ground_truth"] = float(inst["ground_truth"])
+        path.write_text(json.dumps(doc))
+        assert load_dataset(path, "json") == dataset
+
     @settings(max_examples=300, deadline=None)
     @given(st.data(), st.sampled_from(["json", "csv"]))
     def test_one_value_replaced_by_a_string_loads_or_is_a_usage_error(

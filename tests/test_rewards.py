@@ -35,7 +35,7 @@ from reward_helpers import (
 )
 
 from labelbandit import rewards
-from labelbandit.classifiers import ClassifierSpec, nearest_indices_rows
+from labelbandit.classifiers import ClassifierSpec
 from labelbandit.data import (
     Bag,
     WeakLabel,
@@ -53,6 +53,7 @@ from labelbandit.rewards import (
     build_reward_context,
     distance_gap,
     eta,
+    nearest_indices_rows,
 )
 
 
@@ -429,6 +430,25 @@ class TestMirroredNeighbours:
             (predictions(range(6), columns(6)), predictions(held_ids, columns(12))), bags,
         )
         assert full_space_calls == [6]
+
+    def test_straddling_ties_are_searched_in_blocks(self, full_space_calls):
+        # 1,000 evenly spaced values, each twice: a query on a value has two
+        # rows at distance 0 and four at one step, so the ties at its 5th
+        # distance straddle any window and every query leaves the line search
+        pool = np.random.default_rng(0).permutation(np.repeat(np.arange(1000.0), 2))
+        queries = pool.copy()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            rewards.nearest_indices_mirrored(pool, queries, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # a quarter of the dense (queries x pool) float64 matrix
+        assert peak < queries.size * pool.size * 8 / 4, peak
+        assert sum(full_space_calls) == queries.size
 
 
 class TestMulticlassBinaryReduction:

@@ -21,12 +21,7 @@ from .bandit import (
     ucb_scores,
     update,
 )
-from .classifiers import (
-    ClassifierSpec,
-    TrainedModel,
-    fit,
-    predict_arrays,
-)
+from .classifiers import ClassifierSpec, TrainedModel, fit, predict_arrays
 from .data import (
     Bag,
     Dataset,

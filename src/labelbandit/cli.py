@@ -76,9 +76,13 @@ _JSON_TYPE_NAMES = {
 }
 
 
-def _has_type(expected: type, value) -> bool:
+def _has_type(expected: type, default, value) -> bool:
     accepted = (int, float) if expected is float else expected
-    return isinstance(value, bool) == (expected is bool) and isinstance(value, accepted)
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        return False
+    return expected is not list or len(value) == len(default) and all(
+        _has_type(type(d), d, v) for d, v in zip(default, value)
+    )
 
 
 def _check_type(key: str, default, value) -> None:
@@ -88,14 +92,9 @@ def _check_type(key: str, default, value) -> None:
     if default is None and value is None:
         return
     expected = _NULL_DEFAULT_TYPES[key] if default is None else type(default)
-    name = _JSON_TYPE_NAMES[expected] + (" or null" if default is None else "")
-    matches = _has_type(expected, value)
-    if expected is list:
-        elements = ", ".join(_JSON_TYPE_NAMES[type(d)] for d in default)
-        name = f"an array of {len(default)} values ({elements})"
-        matches = matches and len(value) == len(default)
-        matches = matches and all(_has_type(type(d), v) for d, v in zip(default, value))
-    if not matches:
+    if not _has_type(expected, default, value):
+        name = _JSON_TYPE_NAMES[expected] + (" or null" if default is None else "")
+        name += f" like {json.dumps(default)}" if expected is list else ""
         raise ConfigError(f"config key {key!r} must be {name}, got {json.dumps(value)}")
 
 
@@ -151,13 +150,9 @@ def _config_with_flags(args) -> dict:
 
 def build_inference_config(cfg: dict) -> pipeline.InferenceConfig:
     top = {f.name: cfg[f.name] for f in dataclasses.fields(pipeline.InferenceConfig)}
-    return pipeline.InferenceConfig(
-        **{
-            **top,
-            "classifier": pipeline.ClassifierConfig(**cfg["classifier"]),
-            "reward": RewardParams(**cfg["reward"]),
-        }
-    )
+    top["classifier"] = pipeline.ClassifierConfig(**cfg["classifier"])
+    top["reward"] = RewardParams(**cfg["reward"])
+    return pipeline.InferenceConfig(**top)
 
 
 def _echo_config(cfg: dict, out_dir: Path) -> None:

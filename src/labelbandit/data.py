@@ -367,8 +367,7 @@ def save_dataset(dataset: Dataset, path, format: str = "json") -> None:
 
 
 def _whole(path, field: str, value) -> int:
-    """A JSON integer field as an int: a whole float such as 2.0 passes, a
-    fraction is a ParseError naming the file and the field."""
+    """A JSON integer field as an int; a whole float passes, a fraction is a ParseError."""
     if isinstance(value, float) and not value.is_integer():
         raise ParseError(f"{path}: {field} must be a whole number, got {value!r}")
     return int(value)

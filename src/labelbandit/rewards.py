@@ -371,16 +371,13 @@ def _sorted_windows(pool_values: np.ndarray, queries: np.ndarray, half_width: in
 
 
 def nearest_indices_1d(pool_values: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    """k-nearest pool positions per query along one coordinate, (nq, k).
+    """k-nearest pool positions per query along one coordinate, (nq, k),
+    nearest first, from a window of 2k around each query's insertion point
+    (``_sorted_windows``).
 
-    One sort of the pool plus per-query windows instead of the full distance
-    matrix: the k nearest values always form a contiguous run in sorted
-    order, so a window of 2k around each query's insertion point is
-    guaranteed to contain a valid k-nearest set. Matches
-    ``nearest_indices_rows`` exactly whenever distances are tie-free; with
-    exact ties the distance multiset is still correct but equally-distant
-    candidates outside the window are not considered (the choice stays
-    deterministic: lowest index among the windowed candidates).
+    Matches ``nearest_indices_rows`` exactly whenever distances are tie-free;
+    with exact ties the distance multiset is still correct, but the lowest
+    index is taken among the window's candidates only, not the whole pool.
     ``nearest_indices_mirrored`` is the exact sibling for binary SVM
     embeddings, with the whole-pool tie rule.
     """
@@ -393,33 +390,25 @@ def nearest_indices_1d(pool_values: np.ndarray, queries: np.ndarray, k: int) -> 
     return np.take_along_axis(candidates, nearest, axis=1)
 
 
-def _mirrored_distances(values: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Euclidean distances between embeddings [-q, q] and [-p, p], as the
-    column-by-column sum of squares computes them: sqrt(2 * (p - q)**2)."""
-    diff = values - queries
-    diff *= diff
-    diff *= 2.0
-    return np.sqrt(diff, out=diff)
-
-
 def nearest_indices_mirrored(pool_values: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """k-nearest pool rows per query for binary SVM embeddings [-d, d], given
     the d of the pool and of the queries, (nq, k), each row unordered.
 
     The membership is that of ``nearest_indices_rows`` over the full
     Euclidean distances, tie rule included: lowest index among equal
-    distances over the whole pool. Distances are ``_mirrored_distances``,
-    bit-equal to the summed squares. A window of half-width k + 1 holds the
-    k nearest values and both their neighbours in sorted order; a query
-    takes the window rows at or below its k-th distance there. Where the
-    window holds more than k such rows, the ties at that distance may
-    straddle the window, and the query goes through ``_full_space_neighbors``
-    on the [-d, d] embeddings, block by block.
+    distances over the whole pool. The distance of [-q, q] to [-p, p] is
+    sqrt(2 * (p - q)**2), bit-equal to ``_pairwise_distances``' summed
+    squares. A window of half-width k + 1 holds the k nearest values and both
+    their neighbours in sorted order; a query takes the window rows at or
+    below its k-th distance there. Where the window holds more than k such
+    rows, the ties at that distance may straddle the window, and the query
+    goes through ``_full_space_neighbors`` on the [-d, d] embeddings.
     """
     n = pool_values.shape[0]
     k = min(int(k), n)
     order, sorted_values, window = _sorted_windows(pool_values, queries, k + 1)
-    dist = _mirrored_distances(sorted_values[window], queries[:, None])
+    diff = sorted_values[window] - queries[:, None]
+    dist = np.sqrt(diff * diff * 2.0)
     ranked = np.sort(dist, axis=1)
     kth = ranked[:, k - 1]
     straddle = ranked[:, k] <= kth if k < n else np.zeros(queries.shape[0], dtype=bool)

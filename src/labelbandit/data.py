@@ -367,8 +367,8 @@ def save_dataset(dataset: Dataset, path, format: str = "json") -> None:
 
 
 def _whole(path, field: str, value) -> int:
-    """A JSON integer field as an int; a whole float passes, a fraction is a ParseError."""
-    if isinstance(value, float) and not value.is_integer():
+    """A JSON integer field as an int: whole floats pass, fractions and bools are ParseErrors."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise ParseError(f"{path}: {field} must be a whole number, got {value!r}")
     return int(value)
 

@@ -320,11 +320,12 @@ _BLOCK_ELEMENTS = 2**16
 
 
 def _pairwise_distances(queries: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """The reward path's Euclidean distances, (nq, n_pool): squared differences
-    added into zeros a column at a time, left to right, then square-rooted."""
-    squared = np.zeros((queries.shape[0], pool.shape[0]))
+    """The reward path's Euclidean distances, (nq, n_pool): each column's squared
+    difference added left to right onto the first column's, then square-rooted."""
+    squared = queries[:, 0, None] - pool[None, :, 0]
+    squared *= squared
     diff = np.empty_like(squared)
-    for j in range(pool.shape[1]):
+    for j in range(1, pool.shape[1]):
         np.subtract(queries[:, j, None], pool[None, :, j], out=diff)
         diff *= diff
         squared += diff

@@ -1,4 +1,5 @@
-"""Linear classifiers: training, prediction, gradients, and kNN search."""
+"""Linear classifiers: training, prediction, gradients; and the kNN search in
+classifier-output space, which lives in ``labelbandit.rewards``."""
 
 import json
 from dataclasses import replace

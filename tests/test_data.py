@@ -334,10 +334,11 @@ class TestFileRoundTrip:
             (lambda doc: doc["bags"][0].update(id=0.5), "bag id"),
             (lambda doc: doc["bags"][0]["instances"][0].update(id=7.9), "instance id"),
             (lambda doc: doc["bags"][0]["instances"][0].update(ground_truth=0.6), "ground_truth"),
+            (lambda doc: doc["bags"][0]["instances"][0].update(ground_truth=True), "ground_truth"),
             (lambda doc: doc["bags"][0].update(
                 weak_label={"kind": "label_set", "value": [1.5]}), "label set class id"),
         ],
-        ids=["num-classes", "bag-id", "instance-id", "ground-truth", "label-set"],
+        ids=["num-classes", "bag-id", "instance-id", "ground-truth", "bool", "label-set"],
     )
     def test_json_fraction_is_a_parse_error_naming_file_and_field(self, tmp_path, edit, field):
         path = tmp_path / "ds.json"

@@ -32,7 +32,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import InferenceError, ParameterError, RewardRangeError
+from .errors import InferenceError, ParameterError, RewardRangeError, check_count
 
 # Confidence sentinel for instances whose label set is a singleton: the label
 # is structurally forced, not inferred. Serialized as the string "fixed".
@@ -287,8 +287,7 @@ def select_super_arm_batch(state: BanditState, batch_size: int) -> list[np.ndarr
     index) are bumped virtually, which shrinks the leaders' bonuses and makes
     the batch diverse. Virtual pulls never touch the real state.
     """
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
+    check_count(batch_size, "batch_size", 1, ParameterError)
     _require_initialized(state)
     rows = np.arange(len(state.ids))
     means, counts = state.reward_sums / state.pulls, state.pulls.copy()
@@ -366,10 +365,8 @@ def run_inference(
     Members are updated in batch order. Reproducible given the rng seed and a
     deterministic environment. An empty ``pull_log`` is filled with every pull.
     """
-    if rounds < 1:
-        raise ParameterError(f"rounds must be >= 1, got {rounds}")
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
+    check_count(rounds, "rounds", 1, ParameterError)
+    check_count(batch_size, "batch_size", 1, ParameterError)
     if rng is None:
         rng = np.random.default_rng()
     state = new_bandit(label_sets)

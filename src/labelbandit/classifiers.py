@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InferenceError, ParameterError, ValidationError
+from .errors import InferenceError, ParameterError, ValidationError, check_count
 
 KINDS = ("linear-svm", "softmax", "cooperative-softmax")
 
@@ -51,14 +51,15 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown classifier kind {self.kind!r}; expected one of {KINDS}")
-        if self.num_classes < 2:
-            raise ParameterError(f"num_classes must be >= 2, got {self.num_classes}")
+        check_count(self.num_classes, "num_classes", 2, ParameterError)
         if self.learning_rate <= 0 or self.epochs < 1 or self.l2 < 0 or self.batch_size < 1:
             raise ParameterError(
                 "classifier hyperparameters must be positive (l2 may be 0), got "
                 f"learning_rate={self.learning_rate}, epochs={self.epochs}, l2={self.l2}, "
                 f"batch_size={self.batch_size}"
             )
+        check_count(self.epochs, "epochs", 1, ParameterError)
+        check_count(self.batch_size, "batch_size", 1, ParameterError)
         grouping = self.grouping
         if self.kind == "cooperative-softmax" and grouping is None:
             grouping = singleton_grouping(self.num_classes)

@@ -28,6 +28,7 @@ from . import data, metrics, pipeline
 from .classifiers import model_from_json, save_model
 from .errors import (
     ConfigError, EvaluationError, InferenceError, LabelBanditError, ParseError, UsageError,
+    check_count,
 )
 from .rewards import RewardParams
 
@@ -204,10 +205,11 @@ def _generate_dataset(regime: str, gen: dict, seed: int) -> data.Dataset:
             dataset = data.with_proportion_labels(dataset)
         return dataset
     if regime == "multiclass-mil":
+        negative_modes = check_count(gen["negative_modes"], "negative_modes", 1, ConfigError)
+        num_positive = gen["positive_classes"]
         pool_seed, bag_seed = np.random.SeedSequence(seed).generate_state(2)
-        num_positive = int(gen["positive_classes"])
         pool = data.generate_gaussian_blobs(
-            num_classes=num_positive + int(gen["negative_modes"]),
+            num_classes=num_positive + negative_modes,
             per_class=gen["per_class"],
             feature_dim=gen["feature_dim"],
             separation=gen["separation"],
@@ -377,9 +379,7 @@ def cmd_bench(args) -> int:
 def _bench_summary(cfg: dict, out_dir: Path) -> dict:
     """Generate, infer and score ``bench.repetitions`` times, one derived seed
     each; a repetition's pull logs spill to a file without a name in ``out_dir``."""
-    repetitions = int(cfg["bench"]["repetitions"])
-    if repetitions < 1:
-        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    repetitions = check_count(cfg["bench"]["repetitions"], "repetitions", 1, ConfigError)
     config = build_inference_config(cfg)
     seeds = [int(s) for s in np.random.SeedSequence(cfg["master_seed"]).generate_state(repetitions)]
     per_run = []

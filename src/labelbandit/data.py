@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, UsageError, ValidationError
+from .errors import ParameterError, ParseError, UsageError, ValidationError, check_count
 
 NEGATIVE_CLASS = 0
 
@@ -180,8 +180,7 @@ class Dataset:
     def _validate(self):
         if self.regime not in REGIMES:
             raise ValidationError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
-        if self.num_classes < 2:
-            raise ValidationError(f"num_classes must be >= 2, got {self.num_classes}")
+        check_count(self.num_classes, "num_classes", 2, ValidationError)
         check_label_kinds(self.regime, self.bags)
         if not self.instances:
             raise ValidationError("dataset has no instances")
@@ -484,15 +483,13 @@ def generate_binary_mil(
     Positive bags contain at least one positive instance; negative bags
     contain none.
     """
-    lo, hi = int(bag_size_range[0]), int(bag_size_range[1])
-    if num_bags < 2:
-        raise ParameterError(f"num_bags must be >= 2, got {num_bags}")
-    if lo < 1 or hi < lo:
+    check_count(num_bags, "num_bags", 2, ParameterError)
+    lo, hi = (check_count(size, "bag size", 1, ParameterError) for size in bag_size_range)
+    if hi < lo:
         raise ParameterError(f"bad bag size range [{lo}, {hi}]")
     if not 0.0 < positive_fraction < 1.0:
         raise ParameterError(f"positive_fraction must lie in (0, 1), got {positive_fraction}")
-    if feature_dim < 1:
-        raise ParameterError(f"feature_dim must be >= 1, got {feature_dim}")
+    check_count(feature_dim, "feature_dim", 1, ParameterError)
     if class_separation < 0:
         raise ParameterError(f"class_separation must be >= 0, got {class_separation}")
     num_positive = round(positive_fraction * num_bags)
@@ -535,12 +532,9 @@ def generate_gaussian_blobs(
     Class means are random directions rescaled so the closest pair sits at
     exactly ``separation``; separation 0 collapses all means onto the origin.
     """
-    if num_classes < 2:
-        raise ParameterError(f"num_classes must be >= 2, got {num_classes}")
-    if per_class < 1:
-        raise ParameterError(f"per_class must be >= 1, got {per_class}")
-    if feature_dim < 1:
-        raise ParameterError(f"feature_dim must be >= 1, got {feature_dim}")
+    check_count(num_classes, "num_classes", 2, ParameterError)
+    check_count(per_class, "per_class", 1, ParameterError)
+    check_count(feature_dim, "feature_dim", 1, ParameterError)
     if separation < 0:
         raise ParameterError(f"separation must be >= 0, got {separation}")
     rng = np.random.default_rng(seed)
@@ -578,20 +572,19 @@ def generate_multiclass_mil(
     ``positive_classes`` become the negative class 0, and each bag's label
     set is exactly the set of positive classes present among its members.
     """
-    positive_classes = frozenset(int(c) for c in positive_classes)
+    positive_classes = frozenset(
+        check_count(c, "positive class id", 1, ParameterError) for c in positive_classes
+    )
     if not base:
         raise ParameterError("base pool is empty")
     if not positive_classes:
         raise ParameterError("positive_classes must be nonempty")
-    if any(c < 1 for c in positive_classes):
-        raise ParameterError("positive class ids must be >= 1 (0 is the negative class)")
-    lo, hi = int(bag_size_range[0]), int(bag_size_range[1])
-    if lo < 1 or hi < lo:
+    lo, hi = (check_count(size, "bag size", 1, ParameterError) for size in bag_size_range)
+    if hi < lo:
         raise ParameterError(f"bad bag size range [{lo}, {hi}]")
     if hi > len(base):
         raise ParameterError(f"bag size {hi} exceeds pool size {len(base)}")
-    if num_bags < 1:
-        raise ParameterError(f"num_bags must be >= 1, got {num_bags}")
+    check_count(num_bags, "num_bags", 1, ParameterError)
     rng = np.random.default_rng(seed)
     num_classes = max(positive_classes) + 1
     instances, bags = [], []

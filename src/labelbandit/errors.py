@@ -1,5 +1,8 @@
-"""Exception types shared across the package. The command line exits 2 on a
+"""Exception types shared across the package, and the one rule every count
+setting follows (``check_count``). The command line exits 2 on a
 ``UsageError`` (bad usage, config or inputs) and 3 on any other error here."""
+
+import numbers
 
 
 class LabelBanditError(Exception):
@@ -41,3 +44,14 @@ class EvaluationError(UsageError):
 class InferenceError(LabelBanditError, RuntimeError):
     """An inference run or a classifier fit aborted; a failure inside
     ``run_inference`` carries round and assignment context."""
+
+
+def check_count(value, name: str, minimum: int, error: type[UsageError]) -> int:
+    """``value`` as an int, if it is a whole number (an int or a numpy integer,
+    never a bool or a float) of at least ``minimum``; otherwise ``error``, the
+    calling layer's usage error, naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

@@ -35,7 +35,7 @@ from .data import (
     negative_label_ids,
     strip_ground_truth,
 )
-from .errors import ConfigError, ParameterError, RegimeError
+from .errors import ConfigError, ParameterError, RegimeError, check_count
 from .rewards import RewardEnvironment, RewardParams
 
 DEFAULT_CLASSIFIER_BY_REGIME = {
@@ -82,22 +82,17 @@ class InferenceConfig:
                 f"{', '.join(REGIME_LABEL_KIND)}, and any other regime runs through "
                 "bandit.run_inference with its own reward environment"
             )
-        if self.rounds < 1:
-            raise ConfigError(f"rounds must be >= 1, got {self.rounds}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.folds < 2:
-            raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        if self.bootstrap_passes < 1:
-            raise ConfigError(f"bootstrap_passes must be >= 1, got {self.bootstrap_passes}")
+        check_count(self.rounds, "rounds", 1, ConfigError)
+        check_count(self.batch_size, "batch_size", 1, ConfigError)
+        check_count(self.folds, "folds", 2, ConfigError)
+        check_count(self.bootstrap_passes, "bootstrap_passes", 1, ConfigError)
         if not 0.0 < self.bootstrap_fraction < 1.0:
             raise ConfigError(
                 f"bootstrap_fraction must lie in (0, 1), got {self.bootstrap_fraction}"
             )
         if self.final_weighting not in WEIGHTINGS:
             raise ConfigError(f"final_weighting must be one of {WEIGHTINGS}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
+        check_count(self.master_seed, "master_seed", 0, ConfigError)
         # classifier.kind=None and reward.num_negative_labels=None: the regime's defaults
         if self.classifier.kind is None:
             kind = DEFAULT_CLASSIFIER_BY_REGIME[self.regime]
@@ -156,8 +151,7 @@ def derive_label_sets(
         )
     if num_negative_labels is None:
         num_negative_labels = DEFAULT_NEGATIVE_LABELS[dataset.regime]
-    if num_negative_labels < 1:
-        raise ParameterError(f"num_negative_labels must be >= 1, got {num_negative_labels}")
+    check_count(num_negative_labels, "num_negative_labels", 1, ParameterError)
     negatives = negative_label_ids(dataset.num_classes, num_negative_labels)
     sets: dict[int, list[int]] = {}
     for bag in dataset.bags:
@@ -382,11 +376,12 @@ def split_bags_by_inferred_label(
     return Dataset(kept_instances, new_bags, 2, "binary-mil"), source_label
 
 
-def _check_feature_map(width: int, bandwidth: float) -> None:
-    if width < 1:
-        raise ParameterError(f"feature-map width must be >= 1, got {width}")
+def _check_feature_map(width, bandwidth: float) -> int:
+    """The feature map's width as an int, once it and the bandwidth pass."""
+    width = check_count(width, "feature-map width", 1, ParameterError)
     if bandwidth <= 0:
         raise ParameterError(f"feature-map bandwidth must be positive, got {bandwidth}")
+    return width
 
 
 def apply_random_feature_map(dataset: Dataset, width, bandwidth: float, seed) -> Dataset:
@@ -395,12 +390,12 @@ def apply_random_feature_map(dataset: Dataset, width, bandwidth: float, seed) ->
     and returns the dataset unchanged."""
     if width is None:
         return dataset
-    _check_feature_map(width, bandwidth)
+    width = _check_feature_map(width, bandwidth)
     rng = np.random.default_rng(seed)
     dim = dataset.feature_dim
-    projection = rng.normal(0.0, 1.0 / bandwidth, size=(int(width), dim))
-    offsets = rng.uniform(0.0, 2.0 * np.pi, size=int(width))
-    scale = math.sqrt(2.0 / int(width))
+    projection = rng.normal(0.0, 1.0 / bandwidth, size=(width, dim))
+    offsets = rng.uniform(0.0, 2.0 * np.pi, size=width)
+    scale = math.sqrt(2.0 / width)
     instances = [
         Instance(
             inst.id,

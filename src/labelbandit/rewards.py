@@ -10,14 +10,14 @@ classifier cannot reproduce on the training fold scores exactly 0.
 A ``RewardContext`` precomputes everything shared across instances for one
 evaluation (each held-out row's bag recall and precision, neighbour rows)
 from the classifier's predictions, given as arrays row-aligned with
-ascending instance ids; the reward rules then score every training row at
-once from it. Its fixed half, the fold's ``HeldoutLayout`` (the regime, the
+ascending instance ids; the one reward rule then scores every training row
+at once from it. Its fixed half, the fold's ``HeldoutLayout`` (the regime, the
 ids, and each held-out row's bag and each bag's weak label as arrays), is
 built once per fold; ``build_reward_context`` adds the per-pull half from
 the predictions, without a loop over bags. This module owns the
 nearest-neighbour search in classifier-output space, its tie rule and its
 one Euclidean distance. The ``RewardEnvironment`` alone computes the
-distance-gap prior and scales the rules' rewards by it.
+distance-gap prior and scales the rule's rewards by it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .data import (
     extended_num_classes,
     negative_label_ids,
 )
-from .errors import ParameterError, RegimeError, RewardRangeError, ValidationError
+from .errors import ParameterError, RegimeError, RewardRangeError, ValidationError, check_count
 
 logger = logging.getLogger(__name__)
 
@@ -79,18 +79,15 @@ class RewardParams:
     distgap_space: str = "output"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError(f"k must be >= 1, got {self.k}")
+        check_count(self.k, "k", 1, ParameterError)
         if not 0.0 <= self.alpha <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0.0 < self.gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.tau is not None and self.tau <= 0:
             raise ParameterError(f"tau must be positive, got {self.tau}")
-        if self.num_negative_labels is not None and self.num_negative_labels < 1:
-            raise ParameterError(
-                f"num_negative_labels must be >= 1, got {self.num_negative_labels}"
-            )
+        if self.num_negative_labels is not None:
+            check_count(self.num_negative_labels, "num_negative_labels", 1, ParameterError)
         if self.distgap_space not in ("output", "features"):
             raise ParameterError(
                 f"distgap_space must be 'output' or 'features', got {self.distgap_space!r}"
@@ -131,52 +128,32 @@ class RewardContext:
 # ---------------------------------------------------------------------------
 # Per-instance rewards
 # ---------------------------------------------------------------------------
-#
-# A rule scores every training row at once: ``assigned`` holds the labels
-# assigned to the rows.
-
-
-def _gated_base(ctx: RewardContext, params: RewardParams) -> np.ndarray:
-    """gamma * meanRec + (1 - gamma) * [meanRec >= alpha] * meanPrec, per row."""
-    neighbors = ctx.neighbor_rows
-    mean_rec = ctx.rec_row[neighbors].mean(axis=1)
-    mean_prec = ctx.prec_row[neighbors].mean(axis=1)
-    value = params.gamma * mean_rec
-    return np.where(mean_rec >= params.alpha, value + (1.0 - params.gamma) * mean_prec, value)
-
-
-def _gate(assigned, ctx: RewardContext, values: np.ndarray) -> np.ndarray:
-    """The modelability gate: 0 where the fold's classifier does not predict
-    the assigned label."""
-    return np.where(assigned == ctx.train_labels, values, 0.0)
-
-
-def _mil_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
-    """Binary and multi-class MIL reward: the gated recall/precision base.
-
-    Both regimes' tables read the bags as label sets; the regime shows only
-    in the neighbours (full output space for binary, the predicted-class
-    dimension for multi-class), and with two classes and one negative label
-    the two coincide.
-    """
-    return _gate(assigned, ctx, _gated_base(ctx, params))
-
-
-def _llp_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
-    """Worked example of a user-defined regime for proportion-labelled bags:
-    one minus the mean absolute error between each neighbouring bag's labelled
-    and predicted positive fraction, behind the usual gate."""
-    error = ctx.proportion_error_row[ctx.neighbor_rows].mean(axis=1)
-    return _gate(assigned, ctx, 1.0 - error)
 
 
 def _regime_rule(assigned, ctx: RewardContext, params: RewardParams) -> np.ndarray:
-    """Dispatch on the layout's regime. The layout holds a built-in regime
-    (``heldout_layout`` checks it), so anything but llp is one of the two
-    MIL regimes."""
+    """Every training row's reward, given ``assigned``, the labels assigned to
+    the rows, behind the modelability gate: 0 where the fold's classifier
+    does not predict the assigned label.
+
+    The two MIL regimes score gamma * meanRec + (1 - gamma) * [meanRec >=
+    alpha] * meanPrec over a row's neighbours. Both read the bags as label
+    sets; the regime shows only in the neighbours (full output space for
+    binary, the predicted-class dimension for multi-class), and with two
+    classes and one negative label the two coincide. llp, the worked example
+    of a user-defined regime for proportion-labelled bags, scores one minus
+    the mean absolute error between each neighbouring bag's labelled and
+    predicted positive fraction. The layout holds a built-in regime
+    (``heldout_layout`` checks it), so anything but llp is MIL.
+    """
+    neighbors = ctx.neighbor_rows
     if ctx.layout.regime == "llp":
-        return _llp_rule(assigned, ctx, params)
-    return _mil_rule(assigned, ctx, params)
+        values = 1.0 - ctx.proportion_error_row[neighbors].mean(axis=1)
+    else:
+        mean_rec = ctx.rec_row[neighbors].mean(axis=1)
+        mean_prec = ctx.prec_row[neighbors].mean(axis=1)
+        value = params.gamma * mean_rec
+        values = np.where(mean_rec >= params.alpha, value + (1.0 - params.gamma) * mean_prec, value)
+    return np.where(assigned == ctx.train_labels, values, 0.0)
 
 
 def eta(raw, tau: float):

@@ -105,8 +105,8 @@ def one_row(rule):
     return reward
 
 
-mil_reward = one_row(rewards._mil_rule)
-llp_example_reward = one_row(rewards._llp_rule)
+mil_reward = one_row(rewards._regime_rule)
+llp_example_reward = one_row(rewards._regime_rule)
 reward_for = one_row(scaled_rule)
 
 

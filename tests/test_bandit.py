@@ -87,6 +87,18 @@ class TestNewBandit:
         with pytest.raises(ParameterError, match=f"instance {instance} needs an integer id"):
             new_bandit(label_sets)
 
+    @pytest.mark.parametrize(
+        "label_sets, message",
+        [
+            ({}, "label_sets is empty"),
+            ({4: [1, 0, 1]}, r"instance 4 has duplicate labels \[1, 0, 1\]"),
+        ],
+        ids=["no-instances", "duplicate-labels"],
+    )
+    def test_no_instances_or_duplicate_labels_rejected(self, label_sets, message):
+        with pytest.raises(ParameterError, match=message):
+            new_bandit(label_sets)
+
     def test_numpy_integers_accepted(self):
         state = new_bandit({np.int64(3): np.array([1, 0]), np.int32(1): [np.int8(2)]})
         assert state.ids.tolist() == [1, 3]
@@ -265,6 +277,15 @@ class TestSelection:
         before = stats()
         select_super_arm_batch(state, 7)
         assert stats() == before
+
+    @pytest.mark.parametrize("batch_size", [1.5, True, 0])
+    def test_batch_size_must_be_a_whole_number_of_at_least_one(self, batch_size):
+        state = new_bandit({0: [0, 1]})
+        initialize_uniformly(state, np.random.default_rng(0))
+        message = "batch_size must be >= 1" if batch_size == 0 else "batch_size must be a whole"
+        with pytest.raises(ParameterError, match=message):
+            select_super_arm_batch(state, batch_size)
+        assert len(select_super_arm_batch(state, np.int64(2))) == 2
 
 
 class TestUpdate:
@@ -538,6 +559,41 @@ class TestRunInference:
                 rng=np.random.default_rng(0),
             )
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "rounds, batch_size, message",
+        [
+            (2.5, 1, "rounds must be a whole number, got 2.5"),
+            (True, 1, "rounds must be a whole number, got True"),
+            (5, 1.5, "batch_size must be a whole number, got 1.5"),
+            (5, True, "batch_size must be a whole number, got True"),
+        ],
+        ids=["rounds-fraction", "rounds-bool", "batch-fraction", "batch-bool"],
+    )
+    def test_fractional_or_bool_counts_rejected_before_any_pull(self, rounds, batch_size, message):
+        calls = []
+
+        def env(assignment, rng):
+            calls.append(assignment)
+            return {x: 0.5 for x in assignment}
+
+        with pytest.raises(ParameterError, match=message):
+            run_inference({0: [0, 1]}, env, rounds=rounds, batch_size=batch_size)
+        assert calls == []
+
+    def test_numpy_integer_counts_run_as_ints(self):
+        def env(assignment, rng):
+            return {x: float(rng.uniform()) for x in assignment}
+
+        def run(rounds, batch_size):
+            return run_inference(
+                {0: [0, 1], 1: [0, 1, 2]}, env, rounds=rounds, batch_size=batch_size,
+                rng=np.random.default_rng(4),
+            )
+
+        expected = run(5, 2)
+        assert run(np.int64(5), np.int32(2)) == expected
+        assert expected.pull_history_length == 3 + 5
 
     def test_array_environment_with_other_ids_rejected(self):
         class ArrayEnvironment:

@@ -72,6 +72,24 @@ class TestSpecValidation:
         assert ClassifierSpec("linear-svm", 2).num_outputs == 1
         assert ClassifierSpec("linear-svm", 4).num_outputs == 4
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_classes", 2.5), ("num_classes", True), ("epochs", 2.5), ("epochs", True),
+            ("batch_size", 1.5), ("batch_size", True),
+        ],
+    )
+    def test_counts_must_be_whole_numbers(self, field, value):
+        settings = {"kind": "softmax", "num_classes": 3, field: value}
+        with pytest.raises(ParameterError, match=f"{field} must be a whole number, got {value}"):
+            ClassifierSpec(**settings)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = ClassifierSpec("softmax", np.int64(3), epochs=np.int32(2), batch_size=np.uint8(4))
+        X, y = separable_data(np.random.default_rng(2), classes=3)
+        expected = fit(ClassifierSpec("softmax", 3, epochs=2, batch_size=4), X, y, seed=1)
+        assert np.array_equal(fit(spec, X, y, seed=1).weights, expected.weights)
+
 
 class TestFit:
     def test_two_separable_points(self):
@@ -358,6 +376,11 @@ class TestPredict:
         model = TrainedModel(np.zeros((2, 4)), ClassifierSpec("softmax", 2))
         with pytest.raises(ValidationError, match="dimension"):
             predict_arrays(model, np.ones((1, 7)))
+
+    def test_one_dimensional_features_rejected(self):
+        model = TrainedModel(np.zeros((2, 4)), ClassifierSpec("softmax", 2))
+        with pytest.raises(ValidationError, match=r"must be 2-d, got shape \(3,\)"):
+            predict_arrays(model, np.ones(3))
 
 
 class TestCooperativeObjective:

@@ -1011,6 +1011,18 @@ USAGE_FAILURES = {
         generate_with({"positive_classes": 0}, "multiclass-mil"),
         "positive_classes must be nonempty",
     ),
+    "multiclass-negative-modes-negative": (
+        generate_with({"negative_modes": -3}, "multiclass-mil"),
+        "negative_modes must be >= 1, got -3",
+    ),
+    "multiclass-negative-modes-fraction": (
+        generate_with({"negative_modes": 2.5}, "multiclass-mil"),
+        "config key 'generator.negative_modes' must be an integer, got 2.5",
+    ),
+    "multiclass-negative-modes-bool": (
+        generate_with({"negative_modes": True}, "multiclass-mil"),
+        "config key 'generator.negative_modes' must be an integer, got true",
+    ),
     "multiclass-bag-above-pool": (
         generate_with({"bag_size": [5, 2000]}, "multiclass-mil"),
         "bag size 2000 exceeds pool size 1000",

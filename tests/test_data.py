@@ -403,6 +403,16 @@ class TestFileRoundTrip:
         except UsageError:
             pass
 
+    @pytest.mark.parametrize("operation", ["save", "load"])
+    def test_unknown_format_rejected(self, tmp_path, operation):
+        path = tmp_path / "ds.json"
+        save_dataset(make_dataset(), path)
+        with pytest.raises(ParameterError, match="unknown format 'xml'"):
+            if operation == "save":
+                save_dataset(make_dataset(), path, format="xml")
+            else:
+                load_dataset(path, format="xml")
+
     def test_generator_save_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_dataset(generate_binary_mil(8, (2, 4), 0.5, 3, 5.0, 7), a)
@@ -503,6 +513,65 @@ class TestMulticlassGenerator:
     def test_empty_pool_rejected(self):
         with pytest.raises(ParameterError):
             generate_multiclass_mil([], 5, (2, 3), {1}, 0)
+
+
+POOL = [Instance(i, [float(i)], i % 3) for i in range(12)]
+
+
+class TestCountSettings:
+    @pytest.mark.parametrize(
+        "generator, args, message",
+        [
+            (generate_binary_mil, (20, (3.5, 6), 0.5, 2, 6.0, 0), "bag size must be a whole"),
+            (generate_binary_mil, (20, (3, True), 0.5, 2, 6.0, 0), "bag size must be a whole"),
+            (generate_binary_mil, (10.5, (3, 6), 0.5, 2, 6.0, 0), "num_bags must be a whole"),
+            (generate_binary_mil, (20, (3, 6), 0.5, 2.5, 6.0, 0), "feature_dim must be a whole"),
+            (generate_binary_mil, (20, (0, 6), 0.5, 2, 6.0, 0), "bag size must be >= 1, got 0"),
+            (generate_gaussian_blobs, (3, 2.5, 2, 6.0, 0), "per_class must be a whole"),
+            (generate_gaussian_blobs, (3, 4, 2.5, 6.0, 0), "feature_dim must be a whole"),
+            (generate_gaussian_blobs, (True, 4, 2, 6.0, 0), "num_classes must be a whole"),
+            (generate_multiclass_mil, (POOL, 5, (2, 3), {1.5, 2}, 0), "class id must be a whole"),
+            (generate_multiclass_mil, (POOL, 5, (2, 3), {0, 2}, 0), "class id must be >= 1"),
+            (generate_multiclass_mil, (POOL, 5.5, (2, 3), {1}, 0), "num_bags must be a whole"),
+            (generate_multiclass_mil, (POOL, 5, (2, 3.5), {1}, 0), "bag size must be a whole"),
+        ],
+        ids=[
+            "binary-bag-size", "binary-bag-size-bool", "binary-num-bags", "binary-feature-dim",
+            "binary-bag-size-zero", "blobs-per-class", "blobs-feature-dim", "blobs-classes-bool",
+            "multiclass-class-id", "multiclass-class-id-zero", "multiclass-num-bags",
+            "multiclass-bag-size",
+        ],
+    )
+    def test_generator_counts_must_be_whole_numbers_before_any_draw(
+        self, monkeypatch, generator, args, message
+    ):
+        def no_draw(*args):
+            raise AssertionError("a generator was seeded")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ParameterError, match=message):
+            generator(*args)
+
+    @pytest.mark.parametrize("num_classes", [2.5, True, 1])
+    def test_dataset_num_classes_must_be_a_whole_number_of_at_least_two(self, num_classes):
+        ds = make_dataset()
+        with pytest.raises(ValidationError, match="num_classes must be "):
+            Dataset(ds.instances, ds.bags, num_classes, ds.regime)
+
+    def test_numpy_integer_counts_write_the_same_bytes(self, tmp_path):
+        as_ints = generate_binary_mil(8, (2, 4), 0.5, 3, 5.0, 7)
+        i64 = np.int64
+        as_numpy = generate_binary_mil(i64(8), (np.int32(2), i64(4)), 0.5, i64(3), 5.0, 7)
+        pool = generate_gaussian_blobs(i64(3), i64(4), i64(2), 6.0, 0)
+        assert pool == generate_gaussian_blobs(3, 4, 2, 6.0, 0)
+        multi = generate_multiclass_mil(pool, i64(5), (i64(2), i64(3)), np.arange(1, 3), 0)
+        for dataset, expected in [
+            (as_numpy, as_ints),
+            (multi, generate_multiclass_mil(pool, 5, (2, 3), {1, 2}, 0)),
+        ]:
+            save_dataset(dataset, tmp_path / "a.json")
+            save_dataset(expected, tmp_path / "b.json")
+            assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 class TestGroundTruthHandling:

@@ -1,4 +1,4 @@
-"""Golden outputs: ``generate`` + ``infer`` on eighteen tiny configs, pinned by hash.
+"""Golden outputs: ``generate`` + ``infer`` on nineteen tiny configs, pinned by hash.
 
 A refactor or a speed-up must leave ``result.json`` and ``pull_log.ndjson``
 byte-identical. This test makes that rule executable: it compares their
@@ -41,6 +41,13 @@ CASES = {
         "regime": "binary-mil",
         "generator": GENERATOR,
         "reward": {"k": 3, "distgap_enabled": True, "distgap_space": "features"},
+    },
+    # a softmax embedding is not mirrored: binary MIL takes the full-space search
+    "binary-softmax": {
+        "regime": "binary-mil",
+        "generator": GENERATOR,
+        "classifier": {"kind": "softmax", "epochs": 5},
+        "reward": {"k": 3},
     },
     # output space with tau unset: tau is calibrated on the first evaluation
     "binary-gap-output": {
@@ -178,6 +185,10 @@ GOLDEN = {
     "binary": {
         "result.json": "2526e1b43996c0b17ce2786601041daecda75593eae15dd34fab9d851c31563f",
         "pull_log.ndjson": "4784eac4a680db5dc7fa0e5392e02cef1aae5a6cf283b038c0ec64acd9476402",
+    },
+    "binary-softmax": {
+        "result.json": "b39793ed0d84e9a8208e995384395a775ab82313498130bd4bcaded344d17457",
+        "pull_log.ndjson": "867eeadee8052ebd7c5d9296b5f652859f8a41ec0c2ca832fa5a7bd2ac30e3f1",
     },
     "binary-gap-features": {
         "result.json": "f87d7b2ef28f6d5021cfcb8a00c11240cacb7db6c8913e423e981a57cdc62f74",

@@ -400,6 +400,12 @@ class TestTrainFinal:
         with pytest.raises(ParameterError, match="cover"):
             train_final(ds, partial, ClassifierSpec("linear-svm", 2))
 
+    def test_unknown_weighting_rejected(self):
+        ds = generate_binary_mil(4, (2, 3), 0.5, 2, 5.0, seed=15)
+        result = PipelineResult({i.id: 0 for i in ds.instances}, {}, None, {})
+        with pytest.raises(ParameterError, match="weighting must be one of"):
+            train_final(ds, result, ClassifierSpec("linear-svm", 2), weighting="x")
+
 
 class TestRandomFeatureMap:
     def test_disabled_width_returns_same_dataset(self):
@@ -459,6 +465,59 @@ class TestConfigValidation:
             small_binary_config(bootstrap_fraction=1.0)
         with pytest.raises(ConfigError):
             small_binary_config(final_weighting="magic")
+
+    @pytest.mark.parametrize(
+        "settings, error, message",
+        [
+            ({"rounds": 2.5}, ConfigError, "rounds must be a whole number, got 2.5"),
+            ({"folds": 2.5}, ConfigError, "folds must be a whole number, got 2.5"),
+            ({"batch_size": 1.5}, ConfigError, "batch_size must be a whole number, got 1.5"),
+            ({"master_seed": 1.5}, ConfigError, "master_seed must be a whole number, got 1.5"),
+            ({"master_seed": -1}, ConfigError, "master_seed must be >= 0, got -1"),
+            ({"bootstrap_passes": True}, ConfigError, "bootstrap_passes must be a whole number"),
+            ({"rff_width": 2.5}, ParameterError, "feature-map width must be a whole number"),
+            ({"classifier": ClassifierConfig(epochs=2.5)}, ParameterError, "epochs must be a"),
+            ({"classifier": ClassifierConfig(epochs=True)}, ParameterError, "epochs must be a"),
+        ],
+        ids=[
+            "rounds", "folds", "batch_size", "master_seed", "master_seed-negative",
+            "bootstrap_passes-bool", "rff_width", "epochs", "epochs-bool",
+        ],
+    )
+    def test_counts_must_be_whole_numbers(self, settings, error, message):
+        with pytest.raises(error, match=message):
+            small_binary_config(**settings)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda ds: apply_random_feature_map(ds, 2.5, 1.0, seed=0), "width must be a whole"),
+            (lambda ds: apply_random_feature_map(ds, True, 1.0, seed=0), "width must be a whole"),
+            (lambda ds: derive_label_sets(ds, 1.5), "num_negative_labels must be a whole"),
+            (lambda ds: derive_label_sets(ds, True), "num_negative_labels must be a whole"),
+        ],
+        ids=["rff-fraction", "rff-bool", "negative-labels-fraction", "negative-labels-bool"],
+    )
+    def test_function_counts_must_be_whole_numbers_before_any_draw(
+        self, monkeypatch, call, message
+    ):
+        ds = generate_binary_mil(4, (2, 3), 0.5, 3, 5.0, seed=19)
+
+        def no_draw(*args):
+            raise AssertionError("a generator was seeded")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ParameterError, match=message):
+            call(ds)
+
+    def test_numpy_integer_counts_give_the_same_run(self):
+        ds = generate_binary_mil(8, (2, 4), 0.5, 3, 6.0, seed=20)
+        counts = {"rounds": 6, "batch_size": 2, "folds": 3, "master_seed": 5, "rff_width": 8}
+        as_ints = kfold_infer(ds, small_binary_config(**counts))
+        numpy_counts = {key: np.int64(value) for key, value in counts.items()}
+        as_numpy = kfold_infer(ds, small_binary_config(**numpy_counts))
+        assert as_numpy.to_json() == as_ints.to_json()
+        assert np.array_equal(as_numpy.model.weights, as_ints.model.weights)
 
     def test_result_json_shape(self):
         ds = generate_binary_mil(6, (2, 3), 0.5, 2, 6.0, seed=21)

@@ -3,6 +3,7 @@
 import gc
 import logging
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -35,6 +36,9 @@ from reward_helpers import (
 )
 
 from labelbandit import rewards
+from labelbandit.bandit import (
+    assignment_hash, initialization_assignments, new_bandit, run_inference,
+)
 from labelbandit.classifiers import ClassifierSpec
 from labelbandit.data import (
     Bag,
@@ -45,7 +49,9 @@ from labelbandit.data import (
     generate_multiclass_mil,
     with_proportion_labels,
 )
-from labelbandit.errors import ParameterError, RegimeError, ValidationError
+from labelbandit.errors import (
+    InferenceError, ParameterError, RegimeError, RewardRangeError, ValidationError,
+)
 from labelbandit.pipeline import InferenceConfig, kfold_infer
 from labelbandit.rewards import (
     RewardEnvironment,
@@ -833,6 +839,35 @@ class TestRewardEnvironment:
         b = env(truth, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
+    def test_reward_outside_the_unit_interval_names_the_instance_and_the_pull(
+        self, monkeypatch
+    ):
+        env, truth = self.build_environment(seed=5)
+        rule = rewards._regime_rule
+
+        def escaping_rule(assigned, ctx, params):
+            values = rule(assigned, ctx, params)
+            values[3] = 1.5
+            return values
+
+        monkeypatch.setattr(rewards, "_regime_rule", escaping_rule)
+        escaped = f"reward 1.5 for instance {env.train_ids[3]} escaped [0, 1]"
+        with pytest.raises(RewardRangeError, match=re.escape(escaped)):
+            env(truth, np.random.default_rng(0))
+        label_sets = {x: [0, 1] for x in env.train_ids}
+        state = new_bandit(label_sets)
+        first = initialization_assignments(state, np.random.default_rng(0))[0]
+        where = f"at round 0, assignment {assignment_hash(state.ids, first)}: {escaped}"
+        with pytest.raises(InferenceError, match=re.escape(where)) as failure:
+            run_inference(label_sets, env, rounds=2, rng=np.random.default_rng(0))
+        assert isinstance(failure.value.__cause__, RewardRangeError)
+
+    def test_numpy_integer_counts_score_the_same(self):
+        env, truth = self.build_environment(seed=3, k=3, num_negative_labels=1)
+        numpy_env, _ = self.build_environment(seed=3, k=np.int64(3), num_negative_labels=np.int8(1))
+        expected = env(truth, np.random.default_rng(42))
+        assert np.array_equal(numpy_env(truth, np.random.default_rng(42)), expected)
+
     def test_missing_assignment_entry_rejected(self):
         # a labelling one instance short is a wrong-length array
         env, truth = self.build_environment(seed=4)
@@ -1166,6 +1201,31 @@ class TestBatchedEnvironment:
         one = peak(lambda: env(labels[0], np.random.default_rng(1)))
         four = peak(lambda: env(labels, [np.random.default_rng(s) for s in range(4)]))
         assert four <= 1.25 * one, (one, four)
+
+
+class TestRewardParams:
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"k": 0}, "k must be >= 1, got 0"),
+            ({"k": 2.5}, "k must be a whole number, got 2.5"),
+            ({"k": True}, "k must be a whole number, got True"),
+            ({"num_negative_labels": 0}, "num_negative_labels must be >= 1, got 0"),
+            ({"num_negative_labels": 1.5}, "num_negative_labels must be a whole number, got 1.5"),
+            ({"num_negative_labels": True}, "num_negative_labels must be a whole number"),
+            ({"alpha": 1.5}, r"alpha must lie in \[0, 1\], got 1.5"),
+            ({"gamma": 1.0}, r"gamma must lie in \(0, 1\), got 1.0"),
+            ({"tau": 0.0}, "tau must be positive, got 0.0"),
+            ({"distgap_space": "pixels"}, "distgap_space must be 'output' or 'features'"),
+        ],
+        ids=[
+            "k-zero", "k-fraction", "k-bool", "negatives-zero", "negatives-fraction",
+            "negatives-bool", "alpha", "gamma", "tau", "distgap_space",
+        ],
+    )
+    def test_bad_values_rejected_at_construction(self, settings, message):
+        with pytest.raises(ParameterError, match=message):
+            RewardParams(**settings)
 
 
 class TestDispatch:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InferenceError, ParameterError, ValidationError, check_count
+from .errors import InferenceError, ParameterError, ValidationError, check_count, check_number
 
 KINDS = ("linear-svm", "softmax", "cooperative-softmax")
 
@@ -52,6 +52,8 @@ class ClassifierSpec:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown classifier kind {self.kind!r}; expected one of {KINDS}")
         check_count(self.num_classes, "num_classes", 2, ParameterError)
+        for name in ("learning_rate", "epochs", "l2", "batch_size"):
+            check_number(getattr(self, name), name, ParameterError)
         if self.learning_rate <= 0 or self.epochs < 1 or self.l2 < 0 or self.batch_size < 1:
             raise ParameterError(
                 "classifier hyperparameters must be positive (l2 may be 0), got "
@@ -275,32 +277,33 @@ def _cooperative_sigma(z: np.ndarray, grouping) -> np.ndarray:
     return np.divide(own, rest, out=rest).T.copy()
 
 
-def _batch_gradient(spec, weights, xb, targets, weight_col):
+def _batch_gradient(spec, weights, xb, targets, row_scale):
     """Each member's mean minibatch gradient of its (weighted) training loss,
     without the L2 term, shape (B, outputs, d+1).
 
     ``weights`` is (B, outputs, d+1) and ``xb`` (B, m, d+1); ``targets`` is
-    (B, m, outputs) of +-1 signs for the SVM and (B, m) labels otherwise;
-    ``weight_col`` is (B, m, 1), or None for unit weights. Every operation
+    (B, m, outputs) of +-1 signs for the SVM and (B, m) labels otherwise.
+    For the SVM, ``row_scale`` is (B, m, outputs): each row's sample weight
+    times its negated sign over m, the loss gradient a violated margin takes
+    (a kept margin takes the zero of that sign). For the softmax kinds it
+    is (B, m, 1) sample weights, or None for unit weights. Every operation
     acts on each member's rows alone (the matmuls per (m, d+1) slice), so a
     member's gradient does not depend on B or on the other members.
     """
     z = xb @ weights.transpose(0, 2, 1)
     if spec.kind == "linear-svm":
-        violated = targets * z < 1.0
-        dz = -(targets * violated)
+        return ((targets * z < 1.0) * row_scale).transpose(0, 2, 1) @ xb
+    # rows are independent, so the members' rows are stacked into one matrix
+    flat, labels = z.reshape(-1, z.shape[2]), targets.ravel()
+    if spec.kind == "softmax":
+        e = np.exp(flat - flat.max(axis=1, keepdims=True))
+        dz = e / e.sum(axis=1, keepdims=True)
+        dz[np.arange(labels.size), labels] -= 1.0
     else:
-        # rows are independent, so the members' rows are stacked into one matrix
-        flat, labels = z.reshape(-1, z.shape[2]), targets.ravel()
-        if spec.kind == "softmax":
-            e = np.exp(flat - flat.max(axis=1, keepdims=True))
-            dz = e / e.sum(axis=1, keepdims=True)
-            dz[np.arange(labels.size), labels] -= 1.0
-        else:
-            dz = _cooperative_nll_dz(flat, labels, spec.grouping)
-        dz = dz.reshape(z.shape)
-    if weight_col is not None:
-        dz = weight_col * dz
+        dz = _cooperative_nll_dz(flat, labels, spec.grouping)
+    dz = dz.reshape(z.shape)
+    if row_scale is not None:
+        dz = row_scale * dz
     return (dz / xb.shape[1]).transpose(0, 2, 1) @ xb
 
 
@@ -312,6 +315,10 @@ def initial_weights(spec: ClassifierSpec, feature_dim: int, rng=0) -> np.ndarray
     if spec.kind == "cooperative-softmax":
         return np.random.default_rng(rng).normal(0.0, 0.01, shape)
     return np.zeros(shape)
+
+
+# elements of the training rows one block of epochs gathers, over all members
+_EPOCH_BLOCK_ELEMENTS = 2**13
 
 
 def fit(
@@ -329,9 +336,17 @@ def fit(
     and returns a list of B models; ``seed`` is then a sequence of B seeds
     and ``sample_weight``, if given, is (B, n) too. Member b draws from its
     own ``default_rng(seed[b])`` exactly as a lone fit would (initial weights,
-    then one permutation per epoch), and its minibatches are gathered and
-    stepped together with the others', so its weights are bit-equal to
+    then a permutation per epoch), and its minibatches are stepped together
+    with the others', so its weights are bit-equal to
     ``fit(spec, features, labels[b], sample_weight[b], seed[b])``.
+
+    Epochs are walked in blocks of as many as keep the block's gathered rows,
+    over all members, within ``_EPOCH_BLOCK_ELEMENTS`` (one epoch at least),
+    so memory does not grow with the epoch count. Each member draws a
+    block's permutations with one ``permuted`` call, which gives the rows of
+    as many sequential ``permutation(n)`` calls and leaves its generator in
+    the same state; the block's rows, targets and sample weights are then
+    gathered once.
     """
     features = _check_features(features)
     given = np.asarray(labels)
@@ -355,7 +370,7 @@ def fit(
             raise ValidationError("sample_weight length does not match labels")
         if not np.all(np.isfinite(sample_weight)) or np.any(sample_weight < 0):
             raise ValidationError("sample weights must be finite and non-negative")
-        weight_col = sample_weight.reshape(members.shape + (1,))
+        weight_col = sample_weight.reshape(-1, 1)
     if seed is None:
         seed = 0 if labels.ndim == 1 else [0] * len(members)
     seeds = [seed] if labels.ndim == 1 else list(seed)
@@ -364,20 +379,44 @@ def fit(
     rngs = [np.random.default_rng(s) for s in seeds]
     xb = _with_bias(features)
     weights = np.stack([initial_weights(spec, features.shape[1], rng) for rng in rngs])
-    # per-fit constants, gathered once per epoch in each member's order
-    targets = _svm_signs(members, spec) if spec.kind == "linear-svm" else members
+    num_members = members.shape[0]
+    block = max(1, min(spec.epochs, _EPOCH_BLOCK_ELEMENTS // max(1, num_members * xb.size)))
+    order = np.broadcast_to(np.arange(n), (block, n))
+    starts = range(0, n, spec.batch_size)
+    parts = [
+        slice(epoch * n + start, epoch * n + min(start + spec.batch_size, n))
+        for epoch in range(block)
+        for start in starts
+    ]
+    # per-fit constants, one row per (member, instance), gathered once per block
+    if spec.kind == "linear-svm":
+        targets = _svm_signs(members.ravel(), spec)
+        row_scale = (1.0 if weight_col is None else weight_col) * -targets
+        # each block row's minibatch size; an epoch's last minibatch may be shorter
+        lengths = [part.stop - part.start for part in parts]
+        sizes = np.repeat(lengths, lengths)[:, None]
+    else:
+        targets, row_scale = members.ravel(), weight_col
     decay = np.full(weights.shape[1:], spec.l2)
     decay[:, -1] = 0.0  # bias is not regularized
-    member = np.arange(members.shape[0])[:, None]
-    for _ in range(spec.epochs):
-        perms = np.array([rng.permutation(n) for rng in rngs])
-        epoch_xb, epoch_targets = xb[perms], targets[member, perms]
-        epoch_weights = None if weight_col is None else weight_col[member, perms]
-        for start in range(0, n, spec.batch_size):
-            part = slice(start, start + spec.batch_size)
-            part_weights = None if epoch_weights is None else epoch_weights[:, part]
+    member_start = np.arange(num_members)[:, None] * n
+    for first in range(0, spec.epochs, block):
+        epochs = min(block, spec.epochs - first)
+        # one draw per member: the rows of as many sequential permutations
+        perms = np.empty((num_members, epochs, n), dtype=np.intp)
+        for rng, out in zip(rngs, perms):
+            rng.permuted(order[:epochs], axis=1, out=out)
+        perms = perms.reshape(num_members, epochs * n)
+        block_xb = xb.take(perms, axis=0)
+        perms += member_start
+        block_targets = targets.take(perms, axis=0)
+        block_scale = None if row_scale is None else row_scale.take(perms, axis=0)
+        if spec.kind == "linear-svm":
+            block_scale /= sizes[: epochs * n]
+        for part in parts[: epochs * len(starts)]:
+            part_scale = None if block_scale is None else block_scale[:, part]
             grad = _batch_gradient(
-                spec, weights, epoch_xb[:, part], epoch_targets[:, part], part_weights
+                spec, weights, block_xb[:, part], block_targets[:, part], part_scale
             )
             grad += weights * decay
             weights -= spec.learning_rate * grad

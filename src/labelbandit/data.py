@@ -29,6 +29,17 @@ NEGATIVE_CLASS = 0
 DEFAULT_NEGATIVE_LABELS = {"binary-mil": 1, "multiclass-mil": 3, "llp": 1}
 
 
+def _whole(value, field: str, error: type[UsageError] = ValidationError) -> int:
+    """``value`` as an int: integers (numpy's too) and whole floats pass;
+    fractions and bools are ``error``s naming ``field``."""
+    if type(value) is int:
+        return value
+    fraction = isinstance(value, (float, np.floating)) and not value.is_integer()
+    if fraction or isinstance(value, bool):
+        raise error(f"{field} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def negative_label_ids(num_classes: int, num_negative_labels: int) -> list[int]:
     """Label ids acting as negative modes: 0 plus fresh ids above the dataset's
     class range, so positive ids keep their meaning."""
@@ -67,7 +78,7 @@ class WeakLabel:
                 raise ValidationError(f"binary weak label must be 0 or 1, got {self.value!r}")
             object.__setattr__(self, "value", int(self.value))
         elif self.kind == "label_set":
-            ids = frozenset(int(v) for v in self.value)
+            ids = frozenset(_whole(v, "label set class id") for v in self.value)
             if any(i < 1 for i in ids):
                 raise ValidationError(
                     f"label set {sorted(ids)} contains a non-positive class id; "
@@ -117,12 +128,15 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
+        if type(self.id) is not int:
+            object.__setattr__(self, "id", _whole(self.id, "instance id"))
         if self.id < 0:
             raise ValidationError(f"instance id must be non-negative, got {self.id}")
         if self.features.ndim != 1:
             raise ValidationError(f"instance {self.id}: features must be a 1-d vector")
-        if self.ground_truth is not None:
-            object.__setattr__(self, "ground_truth", int(self.ground_truth))
+        if self.ground_truth is not None and type(self.ground_truth) is not int:
+            truth = _whole(self.ground_truth, f"instance {self.id}: ground_truth")
+            object.__setattr__(self, "ground_truth", truth)
 
     def __eq__(self, other):
         return (
@@ -142,7 +156,13 @@ class Bag:
     weak_label: WeakLabel
 
     def __post_init__(self):
-        object.__setattr__(self, "instance_ids", tuple(int(i) for i in self.instance_ids))
+        if type(self.id) is not int:
+            object.__setattr__(self, "id", _whole(self.id, "bag id"))
+        members = tuple(self.instance_ids)
+        if any(type(i) is not int for i in members):
+            field = f"bag {self.id}: instance id"
+            members = tuple(_whole(i, field) for i in members)
+        object.__setattr__(self, "instance_ids", members)
         if self.id < 0:
             raise ValidationError(f"bag id must be non-negative, got {self.id}")
         if not self.instance_ids:
@@ -291,8 +311,11 @@ def _weak_label_to_json(label: WeakLabel):
     return {"kind": label.kind, "value": label.value}
 
 
-def _weak_label_from_json(obj) -> WeakLabel:
+def _weak_label_from_json(obj, path, bid: int) -> WeakLabel:
     try:
+        if obj["kind"] == "label_set":
+            for c in obj["value"]:
+                _whole(c, f"{path}: bag {bid}: label set class id", ParseError)
         return WeakLabel(obj["kind"], obj["value"])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed weak label object {obj!r}") from exc
@@ -365,13 +388,6 @@ def save_dataset(dataset: Dataset, path, format: str = "json") -> None:
                 )
 
 
-def _whole(path, field: str, value) -> int:
-    """A JSON integer field as an int: whole floats pass, fractions and bools are ParseErrors."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ParseError(f"{path}: {field} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def load_dataset(path, format: str = "json") -> Dataset:
     """Read a dataset file; raises ParseError naming the offending record."""
     if format not in FORMATS:
@@ -383,24 +399,21 @@ def load_dataset(path, format: str = "json") -> Dataset:
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         try:
-            instances, bags = [], []
+            instances, bags, name = [], [], str(path)
             for bag_obj in doc["bags"]:
-                bid = _whole(path, "bag id", bag_obj["id"])
-                weak = _weak_label_from_json(bag_obj["weak_label"])
-                if weak.kind == "label_set":
-                    for c in bag_obj["weak_label"]["value"]:
-                        _whole(path, f"bag {bid}: label set class id", c)
-                iids = []
+                bid = _whole(bag_obj["id"], f"{path}: bag id", ParseError)
+                weak = _weak_label_from_json(bag_obj["weak_label"], path, bid)
+                iids, field = [], f"{path}: bag {bid}: instance id"
                 for inst_obj in bag_obj["instances"]:
-                    iid = _whole(path, f"bag {bid}: instance id", inst_obj["id"])
+                    iid = _whole(inst_obj["id"], field, ParseError)
                     truth = inst_obj.get("ground_truth")
                     if truth is not None:
-                        truth = _whole(path, f"instance {iid}: ground_truth", truth)
+                        truth = _whole(truth, f"{name}: instance {iid}: ground_truth", ParseError)
                     features = np.asarray(inst_obj["features"], dtype=np.float64)
                     instances.append(Instance(iid, features, truth))
                     iids.append(iid)
                 bags.append(Bag(bid, iids, weak))
-            num_classes = _whole(path, "num_classes", doc["num_classes"])
+            num_classes = _whole(doc["num_classes"], f"{path}: num_classes", ParseError)
             return Dataset(instances, bags, num_classes, str(doc["regime"]))
         except UsageError:
             raise

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the one rule every count
-setting follows (``check_count``). The command line exits 2 on a
-``UsageError`` (bad usage, config or inputs) and 3 on any other error here."""
+"""Exception types shared across the package, the one rule every count
+setting follows (``check_count``) and the type check every real-valued
+setting passes before its range is compared (``check_number``). The command
+line exits 2 on a ``UsageError`` (bad usage, config or inputs) and 3 on any
+other error here."""
 
 import numbers
 
@@ -55,3 +57,12 @@ def check_count(value, name: str, minimum: int, error: type[UsageError]) -> int:
     if value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_number(value, name: str, error: type[UsageError]):
+    """``value`` if it is a real number (an int, a float or a numpy number), so
+    that comparing it cannot raise a TypeError; otherwise ``error``, the
+    calling layer's usage error, naming ``name``."""
+    if not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    return value

@@ -35,7 +35,7 @@ from .data import (
     negative_label_ids,
     strip_ground_truth,
 )
-from .errors import ConfigError, ParameterError, RegimeError, check_count
+from .errors import ConfigError, ParameterError, RegimeError, check_count, check_number
 from .rewards import RewardEnvironment, RewardParams
 
 DEFAULT_CLASSIFIER_BY_REGIME = {
@@ -379,7 +379,7 @@ def split_bags_by_inferred_label(
 def _check_feature_map(width, bandwidth: float) -> int:
     """The feature map's width as an int, once it and the bandwidth pass."""
     width = check_count(width, "feature-map width", 1, ParameterError)
-    if bandwidth <= 0:
+    if check_number(bandwidth, "feature-map bandwidth", ParameterError) <= 0:
         raise ParameterError(f"feature-map bandwidth must be positive, got {bandwidth}")
     return width
 

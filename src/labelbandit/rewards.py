@@ -38,7 +38,9 @@ from .data import (
     extended_num_classes,
     negative_label_ids,
 )
-from .errors import ParameterError, RegimeError, RewardRangeError, ValidationError, check_count
+from .errors import (
+    ParameterError, RegimeError, RewardRangeError, ValidationError, check_count, check_number,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -80,11 +82,11 @@ class RewardParams:
 
     def __post_init__(self):
         check_count(self.k, "k", 1, ParameterError)
-        if not 0.0 <= self.alpha <= 1.0:
+        if not 0.0 <= check_number(self.alpha, "alpha", ParameterError) <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 < self.gamma < 1.0:
+        if not 0.0 < check_number(self.gamma, "gamma", ParameterError) < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.tau is not None and self.tau <= 0:
+        if self.tau is not None and check_number(self.tau, "tau", ParameterError) <= 0:
             raise ParameterError(f"tau must be positive, got {self.tau}")
         if self.num_negative_labels is not None:
             check_count(self.num_negative_labels, "num_negative_labels", 1, ParameterError)

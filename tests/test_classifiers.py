@@ -1,9 +1,10 @@
 """Linear classifiers: training, prediction, gradients; and the kNN search in
 classifier-output space, which lives in ``labelbandit.rewards``."""
 
+import gc
 import json
+import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from classifier_helpers import (
     training_loss,
 )
 from hypothesis.extra import numpy as hnp
-from reward_helpers import context, mirrored, nearest_indices_1d_two_sorts, predictions
+from reward_helpers import context, predictions
 
 from labelbandit import rewards
 from labelbandit.classifiers import (
@@ -41,7 +42,6 @@ from labelbandit.rewards import (
     RewardParams,
     nearest_indices,
     nearest_indices_1d,
-    nearest_indices_mirrored,
     nearest_indices_rows,
 )
 
@@ -82,6 +82,15 @@ class TestSpecValidation:
     def test_counts_must_be_whole_numbers(self, field, value):
         settings = {"kind": "softmax", "num_classes": 3, field: value}
         with pytest.raises(ParameterError, match=f"{field} must be a whole number, got {value}"):
+            ClassifierSpec(**settings)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", "5"), ("learning_rate", None), ("l2", "x"), ("batch_size", None)],
+    )
+    def test_hyperparameters_must_be_numbers(self, field, value):
+        settings = {"kind": "softmax", "num_classes": 2, field: value}
+        with pytest.raises(ParameterError, match=f"{field} must be a number, got {value!r}"):
             ClassifierSpec(**settings)
 
     def test_numpy_integer_counts_accepted(self):
@@ -202,15 +211,17 @@ class TestStackedFit:
         ))
         cooperative = kind == "cooperative-softmax"
         grouping = random_grouping(data.draw, num_classes) if cooperative else None
-        batch_size = data.draw(st.integers(1, 9))
-        # n below, equal to, a multiple of, or not a multiple of the batch size
-        n = data.draw(st.sampled_from(
-            [max(1, batch_size - 1), batch_size, 3 * batch_size, 2 * batch_size + 1]
+        # n below, equal to, a multiple of, or not a multiple of the batch size,
+        # with up to 9 minibatches an epoch; blocks of epochs run from one
+        # epoch (a few hundred rows, five members) to all 40
+        n = data.draw(st.integers(1, 12) | st.integers(13, 300))
+        batch_size = data.draw(st.sampled_from(
+            [max(1, n - 1), n, n + 1, max(1, n // 3), max(1, n // 8), max(1, (n - 1) // 2)]
         ))
         members = data.draw(st.integers(1, 5))
         spec = ClassifierSpec(
-            kind, num_classes, grouping=grouping, epochs=3, batch_size=batch_size,
-            l2=data.draw(st.sampled_from([0.0, 1e-3, 0.1])),
+            kind, num_classes, grouping=grouping, epochs=data.draw(st.integers(1, 40)),
+            batch_size=batch_size, l2=data.draw(st.sampled_from([0.0, 1e-3, 0.1])),
         )
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         X = rng.normal(size=(n, 3)) * 3.0
@@ -226,6 +237,42 @@ class TestStackedFit:
             reference = loop_fit(spec, X, labels[b], sample_weight=weight, seed=seeds[b])
             assert model.weights.shape == (spec.num_outputs, 4)
             assert model.weights.tobytes() == alone.weights.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 62, 300])
+    @pytest.mark.parametrize("epochs", [1, 3, 40])
+    def test_blocked_permutations_equal_sequential_draws(self, n, epochs):
+        """One ``permuted`` call over a block of epochs gives the rows of as
+        many sequential ``permutation`` calls and leaves the generator where
+        they leave it, after a draw of initial weights as the cooperative kind
+        makes."""
+        sequential, blocked = np.random.default_rng(7), np.random.default_rng(7)
+        for rng in (sequential, blocked):
+            rng.normal(0.0, 0.01, (3, 4))
+        rows = [sequential.permutation(n) for _ in range(epochs)]
+        block = blocked.permuted(np.broadcast_to(np.arange(n), (epochs, n)), axis=1)
+        assert block.shape == (epochs, n)
+        assert all(np.array_equal(row, drawn) for row, drawn in zip(rows, block))
+        assert sequential.bit_generator.state == blocked.bit_generator.state
+
+    def test_lone_fit_peak_memory_does_not_grow_with_epochs(self):
+        # epochs are walked in blocks of a bounded size, so ten times the
+        # epochs keeps the same peak
+        rng = np.random.default_rng(5)
+        X, y = rng.normal(size=(256, 5)), rng.integers(0, 2, 256)
+        peaks = {}
+        for epochs in (30, 300):
+            spec = ClassifierSpec("linear-svm", 2, epochs=epochs)
+            fit(spec, X, y, seed=1)  # warm caches outside the measurement
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                fit(spec, X, y, seed=1)
+                peaks[epochs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+        assert peaks[300] <= 1.1 * peaks[30], peaks
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -536,95 +583,6 @@ class TestNearestNeighbours:
             assert sorted(abs(pool[int(v)] - q) for v in a) == pytest.approx(
                 sorted(abs(pool[int(v)] - q) for v in b)
             )
-
-
-def small_int_matrix(shape, low=0, high=4):
-    """Integer-valued float matrices: exact distances, frequent ties."""
-    return hnp.arrays(np.int64, shape, elements=st.integers(low, high)).map(
-        lambda a: a.astype(np.float64)
-    )
-
-
-class TestNeighbourProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_row_membership_is_first_k_of_single_row_rule(self, data):
-        n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
-        dist = data.draw(small_int_matrix((n, m)))
-        k = data.draw(st.integers(1, m + 2))
-        rows = nearest_indices_rows(dist, k)
-        for i in range(n):
-            assert sorted(int(v) for v in rows[i]) == sorted(nearest_indices(dist[i], k))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_full_space_blocks_match_brute_force(self, data):
-        dim, m, nq = (data.draw(st.integers(*r)) for r in ((1, 3), (1, 8), (2, 9)))
-        pool = data.draw(small_int_matrix((m, dim), -3, 3))
-        queries = data.draw(small_int_matrix((nq, dim), -3, 3))
-        k = data.draw(st.integers(1, m + 1))
-        block_rows = data.draw(st.integers(1, nq - 1))  # so the queries span several blocks
-        with mock.patch.object(rewards, "_BLOCK_ELEMENTS", block_rows * m):
-            found = rewards._full_space_neighbors(queries, pool, k)
-        assert len(found) == nq
-        for query, hits in zip(queries, found):
-            brute = nearest_indices(np.linalg.norm(pool - query, axis=1), k)
-            assert sorted(int(v) for v in hits) == sorted(brute)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.integers(-50, 50), min_size=1, max_size=30, unique=True),
-        st.lists(st.integers(-60, 60), min_size=1, max_size=8),
-        st.integers(1, 8),
-    )
-    def test_one_dimensional_shortcut_is_matrix_rule_without_ties(self, pool, queries, k):
-        # distinct integer pool values and queries a quarter off the integers
-        # make every query's distances distinct
-        pool = np.array(pool, dtype=np.float64)
-        queries = np.array(queries, dtype=np.float64) + 0.25
-        dist = np.abs(pool[None, :] - queries[:, None])
-        fast = nearest_indices_1d(pool, queries, k)
-        rows = nearest_indices_rows(dist, k)
-        for i in range(len(queries)):
-            assert [int(v) for v in fast[i]] == nearest_indices(dist[i], k)
-            assert sorted(int(v) for v in fast[i]) == sorted(int(v) for v in rows[i])
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_one_dimensional_order_matches_two_sort_form(self, data):
-        """Multi-class rewards average fractions over each neighbour row, so
-        the row's order counts: the one-sort search returns the two-sort
-        form's rows element for element, on integer and half-integer grids
-        where distances tie and queries equal pool values."""
-        step, span = data.draw(st.sampled_from([1.0, 0.5])), data.draw(st.sampled_from([3, 40]))
-        grid = st.integers(-span, span).map(lambda i: i * step)
-        pool = data.draw(st.lists(grid, min_size=1, max_size=40))
-        queries = data.draw(st.lists(st.sampled_from(pool) | grid, min_size=1, max_size=10))
-        k = data.draw(st.integers(1, len(pool) + 2))
-        pool, queries = np.array(pool), np.array(queries)
-        found = nearest_indices_1d(pool, queries, k)
-        assert np.array_equal(found, nearest_indices_1d_two_sorts(pool, queries, k))
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_mirrored_search_keeps_full_space_membership(self, data):
-        """On binary SVM embeddings [-d, d] the exact one-dimensional search
-        selects the rows ``nearest_indices_rows`` selects from the full
-        distances, ties at the k-th distance included: values on an integer
-        or half-integer grid repeat, queries equal pool values, pools may
-        hold one row and k runs to two above the pool."""
-        step, span = data.draw(st.sampled_from([1.0, 0.5])), data.draw(st.sampled_from([3, 40]))
-        grid = st.integers(-span, span).map(lambda i: i * step)
-        pool = data.draw(st.lists(grid, min_size=1, max_size=30))
-        queries = data.draw(st.lists(st.sampled_from(pool) | grid, min_size=1, max_size=8))
-        k = data.draw(st.integers(1, len(pool) + 2))
-        pool, queries = np.array(pool), np.array(queries)
-        found = nearest_indices_mirrored(pool, queries, k)
-        full = rewards._pairwise_distances(mirrored(queries), mirrored(pool))
-        expected = nearest_indices_rows(full, k)
-        assert found.shape == expected.shape
-        for hits, rows in zip(found, expected):
-            assert sorted(hits.tolist()) == sorted(rows.tolist())
 
 
 class TestSerialization:

@@ -98,6 +98,32 @@ class TestWeakLabel:
 
 
 class TestDatasetValidation:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: WeakLabel.label_set({1.5, 2}),
+             "label set class id must be a whole number, got 1.5"),
+            (lambda: Bag(0, [0.7, 2.2], WeakLabel.binary(1)),
+             "bag 0: instance id must be a whole number, got 0.7"),
+            (lambda: Instance(0, [1.0], 1.9),
+             "instance 0: ground_truth must be a whole number, got 1.9"),
+            (lambda: Instance(1.5, [1.0]), "instance id must be a whole number, got 1.5"),
+            (lambda: Bag(2.5, [0], WeakLabel.binary(1)), "bag id must be a whole number, got 2.5"),
+            (lambda: Instance(True, [1.0]), "instance id must be a whole number, got True"),
+        ],
+        ids=["label-set", "bag-member", "ground-truth", "instance-id", "bag-id", "bool-id"],
+    )
+    def test_fractional_ids_and_labels_rejected(self, build, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build()
+
+    def test_whole_floats_and_numpy_integers_pass_as_ints(self):
+        inst = Instance(np.int64(3), [1.0], 2.0)
+        bag = Bag(np.int32(1), [3.0, np.uint8(4)], WeakLabel.label_set({2.0, np.int64(5)}))
+        assert (inst.id, inst.ground_truth) == (3, 2)
+        assert (bag.id, bag.instance_ids, bag.weak_label.value) == (1, (3, 4), {2, 5})
+        assert all(type(v) is int for v in (inst.id, inst.ground_truth, bag.id, *bag.instance_ids))
+
     def test_instance_in_two_bags_names_offender(self):
         instances = [Instance(0, [1.0]), Instance(1, [2.0])]
         bags = [Bag(0, [0, 1], WeakLabel.binary(1)), Bag(1, [1], WeakLabel.binary(0))]

@@ -1,4 +1,5 @@
-"""Reward regimes: recall/precision tables, gating, distance gap, environments."""
+"""Reward regimes: recall/precision tables, gating, distance gap, environments,
+and the properties of the neighbour search."""
 
 import gc
 import logging
@@ -20,6 +21,7 @@ from reward_helpers import (
     loop_distance_gaps,
     mil_reward,
     mirrored,
+    nearest_indices_1d_two_sorts,
     negative_modes,
     output_gaps,
     prec_binary,
@@ -59,6 +61,9 @@ from labelbandit.rewards import (
     build_reward_context,
     distance_gap,
     eta,
+    nearest_indices,
+    nearest_indices_1d,
+    nearest_indices_mirrored,
     nearest_indices_rows,
 )
 
@@ -455,6 +460,95 @@ class TestMirroredNeighbours:
         # a quarter of the dense (queries x pool) float64 matrix
         assert peak < queries.size * pool.size * 8 / 4, peak
         assert sum(full_space_calls) == queries.size
+
+
+def small_int_matrix(shape, low=0, high=4):
+    """Integer-valued float matrices: exact distances, frequent ties."""
+    return hnp.arrays(np.int64, shape, elements=st.integers(low, high)).map(
+        lambda a: a.astype(np.float64)
+    )
+
+
+class TestNeighbourProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_row_membership_is_first_k_of_single_row_rule(self, data):
+        n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12))
+        dist = data.draw(small_int_matrix((n, m)))
+        k = data.draw(st.integers(1, m + 2))
+        rows = nearest_indices_rows(dist, k)
+        for i in range(n):
+            assert sorted(int(v) for v in rows[i]) == sorted(nearest_indices(dist[i], k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_full_space_blocks_match_brute_force(self, data):
+        dim, m, nq = (data.draw(st.integers(*r)) for r in ((1, 3), (1, 8), (2, 9)))
+        pool = data.draw(small_int_matrix((m, dim), -3, 3))
+        queries = data.draw(small_int_matrix((nq, dim), -3, 3))
+        k = data.draw(st.integers(1, m + 1))
+        block_rows = data.draw(st.integers(1, nq - 1))  # so the queries span several blocks
+        with mock.patch.object(rewards, "_BLOCK_ELEMENTS", block_rows * m):
+            found = rewards._full_space_neighbors(queries, pool, k)
+        assert len(found) == nq
+        for query, hits in zip(queries, found):
+            brute = nearest_indices(np.linalg.norm(pool - query, axis=1), k)
+            assert sorted(int(v) for v in hits) == sorted(brute)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-50, 50), min_size=1, max_size=30, unique=True),
+        st.lists(st.integers(-60, 60), min_size=1, max_size=8),
+        st.integers(1, 8),
+    )
+    def test_one_dimensional_shortcut_is_matrix_rule_without_ties(self, pool, queries, k):
+        # distinct integer pool values and queries a quarter off the integers
+        # make every query's distances distinct
+        pool = np.array(pool, dtype=np.float64)
+        queries = np.array(queries, dtype=np.float64) + 0.25
+        dist = np.abs(pool[None, :] - queries[:, None])
+        fast = nearest_indices_1d(pool, queries, k)
+        rows = nearest_indices_rows(dist, k)
+        for i in range(len(queries)):
+            assert [int(v) for v in fast[i]] == nearest_indices(dist[i], k)
+            assert sorted(int(v) for v in fast[i]) == sorted(int(v) for v in rows[i])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_dimensional_order_matches_two_sort_form(self, data):
+        """Multi-class rewards average fractions over each neighbour row, so
+        the row's order counts: the one-sort search returns the two-sort
+        form's rows element for element, on integer and half-integer grids
+        where distances tie and queries equal pool values."""
+        step, span = data.draw(st.sampled_from([1.0, 0.5])), data.draw(st.sampled_from([3, 40]))
+        grid = st.integers(-span, span).map(lambda i: i * step)
+        pool = data.draw(st.lists(grid, min_size=1, max_size=40))
+        queries = data.draw(st.lists(st.sampled_from(pool) | grid, min_size=1, max_size=10))
+        k = data.draw(st.integers(1, len(pool) + 2))
+        pool, queries = np.array(pool), np.array(queries)
+        found = nearest_indices_1d(pool, queries, k)
+        assert np.array_equal(found, nearest_indices_1d_two_sorts(pool, queries, k))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_mirrored_search_keeps_full_space_membership(self, data):
+        """On binary SVM embeddings [-d, d] the exact one-dimensional search
+        selects the rows ``nearest_indices_rows`` selects from the full
+        distances, ties at the k-th distance included: values on an integer
+        or half-integer grid repeat, queries equal pool values, pools may
+        hold one row and k runs to two above the pool."""
+        step, span = data.draw(st.sampled_from([1.0, 0.5])), data.draw(st.sampled_from([3, 40]))
+        grid = st.integers(-span, span).map(lambda i: i * step)
+        pool = data.draw(st.lists(grid, min_size=1, max_size=30))
+        queries = data.draw(st.lists(st.sampled_from(pool) | grid, min_size=1, max_size=8))
+        k = data.draw(st.integers(1, len(pool) + 2))
+        pool, queries = np.array(pool), np.array(queries)
+        found = nearest_indices_mirrored(pool, queries, k)
+        full = rewards._pairwise_distances(mirrored(queries), mirrored(pool))
+        expected = nearest_indices_rows(full, k)
+        assert found.shape == expected.shape
+        for hits, rows in zip(found, expected):
+            assert sorted(hits.tolist()) == sorted(rows.tolist())
 
 
 class TestMulticlassBinaryReduction:
@@ -1217,10 +1311,14 @@ class TestRewardParams:
             ({"gamma": 1.0}, r"gamma must lie in \(0, 1\), got 1.0"),
             ({"tau": 0.0}, "tau must be positive, got 0.0"),
             ({"distgap_space": "pixels"}, "distgap_space must be 'output' or 'features'"),
+            ({"alpha": "x"}, "alpha must be a number, got 'x'"),
+            ({"gamma": None}, "gamma must be a number, got None"),
+            ({"tau": "1"}, "tau must be a number, got '1'"),
         ],
         ids=[
             "k-zero", "k-fraction", "k-bool", "negatives-zero", "negatives-fraction",
-            "negatives-bool", "alpha", "gamma", "tau", "distgap_space",
+            "negatives-bool", "alpha", "gamma", "tau", "distgap_space", "alpha-string",
+            "gamma-none", "tau-string",
         ],
     )
     def test_bad_values_rejected_at_construction(self, settings, message):

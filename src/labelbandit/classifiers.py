@@ -21,7 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InferenceError, ParameterError, ValidationError, check_count, check_number
+from .errors import (
+    InferenceError, ParameterError, Rule, ValidationError, check_count, check_settings, setting,
+)
 
 KINDS = ("linear-svm", "softmax", "cooperative-softmax")
 
@@ -40,35 +42,25 @@ class ClassifierSpec:
     cooperative variant coincide with plain softmax.
     """
 
-    kind: str
-    num_classes: int
+    kind: str = setting(Rule("choice", choices=KINDS, name="classifier kind"))
+    num_classes: int = setting(Rule("count", 2))
     grouping: tuple[tuple[int, ...], ...] | None = None
-    learning_rate: float = 0.1
-    epochs: int = 30
-    l2: float = 1e-3
-    batch_size: int = 32
+    learning_rate: float = setting(Rule("real", ends="()"), 0.1)
+    epochs: int = setting(Rule("count", 1), 30)
+    l2: float = setting(Rule("real"), 1e-3)
+    batch_size: int = setting(Rule("count", 1), 32)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown classifier kind {self.kind!r}; expected one of {KINDS}")
-        check_count(self.num_classes, "num_classes", 2, ParameterError)
-        for name in ("learning_rate", "epochs", "l2", "batch_size"):
-            check_number(getattr(self, name), name, ParameterError)
-        if self.learning_rate <= 0 or self.epochs < 1 or self.l2 < 0 or self.batch_size < 1:
-            raise ParameterError(
-                "classifier hyperparameters must be positive (l2 may be 0), got "
-                f"learning_rate={self.learning_rate}, epochs={self.epochs}, l2={self.l2}, "
-                f"batch_size={self.batch_size}"
-            )
-        check_count(self.epochs, "epochs", 1, ParameterError)
-        check_count(self.batch_size, "batch_size", 1, ParameterError)
+        check_settings(self, ParameterError)
         grouping = self.grouping
         if self.kind == "cooperative-softmax" and grouping is None:
             grouping = singleton_grouping(self.num_classes)
         if grouping is not None:
-            grouping = tuple(tuple(sorted(int(c) for c in group)) for group in grouping)
-            flat = [c for group in grouping for c in group]
-            if sorted(flat) != list(range(self.num_classes)):
+            grouping = tuple(
+                tuple(sorted(check_count(c, "grouping class id", 0, ParameterError) for c in g))
+                for g in grouping
+            )
+            if sorted(c for group in grouping for c in group) != list(range(self.num_classes)):
                 raise ParameterError(
                     f"grouping {grouping} is not a disjoint exhaustive partition of "
                     f"0..{self.num_classes - 1}"

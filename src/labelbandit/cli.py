@@ -37,20 +37,27 @@ logger = logging.getLogger(__name__)
 USAGE_ERRORS = (UsageError, FileNotFoundError)
 
 
-def _field_defaults(cls) -> dict:
-    """Defaults of a dataclass's fields; a dataclass-valued field becomes a section."""
+_RULE_TYPES = {"count": int, "real": float, "choice": str, "flag": bool}
+_SETTING_TYPES: dict = {}  # each setting's JSON type, filled once as DEFAULT_CONFIG is built
+
+
+def _field_defaults(cls, types: dict, path: str = "") -> dict:
+    """Defaults of a dataclass's fields, a dataclass-valued field's as a section;
+    ``types`` gets the JSON type of each setting's rule, by config key."""
     out = {}
     for f in dataclasses.fields(cls):
         if dataclasses.is_dataclass(f.default_factory):
-            out[f.name] = _field_defaults(f.default_factory)
+            out[f.name] = _field_defaults(f.default_factory, types, path + f.name + ".")
         elif f.default is not dataclasses.MISSING:
             out[f.name] = f.default
+            if "rule" in f.metadata:
+                types[path + f.name] = _RULE_TYPES[f.metadata["rule"].kind]
     return out
 
 
 DEFAULT_CONFIG = {
     "regime": None,  # None: follow the dataset (infer) or default to binary-mil (generate/bench)
-    **_field_defaults(pipeline.InferenceConfig),
+    **_field_defaults(pipeline.InferenceConfig, _SETTING_TYPES),
     "generator": {
         "num_bags": 50,
         "bag_size": [3, 10],
@@ -66,11 +73,6 @@ DEFAULT_CONFIG = {
     "out": None,
 }
 
-# The type of each key whose default is null; every other key takes its default's.
-_NULL_DEFAULT_TYPES = {
-    "regime": str, "dataset": str, "out": str, "rff_width": int, "classifier.kind": str,
-    "reward.tau": float, "reward.num_negative_labels": int,
-}
 _JSON_TYPE_NAMES = {
     dict: "an object", list: "an array", str: "a string", bool: "true or false",
     int: "an integer", float: "a number",
@@ -87,12 +89,12 @@ def _has_type(expected: type, default, value) -> bool:
 
 
 def _check_type(key: str, default, value) -> None:
-    """A config value must have its default's type: an int passes for a float,
-    a bool never for a number, and null only where the default is null. An
-    array must have its default's length and each element its element's type."""
+    """A config value must have its setting's type, else its default's (a string for
+    null): an int passes for a float, a bool never for a number, null only where the
+    default is null, and an array needs its default's length and element types."""
     if default is None and value is None:
         return
-    expected = _NULL_DEFAULT_TYPES[key] if default is None else type(default)
+    expected = _SETTING_TYPES.get(key, str if default is None else type(default))
     if not _has_type(expected, default, value):
         name = _JSON_TYPE_NAMES[expected] + (" or null" if default is None else "")
         name += f" like {json.dumps(default)}" if expected is list else ""

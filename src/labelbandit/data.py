@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, UsageError, ValidationError, check_count
+from .errors import ParameterError, ParseError, Rule, UsageError, ValidationError, check, check_count
 
 NEGATIVE_CLASS = 0
 
@@ -86,10 +85,8 @@ class WeakLabel:
                 )
             object.__setattr__(self, "value", ids)
         elif self.kind == "proportion":
-            v = float(self.value)
-            if math.isnan(v) or not 0.0 <= v <= 1.0:
-                raise ValidationError(f"proportion weak label must lie in [0, 1], got {self.value!r}")
-            object.__setattr__(self, "value", v)
+            rule = Rule("real", high=1, name="proportion weak label", error=ValidationError)
+            object.__setattr__(self, "value", check(float(self.value), rule))
         else:
             raise ValidationError(f"unknown weak label kind {self.kind!r}")
 
@@ -198,8 +195,7 @@ class Dataset:
         self._validate()
 
     def _validate(self):
-        if self.regime not in REGIMES:
-            raise ValidationError(f"unknown regime {self.regime!r}; expected one of {REGIMES}")
+        check(self.regime, Rule("choice", choices=REGIMES), "regime", ValidationError)
         check_count(self.num_classes, "num_classes", 2, ValidationError)
         check_label_kinds(self.regime, self.bags)
         if not self.instances:
@@ -344,8 +340,7 @@ def _weak_label_from_csv(text: str, regime: str | None) -> WeakLabel:
 
 def save_dataset(dataset: Dataset, path, format: str = "json") -> None:
     """Write ``dataset`` so that ``load_dataset`` reproduces it exactly."""
-    if format not in FORMATS:
-        raise ParameterError(f"unknown format {format!r}; expected one of {FORMATS}")
+    check(format, Rule("choice", choices=FORMATS), "format", ParameterError)
     path = Path(path)
     if format == "json":
         index = dataset.instance_map()
@@ -390,8 +385,7 @@ def save_dataset(dataset: Dataset, path, format: str = "json") -> None:
 
 def load_dataset(path, format: str = "json") -> Dataset:
     """Read a dataset file; raises ParseError naming the offending record."""
-    if format not in FORMATS:
-        raise ParameterError(f"unknown format {format!r}; expected one of {FORMATS}")
+    check(format, Rule("choice", choices=FORMATS), "format", ParameterError)
     path = Path(path)
     if format == "json":
         try:
@@ -500,11 +494,9 @@ def generate_binary_mil(
     lo, hi = (check_count(size, "bag size", 1, ParameterError) for size in bag_size_range)
     if hi < lo:
         raise ParameterError(f"bad bag size range [{lo}, {hi}]")
-    if not 0.0 < positive_fraction < 1.0:
-        raise ParameterError(f"positive_fraction must lie in (0, 1), got {positive_fraction}")
+    check(positive_fraction, Rule("real", high=1, ends="()"), "positive_fraction", ParameterError)
     check_count(feature_dim, "feature_dim", 1, ParameterError)
-    if class_separation < 0:
-        raise ParameterError(f"class_separation must be >= 0, got {class_separation}")
+    check(class_separation, Rule("real"), "class_separation", ParameterError)
     num_positive = round(positive_fraction * num_bags)
     if num_positive == 0 or num_positive == num_bags:
         raise ParameterError(
@@ -548,8 +540,7 @@ def generate_gaussian_blobs(
     check_count(num_classes, "num_classes", 2, ParameterError)
     check_count(per_class, "per_class", 1, ParameterError)
     check_count(feature_dim, "feature_dim", 1, ParameterError)
-    if separation < 0:
-        raise ParameterError(f"separation must be >= 0, got {separation}")
+    check(separation, Rule("real"), "separation", ParameterError)
     rng = np.random.default_rng(seed)
     while True:
         raw = rng.normal(size=(num_classes, feature_dim))

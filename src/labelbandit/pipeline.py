@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import BinaryIO
 
 import numpy as np
@@ -35,7 +35,9 @@ from .data import (
     negative_label_ids,
     strip_ground_truth,
 )
-from .errors import ConfigError, ParameterError, RegimeError, check_count, check_number
+from .errors import (
+    ConfigError, ParameterError, RegimeError, Rule, check, check_count, check_settings, setting,
+)
 from .rewards import RewardEnvironment, RewardParams
 
 DEFAULT_CLASSIFIER_BY_REGIME = {
@@ -47,33 +49,40 @@ DEFAULT_CLASSIFIER_BY_REGIME = {
 WEIGHTINGS = ("uniform", "confidence")
 
 
+# ClassifierSpec's rules, which the classifier config section shares, and the
+# feature map's, which InferenceConfig and apply_random_feature_map share
+_SPEC_RULES = {f.name: f.metadata.get("rule") for f in fields(ClassifierSpec)}
+_WIDTH = Rule("count", 1, name="feature-map width", error=ParameterError)
+_BANDWIDTH = Rule("real", ends="()", name="feature-map bandwidth", error=ParameterError)
+
+
 @dataclass(frozen=True)
 class ClassifierConfig:
     """Classifier kind (None = the regime's default, which ``InferenceConfig``
-    fills in) and training hyperparameters, whose defaults are
+    fills in) and training hyperparameters, whose defaults and rules are
     ``ClassifierSpec``'s."""
 
-    kind: str | None = None
-    learning_rate: float = ClassifierSpec.learning_rate
-    epochs: int = ClassifierSpec.epochs
-    l2: float = ClassifierSpec.l2
-    batch_size: int = ClassifierSpec.batch_size
+    kind: str | None = setting(_SPEC_RULES["kind"], None)
+    learning_rate: float = setting(_SPEC_RULES["learning_rate"], ClassifierSpec.learning_rate)
+    epochs: int = setting(_SPEC_RULES["epochs"], ClassifierSpec.epochs)
+    l2: float = setting(_SPEC_RULES["l2"], ClassifierSpec.l2)
+    batch_size: int = setting(_SPEC_RULES["batch_size"], ClassifierSpec.batch_size)
 
 
 @dataclass(frozen=True)
 class InferenceConfig:
     regime: str
-    rounds: int = 500
-    batch_size: int = 4
-    folds: int = 5
-    bootstrap_passes: int = 1
-    bootstrap_fraction: float = 0.25
-    master_seed: int = 0
+    rounds: int = setting(Rule("count", 1), 500)
+    batch_size: int = setting(Rule("count", 1), 4)
+    folds: int = setting(Rule("count", 2), 5)
+    bootstrap_passes: int = setting(Rule("count", 1), 1)
+    bootstrap_fraction: float = setting(Rule("real", high=1, ends="()"), 0.25)
+    master_seed: int = setting(Rule("count", 0), 0)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     reward: RewardParams = field(default_factory=RewardParams)
-    rff_width: int | None = None
-    rff_bandwidth: float = 1.0
-    final_weighting: str = "uniform"
+    rff_width: int | None = setting(_WIDTH, None)
+    rff_bandwidth: float = setting(_BANDWIDTH, 1.0)
+    final_weighting: str = setting(Rule("choice", choices=WEIGHTINGS), "uniform")
 
     def __post_init__(self):
         if self.regime not in REGIME_LABEL_KIND:
@@ -82,26 +91,12 @@ class InferenceConfig:
                 f"{', '.join(REGIME_LABEL_KIND)}, and any other regime runs through "
                 "bandit.run_inference with its own reward environment"
             )
-        check_count(self.rounds, "rounds", 1, ConfigError)
-        check_count(self.batch_size, "batch_size", 1, ConfigError)
-        check_count(self.folds, "folds", 2, ConfigError)
-        check_count(self.bootstrap_passes, "bootstrap_passes", 1, ConfigError)
-        if not 0.0 < self.bootstrap_fraction < 1.0:
-            raise ConfigError(
-                f"bootstrap_fraction must lie in (0, 1), got {self.bootstrap_fraction}"
-            )
-        if self.final_weighting not in WEIGHTINGS:
-            raise ConfigError(f"final_weighting must be one of {WEIGHTINGS}")
-        check_count(self.master_seed, "master_seed", 0, ConfigError)
+        check_settings(self, ConfigError)
+        check_settings(self.classifier, ParameterError)
         # classifier.kind=None and reward.num_negative_labels=None: the regime's defaults
-        if self.classifier.kind is None:
-            kind = DEFAULT_CLASSIFIER_BY_REGIME[self.regime]
-            object.__setattr__(self, "classifier", replace(self.classifier, kind=kind))
+        kind = self.classifier.kind or DEFAULT_CLASSIFIER_BY_REGIME[self.regime]
+        object.__setattr__(self, "classifier", replace(self.classifier, kind=kind))
         object.__setattr__(self, "reward", self.reward.for_regime(self.regime))
-        # the classifier and the feature map check their own settings
-        ClassifierSpec(num_classes=2, **asdict(self.classifier))
-        if self.rff_width is not None:
-            _check_feature_map(self.rff_width, self.rff_bandwidth)
 
 
 @dataclass
@@ -376,32 +371,25 @@ def split_bags_by_inferred_label(
     return Dataset(kept_instances, new_bags, 2, "binary-mil"), source_label
 
 
-def _check_feature_map(width, bandwidth: float) -> int:
-    """The feature map's width as an int, once it and the bandwidth pass."""
-    width = check_count(width, "feature-map width", 1, ParameterError)
-    if check_number(bandwidth, "feature-map bandwidth", ParameterError) <= 0:
-        raise ParameterError(f"feature-map bandwidth must be positive, got {bandwidth}")
-    return width
-
-
 def apply_random_feature_map(dataset: Dataset, width, bandwidth: float, seed) -> Dataset:
     """Replace features by a seeded random cosine expansion approximating a
     Gaussian kernel of the given bandwidth. ``width=None`` disables the map
     and returns the dataset unchanged."""
     if width is None:
         return dataset
-    width = _check_feature_map(width, bandwidth)
+    width = check(width, _WIDTH)
+    check(bandwidth, _BANDWIDTH)
     rng = np.random.default_rng(seed)
     dim = dataset.feature_dim
     projection = rng.normal(0.0, 1.0 / bandwidth, size=(width, dim))
     offsets = rng.uniform(0.0, 2.0 * np.pi, size=width)
     scale = math.sqrt(2.0 / width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mapped = [scale * np.cos(projection @ x.features + offsets) for x in dataset.instances]
+    if not np.isfinite(mapped).all():
+        raise ParameterError(f"feature-map bandwidth {bandwidth} is too small: the map overflows")
     instances = [
-        Instance(
-            inst.id,
-            scale * np.cos(projection @ inst.features + offsets),
-            inst.ground_truth,
-        )
-        for inst in dataset.instances
+        Instance(inst.id, features, inst.ground_truth)
+        for inst, features in zip(dataset.instances, mapped)
     ]
     return Dataset(instances, list(dataset.bags), dataset.num_classes, dataset.regime)

@@ -39,7 +39,7 @@ from .data import (
     negative_label_ids,
 )
 from .errors import (
-    ParameterError, RegimeError, RewardRangeError, ValidationError, check_count, check_number,
+    ParameterError, RegimeError, RewardRangeError, Rule, ValidationError, check_settings, setting,
 )
 
 logger = logging.getLogger(__name__)
@@ -72,28 +72,16 @@ class RewardParams:
     labelling, on the classifier's embeddings, in output space.
     """
 
-    k: int = 5
-    alpha: float = 1.0
-    gamma: float = 1.0 / 7.0
-    tau: float | None = None
-    distgap_enabled: bool = False
-    num_negative_labels: int | None = None
-    distgap_space: str = "output"
+    k: int = setting(Rule("count", 1), 5)
+    alpha: float = setting(Rule("real", high=1), 1.0)
+    gamma: float = setting(Rule("real", high=1, ends="()"), 1.0 / 7.0)
+    tau: float | None = setting(Rule("real", ends="()"), None)
+    distgap_enabled: bool = setting(Rule("flag"), False)
+    num_negative_labels: int | None = setting(Rule("count", 1), None)
+    distgap_space: str = setting(Rule("choice", choices=("output", "features")), "output")
 
     def __post_init__(self):
-        check_count(self.k, "k", 1, ParameterError)
-        if not 0.0 <= check_number(self.alpha, "alpha", ParameterError) <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 < check_number(self.gamma, "gamma", ParameterError) < 1.0:
-            raise ParameterError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.tau is not None and check_number(self.tau, "tau", ParameterError) <= 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
-        if self.num_negative_labels is not None:
-            check_count(self.num_negative_labels, "num_negative_labels", 1, ParameterError)
-        if self.distgap_space not in ("output", "features"):
-            raise ParameterError(
-                f"distgap_space must be 'output' or 'features', got {self.distgap_space!r}"
-            )
+        check_settings(self, ParameterError)
 
     def for_regime(self, regime: str) -> RewardParams:
         """These params, with an unset num_negative_labels set to the regime's default."""

@@ -1,5 +1,4 @@
-"""Linear classifiers: training, prediction, gradients; and the kNN search in
-classifier-output space, which lives in ``labelbandit.rewards``."""
+"""Linear classifiers: training, prediction, gradients, serialization."""
 
 import gc
 import json
@@ -19,9 +18,7 @@ from classifier_helpers import (
     training_loss,
 )
 from hypothesis.extra import numpy as hnp
-from reward_helpers import context, predictions
 
-from labelbandit import rewards
 from labelbandit.classifiers import (
     ClassifierSpec,
     TrainedModel,
@@ -38,12 +35,6 @@ from labelbandit.classifiers import (
     singleton_grouping,
 )
 from labelbandit.errors import ParameterError, ValidationError
-from labelbandit.rewards import (
-    RewardParams,
-    nearest_indices,
-    nearest_indices_1d,
-    nearest_indices_rows,
-)
 
 
 def separable_data(rng, n=80, dim=3, classes=2, scale=4.0):
@@ -63,6 +54,22 @@ class TestSpecValidation:
             ClassifierSpec("cooperative-softmax", 3, grouping=((0, 1),))
         with pytest.raises(ParameterError):
             ClassifierSpec("cooperative-softmax", 3, grouping=((0, 1), (1, 2)))
+
+    @pytest.mark.parametrize(
+        "grouping, message",
+        [
+            (((0.7, 1), (2.9,)), "grouping class id must be a whole number, got 0.7"),
+            (((0, True), (2,)), "grouping class id must be a whole number, got True"),
+            (((-1, 0, 1), (2,)), "grouping class id must be >= 0, got -1"),
+        ],
+        ids=["fraction", "bool", "negative"],
+    )
+    def test_grouping_class_ids_must_be_whole_numbers(self, grouping, message):
+        with pytest.raises(ParameterError, match=message):
+            ClassifierSpec("cooperative-softmax", 3, grouping=grouping)
+        doc = {"kind": "cooperative-softmax", "num_classes": 3, "weights": [[0.0, 0.0]] * 3}
+        with pytest.raises(ParameterError, match=message):
+            model_from_json({**doc, "grouping": [list(group) for group in grouping]})
 
     def test_default_grouping_is_singletons(self):
         spec = ClassifierSpec("cooperative-softmax", 3)
@@ -85,13 +92,27 @@ class TestSpecValidation:
             ClassifierSpec(**settings)
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("epochs", "5"), ("learning_rate", None), ("l2", "x"), ("batch_size", None)],
+        "field, value, message",
+        [
+            ("epochs", "5", "epochs must be a whole number, got '5'"),
+            ("learning_rate", None, "learning_rate must be a number, got None"),
+            ("l2", "x", "l2 must be a number, got 'x'"),
+            ("batch_size", None, "batch_size must be a whole number, got None"),
+        ],
+        ids=["epochs-5", "learning_rate-None", "l2-x", "batch_size-None"],
     )
-    def test_hyperparameters_must_be_numbers(self, field, value):
+    def test_hyperparameters_must_be_numbers(self, field, value, message):
         settings = {"kind": "softmax", "num_classes": 2, field: value}
-        with pytest.raises(ParameterError, match=f"{field} must be a number, got {value!r}"):
+        with pytest.raises(ParameterError, match=message):
             ClassifierSpec(**settings)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", float("nan")), ("learning_rate", float("inf")), ("l2", float("inf"))],
+    )
+    def test_hyperparameters_must_be_finite(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite, got {value}"):
+            ClassifierSpec("softmax", 2, **{field: value})
 
     def test_numpy_integer_counts_accepted(self):
         spec = ClassifierSpec("softmax", np.int64(3), epochs=np.int32(2), batch_size=np.uint8(4))
@@ -488,101 +509,6 @@ class TestCooperativeObjective:
         assert np.abs(X @ initial_weights(step, 1)[:, :1].T).max() > 100.0
         model = fit(step, X, np.array([0, 2, 3]))
         assert np.all(np.isfinite(model.weights))
-
-
-def full_space(pool, query, k):
-    """Membership of the k nearest pool rows to one query, as the rewards search them."""
-    pool = np.asarray(pool, dtype=np.float64)
-    (hits,) = rewards._full_space_neighbors(np.atleast_2d(query).astype(np.float64), pool, k)
-    return sorted(int(v) for v in hits)
-
-
-def along_dimension(pool_values, query_value, k):
-    """k nearest pool positions along one output coordinate, nearest first."""
-    (hits,) = nearest_indices_1d(np.asarray(pool_values, float), np.array([query_value]), k)
-    return [int(v) for v in hits]
-
-
-class TestNearestNeighbours:
-    def test_k_equal_to_pool_returns_everything(self):
-        pool = [[float(i)] for i in range(4)]
-        assert full_space(pool, [0.2], k=4) == [0, 1, 2, 3]
-        assert sorted(along_dimension([0.0, 1.0, 2.0, 3.0], 0.2, k=4)) == [0, 1, 2, 3]
-
-    def test_single_nearest_by_absolute_difference(self):
-        assert full_space([[0.0], [1.0], [5.0]], [0.9], k=1) == [1]
-        assert along_dimension([0.0, 1.0, 5.0], 0.9, k=1) == [1]
-
-    def test_distance_tie_goes_to_lower_index(self):
-        assert full_space([[2.0], [0.0]], [1.0], k=1) == [0]
-        assert along_dimension([2.0, 0.0], 1.0, k=1) == [0]
-
-    def test_predicted_class_dimension_mode(self):
-        # the query predicts class 1, so only coordinate 1 counts
-        pool = np.array([[0.0, 9.0], [5.0, 1.1]])
-        query = np.array([0.0, 1.0])
-        assert along_dimension(pool[:, 1], query[1], k=1) == [1]
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(ParameterError, match="held-out set is empty"):
-            context(
-                "binary-mil", RewardParams(k=1),
-                (predictions([0], [[0.0, 0.0]]), predictions([], np.empty((0, 2)))), [],
-            )
-
-    def test_matches_exhaustive_sort(self):
-        rng = np.random.default_rng(12)
-        for _ in range(30):
-            pool_emb = rng.normal(size=(int(rng.integers(2, 40)), 3))
-            query_label = int(rng.integers(3))
-            query = rng.normal(size=3)
-            k = int(rng.integers(1, len(pool_emb) + 2))
-            expected = min(k, len(pool_emb))
-            d = np.linalg.norm(pool_emb - query, axis=1)
-            order = sorted(range(len(pool_emb)), key=lambda i: (d[i], i))
-            assert full_space(pool_emb, query, k) == sorted(order[:expected])
-            d = np.abs(pool_emb[:, query_label] - query[query_label])
-            order = sorted(range(len(pool_emb)), key=lambda i: (d[i], i))
-            assert along_dimension(pool_emb[:, query_label], query[query_label], k) == order[
-                :expected
-            ]
-
-    def test_row_batched_membership_matches_single(self):
-        rng = np.random.default_rng(13)
-        D = rng.random((15, 25))
-        D[3, :] = 0.5  # force heavy ties
-        for k in (1, 3, 25):
-            rows = nearest_indices_rows(D, k)
-            for i in range(15):
-                assert sorted(int(v) for v in rows[i]) == sorted(nearest_indices(D[i], k))
-
-    def test_one_dimensional_shortcut_matches_matrix_path(self):
-        # tie-free values: the shortcut must agree with the matrix rule exactly
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            pool = rng.random(int(rng.integers(3, 60)))
-            queries = rng.random(10)
-            k = int(rng.integers(1, 8))
-            fast = nearest_indices_1d(pool, queries, k)
-            slow = nearest_indices_rows(np.abs(pool[None, :] - queries[:, None]), k)
-            for a, b in zip(fast, slow):
-                assert sorted(int(v) for v in a) == sorted(int(v) for v in b)
-
-    def test_one_dimensional_shortcut_tie_handling(self):
-        # heavy duplicates: the distance multiset must match the matrix rule
-        # and the choice must be deterministic
-        rng = np.random.default_rng(15)
-        pool = rng.choice(np.linspace(0, 1, 5), size=50)
-        queries = rng.random(8)
-        k = 4
-        fast = nearest_indices_1d(pool, queries, k)
-        again = nearest_indices_1d(pool, queries, k)
-        slow = nearest_indices_rows(np.abs(pool[None, :] - queries[:, None]), k)
-        for q, a, a2, b in zip(queries, fast, again, slow):
-            assert np.array_equal(a, a2)
-            assert sorted(abs(pool[int(v)] - q) for v in a) == pytest.approx(
-                sorted(abs(pool[int(v)] - q) for v in b)
-            )
 
 
 class TestSerialization:

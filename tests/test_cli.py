@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, file outputs, determinism, config handling."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -15,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from labelbandit import cli, errors, metrics, pipeline, rewards
 from labelbandit.classifiers import ClassifierSpec
@@ -32,6 +37,8 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+NAN, INF = float("nan"), float("inf")
+
 # config values InferenceConfig refuses at construction, with the error main prints
 bad_inference_configs = pytest.mark.parametrize(
     "config, message",
@@ -42,14 +49,19 @@ bad_inference_configs = pytest.mark.parametrize(
             "unknown classifier kind 'bogus'; expected one of "
             "('linear-svm', 'softmax', 'cooperative-softmax')",
         ),
-        (
-            {"classifier": {"epochs": 0}},
-            "classifier hyperparameters must be positive (l2 may be 0), got "
-            "learning_rate=0.1, epochs=0, l2=0.001, batch_size=32",
-        ),
+        ({"classifier": {"epochs": 0}}, "epochs must be >= 1, got 0"),
         ({"rff_width": 0}, "feature-map width must be >= 1, got 0"),
+        ({"classifier": {"learning_rate": NAN}}, "learning_rate must be finite, got nan"),
+        ({"classifier": {"l2": INF}}, "l2 must be finite, got inf"),
+        ({"reward": {"tau": NAN, "distgap_enabled": True}}, "tau must be finite, got nan"),
+        ({"reward": {"tau": INF, "distgap_enabled": True}}, "tau must be finite, got inf"),
+        ({"rff_width": 8, "rff_bandwidth": INF}, "feature-map bandwidth must be finite, got inf"),
     ],
-    ids=["rounds", "classifier.kind", "classifier.epochs", "rff_width"],
+    ids=[
+        "rounds", "classifier.kind", "classifier.epochs", "rff_width",
+        "classifier.learning_rate-nan", "classifier.l2-inf", "reward.tau-nan", "reward.tau-inf",
+        "rff_bandwidth-inf",
+    ],
 )
 
 
@@ -196,7 +208,9 @@ class TestConfig:
                 elif value is None:
                     yield path + key
 
-        assert sorted(null_keys(DEFAULT_CONFIG)) == sorted(cli._NULL_DEFAULT_TYPES)
+        # a key without a declared rule takes a string where its default is null
+        undeclared = [key for key in null_keys(DEFAULT_CONFIG) if key not in cli._SETTING_TYPES]
+        assert sorted(undeclared) == ["dataset", "out", "regime"]
 
     def test_cli_exit_code_on_bad_config(self, tmp_path):
         path = tmp_path / "config.json"
@@ -347,6 +361,25 @@ class TestInfer:
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert fits == []
+        assert not out.exists()
+
+    def test_bandwidth_that_overflows_the_map_exits_two_before_fitting(
+        self, binary_workspace, tmp_path, capsys, monkeypatch
+    ):
+        config = {"rff_width": 8, "rff_bandwidth": 1e-308}
+        path = write(tmp_path / "infer.json", json.dumps(config))
+        fits = []
+        monkeypatch.setattr(rewards, "fit", lambda *a, **kw: fits.append(a))
+        out = tmp_path / "run"
+        code = run(
+            ["infer", "--config", path, "--dataset", binary_workspace / "dataset.json",
+             "--out", out]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: feature-map bandwidth 1e-308 is too small: the map overflows\n"
+        )
         assert fits == []
         assert not out.exists()
 
@@ -845,7 +878,10 @@ ERROR_EXIT_CODES = {
 
 
 def test_every_error_class_has_a_documented_exit_code():
-    classes = {name for name, obj in vars(errors).items() if isinstance(obj, type)}
+    classes = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, Exception)
+    }
     assert classes == set(ERROR_EXIT_CODES)
 
 
@@ -1004,6 +1040,12 @@ USAGE_FAILURES = {
     "binary-negative-separation": (
         generate_with({"separation": -1}), "class_separation must be >= 0, got -1"
     ),
+    "binary-separation-nan": (
+        generate_with({"separation": NAN}), "class_separation must be finite, got nan"
+    ),
+    "multiclass-separation-nan": (
+        generate_with({"separation": NAN}, "multiclass-mil"), "separation must be finite, got nan"
+    ),
     "multiclass-per-class-zero": (
         generate_with({"per_class": 0}, "multiclass-mil"), "per_class must be >= 1, got 0"
     ),
@@ -1064,3 +1106,70 @@ def test_output_path_through_a_file_exits_two_before_any_work(
     assert capsys.readouterr().err == (
         f"error: output directory {out}: {blocker} is not a directory\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# fuzzed settings
+# ---------------------------------------------------------------------------
+
+def declared_rules(cls=InferenceConfig, path=""):
+    """(config key, rule) of every setting an inference config declares."""
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default_factory):
+            yield from declared_rules(f.default_factory, path + f.name + ".")
+        elif "rule" in f.metadata:
+            yield path + f.name, f.metadata["rule"]
+
+
+RULES = dict(declared_rules())
+# every key infer reads; dataset and out are paths, and generator and bench are not read
+FUZZED_KEYS = ["regime", *RULES]
+JSON_VALUES = st.one_of(
+    st.sampled_from([NAN, INF, -INF]),
+    st.sampled_from([1e308, -1e308, 1.5, 0.5, 0.0, -1.0, None, True, False, "x", [], [1, 2]]),
+    st.integers(-2, 6),
+    st.sampled_from(
+        ["binary-mil", "llp", *(c for rule in RULES.values() for c in rule.choices)]
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["generate", "--bags", 20, "--seed", 3, "--out", out]) == 0
+    return out / "dataset.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(FUZZED_KEYS), value=JSON_VALUES)
+@example(key="classifier.learning_rate", value=NAN)
+@example(key="classifier.l2", value=INF)
+@example(key="reward.tau", value=INF)
+@example(key="rff_bandwidth", value=INF)
+def test_fuzzed_setting_exits_cleanly_and_names_its_key(fuzz_dataset, key, value):
+    """One key of a small infer config takes a random JSON value: infer exits
+    0, 2 or 3 without a traceback, exit 2 names the key (its leaf, or the
+    name its rule gives messages), and a non-finite number always exits 2."""
+    config = {"rounds": 3, "folds": 2}
+    *sections, leaf = key.split(".")
+    node = config
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[leaf] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "config.json", json.dumps(config))
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(
+                ["infer", "--config", path, "--dataset", fuzz_dataset, "--out", Path(tmp) / "run"]
+            )
+    message = err.getvalue()
+    assert code in (0, 2, 3), message
+    assert "Traceback" not in message
+    if code == 2:
+        rule = RULES.get(key)
+        assert leaf in message or (rule and rule.name and rule.name in message), message
+    if isinstance(value, float) and not math.isfinite(value):
+        assert code == 2, message

@@ -578,6 +578,30 @@ class TestCountSettings:
         with pytest.raises(ParameterError, match=message):
             generator(*args)
 
+    @pytest.mark.parametrize(
+        "generator, args, message",
+        [
+            (generate_binary_mil, (20, (3, 6), "x", 2, 6.0, 0), "positive_fraction must be a num"),
+            (generate_binary_mil, (20, (3, 6), 0.5, 2, "x", 0), "class_separation must be a num"),
+            (generate_binary_mil, (20, (3, 6), 0.5, 2, np.nan, 0), "class_separation must be fin"),
+            (generate_gaussian_blobs, (3, 4, 2, np.nan, 0), "separation must be finite, got nan"),
+            (generate_gaussian_blobs, (3, 4, 2, np.inf, 0), "separation must be finite, got inf"),
+        ],
+        ids=[
+            "binary-fraction-string", "binary-separation-string", "binary-separation-nan",
+            "blobs-separation-nan", "blobs-separation-inf",
+        ],
+    )
+    def test_generator_reals_must_be_finite_numbers_before_any_draw(
+        self, monkeypatch, generator, args, message
+    ):
+        def no_draw(*args):
+            raise AssertionError("a generator was seeded")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ParameterError, match=message):
+            generator(*args)
+
     @pytest.mark.parametrize("num_classes", [2.5, True, 1])
     def test_dataset_num_classes_must_be_a_whole_number_of_at_least_two(self, num_classes):
         ds = make_dataset()

@@ -135,16 +135,34 @@ class TestInferenceConfig:
         "settings, message",
         [
             ({"classifier": ClassifierConfig(kind="bogus")}, "unknown classifier kind 'bogus'"),
-            ({"classifier": ClassifierConfig(epochs=0)}, r"epochs=0"),
-            ({"classifier": ClassifierConfig(l2=-1.0)}, r"l2=-1.0"),
+            ({"classifier": ClassifierConfig(epochs=0)}, "epochs must be >= 1, got 0"),
+            ({"classifier": ClassifierConfig(l2=-1.0)}, "l2 must be >= 0, got -1.0"),
             ({"rff_width": 0}, "feature-map width must be >= 1, got 0"),
             ({"rff_width": 8, "rff_bandwidth": 0.0}, "feature-map bandwidth must be positive"),
+            ({"rff_bandwidth": "x"}, "feature-map bandwidth must be a number, got 'x'"),
+            ({"rff_bandwidth": float("inf")}, "feature-map bandwidth must be finite, got inf"),
+            (
+                {"classifier": ClassifierConfig(learning_rate=float("nan"))},
+                "learning_rate must be finite, got nan",
+            ),
         ],
-        ids=["kind", "epochs", "l2", "rff_width", "rff_bandwidth"],
+        ids=[
+            "kind", "epochs", "l2", "rff_width", "rff_bandwidth", "rff_bandwidth-unmapped",
+            "rff_bandwidth-inf", "learning_rate-nan",
+        ],
     )
     def test_bad_classifier_or_feature_map_raises_at_construction(self, settings, message):
         with pytest.raises(ParameterError, match=message):
             InferenceConfig(regime="binary-mil", **settings)
+
+    def test_non_finite_pipeline_setting_raises_at_construction(self):
+        with pytest.raises(ConfigError, match="bootstrap_fraction must be finite, got nan"):
+            InferenceConfig(regime="binary-mil", bootstrap_fraction=float("nan"))
+
+    def test_bandwidth_too_small_for_the_projection_is_named(self):
+        dataset = generate_binary_mil(6, (2, 3), 0.5, 2, 4.0, seed=0)
+        with pytest.raises(ParameterError, match="feature-map bandwidth 1e-308 is too small"):
+            apply_random_feature_map(dataset, 8, 1e-308, seed=0)
 
 
 class TestKfoldInfer:

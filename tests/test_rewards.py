@@ -462,6 +462,101 @@ class TestMirroredNeighbours:
         assert sum(full_space_calls) == queries.size
 
 
+def full_space(pool, query, k):
+    """Membership of the k nearest pool rows to one query, as the rewards search them."""
+    pool = np.asarray(pool, dtype=np.float64)
+    (hits,) = rewards._full_space_neighbors(np.atleast_2d(query).astype(np.float64), pool, k)
+    return sorted(int(v) for v in hits)
+
+
+def along_dimension(pool_values, query_value, k):
+    """k nearest pool positions along one output coordinate, nearest first."""
+    (hits,) = nearest_indices_1d(np.asarray(pool_values, float), np.array([query_value]), k)
+    return [int(v) for v in hits]
+
+
+class TestNearestNeighbours:
+    def test_k_equal_to_pool_returns_everything(self):
+        pool = [[float(i)] for i in range(4)]
+        assert full_space(pool, [0.2], k=4) == [0, 1, 2, 3]
+        assert sorted(along_dimension([0.0, 1.0, 2.0, 3.0], 0.2, k=4)) == [0, 1, 2, 3]
+
+    def test_single_nearest_by_absolute_difference(self):
+        assert full_space([[0.0], [1.0], [5.0]], [0.9], k=1) == [1]
+        assert along_dimension([0.0, 1.0, 5.0], 0.9, k=1) == [1]
+
+    def test_distance_tie_goes_to_lower_index(self):
+        assert full_space([[2.0], [0.0]], [1.0], k=1) == [0]
+        assert along_dimension([2.0, 0.0], 1.0, k=1) == [0]
+
+    def test_predicted_class_dimension_mode(self):
+        # the query predicts class 1, so only coordinate 1 counts
+        pool = np.array([[0.0, 9.0], [5.0, 1.1]])
+        query = np.array([0.0, 1.0])
+        assert along_dimension(pool[:, 1], query[1], k=1) == [1]
+
+    def test_empty_pool_rejected(self):
+        with pytest.raises(ParameterError, match="held-out set is empty"):
+            context(
+                "binary-mil", RewardParams(k=1),
+                (predictions([0], [[0.0, 0.0]]), predictions([], np.empty((0, 2)))), [],
+            )
+
+    def test_matches_exhaustive_sort(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            pool_emb = rng.normal(size=(int(rng.integers(2, 40)), 3))
+            query_label = int(rng.integers(3))
+            query = rng.normal(size=3)
+            k = int(rng.integers(1, len(pool_emb) + 2))
+            expected = min(k, len(pool_emb))
+            d = np.linalg.norm(pool_emb - query, axis=1)
+            order = sorted(range(len(pool_emb)), key=lambda i: (d[i], i))
+            assert full_space(pool_emb, query, k) == sorted(order[:expected])
+            d = np.abs(pool_emb[:, query_label] - query[query_label])
+            order = sorted(range(len(pool_emb)), key=lambda i: (d[i], i))
+            assert along_dimension(pool_emb[:, query_label], query[query_label], k) == order[
+                :expected
+            ]
+
+    def test_row_batched_membership_matches_single(self):
+        rng = np.random.default_rng(13)
+        D = rng.random((15, 25))
+        D[3, :] = 0.5  # force heavy ties
+        for k in (1, 3, 25):
+            rows = nearest_indices_rows(D, k)
+            for i in range(15):
+                assert sorted(int(v) for v in rows[i]) == sorted(nearest_indices(D[i], k))
+
+    def test_one_dimensional_shortcut_matches_matrix_path(self):
+        # tie-free values: the shortcut must agree with the matrix rule exactly
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            pool = rng.random(int(rng.integers(3, 60)))
+            queries = rng.random(10)
+            k = int(rng.integers(1, 8))
+            fast = nearest_indices_1d(pool, queries, k)
+            slow = nearest_indices_rows(np.abs(pool[None, :] - queries[:, None]), k)
+            for a, b in zip(fast, slow):
+                assert sorted(int(v) for v in a) == sorted(int(v) for v in b)
+
+    def test_one_dimensional_shortcut_tie_handling(self):
+        # heavy duplicates: the distance multiset must match the matrix rule
+        # and the choice must be deterministic
+        rng = np.random.default_rng(15)
+        pool = rng.choice(np.linspace(0, 1, 5), size=50)
+        queries = rng.random(8)
+        k = 4
+        fast = nearest_indices_1d(pool, queries, k)
+        again = nearest_indices_1d(pool, queries, k)
+        slow = nearest_indices_rows(np.abs(pool[None, :] - queries[:, None]), k)
+        for q, a, a2, b in zip(queries, fast, again, slow):
+            assert np.array_equal(a, a2)
+            assert sorted(abs(pool[int(v)] - q) for v in a) == pytest.approx(
+                sorted(abs(pool[int(v)] - q) for v in b)
+            )
+
+
 def small_int_matrix(shape, low=0, high=4):
     """Integer-valued float matrices: exact distances, frequent ties."""
     return hnp.arrays(np.int64, shape, elements=st.integers(low, high)).map(
@@ -1310,15 +1405,25 @@ class TestRewardParams:
             ({"alpha": 1.5}, r"alpha must lie in \[0, 1\], got 1.5"),
             ({"gamma": 1.0}, r"gamma must lie in \(0, 1\), got 1.0"),
             ({"tau": 0.0}, "tau must be positive, got 0.0"),
-            ({"distgap_space": "pixels"}, "distgap_space must be 'output' or 'features'"),
+            (
+                {"distgap_space": "pixels"},
+                r"unknown distgap_space 'pixels'; expected one of \('output', 'features'\)",
+            ),
             ({"alpha": "x"}, "alpha must be a number, got 'x'"),
             ({"gamma": None}, "gamma must be a number, got None"),
             ({"tau": "1"}, "tau must be a number, got '1'"),
+            ({"tau": float("nan")}, "tau must be finite, got nan"),
+            ({"tau": float("inf")}, "tau must be finite, got inf"),
+            ({"alpha": float("nan")}, "alpha must be finite, got nan"),
+            ({"gamma": -float("inf")}, "gamma must be finite, got -inf"),
+            ({"distgap_enabled": "no"}, "distgap_enabled must be a bool, got 'no'"),
+            ({"distgap_enabled": 0}, "distgap_enabled must be a bool, got 0"),
         ],
         ids=[
             "k-zero", "k-fraction", "k-bool", "negatives-zero", "negatives-fraction",
             "negatives-bool", "alpha", "gamma", "tau", "distgap_space", "alpha-string",
-            "gamma-none", "tau-string",
+            "gamma-none", "tau-string", "tau-nan", "tau-inf", "alpha-nan", "gamma-minus-inf",
+            "distgap_enabled-string", "distgap_enabled-zero",
         ],
     )
     def test_bad_values_rejected_at_construction(self, settings, message):
